@@ -5,6 +5,9 @@ through vertex-block layouts: the Hilbert space is an ordered direct sum of
 irreducible pieces C^{n_i} (x) C^{n_j o}, one per vertex, stored row-major,
 so the left action of a is kron(a_i, 1) and the right action of b is
 kron(1, b_j^T) on each block (b o xi o := (xi^T b)^T on the opposite factor).
+Operators that are scalar, or the leg swap Jhat, on each vertex block (the
+real structure, the grading, fiber basis changes) come from
+VertexLayout.place.
 """
 
 from __future__ import annotations
@@ -155,6 +158,11 @@ def matrix_units(profile: AlgebraProfile):
                 yield unit_insert(profile, i, m)
 
 
+def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
+    """Jhat on a vertex with dims (n_i, n_j): xi (x) eta o -> eta (x) xi o."""
+    return np.eye(n_i * n_j).reshape(n_i, n_j, n_i * n_j).transpose(1, 0, 2).reshape(n_j * n_i, n_i * n_j)
+
+
 @dataclass(frozen=True)
 class LayoutBlock:
     vid: tuple          # vertex id (i, p, j), all 1-based
@@ -202,6 +210,17 @@ class VertexLayout:
         """Flat index of basis vector e_x (x) e_y o inside block vid (x, y from 0)."""
         b = self._by_vid[vid]
         return b.offset + x * b.n_j + y
+
+    def place(self, coeffs, swap: bool = False) -> np.ndarray:
+        """Operator whose (w, v) block is c 1, or c Jhat with swap, for each ((w, v), c).
+
+        Blocks are accumulated with += into zeros; absent blocks stay zero.
+        """
+        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        for (w, v), c in coeffs.items():
+            bw, bv = self._by_vid[w], self._by_vid[v]
+            out[bw.sl, bv.sl] += c * (swap_matrix(bv.n_i, bv.n_j) if swap else np.eye(bv.length))
+        return out
 
     def pi(self, a: AlgebraElement) -> np.ndarray:
         """Left representation pi(a), acting as a_{i(v)} on each block."""

@@ -18,7 +18,7 @@ from .algebra import AlgebraElement, AlgebraProfile, VertexLayout
 from .action import GaugeConfiguration
 from .bratteli import BratteliArrow
 from .differential import UniversalNForm, UniversalOneForm
-from .krajewski import Edge, KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex
+from .krajewski import EDGE_KINDS, Edge, KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex
 from .lifting import DiagramLift
 
 FORMAT_VERSION = 1
@@ -110,28 +110,50 @@ def _diagram_to_json(diag: KrajewskiDiagram) -> dict:
     }
 
 
+def _record(obj, where, required=()) -> dict:
+    """obj, checked to be a JSON object holding the required fields."""
+    if not isinstance(obj, dict):
+        raise BundleError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for name in required:
+        if name not in obj:
+            raise BundleError(f"{where}: missing field {name!r}")
+    return obj
+
+
+def _int(x, where) -> int:
+    """x, checked to be a JSON integer (booleans are not integers here)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise BundleError(f"{where}: expected an integer, got {x!r}")
+    return x
+
+
 def _diagram_from_json(obj, where) -> KrajewskiDiagram:
-    try:
-        profile = AlgebraProfile(tuple(obj["dims"]))
-        ko = KOSignature.from_dim(obj["d"])
-    except KeyError as exc:
-        raise BundleError(f"{where}: missing field {exc}") from None
+    _record(obj, where, ("dims", "d"))
+    profile = AlgebraProfile(tuple(obj["dims"]))
+    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d"))
     vertices = {}
     for key, rec in obj.get("vertices", {}).items():
         vid = _vid_from_key(key, f"{where}.vertices")
-        vertices[vid] = Vertex(vid[0], vid[1], vid[2], s=rec.get("s"), chi=rec.get("chi"))
+        at = f"{where}.vertices.{key}"
+        rec = _record(rec, at)
+        dec = {k: None if rec.get(k) is None else _int(rec[k], f"{at}.{k}") for k in ("s", "chi")}
+        vertices[vid] = Vertex(vid[0], vid[1], vid[2], **dec)
     jim = {
         _vid_from_key(k, f"{where}.jim"): _vid_from_key(w, f"{where}.jim")
         for k, w in obj.get("jim", {}).items()
     }
     edges = []
     for n, rec in enumerate(obj.get("edges", [])):
+        at = f"{where}.edges[{n}]"
+        kind = _record(rec, at, ("src", "dst", "op")).get("kind", "general")
+        if kind not in EDGE_KINDS:
+            raise BundleError(f"{at}.kind: unknown edge kind {kind!r}, expected one of {EDGE_KINDS}")
         edges.append(
             Edge(
-                _vid_from_key(rec["src"], f"{where}.edges[{n}].src"),
-                _vid_from_key(rec["dst"], f"{where}.edges[{n}].dst"),
-                rec.get("kind", "general"),
-                _matrix_from_json(rec["op"], f"{where}.edges[{n}].op"),
+                _vid_from_key(rec["src"], f"{at}.src"),
+                _vid_from_key(rec["dst"], f"{at}.dst"),
+                kind,
+                _matrix_from_json(rec["op"], f"{at}.op"),
             )
         )
     return KrajewskiDiagram(profile, ko, vertices, jim, edges)

@@ -121,7 +121,6 @@ def cmd_classify(bundle, args, tol):
 def cmd_lift_check(bundle, args, tol):
     lift = _need(bundle.lifts, args.lift, "lift")
     tA, tB = realize(lift.source, tol), realize(lift.target, tol)
-    build_phiH(lift)
     rep = real_grading_check(lift, tA, tB, tol)
     _emit(args, rep.as_dict(), str(rep))
     if not rep.ok:
@@ -253,7 +252,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="finspec", description=__doc__)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance (default 1e-10)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -80,10 +80,7 @@ def represent(omega, t: RealSpectralTriple) -> np.ndarray:
         raise ProfileMismatch("form and triple live over different profiles")
     n = t.dim
     out = np.zeros((n, n), dtype=complex)
-    terms = omega.terms
-    for term in terms:
-        if isinstance(omega, UniversalOneForm):
-            term = (term[0], term[1])
+    for term in omega.terms:
         acc = t.pi(term[0])
         for a in term[1:]:
             pa = t.pi(a)

@@ -19,7 +19,6 @@ structure, following the basis normal forms for each KO-dimension.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ from .algebra import (
     as_matrix,
     frob,
     matrix_units,
+    swap_matrix,
     unit_insert,
 )
 from .reports import Report
@@ -192,15 +192,6 @@ def epsilon_factor(v: Vertex, d: int) -> int:
     return eps ** v.chi
 
 
-def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
-    """Jhat on a vertex with dims (n_i, n_j): xi (x) eta o -> eta (x) xi o."""
-    s = np.zeros((n_j * n_i, n_i * n_j))
-    for x in range(n_i):
-        for y in range(n_j):
-            s[y * n_i + x, x * n_j + y] = 1.0
-    return s
-
-
 def _vdim(profile, vid):
     i, _p, j = vid
     return profile.dim(i), profile.dim(j)
@@ -258,7 +249,7 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
 
 
 def _factor_residual(op, kind, dims):
-    """Residual of the forced factorization and the extracted small factor(s).
+    """Residual of the forced factorization of an edge decoration.
 
     The first-order condition leaves exactly 1 (x) D_R across rho, D_L (x) 1
     across lambda, and D_L (x) 1 + 1 (x) D_R when both coordinates match.
@@ -267,24 +258,22 @@ def _factor_residual(op, kind, dims):
     blk = op.reshape(n_i2, n_j2, n_i1, n_j1)
     if kind == "right":
         if n_i1 != n_i2:
-            return float("inf"), None
-        r = sum(blk[x, :, x, :] for x in range(n_i1)) / n_i1
-        return frob(op - np.kron(np.eye(n_i1), r)), r
+            return float("inf")
+        return frob(op - np.kron(np.eye(n_i1), blk.trace(axis1=0, axis2=2) / n_i1))
     if kind == "left":
         if n_j1 != n_j2:
-            return float("inf"), None
-        l = sum(blk[:, y, :, y] for y in range(n_j1)) / n_j1
-        return frob(op - np.kron(l, np.eye(n_j1))), l
+            return float("inf")
+        return frob(op - np.kron(blk.trace(axis1=1, axis2=3) / n_j1, np.eye(n_j1)))
     if (n_i1, n_j1) != (n_i2, n_j2):
-        return float("inf"), None
+        return float("inf")
     n, m = n_i1, n_j1
-    left = sum(blk[:, y, :, y] for y in range(m)) / m
-    right = sum(blk[x, :, x, :] for x in range(n)) / n
+    left = blk.trace(axis1=1, axis2=3) / m
+    right = blk.trace(axis1=0, axis2=2) / n
     scalar = np.trace(op) / (n * m)
     left0 = left - np.trace(left) / n * np.eye(n)
     right0 = right - np.trace(right) / m * np.eye(m)
     proj = np.kron(left0, np.eye(m)) + np.kron(np.eye(n), right0) + scalar * np.eye(n * m)
-    return frob(op - proj), (left0 + scalar * np.eye(n), right0)
+    return frob(op - proj)
 
 
 def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
@@ -365,19 +354,19 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
             if i1 != i2 or j1 != j2:
                 rep.add_bool(f"{tag} kind=general needs both matches", False)
             else:
-                res, _ = _factor_residual(e.op, "general", (n_i1, n_j1, n_i2, n_j2))
+                res = _factor_residual(e.op, "general", (n_i1, n_j1, n_i2, n_j2))
                 rep.add(f"{tag} splits as D_L (x) 1 + 1 (x) D_R", res, tol)
         elif e.kind == "right":
             if i1 != i2:
                 rep.add_bool(f"{tag} kind=right needs lambda match", False)
             else:
-                res, _ = _factor_residual(e.op, "right", (n_i1, n_j1, n_i2, n_j2))
+                res = _factor_residual(e.op, "right", (n_i1, n_j1, n_i2, n_j2))
                 rep.add(f"{tag} factors as 1 (x) D_R", res, tol)
         elif e.kind == "left":
             if j1 != j2:
                 rep.add_bool(f"{tag} kind=left needs rho match", False)
             else:
-                res, _ = _factor_residual(e.op, "left", (n_i1, n_j1, n_i2, n_j2))
+                res = _factor_residual(e.op, "left", (n_i1, n_j1, n_i2, n_j2))
                 rep.add(f"{tag} factors as D_L (x) 1", res, tol)
         if i1 == i2 and j1 != j2 and e.kind != "right":
             rep.add_bool(f"{tag} must be kind=right", False)
@@ -398,13 +387,23 @@ def layout_of(diag: KrajewskiDiagram) -> VertexLayout:
     return VertexLayout(diag.profile, diag.sorted_vids())
 
 
+def _real_structure(layout, vertices, jim, d, even):
+    """K = sum_v eps(v, d) Jhat from v to jim(v), and gamma = s(v) on each block (even d)."""
+    K = layout.place({(jim[v], v): epsilon_factor(vertices[v], d) for v in layout.vids}, swap=True)
+    gamma = layout.place({(v, v): vertices[v].s for v in layout.vids}) if even else None
+    return K, gamma
+
+
+def _basis_change(layout, rows):
+    """Unitary whose (v_old, v_new) block is c 1, for rows {v_new: (old vids, coefficients c)}."""
+    return layout.place({(v_old, v_new): c for v_new, (vids, row) in rows.items() for v_old, c in zip(vids, row)})
+
+
 def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTriple:
     """Build the concrete triple determined by the diagram decorations."""
     rep = validate(diag, tol)
     if not rep.ok:
         raise DiagramError("invalid diagram:\n" + str(rep))
-    for w in rep.warnings:
-        warnings.warn(w)
 
     layout = layout_of(diag)
     n = layout.total_dim
@@ -414,21 +413,7 @@ def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTri
     for (src, dst), (_kind, op) in closed.items():
         D[layout.block(dst).sl, layout.block(src).sl] = op
 
-    K = np.zeros((n, n), dtype=complex)
-    for vid in diag.sorted_vids():
-        v = diag.vertex(vid)
-        w = diag.jim[vid]
-        n_i, n_j = _vdim(diag.profile, vid)
-        K[layout.block(w).sl, layout.block(vid).sl] = epsilon_factor(v, diag.d) * swap_matrix(n_i, n_j)
-
-    gamma = None
-    if diag.ko.even:
-        g = np.zeros(n)
-        for vid in diag.sorted_vids():
-            b = layout.block(vid)
-            g[b.sl] = diag.vertex(vid).s
-        gamma = np.diag(g).astype(complex)
-
+    K, gamma = _real_structure(layout, diag.vertices, diag.jim, diag.d, diag.ko.even)
     return RealSpectralTriple(diag.profile, diag.ko, layout, D, K, gamma)
 
 
@@ -609,29 +594,15 @@ def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
     tensor legs (the grading case).
     """
     layout = t.layout
-    mu_s, mu_d = len(fiber_src), len(fiber_dst)
     n_i, n_j = _vdim(t.profile, fiber_src[0])
-    f = np.zeros((mu_d, mu_s), dtype=complex)
-    for q, wv in enumerate(fiber_dst):
-        for p, vv in enumerate(fiber_src):
-            acc = 0.0
-            for x in range(n_i):
-                for y in range(n_j):
-                    row = layout.index(wv, y, x) if expect_swap else layout.index(wv, x, y)
-                    acc += M[row, layout.index(vv, x, y)]
-            f[q, p] = acc / (n_i * n_j)
+    unit = swap_matrix(n_i, n_j) if expect_swap else np.eye(n_i * n_j)
+    f = np.array([[np.vdot(unit, M[layout.block(w).sl, layout.block(v).sl]) for v in fiber_src]
+                  for w in fiber_dst], dtype=complex) / (n_i * n_j)
     # residual of the reconstruction
-    rec = np.zeros_like(M)
-    for q, wv in enumerate(fiber_dst):
-        for p, vv in enumerate(fiber_src):
-            for x in range(n_i):
-                for y in range(n_j):
-                    row = layout.index(wv, y, x) if expect_swap else layout.index(wv, x, y)
-                    rec[row, layout.index(vv, x, y)] = f[q, p]
-    bs = np.concatenate([np.arange(layout.block(v).offset, layout.block(v).offset + layout.block(v).length) for v in fiber_src])
-    bd = np.concatenate([np.arange(layout.block(w).offset, layout.block(w).offset + layout.block(w).length) for w in fiber_dst])
-    res = frob(M[np.ix_(bd, bs)] - rec[np.ix_(bd, bs)])
-    return f, res
+    rec = layout.place({(w, v): f[q, p] for q, w in enumerate(fiber_dst) for p, v in enumerate(fiber_src)},
+                       swap=expect_swap)
+    ix = np.ix_(*(np.r_[tuple(layout.block(v).sl for v in fiber)] for fiber in (fiber_dst, fiber_src)))
+    return f, frob(M[ix] - rec[ix])
 
 
 def _diagonal_fiber_basis(T, ell, eps, eps_pp, mu, d, tol):
@@ -712,11 +683,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
         proj = t.pi(unit_insert(t.profile, i, np.eye(t.profile.dim(i)))) @ t.right(
             unit_insert(t.profile, j, np.eye(t.profile.dim(j)))
         )
-        expected = np.zeros((t.dim, t.dim), dtype=complex)
-        for vid in fiber:
-            b = layout.block(vid)
-            expected[b.sl, b.sl] = np.eye(b.length)
-        res = frob(proj - expected)
+        res = frob(proj - layout.place({(v, v): 1.0 for v in fiber}))
         if res > tol:
             raise ClassificationError("hilbert space splitting", f"fiber ({i},{j}) projection mismatch", res)
 
@@ -794,17 +761,8 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
                     raise ClassificationError("grading eigenbasis", f"fiber ({i},{j}) vector {p + 1} not an s={sv:+d} eigenvector", res)
 
     # step 4: witness unitary, block diagonal over fibers
-    W = np.zeros((t.dim, t.dim), dtype=complex)
-    for (i, j), fiber in sorted(fibers.items()):
-        n_i, n_j = _vdim(t.profile, fiber[0])
-        for p, m in enumerate(bases[(i, j)]):
-            new_vid = fiber[p]
-            for q, old_vid in enumerate(fiber):
-                if abs(m[q]) == 0.0:
-                    continue
-                for x in range(n_i):
-                    for y in range(n_j):
-                        W[layout.index(old_vid, x, y), layout.index(new_vid, x, y)] += m[q]
+    W = _basis_change(layout, {fiber[p]: (fiber, m) for key, fiber in fibers.items()
+                               for p, m in enumerate(bases[key])})
 
     Dp = W.conj().T @ t.D @ W
     Kp = W.conj().T @ t.K @ np.conj(W)
@@ -816,19 +774,12 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
         for p, vid in enumerate(fiber):
             vertices[vid] = Vertex(vid[0], vid[1], vid[2], s=s_dec[(i, j)][p], chi=chi_dec[(i, j)][p])
 
-    Kexp = np.zeros_like(Kp)
-    for vid, v in vertices.items():
-        n_i, n_j = _vdim(t.profile, vid)
-        w = jim_new[vid]
-        Kexp[layout.block(w).sl, layout.block(vid).sl] = epsilon_factor(v, d) * swap_matrix(n_i, n_j)
+    Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
     res = frob(Kp - Kexp)
     if res > max(tol, 1e-8):
         raise ClassificationError("real structure normal form", "transformed K is not in canonical form", res)
     if ko.even:
-        gexp = np.zeros(t.dim)
-        for vid, v in vertices.items():
-            gexp[layout.block(vid).sl] = v.s
-        res = frob(gp - np.diag(gexp))
+        res = frob(gp - gexp)
         if res > max(tol, 1e-8):
             raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
 
@@ -864,7 +815,7 @@ def extract_edges(profile, layout, D, edge_tol, factor_tol):
                 )
             n_i1, n_j1 = _vdim(profile, src)
             n_i2, n_j2 = _vdim(profile, dst)
-            fres, _ = _factor_residual(op, kind, (n_i1, n_j1, n_i2, n_j2))
+            fres = _factor_residual(op, kind, (n_i1, n_j1, n_i2, n_j2))
             if fres > factor_tol:
                 raise ClassificationError(
                     "first-order structure", f"edge {src}->{dst} does not factor", fres

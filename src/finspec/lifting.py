@@ -23,6 +23,7 @@ from .krajewski import (
     ClassificationError,
     KrajewskiDiagram,
     RealSpectralTriple,
+    _basis_change,
     epsilon_factor,
     extract_edges,
     layout_of,
@@ -155,23 +156,13 @@ def build_phiH(lift: DiagramLift) -> PhiHMap:
     arrow = lift.arrow
     M = np.zeros((tgt_layout.total_dim, src_layout.total_dim), dtype=complex)
     for (v, w), u in lift.u.items():
-        i, _p, j = v
-        k, _q, l = w
-        n_i, n_j = arrow.source.dim(i), arrow.source.dim(j)
-        m_l = arrow.target.dim(l)
-        koff = arrow.band_offset(k, i)
-        loff = arrow.band_offset(l, j)
-        wb = tgt_layout.block(w)
-        vb = src_layout.block(v)
-        for a in range(u.shape[0]):
-            for b in range(u.shape[1]):
-                if u[a, b] == 0.0:
-                    continue
-                for x in range(n_i):
-                    row_k = koff + a * n_i + x
-                    for y in range(n_j):
-                        col_l = loff + b * n_j + y
-                        M[wb.offset + row_k * m_l + col_l, vb.offset + x * n_j + y] += u[a, b]
+        vb, wb = src_layout.block(v), tgt_layout.block(w)
+        koff, loff = arrow.band_offset(w[0], v[0]), arrow.band_offset(w[2], v[2])
+        # e_x (x) e_y o of block v picks up u[a, b] at (koff + a n_i + x, loff + b n_j + y) of block w
+        a, b, x, y = np.indices(u.shape + (vb.n_i, vb.n_j), sparse=True)
+        rows = wb.offset + (koff + a * vb.n_i + x) * wb.n_j + loff + b * vb.n_j + y
+        cols = vb.offset + x * vb.n_j + y
+        M[rows, cols] += u[a, b]
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
 
 
@@ -245,12 +236,8 @@ def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool
     if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
         raise ShapeMismatch("operator shapes do not match phi_H")
     P = phiH.projector()
-    if antilinear:
-        lhs = M @ A           # phi_H o (K_A o conj), conjugation factored out
-        rhs = B @ np.conj(M)  # (K_B o conj) o phi_H
-    else:
-        lhs = M @ A
-        rhs = B @ M
+    lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
+    rhs = B @ np.conj(M) if antilinear else B @ M
     diff = P @ rhs - lhs
     weak_res = float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
     eye = np.eye(P.shape[0])
@@ -399,26 +386,15 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
             asym = frob(S - S.T) / 2
             if asym > max(tol, 1e-12):
                 raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
-            Ssym = ((S + S.T) / 2).real
-            w, V = np.linalg.eigh(Ssym)
-            order = np.argsort(-w)
-            w, V = w[order], np.ascontiguousarray(V[:, order])
-            V = _phase_fix_columns(V)
-            C = V.T  # real orthogonal
-            for p_new, v_new in enumerate(vids):
-                coeffs[v_new] = (vids, C[p_new, :])
-                kappa[v_new] = float(w[p_new])
-        else:
-            w, V = np.linalg.eigh(S)
-            order = np.argsort(-w)
-            w, V = w[order], np.ascontiguousarray(V[:, order])
-            V = _phase_fix_columns(V)
-            C = V.T
-            for p_new, v_new in enumerate(vids):
-                coeffs[v_new] = (vids, C[p_new, :])
-                kappa[v_new] = float(w[p_new])
-            pkey = fiber_index[partner[0]][0]
-            pfiber = fibers[pkey]
+            S = ((S + S.T) / 2).real  # the rotation C below is then real orthogonal
+        w, V = np.linalg.eigh(S)
+        order = np.argsort(-w)
+        w, V = w[order], np.ascontiguousarray(V[:, order])
+        C = _phase_fix_columns(V).T
+        for p_new, v_new in enumerate(vids):
+            coeffs[v_new] = (vids, C[p_new, :])
+            kappa[v_new] = float(w[p_new])
+        if mode == "pair":
             if any(v in coeffs for v in partner) and partner != vids:
                 raise LiftError("rotation groups overlap")
             for p_new, v_new in enumerate(partner):
@@ -446,14 +422,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     # rotate the Dirac decorations through the block change of basis Q
     tA = realize(lift.source)
     layout = tA.layout
-    Q = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for v_new, (vids, row) in coeffs.items():
-        bn = layout.block(v_new)
-        for c, v_old in zip(row, vids):
-            if c == 0.0:
-                continue
-            bo = layout.block(v_old)
-            Q[bo.sl, bn.sl] += c * np.eye(bn.length)
+    Q = _basis_change(layout, coeffs)
     Dp = Q.conj().T @ tA.D @ Q
     edges = extract_edges(lift.source.profile, layout, Dp, tol, max(tol, 1e-8))
 

@@ -179,6 +179,32 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+SCHEMA_MUTATIONS = {
+    "bool-s": (lambda d: d["vertices"]["(1,1,1)"].update(s=True), "diagrams.d6.vertices.(1,1,1).s"),
+    "bool-chi": (lambda d: d["vertices"]["(1,1,1)"].update(chi=False), "diagrams.d6.vertices.(1,1,1).chi"),
+    "vertex-not-object": (lambda d: d["vertices"].update({"(1,1,1)": [1]}), "diagrams.d6.vertices.(1,1,1)"),
+    "edge-without-src": (lambda d: d["edges"][0].pop("src"), "diagrams.d6.edges[0]"),
+    "edge-without-dst": (lambda d: d["edges"][0].pop("dst"), "diagrams.d6.edges[0]"),
+    "edge-without-op": (lambda d: d["edges"][0].pop("op"), "diagrams.d6.edges[0]"),
+    "unknown-edge-kind": (lambda d: d["edges"][0].update(kind="diagonal"), "diagrams.d6.edges[0].kind"),
+    "string-d": (lambda d: d.update(d="six"), "diagrams.d6.d"),
+    "fractional-d": (lambda d: d.update(d=6.5), "diagrams.d6.d"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SCHEMA_MUTATIONS))
+def test_malformed_diagram_exits_2_naming_path(full_bundle, tmp_path, capsys, mutation):
+    _, path = full_bundle
+    mutate, where = SCHEMA_MUTATIONS[mutation]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mutate(doc["diagrams"]["d6"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--format", "json", "validate", str(bad)]) == 2
+    assert f"error: {where}:" in capsys.readouterr().err
+
+
 def test_cli_validation_failure_exits_1(tmp_path, capsys):
     # an invalid diagram: broken involution
     from finspec.krajewski import KOSignature, KrajewskiDiagram, Vertex
