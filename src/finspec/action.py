@@ -18,6 +18,7 @@ trace, plus terms with non-inherited components (TNIC).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -96,8 +97,7 @@ class GaugeConfiguration:
         self.Phi = as_matrix(self.Phi)
 
     def hermiticity_residual(self) -> float:
-        res = max(frob(b - b.conj().T) for b in self.B)
-        return max(res, frob(self.Phi - self.Phi.conj().T))
+        return max(frob(X - X.conj().T) for X in self.B + (self.Phi,))
 
     @classmethod
     def from_forms(cls, t: RealSpectralTriple, vector_forms, higgs_form: UniversalOneForm,
@@ -105,16 +105,13 @@ class GaugeConfiguration:
         """B_mu = A_mu - J A_mu J^-1 and Phi = D + phi + J phi J^-1 from one-forms."""
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
-        Bs = []
-        for w in vector_forms:
-            A = represent(w, t)
-            if frob(A - A.conj().T) > tol:
-                raise ValueError("vector potential representation is not Hermitian")
-            Bs.append(A - t.conjugate_by_J(A))
-        phi = represent(higgs_form, t)
-        if frob(phi - phi.conj().T) > tol:
-            raise ValueError("scalar potential representation is not Hermitian")
-        Phi = t.D + phi + t.conjugate_by_J(phi)
+        fields = []  # built one form at a time, so only one representation is held
+        for what, w in [("vector", w) for w in vector_forms] + [("scalar", higgs_form)]:
+            X = represent(w, t)
+            if frob(X - X.conj().T) > tol:
+                raise ValueError(f"{what} potential representation is not Hermitian")
+            fields.append(X - t.conjugate_by_J(X) if what == "vector" else t.D + X + t.conjugate_by_J(X))
+        *Bs, Phi = fields
         return cls(tuple(Bs), Phi)
 
 
@@ -169,11 +166,29 @@ class ActionReport:
         return "\n".join(lines)
 
 
-def _real_trace(m, what, tol):
-    v = complex(np.trace(m))
+def _real_trace(v, what, tol):
+    v = complex(v)
     if abs(v.imag) > max(tol, 1e-9) * (1.0 + abs(v)):
         raise ValueError(f"{what} has a non-real trace ({v})")
     return v.real
+
+
+def _spectral_sum(D, f: CutoffFunction, Lambda: float) -> float:
+    """Tr f(D / Lambda) for a Hermitian D."""
+    return float(np.sum(f(np.linalg.eigvalsh(D) / Lambda)))
+
+
+def _pairing(t: RealSpectralTriple, D, psi, psi_p) -> complex:
+    """<J psi, D psi'>."""
+    return complex(np.vdot(t.apply_J(psi), D @ psi_p))
+
+
+def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
+    """v as a complex vector; in the even case it must lie in ker(gamma - 1)."""
+    v = np.asarray(v, dtype=complex)
+    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > max(tol, 1e-9) * (1 + np.linalg.norm(v)):
+        raise ValueError(f"{name} is not in the even subspace ker(gamma - 1)")
+    return v
 
 
 def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFunction,
@@ -181,9 +196,7 @@ def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFun
     """Tr f(D_omega / Lambda), exact at finite dimension."""
     if Lambda <= 0:
         raise ValueError("Lambda must be positive")
-    D = fluctuate(t, omega, tol)
-    eigs = np.linalg.eigvalsh(D)
-    return float(np.sum(f(eigs / Lambda)))
+    return _spectral_sum(fluctuate(t, omega, tol), f, Lambda)
 
 
 def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
@@ -194,33 +207,27 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
         raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
     B, Phi = cfg.B, cfg.Phi
     f0, f2 = f.f0, f.f2
+    tr = lambda X, Y, what: _real_trace(np.sum(X * Y.T), what, tol)
 
-    trF2 = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            F = 1j * (B[mu] @ B[nu] - B[nu] @ B[mu])
-            trF2 += _real_trace(F @ F, "tr(F F)", tol)
-    lB = f0 / (24 * math.pi**2) * trF2
+    trF2 = 0.0  # F_{mu mu} = 0 and F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
+    for mu, nu in itertools.combinations(range(4), 2):
+        F = 1j * (B[mu] @ B[nu] - B[nu] @ B[mu])
+        trF2 += 2 * tr(F, F, "tr(F F)")
 
-    trPhi2 = _real_trace(Phi @ Phi, "tr(Phi^2)", tol)
-    trPhi4 = _real_trace(Phi @ Phi @ Phi @ Phi, "tr(Phi^4)", tol)
+    Phi2 = Phi @ Phi
+    trPhi2 = _real_trace(np.trace(Phi2), "tr(Phi^2)", tol)
+    trPhi4 = tr(Phi2, Phi2, "tr(Phi^4)")
     trDPhi2 = 0.0
-    for mu in range(4):
-        DPhi = 1j * (B[mu] @ Phi - Phi @ B[mu])
-        trDPhi2 += _real_trace(DPhi @ DPhi, "tr((D Phi)^2)", tol)
+    for b in B:
+        DPhi = 1j * (b @ Phi - Phi @ b)
+        trDPhi2 += tr(DPhi, DPhi, "tr((D Phi)^2)")
 
-    lPhi2 = -2 * f2 * Lambda**2 / (4 * math.pi**2) * trPhi2
-    lPhi4 = f0 / (8 * math.pi**2) * trPhi4
-    lDPhi2 = f0 / (8 * math.pi**2) * trDPhi2
-
-    rep = ActionReport()
-    rep.terms = [
-        ActionTerm("trF2", lB),
-        ActionTerm("trPhi2", lPhi2),
-        ActionTerm("trPhi4", lPhi4),
-        ActionTerm("trDPhi2", lDPhi2),
-    ]
-    return rep
+    return ActionReport([
+        ActionTerm("trF2", f0 / (24 * math.pi**2) * trF2),
+        ActionTerm("trPhi2", -2 * f2 * Lambda**2 / (4 * math.pi**2) * trPhi2),
+        ActionTerm("trPhi4", f0 / (8 * math.pi**2) * trPhi4),
+        ActionTerm("trDPhi2", f0 / (8 * math.pi**2) * trDPhi2),
+    ])
 
 
 def fermionic_pairing(t: RealSpectralTriple, omega: UniversalOneForm, psi, psi_p,
@@ -230,20 +237,15 @@ def fermionic_pairing(t: RealSpectralTriple, omega: UniversalOneForm, psi, psi_p
     In the even case both arguments must lie in ker(gamma - 1).  Grassmann
     statistics are not modelled: the value is the raw bilinear form.
     """
-    psi = np.asarray(psi, dtype=complex)
-    psi_p = np.asarray(psi_p, dtype=complex)
-    if t.gamma is not None:
-        for name, v in (("psi", psi), ("psi'", psi_p)):
-            if np.linalg.norm(t.gamma @ v - v) > max(tol, 1e-9) * (1 + np.linalg.norm(v)):
-                raise ValueError(f"{name} is not in the even subspace ker(gamma - 1)")
-    D = fluctuate(t, omega, tol)
-    return complex(np.vdot(t.apply_J(psi), D @ psi_p))
+    psi, psi_p = _even(t, psi, "psi", tol), _even(t, psi_p, "psi'", tol)
+    return _pairing(t, fluctuate(t, omega, tol), psi, psi_p)
 
 
 def fermionic_symmetry_defect(t, omega, psi, psi_p, tol: float = DEFAULT_TOL):
     """(|A(psi,psi') - A(psi',psi)|, |A(psi,psi') + A(psi',psi)|) for the form A."""
-    a = fermionic_pairing(t, omega, psi, psi_p, tol)
-    b = fermionic_pairing(t, omega, psi_p, psi, tol)
+    psi, psi_p = _even(t, psi, "psi", tol), _even(t, psi_p, "psi'", tol)
+    D = fluctuate(t, omega, tol)
+    a, b = _pairing(t, D, psi, psi_p), _pairing(t, D, psi_p, psi)
     return abs(a - b), abs(a + b)
 
 
@@ -257,7 +259,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     replaced by its pullback phi_H* X phi_H and must equal the source-side
     value within tol; TNIC = full - inherited by definition.  Operator pairs
     must be weakly phi-compatible, and fermions phi-compatible (psi_B -
-    phi_H psi_A orthogonal to the range).
+    phi_H psi_A orthogonal to the range).  Each side's D_omega is built once.
     """
     if not lift.normalized:
         raise LiftError("compare_actions needs a normalized lift")
@@ -265,54 +267,47 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     M = phiH.matrix
     P = phiH.projector()
 
+    diracs = None
     if cfgs is None:
-        cfg_A = GaugeConfiguration(tuple(np.zeros_like(tA.D) for _ in range(4)),
-                                   fluctuate(tA, omega_A, tol))
-        cfg_B = GaugeConfiguration(tuple(np.zeros_like(tB.D) for _ in range(4)),
-                                   fluctuate(tB, omega_B, tol))
-    else:
-        cfg_A, cfg_B = cfgs
+        diracs = fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol)
+        cfgs = [GaugeConfiguration(tuple(np.zeros_like(t.D) for _ in range(4)), D)
+                for t, D in zip((tA, tB), diracs)]
+    cfg_A, cfg_B = cfgs
 
     rep = ActionReport()
-    failures = []
-    for mu in range(4):
-        c = compat_check(cfg_A.B[mu], cfg_B.B[mu], phiH, tol)
-        rep.compat[f"B_{mu}"] = c
-        if not c.weak:
-            failures.append(f"B_{mu}")
-    c = compat_check(cfg_A.Phi, cfg_B.Phi, phiH, tol)
-    rep.compat["Phi"] = c
-    if not c.weak:
-        failures.append("Phi")
+    names = [f"B_{mu}" for mu in range(4)] + ["Phi"]
+    for name, XA, XB in zip(names, cfg_A.B + (cfg_A.Phi,), cfg_B.B + (cfg_B.Phi,)):
+        rep.compat[name] = compat_check(XA, XB, phiH, tol)
+    failures = [name for name, c in rep.compat.items() if not c.weak]
     if failures:
         raise LiftError(f"operators not phi-compatible: {', '.join(failures)}")
 
     pull = lambda X: M.conj().T @ X @ M
     cfg_inh = GaugeConfiguration(tuple(pull(b) for b in cfg_B.B), pull(cfg_B.Phi))
 
-    full = bosonic_lagrangian(cfg_B, f, Lambda, tol)
-    inh = bosonic_lagrangian(cfg_inh, f, Lambda, tol)
-    aside = bosonic_lagrangian(cfg_A, f, Lambda, tol)
-    for tf, ti, ta in zip(full.terms, inh.terms, aside.terms):
+    lagrangians = [bosonic_lagrangian(c, f, Lambda, tol).terms for c in (cfg_B, cfg_inh, cfg_A)]
+    for tf, ti, ta in zip(*lagrangians):
         rep.terms.append(ActionTerm(tf.name, tf.full, ti.full, tf.full - ti.full, ta.full))
         if abs(ti.full - ta.full) > max(tol, tol * abs(ta.full)):
             raise LiftError(
                 f"inherited trace mismatch on {tf.name}: {ti.full} vs source {ta.full}"
             )
 
-    rep.spectral["A"] = spectral_action(tA, omega_A, f, Lambda, tol)
-    rep.spectral["B"] = spectral_action(tB, omega_B, f, Lambda, tol)
+    if Lambda <= 0:
+        raise ValueError("Lambda must be positive")
+    DA, DB = diracs or (fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol))
+    rep.spectral["A"] = _spectral_sum(DA, f, Lambda)
+    rep.spectral["B"] = _spectral_sum(DB, f, Lambda)
 
     if fermions is not None:
         psi_A, psi_B = (np.asarray(v, dtype=complex) for v in fermions)
         mismatch = np.linalg.norm(P @ (psi_B - M @ psi_A))
         if mismatch > max(tol, 1e-9) * (1 + np.linalg.norm(psi_B)):
             raise LiftError(f"fermion pair is not phi-compatible (residual {mismatch:.3e})")
-        DB = fluctuate(tB, omega_B, tol)
-        full_f = fermionic_pairing(tB, omega_B, psi_B, psi_B, tol)
         chi = M @ psi_A
-        inh_f = complex(np.vdot(tB.apply_J(chi), P @ DB @ P @ chi))
-        a_f = fermionic_pairing(tA, omega_A, psi_A, psi_A, tol)
+        full_f = _pairing(tB, DB, _even(tB, psi_B, "psi", tol), psi_B)
+        inh_f = _pairing(tB, P @ DB @ P, chi, chi)
+        a_f = _pairing(tA, DA, _even(tA, psi_A, "psi", tol), psi_A)
         rep.terms.append(ActionTerm("fermionic", full_f.real, inh_f.real,
                                     (full_f - inh_f).real, a_f.real))
         rep.spectral["fermionic_full"] = full_f

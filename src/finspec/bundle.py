@@ -10,6 +10,7 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .krajewski import EDGE_KINDS, Edge, KOSignature, KrajewskiDiagram, RealSpec
 from .lifting import DiagramLift
 
 FORMAT_VERSION = 1
+_REAL = (int, float)  # JSON number types; bool is excluded by exact type tests
 
 
 class BundleError(ValueError):
@@ -43,13 +45,6 @@ def _complex_to_json(z) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _complex_from_json(obj, where):
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
-        raise BundleError(f"{where}: complex scalar must be a two-element [re, im] array, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
 def _matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -62,12 +57,19 @@ def _matrix_to_json(m) -> dict:
 def _matrix_from_json(obj, where) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise BundleError(f"{where}: matrix must be a {{rows, cols, entries}} record")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise BundleError(f"{where}: expected {rows * cols} entries, got {len(entries)}")
-    flat = [_complex_from_json(e, f"{where}.entries[{n}]") for n, e in enumerate(entries)]
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    rows, cols = _int(obj["rows"], f"{where}.rows"), _int(obj["cols"], f"{where}.cols")
+    entries = _array(obj["entries"], f"{where}.entries")
+    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        raise BundleError(f"{where}: expected {rows} x {cols} entries, got {len(entries)}")
+    for n, z in enumerate(entries):
+        if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+            raise BundleError(
+                f"{where}.entries[{n}]: complex scalar must be a two-element [re, im] array, got {z!r}"
+            )
+    m = np.array(entries, dtype=float).view(complex).reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise BundleError(f"{where}: matrix entries must be finite")
+    return m
 
 
 def _vid_to_key(vid) -> str:
@@ -122,17 +124,45 @@ def _record(obj, where, required=()) -> dict:
 
 def _int(x, where) -> int:
     """x, checked to be a JSON integer (booleans are not integers here)."""
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int:
         raise BundleError(f"{where}: expected an integer, got {x!r}")
     return x
 
 
+def _real(x, where) -> float:
+    """x, checked to be a finite JSON number (booleans are not numbers here)."""
+    if type(x) not in _REAL or not math.isfinite(x):
+        raise BundleError(f"{where}: expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _array(x, where) -> list:
+    """x, checked to be a JSON array."""
+    if not isinstance(x, list):
+        raise BundleError(f"{where}: expected an array, got {type(x).__name__}")
+    return x
+
+
+def _ints(x, where) -> tuple:
+    """x, checked to be a JSON array of integers."""
+    return tuple(_int(v, f"{where}[{n}]") for n, v in enumerate(_array(x, where)))
+
+
+def _profile(x, where) -> AlgebraProfile:
+    """The profile of x, checked to be a JSON array of block dimensions."""
+    dims = _ints(x, where)
+    try:
+        return AlgebraProfile(dims)
+    except ValueError as exc:
+        raise BundleError(f"{where}: {exc}") from None
+
+
 def _diagram_from_json(obj, where) -> KrajewskiDiagram:
     _record(obj, where, ("dims", "d"))
-    profile = AlgebraProfile(tuple(obj["dims"]))
+    profile = _profile(obj["dims"], f"{where}.dims")
     ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d"))
     vertices = {}
-    for key, rec in obj.get("vertices", {}).items():
+    for key, rec in _record(obj.get("vertices", {}), f"{where}.vertices").items():
         vid = _vid_from_key(key, f"{where}.vertices")
         at = f"{where}.vertices.{key}"
         rec = _record(rec, at)
@@ -140,10 +170,10 @@ def _diagram_from_json(obj, where) -> KrajewskiDiagram:
         vertices[vid] = Vertex(vid[0], vid[1], vid[2], **dec)
     jim = {
         _vid_from_key(k, f"{where}.jim"): _vid_from_key(w, f"{where}.jim")
-        for k, w in obj.get("jim", {}).items()
+        for k, w in _record(obj.get("jim", {}), f"{where}.jim").items()
     }
     edges = []
-    for n, rec in enumerate(obj.get("edges", [])):
+    for n, rec in enumerate(_array(obj.get("edges", []), f"{where}.edges")):
         at = f"{where}.edges[{n}]"
         kind = _record(rec, at, ("src", "dst", "op")).get("kind", "general")
         if kind not in EDGE_KINDS:
@@ -171,9 +201,14 @@ def _triple_to_json(t: RealSpectralTriple) -> dict:
 
 
 def _triple_from_json(obj, where) -> RealSpectralTriple:
-    profile = AlgebraProfile(tuple(obj["dims"]))
-    ko = KOSignature.from_dim(obj["d"])
-    layout = VertexLayout(profile, [_vid_from_key(k, f"{where}.layout") for k in obj["layout"]])
+    _record(obj, where, ("dims", "d", "layout", "D", "K"))
+    profile = _profile(obj["dims"], f"{where}.dims")
+    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d"))
+    vids = [_vid_from_key(k, f"{where}.layout") for k in _array(obj["layout"], f"{where}.layout")]
+    r = profile.r
+    if len(set(vids)) != len(vids) or not all(1 <= v[0] <= r and 1 <= v[2] <= r for v in vids):
+        raise BundleError(f"{where}.layout: vertex keys must be distinct, with blocks in 1..{r}")
+    layout = VertexLayout(profile, vids)
     D = _matrix_from_json(obj["D"], f"{where}.D")
     K = _matrix_from_json(obj["K"], f"{where}.K")
     gamma = None if obj.get("gamma") is None else _matrix_from_json(obj["gamma"], f"{where}.gamma")
@@ -194,14 +229,17 @@ def _arrow_to_json(a: BratteliArrow) -> dict:
 
 
 def _arrow_from_json(obj, where) -> BratteliArrow:
+    _record(obj, where, ("source", "target", "alpha", "n0"))
+    rows = _array(obj["alpha"], f"{where}.alpha")
+    parts = (
+        _profile(obj["source"], f"{where}.source"),
+        _profile(obj["target"], f"{where}.target"),
+        tuple(_ints(row, f"{where}.alpha[{k}]") for k, row in enumerate(rows)),
+        _ints(obj["n0"], f"{where}.n0"),
+    )
     try:
-        return BratteliArrow(
-            AlgebraProfile(tuple(obj["source"])),
-            AlgebraProfile(tuple(obj["target"])),
-            tuple(tuple(row) for row in obj["alpha"]),
-            tuple(obj["n0"]),
-        )
-    except (KeyError, ValueError) as exc:
+        return BratteliArrow(*parts)
+    except ValueError as exc:
         raise BundleError(f"{where}: {exc}") from None
 
 
@@ -223,10 +261,10 @@ def _form_to_json(w) -> dict:
 
 
 def _form_from_json(obj, where):
-    profile = AlgebraProfile(tuple(obj["dims"]))
+    profile = _profile(_record(obj, where, ("dims",))["dims"], f"{where}.dims")
     terms = []
-    for n, tup in enumerate(obj.get("terms", [])):
-        if len(tup) < 2:
+    for n, tup in enumerate(_array(obj.get("terms", []), f"{where}.terms")):
+        if not isinstance(tup, list) or len(tup) < 2:
             raise BundleError(f"{where}.terms[{n}]: a form term needs at least two elements")
         terms.append(
             tuple(
@@ -244,8 +282,8 @@ def _config_to_json(c: GaugeConfiguration) -> dict:
 
 
 def _config_from_json(obj, where) -> GaugeConfiguration:
-    bs = obj.get("B", [])
-    if len(bs) != 4:
+    bs = _record(obj, where, ("B", "Phi"))["B"]
+    if not isinstance(bs, list) or len(bs) != 4:
         raise BundleError(f"{where}.B: expected four fields")
     return GaugeConfiguration(
         tuple(_matrix_from_json(b, f"{where}.B[{n}]") for n, b in enumerate(bs)),
@@ -271,6 +309,7 @@ def _lift_to_json(name, lift: DiagramLift, names) -> dict:
 
 
 def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
+    _record(obj, where)
     for fieldname in ("arrow", "source", "target"):
         if obj.get(fieldname) is None:
             raise BundleError(f"{where}: missing reference {fieldname!r}")
@@ -278,10 +317,10 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
         arrow = bundle.arrows[obj["arrow"]]
         source = bundle.diagrams[obj["source"]]
         target = bundle.diagrams[obj["target"]]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise BundleError(f"{where}: unresolved reference {exc}") from None
     u = {}
-    for key, mat in obj.get("u", {}).items():
+    for key, mat in _record(obj.get("u", {}), f"{where}.u").items():
         if "->" not in key:
             raise BundleError(f"{where}.u: malformed key {key!r}, expected '(i,p,j)->(k,q,l)'")
         vs, ws = key.split("->", 1)
@@ -290,9 +329,15 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
         )
     kappa = None
     if obj.get("kappa") is not None:
-        kappa = {_vid_from_key(k, f"{where}.kappa"): float(x) for k, x in obj["kappa"].items()}
+        kappa = {
+            _vid_from_key(k, f"{where}.kappa"): _real(x, f"{where}.kappa.{k}")
+            for k, x in _record(obj["kappa"], f"{where}.kappa").items()
+        }
+    normalized = obj.get("normalized", False)
+    if type(normalized) is not bool:
+        raise BundleError(f"{where}.normalized: expected true or false, got {normalized!r}")
     try:
-        return DiagramLift(arrow, source, target, u, normalized=bool(obj.get("normalized", False)), kappa=kappa)
+        return DiagramLift(arrow, source, target, u, normalized=normalized, kappa=kappa)
     except ValueError as exc:
         raise BundleError(f"{where}: {exc}") from None
 
@@ -335,19 +380,20 @@ def bundle_from_json(doc) -> Bundle:
     if version != FORMAT_VERSION:
         raise BundleError(f"unsupported format_version {version!r}")
     b = Bundle()
-    for k, dims in doc.get("profiles", {}).items():
-        b.profiles[k] = AlgebraProfile(tuple(dims))
-    for k, obj in doc.get("diagrams", {}).items():
+    table = lambda name: _record(doc.get(name, {}), name).items()
+    for k, dims in table("profiles"):
+        b.profiles[k] = _profile(dims, f"profiles.{k}")
+    for k, obj in table("diagrams"):
         b.diagrams[k] = _diagram_from_json(obj, f"diagrams.{k}")
-    for k, obj in doc.get("triples", {}).items():
+    for k, obj in table("triples"):
         b.triples[k] = _triple_from_json(obj, f"triples.{k}")
-    for k, obj in doc.get("arrows", {}).items():
+    for k, obj in table("arrows"):
         b.arrows[k] = _arrow_from_json(obj, f"arrows.{k}")
-    for k, obj in doc.get("forms", {}).items():
+    for k, obj in table("forms"):
         b.forms[k] = _form_from_json(obj, f"forms.{k}")
-    for k, obj in doc.get("configurations", {}).items():
+    for k, obj in table("configurations"):
         b.configurations[k] = _config_from_json(obj, f"configurations.{k}")
-    for k, obj in doc.get("lifts", {}).items():
+    for k, obj in table("lifts"):
         b.lifts[k] = _lift_from_json(obj, b, f"lifts.{k}")
     return b
 

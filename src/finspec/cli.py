@@ -17,8 +17,8 @@ from .algebra import DEFAULT_TOL
 from .bundle import Bundle, BundleError, load_bundle, save_bundle
 from .differential import pushforward
 from .dot import render_dot
-from .krajewski import classify, detect_ko, realize, validate, verify_axioms, DiagramError
-from .lifting import LiftError, build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
+from .krajewski import ClassificationError, classify, detect_ko, realize, validate, verify_axioms
+from .lifting import build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
 from .sampling import random_even_vector, random_vector, rng_from_seed
 
 
@@ -254,6 +254,12 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument("--lam", type=float, default=1.0)
+    cutoff.add_argument("--cutoff", choices=("gaussian", "polynomial"), default="gaussian")
+    cutoff.add_argument("--width", type=float, default=1.0)
+    cutoff.add_argument("--coeffs", help="comma-separated even-power coefficients")
+    cutoff.add_argument("--f2", type=float)
 
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
@@ -295,29 +301,19 @@ def build_parser():
     sp.add_argument("--form-a")
     sp.add_argument("--form-b")
 
-    sp = add("action", cmd_action, help="spectral action and Lagrangian terms")
+    sp = add("action", cmd_action, help="spectral action and Lagrangian terms", parents=[cutoff])
     sp.add_argument("--triple")
     sp.add_argument("--diagram")
     sp.add_argument("--form")
     sp.add_argument("--config")
-    sp.add_argument("--lam", type=float, default=1.0)
-    sp.add_argument("--cutoff", choices=("gaussian", "polynomial"), default="gaussian")
-    sp.add_argument("--width", type=float, default=1.0)
-    sp.add_argument("--coeffs", help="comma-separated even-power coefficients")
-    sp.add_argument("--f2", type=float)
 
-    sp = add("compare", cmd_compare, help="inherited vs TNIC action comparison over a lift")
+    sp = add("compare", cmd_compare, help="inherited vs TNIC action comparison over a lift", parents=[cutoff])
     sp.add_argument("--lift", required=True)
     sp.add_argument("--form-a", required=True)
     sp.add_argument("--form-b")
     sp.add_argument("--config-a")
     sp.add_argument("--config-b")
     sp.add_argument("--with-fermions", action="store_true")
-    sp.add_argument("--lam", type=float, default=1.0)
-    sp.add_argument("--cutoff", choices=("gaussian", "polynomial"), default="gaussian")
-    sp.add_argument("--width", type=float, default=1.0)
-    sp.add_argument("--coeffs")
-    sp.add_argument("--f2", type=float)
 
     sp = add("render", cmd_render, help="DOT output for a diagram, arrow, or lift")
     sp.add_argument("--diagram")
@@ -335,7 +331,7 @@ def main(argv=None) -> int:
         args.fn(bundle, args, args.tol)
     except CliFailure:
         return 1
-    except (DiagramError, LiftError, ValueError) as exc:
+    except (ValueError, ClassificationError) as exc:
         if isinstance(exc, BundleError):
             print(f"error: {exc}", file=sys.stderr)
             return 2

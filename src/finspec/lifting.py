@@ -238,13 +238,13 @@ def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool
     P = phiH.projector()
     lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
     rhs = B @ np.conj(M) if antilinear else B @ M
-    diff = P @ rhs - lhs
+    Prhs, PB = P @ rhs, P @ B
+    diff = Prhs - lhs
     weak_res = float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
-    eye = np.eye(P.shape[0])
     return CompatReport(
         weak_residual=weak_res,
-        b_perp_phi=frob((eye - P) @ rhs),
-        b_phi_perp=frob(P @ B @ (eye - P)),
+        b_perp_phi=frob(rhs - Prhs),
+        b_phi_perp=frob(PB - PB @ P),
         tol=tol,
     )
 

@@ -1,16 +1,27 @@
-"""Index-loop versions of the vertex-block assemblies, kept as test oracles.
+"""Earlier versions of rewritten code paths, kept as test oracles.
 
-Each function is the explicit loop that `VertexLayout.place` and the index
-maps of `build_phiH` replaced.  The tests compare the two on seeded random
-diagrams and lifts: entry for entry where the assembly is a placement of
-given numbers, and to 1e-12 where it is a sum (the middle-map extraction).
+The first group is the explicit index loops that `VertexLayout.place` and
+the index maps of `build_phiH` replaced.  The tests compare the two on
+seeded random diagrams and lifts: entry for entry where the assembly is a
+placement of given numbers, and to 1e-12 where it is a sum (the
+middle-map extraction).
+
+The second group is the action comparison as it was before each operator
+was built once: `compare_actions` fluctuating D up to seven times,
+`bosonic_lagrangian` with sixteen field strengths and dense trace
+products, and `compat_check` with explicit identity matrices.  The tests
+compare them with the library to 1e-12 relative.
 """
+
+import math
 
 import numpy as np
 
-from finspec.algebra import frob
-from finspec.krajewski import _vdim, epsilon_factor, layout_of
-from finspec.lifting import PhiHMap
+from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
+from finspec.algebra import DEFAULT_TOL, ShapeMismatch, frob
+from finspec.differential import UniversalOneForm, fluctuate
+from finspec.krajewski import RealSpectralTriple, _vdim, epsilon_factor, layout_of
+from finspec.lifting import CompatReport, DiagramLift, LiftError, PhiHMap, build_phiH
 
 
 def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
@@ -124,3 +135,150 @@ def build_phiH(lift) -> PhiHMap:
                         col_l = loff + b * n_j + y
                         M[wb.offset + row_k * m_l + col_l, vb.offset + x * n_j + y] += u[a, b]
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
+
+
+# -- action comparison, as before each operator was built once ------------
+
+
+def _real_trace(m, what, tol):
+    v = complex(np.trace(m))
+    if abs(v.imag) > max(tol, 1e-9) * (1.0 + abs(v)):
+        raise ValueError(f"{what} has a non-real trace ({v})")
+    return v.real
+
+
+def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
+                       tol: float = DEFAULT_TOL) -> ActionReport:
+    """Per-term values of the flat constant-field Lagrangian."""
+    res = cfg.hermiticity_residual()
+    if res > tol:
+        raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
+    B, Phi = cfg.B, cfg.Phi
+    f0, f2 = f.f0, f.f2
+
+    trF2 = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            F = 1j * (B[mu] @ B[nu] - B[nu] @ B[mu])
+            trF2 += _real_trace(F @ F, "tr(F F)", tol)
+    lB = f0 / (24 * math.pi**2) * trF2
+
+    trPhi2 = _real_trace(Phi @ Phi, "tr(Phi^2)", tol)
+    trPhi4 = _real_trace(Phi @ Phi @ Phi @ Phi, "tr(Phi^4)", tol)
+    trDPhi2 = 0.0
+    for mu in range(4):
+        DPhi = 1j * (B[mu] @ Phi - Phi @ B[mu])
+        trDPhi2 += _real_trace(DPhi @ DPhi, "tr((D Phi)^2)", tol)
+
+    lPhi2 = -2 * f2 * Lambda**2 / (4 * math.pi**2) * trPhi2
+    lPhi4 = f0 / (8 * math.pi**2) * trPhi4
+    lDPhi2 = f0 / (8 * math.pi**2) * trDPhi2
+
+    rep = ActionReport()
+    rep.terms = [
+        ActionTerm("trF2", lB),
+        ActionTerm("trPhi2", lPhi2),
+        ActionTerm("trPhi4", lPhi4),
+        ActionTerm("trDPhi2", lDPhi2),
+    ]
+    return rep
+
+
+def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool = False) -> CompatReport:
+    """phi-compatibility of B on H_B with A on H_A through phi_H.
+
+    Weak: phi_H(A psi) = P B phi_H(psi) on the canonical basis of H_A
+    (exhaustive for linear maps).  Strong: additionally (1-P) B phi_H = 0.
+    Antilinear operators are passed by their K matrices (op = K o conj).
+    """
+    M = phiH.matrix
+    if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
+        raise ShapeMismatch("operator shapes do not match phi_H")
+    P = phiH.projector()
+    lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
+    rhs = B @ np.conj(M) if antilinear else B @ M
+    diff = P @ rhs - lhs
+    weak_res = float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
+    eye = np.eye(P.shape[0])
+    return CompatReport(
+        weak_residual=weak_res,
+        b_perp_phi=frob((eye - P) @ rhs),
+        b_phi_perp=frob(P @ B @ (eye - P)),
+        tol=tol,
+    )
+
+
+def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralTriple,
+                    omega_A: UniversalOneForm, omega_B: UniversalOneForm,
+                    f: CutoffFunction, Lambda: float, cfgs=None, fermions=None,
+                    tol: float = DEFAULT_TOL) -> ActionReport:
+    """Split every Lagrangian term of the target side into inherited + TNIC.
+
+    The inherited value of each traced monomial is computed with every factor
+    replaced by its pullback phi_H* X phi_H and must equal the source-side
+    value within tol; TNIC = full - inherited by definition.  Operator pairs
+    must be weakly phi-compatible, and fermions phi-compatible (psi_B -
+    phi_H psi_A orthogonal to the range).
+    """
+    if not lift.normalized:
+        raise LiftError("compare_actions needs a normalized lift")
+    phiH = build_phiH(lift)
+    M = phiH.matrix
+    P = phiH.projector()
+
+    if cfgs is None:
+        cfg_A = GaugeConfiguration(tuple(np.zeros_like(tA.D) for _ in range(4)),
+                                   fluctuate(tA, omega_A, tol))
+        cfg_B = GaugeConfiguration(tuple(np.zeros_like(tB.D) for _ in range(4)),
+                                   fluctuate(tB, omega_B, tol))
+    else:
+        cfg_A, cfg_B = cfgs
+
+    rep = ActionReport()
+    failures = []
+    for mu in range(4):
+        c = compat_check(cfg_A.B[mu], cfg_B.B[mu], phiH, tol)
+        rep.compat[f"B_{mu}"] = c
+        if not c.weak:
+            failures.append(f"B_{mu}")
+    c = compat_check(cfg_A.Phi, cfg_B.Phi, phiH, tol)
+    rep.compat["Phi"] = c
+    if not c.weak:
+        failures.append("Phi")
+    if failures:
+        raise LiftError(f"operators not phi-compatible: {', '.join(failures)}")
+
+    pull = lambda X: M.conj().T @ X @ M
+    cfg_inh = GaugeConfiguration(tuple(pull(b) for b in cfg_B.B), pull(cfg_B.Phi))
+
+    full = bosonic_lagrangian(cfg_B, f, Lambda, tol)
+    inh = bosonic_lagrangian(cfg_inh, f, Lambda, tol)
+    aside = bosonic_lagrangian(cfg_A, f, Lambda, tol)
+    for tf, ti, ta in zip(full.terms, inh.terms, aside.terms):
+        rep.terms.append(ActionTerm(tf.name, tf.full, ti.full, tf.full - ti.full, ta.full))
+        if abs(ti.full - ta.full) > max(tol, tol * abs(ta.full)):
+            raise LiftError(
+                f"inherited trace mismatch on {tf.name}: {ti.full} vs source {ta.full}"
+            )
+
+    rep.spectral["A"] = spectral_action(tA, omega_A, f, Lambda, tol)
+    rep.spectral["B"] = spectral_action(tB, omega_B, f, Lambda, tol)
+
+    if fermions is not None:
+        psi_A, psi_B = (np.asarray(v, dtype=complex) for v in fermions)
+        mismatch = np.linalg.norm(P @ (psi_B - M @ psi_A))
+        if mismatch > max(tol, 1e-9) * (1 + np.linalg.norm(psi_B)):
+            raise LiftError(f"fermion pair is not phi-compatible (residual {mismatch:.3e})")
+        DB = fluctuate(tB, omega_B, tol)
+        full_f = fermionic_pairing(tB, omega_B, psi_B, psi_B, tol)
+        chi = M @ psi_A
+        inh_f = complex(np.vdot(tB.apply_J(chi), P @ DB @ P @ chi))
+        a_f = fermionic_pairing(tA, omega_A, psi_A, psi_A, tol)
+        rep.terms.append(ActionTerm("fermionic", full_f.real, inh_f.real,
+                                    (full_f - inh_f).real, a_f.real))
+        rep.spectral["fermionic_full"] = full_f
+        rep.spectral["fermionic_inherited"] = inh_f
+        rep.spectral["fermionic_A"] = a_f
+        if abs(inh_f - a_f) > max(tol, tol * abs(a_f)):
+            raise LiftError(f"fermionic comparison violated: {inh_f} vs {a_f}")
+    return rep

@@ -179,16 +179,33 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+d6 = lambda doc: doc["diagrams"]["d6"]
 SCHEMA_MUTATIONS = {
-    "bool-s": (lambda d: d["vertices"]["(1,1,1)"].update(s=True), "diagrams.d6.vertices.(1,1,1).s"),
-    "bool-chi": (lambda d: d["vertices"]["(1,1,1)"].update(chi=False), "diagrams.d6.vertices.(1,1,1).chi"),
-    "vertex-not-object": (lambda d: d["vertices"].update({"(1,1,1)": [1]}), "diagrams.d6.vertices.(1,1,1)"),
-    "edge-without-src": (lambda d: d["edges"][0].pop("src"), "diagrams.d6.edges[0]"),
-    "edge-without-dst": (lambda d: d["edges"][0].pop("dst"), "diagrams.d6.edges[0]"),
-    "edge-without-op": (lambda d: d["edges"][0].pop("op"), "diagrams.d6.edges[0]"),
-    "unknown-edge-kind": (lambda d: d["edges"][0].update(kind="diagonal"), "diagrams.d6.edges[0].kind"),
-    "string-d": (lambda d: d.update(d="six"), "diagrams.d6.d"),
-    "fractional-d": (lambda d: d.update(d=6.5), "diagrams.d6.d"),
+    "bool-s": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(s=True), "diagrams.d6.vertices.(1,1,1).s"),
+    "bool-chi": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(chi=False), "diagrams.d6.vertices.(1,1,1).chi"),
+    "vertex-not-object": (lambda doc: d6(doc)["vertices"].update({"(1,1,1)": [1]}), "diagrams.d6.vertices.(1,1,1)"),
+    "edge-without-src": (lambda doc: d6(doc)["edges"][0].pop("src"), "diagrams.d6.edges[0]"),
+    "edge-without-dst": (lambda doc: d6(doc)["edges"][0].pop("dst"), "diagrams.d6.edges[0]"),
+    "edge-without-op": (lambda doc: d6(doc)["edges"][0].pop("op"), "diagrams.d6.edges[0]"),
+    "unknown-edge-kind": (lambda doc: d6(doc)["edges"][0].update(kind="diagonal"), "diagrams.d6.edges[0].kind"),
+    "string-d": (lambda doc: d6(doc).update(d="six"), "diagrams.d6.d"),
+    "fractional-d": (lambda doc: d6(doc).update(d=6.5), "diagrams.d6.d"),
+    "entries-not-array": (lambda doc: d6(doc)["edges"][0]["op"].update(entries=5), "diagrams.d6.edges[0].op.entries"),
+    "string-rows": (lambda doc: d6(doc)["edges"][0]["op"].update(rows="x"), "diagrams.d6.edges[0].op.rows"),
+    "bool-entry": (lambda doc: d6(doc)["edges"][0]["op"]["entries"].__setitem__(0, [True, 0.0]),
+                   "diagrams.d6.edges[0].op.entries[0]"),
+    "string-dims": (lambda doc: d6(doc).update(dims=["a"]), "diagrams.d6.dims[0]"),
+    "triple-without-K": (lambda doc: doc["triples"]["T"].pop("K"), "triples.T"),
+    "nan-in-triple": (lambda doc: doc["triples"]["T"]["D"]["entries"].__setitem__(0, [float("nan"), 0.0]),
+                      "triples.T.D"),
+    "int-alpha": (lambda doc: doc["arrows"]["phi"].update(alpha=5), "arrows.phi.alpha"),
+    "int-form-term": (lambda doc: doc["forms"]["w"]["terms"].__setitem__(0, 5), "forms.w.terms[0]"),
+    "string-kappa": (lambda doc: doc["lifts"]["L"].update(kappa={"(1,1,1)": "x"}), "lifts.L.kappa.(1,1,1)"),
+    "list-reference": (lambda doc: doc["lifts"]["L"].update(arrow=["phi"]), "lifts.L"),
+    "string-normalized": (lambda doc: doc["lifts"]["L"].update(normalized="no"), "lifts.L.normalized"),
+    "layout-out-of-range": (lambda doc: doc["triples"]["T"]["layout"].__setitem__(0, "(9,1,9)"), "triples.T.layout"),
+    "duplicate-layout": (lambda doc: doc["triples"]["T"]["layout"].append(doc["triples"]["T"]["layout"][0]),
+                         "triples.T.layout"),
 }
 
 
@@ -198,7 +215,7 @@ def test_malformed_diagram_exits_2_naming_path(full_bundle, tmp_path, capsys, mu
     mutate, where = SCHEMA_MUTATIONS[mutation]
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    mutate(doc["diagrams"]["d6"])
+    mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["--format", "json", "validate", str(bad)]) == 2
@@ -219,6 +236,22 @@ def test_cli_validation_failure_exits_1(tmp_path, capsys):
     save_bundle(b, path)
     assert main(["validate", str(path)]) == 1
     capsys.readouterr()
+
+
+def test_cli_classification_failure_exits_1(tmp_path, capsys):
+    # D couples the fibers (1,1) and (2,2), which share no index: not a Krajewski diagram
+    from finspec.krajewski import KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex
+
+    vids = [(1, 1, 1), (2, 1, 2)]
+    diag = KrajewskiDiagram(AlgebraProfile((1, 1)), KOSignature.from_dim(7),
+                            {v: Vertex(*v) for v in vids}, {v: v for v in vids}, [])
+    t = realize(diag)
+    b = Bundle()
+    b.triples["T"] = RealSpectralTriple(t.profile, t.ko, t.layout, np.array([[0, 1], [1, 0]]), t.K, t.gamma)
+    path = tmp_path / "unrelated.json"
+    save_bundle(b, path)
+    assert main(["classify", str(path), "--triple", "T"]) == 1
+    assert "failed: " in capsys.readouterr().err
 
 
 def test_cli_compare_and_action(full_bundle, tmp_path, capsys):
