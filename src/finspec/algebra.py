@@ -222,6 +222,15 @@ class VertexLayout:
             out[bw.sl, bv.sl] += c * (swap_matrix(bv.n_i, bv.n_j) if swap else np.eye(bv.length))
         return out
 
+    def unit_maps(self, i: int) -> np.ndarray:
+        """Index map L of block i, one row per leg: pi(E^i_xy) = sum_z e_{L[x, z]} e_{L[y, z]}^T.
+
+        pi(E^i_xy) is the partial permutation L[y] -> L[x], and pi(1_i) the mask on L.ravel().
+        """
+        n = self.profile.dim(i)
+        legs = [np.arange(b.offset, b.offset + b.length).reshape(n, b.n_j) for b in self.blocks if b.i == i]
+        return np.concatenate([np.zeros((n, 0), dtype=int)] + legs, axis=1)
+
     def pi(self, a: AlgebraElement) -> np.ndarray:
         """Left representation pi(a), acting as a_{i(v)} on each block."""
         if a.profile != self.profile:

@@ -66,8 +66,11 @@ def _matrix_from_json(obj, where) -> np.ndarray:
             raise BundleError(
                 f"{where}.entries[{n}]: complex scalar must be a two-element [re, im] array, got {z!r}"
             )
-    m = np.array(entries, dtype=float).view(complex).reshape(rows, cols)
-    if not np.isfinite(m).all():
+    try:
+        m = np.array(entries, dtype=float).view(complex).reshape(rows, cols)
+    except OverflowError:  # a JSON integer beyond the float range
+        m = None
+    if m is None or not np.isfinite(m).all():
         raise BundleError(f"{where}: matrix entries must be finite")
     return m
 
@@ -131,9 +134,12 @@ def _int(x, where) -> int:
 
 def _real(x, where) -> float:
     """x, checked to be a finite JSON number (booleans are not numbers here)."""
-    if type(x) not in _REAL or not math.isfinite(x):
-        raise BundleError(f"{where}: expected a finite number, got {x!r}")
-    return float(x)
+    try:
+        if type(x) in _REAL and math.isfinite(x):
+            return float(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        pass
+    raise BundleError(f"{where}: expected a finite number, got {x!r}")
 
 
 def _array(x, where) -> list:

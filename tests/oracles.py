@@ -11,6 +11,12 @@ was built once: `compare_actions` fluctuating D up to seven times,
 `bosonic_lagrangian` with sixteen field strengths and dense trace
 products, and `compat_check` with explicit identity matrices.  The tests
 compare them with the library to 1e-12 relative.
+
+The third group is the axioms path with dense operators: `verify_axioms`
+with dense pi(a) and J pi(b)* J^-1 for every pair of matrix units, step 1
+of `classify` with dense pi and right-action products, and
+`_factor_residual` with `np.kron`.  The tests compare their verdicts and
+residuals with the index-map versions.
 """
 
 import math
@@ -18,10 +24,11 @@ import math
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
-from finspec.algebra import DEFAULT_TOL, ShapeMismatch, frob
+from finspec.algebra import DEFAULT_TOL, ShapeMismatch, frob, matrix_units, unit_insert
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import RealSpectralTriple, _vdim, epsilon_factor, layout_of
 from finspec.lifting import CompatReport, DiagramLift, LiftError, PhiHMap, build_phiH
+from finspec.reports import Report
 
 
 def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
@@ -282,3 +289,91 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         if abs(inh_f - a_f) > max(tol, tol * abs(a_f)):
             raise LiftError(f"fermionic comparison violated: {inh_f} vs {a_f}")
     return rep
+
+
+# -- the axioms path, as before the index maps of VertexLayout.unit_maps ----
+
+
+def _factor_residual(op, kind, dims):
+    """Residual of the forced factorization of an edge decoration.
+
+    The first-order condition leaves exactly 1 (x) D_R across rho, D_L (x) 1
+    across lambda, and D_L (x) 1 + 1 (x) D_R when both coordinates match.
+    """
+    n_i1, n_j1, n_i2, n_j2 = dims
+    blk = op.reshape(n_i2, n_j2, n_i1, n_j1)
+    if kind == "right":
+        if n_i1 != n_i2:
+            return float("inf")
+        return frob(op - np.kron(np.eye(n_i1), blk.trace(axis1=0, axis2=2) / n_i1))
+    if kind == "left":
+        if n_j1 != n_j2:
+            return float("inf")
+        return frob(op - np.kron(blk.trace(axis1=1, axis2=3) / n_j1, np.eye(n_j1)))
+    if (n_i1, n_j1) != (n_i2, n_j2):
+        return float("inf")
+    n, m = n_i1, n_j1
+    left = blk.trace(axis1=1, axis2=3) / m
+    right = blk.trace(axis1=0, axis2=2) / n
+    scalar = np.trace(op) / (n * m)
+    left0 = left - np.trace(left) / n * np.eye(n)
+    right0 = right - np.trace(right) / m * np.eye(m)
+    proj = np.kron(left0, np.eye(m)) + np.kron(np.eye(n), right0) + scalar * np.eye(n * m)
+    return frob(op - proj)
+
+
+def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
+    """Residual norms of every real-spectral-triple axiom.
+
+    Commutant and first-order conditions are bilinear in (a, b), so checking
+    the generating matrix units of each block is exhaustive.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rep = Report("spectral triple axioms")
+    D, K, ko = t.D, t.K, t.ko
+    n = t.dim
+    eye = np.eye(n)
+
+    rep.add("D hermitian", frob(D - D.conj().T), tol)
+    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
+    rep.add("J squared = eps", frob(K @ np.conj(K) - ko.eps * eye), tol)
+    rep.add("JD = eps' DJ", frob(K @ np.conj(D) - ko.eps_p * D @ K), tol)
+
+    if ko.even:
+        g = t.gamma
+        if g is None:
+            rep.add_bool("grading present in even KO-dimension", False)
+            return rep
+        rep.add("gamma hermitian", frob(g - g.conj().T), tol)
+        rep.add("gamma squared = 1", frob(g @ g - eye), tol)
+        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol)
+        rep.add("J gamma = eps'' gamma J", frob(K @ np.conj(g) - ko.eps_pp * g @ K), tol)
+    elif t.gamma is not None:
+        rep.add_bool("no grading in odd KO-dimension", False)
+
+    units = list(matrix_units(t.profile))
+    pis = [t.pi(a) for a in units]
+    rights = [t.right(b) for b in units]
+    comm = 0.0
+    first = 0.0
+    if ko.even:
+        geven = max(frob(t.gamma @ p - p @ t.gamma) for p in pis)
+        rep.add("gamma commutes with pi(a)", geven, tol)
+    for p in pis:
+        dp = D @ p - p @ D
+        for rb in rights:
+            comm = max(comm, frob(p @ rb - rb @ p))
+            first = max(first, frob(dp @ rb - rb @ dp))
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm, tol)
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first, tol)
+    return rep
+
+
+def splitting_residual(t, i, j, fiber):
+    """Step 1 of classify: pi(1_i) J pi(1_j)* J^-1 against the fiber projector, with dense products."""
+    layout = t.layout
+    proj = t.pi(unit_insert(t.profile, i, np.eye(t.profile.dim(i)))) @ t.right(
+        unit_insert(t.profile, j, np.eye(t.profile.dim(j)))
+    )
+    return frob(proj - layout.place({(v, v): 1.0 for v in fiber}))

@@ -200,6 +200,9 @@ SCHEMA_MUTATIONS = {
                       "triples.T.D"),
     "int-alpha": (lambda doc: doc["arrows"]["phi"].update(alpha=5), "arrows.phi.alpha"),
     "int-form-term": (lambda doc: doc["forms"]["w"]["terms"].__setitem__(0, 5), "forms.w.terms[0]"),
+    "huge-entry": (lambda doc: d6(doc)["edges"][0]["op"]["entries"].__setitem__(0, [10**400, 0]),
+                   "diagrams.d6.edges[0].op"),
+    "huge-kappa": (lambda doc: doc["lifts"]["L"].update(kappa={"(1,1,1)": 10**400}), "lifts.L.kappa.(1,1,1)"),
     "string-kappa": (lambda doc: doc["lifts"]["L"].update(kappa={"(1,1,1)": "x"}), "lifts.L.kappa.(1,1,1)"),
     "list-reference": (lambda doc: doc["lifts"]["L"].update(arrow=["phi"]), "lifts.L"),
     "string-normalized": (lambda doc: doc["lifts"]["L"].update(normalized="no"), "lifts.L.normalized"),

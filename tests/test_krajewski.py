@@ -230,3 +230,12 @@ def test_commutant_exact_by_construction():
     t = realize(diag)
     rep = verify_axioms(t, 1e-13)
     assert rep["commutant [pi(a), J pi(b)* J^-1] = 0"].residual <= 1e-13
+
+
+def test_non_unitary_K_fails_its_own_line():
+    # the order conditions are measured in the frame K^dagger (.) K, which is
+    # J pi(b)* J^-1 only for unitary K; a scaled K must fail the unitarity line
+    t = realize(random_diagram(rng_from_seed(42), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True))
+    rep = verify_axioms(type(t)(t.profile, t.ko, t.layout, t.D, 1.01 * t.K, t.gamma))
+    assert rep.ok is False
+    assert "J antiunitary (K unitary)" in [c.name for c in rep.failures()]

@@ -1,7 +1,9 @@
 """Rewritten code paths against the versions they replaced (tests/oracles.py).
 
-The vertex-block kernel is compared with the index loops, and the action
-comparison, which builds each operator once, with the one that rebuilt them.
+The vertex-block kernel is compared with the index loops, the action
+comparison, which builds each operator once, with the one that rebuilt them,
+and the axioms path on index maps with the dense pi, right-action and kron
+products.
 """
 
 import itertools
@@ -14,11 +16,23 @@ from helpers import lift_chain, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
-from finspec.algebra import swap_matrix
+from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, swap_matrix, unit_insert
 from finspec.differential import pushforward
-from finspec.krajewski import RealSpectralTriple, _extract_middle_map, classify, realize
+from finspec.krajewski import (
+    RealSpectralTriple,
+    _bracket,
+    _extract_middle_map,
+    _factor_residual,
+    _splitting_residual,
+    classify,
+    detect_ko,
+    realize,
+    validate,
+    verify_axioms,
+)
 from finspec.lifting import build_phiH, diagonalize_bases, normalize
 from finspec.sampling import (
+    random_complex,
     random_diagram,
     random_even_vector,
     random_hermitian,
@@ -173,3 +187,107 @@ def test_compare_actions_fluctuates_once_per_side(monkeypatch):
         compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
         path = (cfgs is not None, fermions is not None)
         assert len(calls) == 2 and calls[0] is args[1] and calls[1] is args[2], (path, len(calls))
+
+
+# -- the axioms path on index maps ---------------------------------------------
+
+
+def _close_to(x, x0, floor):
+    return abs(x - x0) <= max(1e-12 * x0, floor)
+
+
+def _axiom_forms(rng, t):
+    """t as realized, conjugated by a dense random unitary, and perturbed.
+
+    The perturbed form adds Hermitian noise of the size of the entries to D
+    and gamma and rotates K by a random unitary, so K stays unitary but
+    every axiom line has a residual of order one.
+    """
+    n = t.dim
+    U = random_unitary(rng, n)
+    conj = lambda X: None if X is None else U.conj().T @ X @ U
+    noise = lambda X: None if X is None else X + 0.5 * random_hermitian(rng, n)
+    return [
+        t,
+        RealSpectralTriple(t.profile, t.ko, t.layout, conj(t.D), U.conj().T @ t.K @ np.conj(U), conj(t.gamma)),
+        RealSpectralTriple(t.profile, t.ko, t.layout, noise(t.D), t.K @ random_unitary(rng, n), noise(t.gamma)),
+    ]
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_axioms_path_matches_dense_oracles(d):
+    rng = rng_from_seed(1500 + d)
+    verdicts = set()
+    for _ in range(4):
+        diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        for t in _axiom_forms(rng, realize(diag)):
+            rep, ref = verify_axioms(t), oracles.verify_axioms(t)
+            floor = 1e-12 * max(1.0, frob(t.D))
+            assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+            for c, c0 in zip(rep.checks, ref.checks):
+                assert c.passed == c0.passed, c.name
+                assert _close_to(c.residual, c0.residual, floor), (c.name, c.residual, c0.residual)
+            verdicts.add(rep.ok)
+            for (i, j), fiber in diag.fibers().items():
+                res, res0 = _splitting_residual(t, i, j, fiber), oracles.splitting_residual(t, i, j, fiber)
+                assert _close_to(res, res0, 1e-12), ((i, j), res, res0)
+    assert verdicts == {True, False}
+
+
+def test_factor_residual_matches_kron_oracle():
+    rng = rng_from_seed(1600)
+    exact = 0
+    for kind in ("left", "right", "general"):
+        for dims in itertools.product(range(1, 4), repeat=4):
+            n_i1, n_j1, n_i2, n_j2 = dims
+            ops = [random_complex(rng, (n_i2 * n_j2, n_i1 * n_j1))]
+            L, R = random_complex(rng, (n_i2, n_i1)), random_complex(rng, (n_j2, n_j1))
+            if kind != "left" and n_i1 == n_i2:
+                ops.append(np.kron(np.eye(n_i1), R))
+            if kind != "right" and n_j1 == n_j2:
+                ops.append(np.kron(L, np.eye(n_j1)))
+            if kind == "general" and (n_i1, n_j1) == (n_i2, n_j2):
+                ops.append(np.kron(L, np.eye(n_j1)) + np.kron(np.eye(n_i1), R))
+            for op in ops:
+                res, res0 = _factor_residual(op, kind, dims), oracles._factor_residual(op, kind, dims)
+                if res0 == float("inf"):
+                    assert res == res0, (kind, dims)
+                    continue
+                assert _close_to(res, res0, 1e-12 * max(1.0, frob(op))), (kind, dims, res, res0)
+                exact += res0 < 1e-12
+    assert exact > 20
+
+
+def test_unit_maps_are_the_matrix_units():
+    rng = rng_from_seed(1650)
+    layout = realize(random_diagram(rng, 6, profile=AlgebraProfile((1, 2, 3)), max_fiber=2)).layout
+    n = layout.total_dim
+    X = random_complex(rng, (n, n))
+    units = iter(matrix_units(layout.profile))
+    for i, n_i in enumerate(layout.profile.dims, start=1):
+        L = layout.unit_maps(i)
+        mask = np.zeros((n, n))
+        mask[L.ravel(), L.ravel()] = 1.0
+        assert np.array_equal(mask, layout.pi(unit_insert(layout.profile, i, np.eye(n_i))))
+        for x, y in itertools.product(range(n_i), repeat=2):
+            p = np.zeros((n, n))
+            p[L[x], L[y]] = 1.0
+            assert np.array_equal(p, layout.pi(next(units)))
+            assert np.array_equal(_bracket(X, L[x], L[y]), X @ p - p @ X)
+
+
+def test_axioms_path_builds_no_dense_representation(monkeypatch):
+    diag = random_diagram(rng_from_seed(1700), 6, profile=AlgebraProfile((1, 2, 2)), max_fiber=2,
+                          edge_prob=0.7, ensure_edge=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the axioms path built a dense representation")
+
+    for owner, name in ((VertexLayout, "pi"), (VertexLayout, "right"), (RealSpectralTriple, "right"), (np, "kron")):
+        monkeypatch.setattr(owner, name, forbidden)
+    t = realize(diag)
+    assert validate(diag).ok
+    assert verify_axioms(t).ok
+    assert 6 in detect_ko(t)
+    reclassified, _W = classify(t)
+    assert reclassified.edges and validate(reclassified).ok
