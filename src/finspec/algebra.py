@@ -231,6 +231,27 @@ class VertexLayout:
         legs = [np.arange(b.offset, b.offset + b.length).reshape(n, b.n_j) for b in self.blocks if b.i == i]
         return np.concatenate([np.zeros((n, 0), dtype=int)] + legs, axis=1)
 
+    def sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
+        """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built.
+
+        On the legs L_i, L_k of blocks i and k (unit_maps) the sum is one
+        contraction of T_ik = sum a_i (x) b_k with the 4-leg block X[L_i, L_k]:
+        O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of block i, for any number of pairs.
+        """
+        out = np.zeros(X.shape, dtype=complex)
+        if not pairs:
+            return out
+        legs = [(i, L) for i in range(1, self.profile.r + 1) if (L := self.unit_maps(i)).size]
+        for i, Li in legs:
+            A = np.stack([a.block(i) for a, _b in pairs])
+            for k, Lk in legs:
+                B = np.stack([b.block(k) for _a, b in pairs])
+                at = np.ix_(Li.ravel(), Lk.ravel())
+                T = np.einsum("txX,tYy->xXYy", A, B)
+                blk = np.tensordot(T, X[at].reshape(Li.shape + Lk.shape), axes=([1, 2], [0, 2]))
+                out[at] = blk.transpose(0, 2, 1, 3).reshape(Li.size, Lk.size)
+        return out
+
     def pi(self, a: AlgebraElement) -> np.ndarray:
         """Left representation pi(a), acting as a_{i(v)} on each block."""
         if a.profile != self.profile:
@@ -259,4 +280,9 @@ def right_action(b: AlgebraElement, psi: np.ndarray, layout: VertexLayout) -> np
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (layout.total_dim,):
         raise ShapeMismatch(f"vector of shape {psi.shape} does not match layout dim {layout.total_dim}")
-    return layout.right(b) @ psi
+    if b.profile != layout.profile:
+        raise ProfileMismatch("element profile does not match layout")
+    out = np.empty_like(psi)
+    for blk in layout.blocks:  # kron(1, b_j^T) on the row-major legs of a block is psi_v -> psi_v b_j
+        out[blk.sl] = (psi[blk.sl].reshape(blk.n_i, blk.n_j) @ b.block(blk.j)).ravel()
+    return out

@@ -6,6 +6,10 @@ operator is pi_D = sum pi(a^0) [D, pi(a^1)] ... [D, pi(a^n)], the
 fluctuated Dirac operator is D_omega = D + pi_D(omega) + eps' J pi_D(omega)
 J^-1, and a non-unital homomorphism phi pushes a^0 dU a^1 forward to
 phi(a^0) dU phi(a^1) - phi(a^0 a^1) dU p_phi with p_phi = phi(1).
+
+No dense pi(a) is built: a one-form is one `VertexLayout.sandwich` of D,
+O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of block i, with no n^3 term
+and no dependence on the number of terms.
 """
 
 from __future__ import annotations
@@ -75,17 +79,22 @@ class UniversalNForm:
 
 
 def represent(omega, t: RealSpectralTriple) -> np.ndarray:
-    """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)]."""
+    """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)].
+
+    The degree-one part is sum pi(a0) D pi(a1) - pi(a0 a1) D; a term of
+    degree n > 1 is the product of its factors (a0, a1), (1, a2), ..., (1, an).
+    """
     if omega.profile != t.profile:
         raise ProfileMismatch("form and triple live over different profiles")
-    n = t.dim
-    out = np.zeros((n, n), dtype=complex)
+    one = AlgebraElement.identity(t.profile)
+    d = lambda terms: t.layout.sandwich([p for a0, a1 in terms for p in ((a0, a1), (-1.0 * (a0 @ a1), one))], t.D)
+    out = d([term for term in omega.terms if len(term) == 2])
     for term in omega.terms:
-        acc = t.pi(term[0])
-        for a in term[1:]:
-            pa = t.pi(a)
-            acc = acc @ (t.D @ pa - pa @ t.D)
-        out += acc
+        if len(term) > 2:
+            acc = d([term[:2]])
+            for a in term[2:]:
+                acc = acc @ d([(one, a)])
+            out += acc
     return out
 
 
@@ -131,12 +140,13 @@ def gauge_covariance_check(t: RealSpectralTriple, omega: UniversalOneForm, u: Al
     """
     rep = Report("gauge covariance")
     X = represent(omega, t)
-    pu = t.pi(u)
-    inner = pu @ X @ pu.conj().T + pu @ (t.D @ pu.conj().T - pu.conj().T @ t.D)
+    us = u.adjoint()
+    inner = t.layout.sandwich([(u, us)], X) + represent(UniversalOneForm(u.profile, ((u, us),)), t)
     expansion = t.D + inner + t.ko.eps_p * t.conjugate_by_J(inner)
     lhs = fluctuate(t, gauge_transform(omega, u, tol), tol)
     rep.add("D_{omega^u} = (D_omega)^u expansion", frob(lhs - expansion), tol)
-    U = pu @ t.conjugate_by_J(pu)
+    ubar = AlgebraElement(u.profile, [np.conj(b) for b in u.blocks])  # pi(ubar) = conj(pi(u))
+    U = t.layout.sandwich([(u, ubar)], t.K) @ t.K.conj().T
     rep.add("D_{omega^u} = U D_omega U*", frob(lhs - U @ fluctuate(t, omega, tol) @ U.conj().T), tol)
     return rep
 

@@ -211,7 +211,7 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     """Close the supplied edges under e -> ebar and e -> jim(e).
 
     One representative per orbit is enough; conflicting duplicates (residual
-    above tol) are returned as conflicts.  Result maps (src, dst) to
+    above tol max(1, ||op||)) are returned as conflicts.  Result maps (src, dst) to
     (kind, op).
     """
     closed = {}
@@ -221,8 +221,9 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
         key = (src, dst)
         if key in closed:
             old_kind, old_op = closed[key]
-            if old_op.shape != op.shape or frob(old_op - op) > tol:
-                conflicts.append((key, origin, frob(old_op - op) if old_op.shape == op.shape else float("inf")))
+            res = frob(old_op - op) if old_op.shape == op.shape else float("inf")
+            if res > tol and res > tol * frob(old_op):
+                conflicts.append((key, origin, res))
             return False
         closed[key] = (kind, op)
         return True
@@ -276,7 +277,11 @@ def _factor_residual(op, kind, dims):
 
 
 def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
-    """Check every diagram axiom; failures become report entries."""
+    """Check every diagram axiom; failures become report entries.
+
+    Edge-factorization and orbit-consistency residuals pass below
+    tol max(1, ||op||_F), so a diagram and its rescaling get the same verdict.
+    """
     rep = Report("diagram validation")
     d, ko = diag.d, diag.ko
     r = diag.profile.r
@@ -345,7 +350,9 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
         if e.op.shape != (n_i2 * n_j2, n_i1 * n_j1):
             rep.add_bool(f"{tag} op shape", False)
             continue
-        rep.add_bool(f"{tag} op nonzero", frob(e.op) > tol)
+        size = frob(e.op)
+        rep.add_bool(f"{tag} op nonzero", size > tol)
+        bound = tol * max(1.0, size)
         if i1 != i2 and j1 != j2:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
             continue
@@ -354,19 +361,19 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
                 rep.add_bool(f"{tag} kind=general needs both matches", False)
             else:
                 res = _factor_residual(e.op, "general", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} splits as D_L (x) 1 + 1 (x) D_R", res, tol)
+                rep.add(f"{tag} splits as D_L (x) 1 + 1 (x) D_R", res, bound)
         elif e.kind == "right":
             if i1 != i2:
                 rep.add_bool(f"{tag} kind=right needs lambda match", False)
             else:
                 res = _factor_residual(e.op, "right", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} factors as 1 (x) D_R", res, tol)
+                rep.add(f"{tag} factors as 1 (x) D_R", res, bound)
         elif e.kind == "left":
             if j1 != j2:
                 rep.add_bool(f"{tag} kind=left needs rho match", False)
             else:
                 res = _factor_residual(e.op, "left", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} factors as D_L (x) 1", res, tol)
+                rep.add(f"{tag} factors as D_L (x) 1", res, bound)
         if i1 == i2 and j1 != j2 and e.kind != "right":
             rep.add_bool(f"{tag} must be kind=right", False)
         if j1 == j2 and i1 != i2 and e.kind != "left":

@@ -17,6 +17,10 @@ with dense pi(a) and J pi(b)* J^-1 for every pair of matrix units, step 1
 of `classify` with dense pi and right-action products, and
 `_factor_residual` with `np.kron`.  The tests compare their verdicts and
 residuals with the index-map versions.
+
+The fourth group is `represent` with a dense pi(a) for every algebra
+element of every term and three n x n products per term.  The tests
+compare it with the vertex-block version to 1e-12 relative.
 """
 
 import math
@@ -24,7 +28,7 @@ import math
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
-from finspec.algebra import DEFAULT_TOL, ShapeMismatch, frob, matrix_units, unit_insert
+from finspec.algebra import DEFAULT_TOL, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import RealSpectralTriple, _vdim, epsilon_factor, layout_of
 from finspec.lifting import CompatReport, DiagramLift, LiftError, PhiHMap, build_phiH
@@ -377,3 +381,21 @@ def splitting_residual(t, i, j, fiber):
         unit_insert(t.profile, j, np.eye(t.profile.dim(j)))
     )
     return frob(proj - layout.place({(v, v): 1.0 for v in fiber}))
+
+
+# -- represent, as before the vertex-block pairs of VertexLayout.sandwich --
+
+
+def represent(omega, t: RealSpectralTriple) -> np.ndarray:
+    """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)]."""
+    if omega.profile != t.profile:
+        raise ProfileMismatch("form and triple live over different profiles")
+    n = t.dim
+    out = np.zeros((n, n), dtype=complex)
+    for term in omega.terms:
+        acc = t.pi(term[0])
+        for a in term[1:]:
+            pa = t.pi(a)
+            acc = acc @ (t.D @ pa - pa @ t.D)
+        out += acc
+    return out

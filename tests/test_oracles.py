@@ -2,8 +2,8 @@
 
 The vertex-block kernel is compared with the index loops, the action
 comparison, which builds each operator once, with the one that rebuilt them,
-and the axioms path on index maps with the dense pi, right-action and kron
-products.
+the axioms path on index maps with the dense pi, right-action and kron
+products, and `represent` on vertex-block pairs with the dense pi products.
 """
 
 import itertools
@@ -16,8 +16,8 @@ from helpers import lift_chain, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
-from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, swap_matrix, unit_insert
-from finspec.differential import pushforward
+from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, right_action, swap_matrix, unit_insert
+from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
     RealSpectralTriple,
     _bracket,
@@ -34,10 +34,13 @@ from finspec.lifting import build_phiH, diagonalize_bases, normalize
 from finspec.sampling import (
     random_complex,
     random_diagram,
+    random_element,
     random_even_vector,
     random_hermitian,
     random_hermitian_form,
+    random_one_form,
     random_unitary,
+    random_unitary_element,
     random_vector,
     rng_from_seed,
 )
@@ -291,3 +294,71 @@ def test_axioms_path_builds_no_dense_representation(monkeypatch):
     assert 6 in detect_ko(t)
     reclassified, _W = classify(t)
     assert reclassified.edges and validate(reclassified).ok
+
+
+# -- represent on vertex-block pairs ---------------------------------------------
+
+
+def _forms(rng, profile):
+    """Forms of degree 1, 2 and 3, a mixed-degree n-form and both empty forms."""
+    el = lambda: random_element(rng, profile)
+    return [
+        random_one_form(rng, profile, 3),
+        random_hermitian_form(rng, profile),
+        UniversalNForm(profile, ((el(), el()),)),
+        UniversalNForm(profile, ((el(), el(), el()), (el(), el(), el()))),
+        UniversalNForm(profile, ((el(), el(), el(), el()),)),
+        UniversalNForm(profile, ((el(), el()), (el(), el(), el()), (el(), el(), el(), el()))),
+        UniversalOneForm.zero(profile),
+        UniversalNForm(profile, ()),
+    ]
+
+
+def _same_representation(w, t):
+    """1e-12 relative, against the size of the terms where pi_D(omega) itself vanishes."""
+    X, X0 = represent(w, t), oracles.represent(w, t)
+    if not w.terms:
+        assert np.array_equal(X, X0)
+        return
+    size = sum(frob(t.D) ** (len(term) - 1) * np.prod([a.norm() for a in term]) for term in w.terms)
+    assert frob(X - X0) <= 1e-12 * max(frob(X0), 1e-4 * size), (t.dim, frob(X - X0), frob(X0), size)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_represent_matches_dense_oracle(d):
+    rng = rng_from_seed(1800 + d)
+    for _ in range(3):
+        diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        for t in _axiom_forms(rng, realize(diag)):
+            for w in _forms(rng, t.profile):
+                _same_representation(w, t)
+
+
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
+def test_represent_pushforward_matches_dense_oracle(d):
+    rng = rng_from_seed(2300 + d)
+    unital = set()
+    for _ in range(10):
+        _source, arrow, target, _lift = lift_chain(rng, d)
+        unital.add(all(x == 0 for x in arrow.n0))
+        tB = realize(target)
+        for w in _forms(rng, arrow.source)[:2]:
+            _same_representation(pushforward(w, arrow), tB)
+    assert unital == {True, False}
+
+
+def test_form_path_builds_no_dense_representation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the form path built a dense representation")
+
+    for owner, name in ((VertexLayout, "pi"), (VertexLayout, "right"), (RealSpectralTriple, "right")):
+        monkeypatch.setattr(owner, name, forbidden)
+    rng = rng_from_seed(2000)
+    for args, cfgs, fermions in _paths(6):  # builds the configurations with GaugeConfiguration.from_forms
+        compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
+    t, w = args[1], args[3]
+    represent(UniversalNForm(t.profile, ((random_element(rng, t.profile),) * 3,)), t)
+    fluctuate(t, w)
+    assert gauge_covariance_check(t, w, random_unitary_element(rng, t.profile), 1e-9).ok
+    b = random_element(rng, t.profile)
+    right_action(b, random_vector(rng, t.dim), t.layout)
