@@ -20,6 +20,7 @@ structure, following the basis normal forms for each KO-dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -196,12 +197,16 @@ def _vdim(profile, vid):
 
 
 def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op) -> np.ndarray:
-    """Decoration of jim(e) implied by the real-structure relation."""
+    """Decoration of jim(e) implied by the real-structure relation.
+
+    Jhat conj(op) Jhat swaps the legs on both sides, a permutation of the entries.
+    """
     v1, v2 = diag.vertex(e_src), diag.vertex(e_dst)
     sign = diag.ko.eps_p * epsilon_factor(v1, diag.d) * epsilon_factor(v2, diag.d)
     n_i1, n_j1 = _vdim(diag.profile, e_src)
     n_i2, n_j2 = _vdim(diag.profile, e_dst)
-    return sign * swap_matrix(n_i2, n_j2) @ np.conj(op) @ swap_matrix(n_j1, n_i1)
+    swapped = np.conj(op).reshape(n_i2, n_j2, n_i1, n_j1).transpose(1, 0, 3, 2)
+    return sign * swapped.reshape(n_j2 * n_i2, n_j1 * n_i1)
 
 
 _FLIP_KIND = {"left": "right", "right": "left", "general": "general"}
@@ -282,6 +287,11 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
     Edge-factorization and orbit-consistency residuals pass below
     tol max(1, ||op||_F), so a diagram and its rescaling get the same verdict.
     """
+    return _validate(diag, tol)[0]
+
+
+def _validate(diag, tol):
+    """validate's report, and the orbit closure of complete_edges it ends with (None if not reached)."""
     rep = Report("diagram validation")
     d, ko = diag.d, diag.ko
     r = diag.profile.r
@@ -304,13 +314,13 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
         if not needs_chi and v.chi is not None:
             rep.add_bool(f"vertex {vid} carries spurious chi", False)
     if not ids_ok:
-        return rep
+        return rep, None
 
     vids = set(diag.vertices)
     jim_ok = set(diag.jim) == vids and all(w in vids for w in diag.jim.values())
     rep.add_bool("jim is defined on all vertices", jim_ok)
     if not jim_ok:
-        return rep
+        return rep, None
 
     for vid in diag.sorted_vids():
         w = diag.jim[vid]
@@ -382,11 +392,12 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
             s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s2 == -s1)
 
+    closed = None
     if rep.ok:
-        _closed, conflicts = complete_edges(diag, tol)
+        closed, conflicts = complete_edges(diag, tol)
         for (src, dst), origin, res in conflicts:
             rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, tol)
-    return rep
+    return rep, closed
 
 
 def layout_of(diag: KrajewskiDiagram) -> VertexLayout:
@@ -407,13 +418,12 @@ def _basis_change(layout, rows):
 
 def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTriple:
     """Build the concrete triple determined by the diagram decorations."""
-    rep = validate(diag, tol)
+    rep, closed = _validate(diag, tol)
     if not rep.ok:
         raise DiagramError("invalid diagram:\n" + str(rep))
 
     layout = layout_of(diag)
     n = layout.total_dim
-    closed, _ = complete_edges(diag, tol)
 
     D = np.zeros((n, n), dtype=complex)
     for (src, dst), (_kind, op) in closed.items():
@@ -429,7 +439,14 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Commutant and first-order conditions are bilinear in (a, b), so checking
     the generating matrix units of each block is exhaustive.  Both order
     conditions are measured in the frame K^dagger (.) K, which equals
-    J pi(b)* J^-1 exactly when K is unitary.  Cost O(U n^3 + U^2 n^2).
+    J pi(b)* J^-1 exactly when K is unitary.  X_a = K^dagger pi(a) K and
+    Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
+    brackets with every unit are read off them as sums of squares
+    (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
+    and at most m legs per block, with no U^2 term.  Residuals linear in D
+    pass below tol max(1, ||D||_F), so a triple and its rescaling get the
+    same verdict.  The order-condition lines name the units behind their
+    worst residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -437,11 +454,12 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
+    tol_D = tol * max(1.0, frob(D))
 
-    rep.add("D hermitian", frob(D - D.conj().T), tol)
+    rep.add("D hermitian", frob(D - D.conj().T), tol_D)
     rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
     rep.add("J squared = eps", frob(K @ np.conj(K) - ko.eps * eye), tol)
-    rep.add("JD = eps' DJ", frob(K @ np.conj(D) - ko.eps_p * D @ K), tol)
+    rep.add("JD = eps' DJ", frob(K @ np.conj(D) - ko.eps_p * D @ K), tol_D)
 
     if ko.even:
         g = t.gamma
@@ -450,35 +468,81 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
             return rep
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
         rep.add("gamma squared = 1", frob(g @ g - eye), tol)
-        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol)
+        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol_D)
         rep.add("J gamma = eps'' gamma J", frob(K @ np.conj(g) - ko.eps_pp * g @ K), tol)
     elif t.gamma is not None:
         rep.add_bool("no grading in odd KO-dimension", False)
 
-    units = [(L[x], L[y]) for L in map(t.layout.unit_maps, range(1, t.profile.r + 1))
-             for x in range(len(L)) for y in range(len(L))]
+    frames = _unit_frames(t.layout)
     if ko.even:
-        rep.add("gamma commutes with pi(a)", max(frob(_bracket(t.gamma, *u)) for u in units), tol)
+        res, q = _worst_bracket(t.gamma, frames)
+        rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
     Kh = K.conj().T
     KhD, DK = Kh @ D, D @ K
-    comm = first = 0.0
-    for rows, cols in units:
-        X = Kh[:, rows] @ K[cols]                            # K^dagger pi(a) K
-        Y = KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]  # K^dagger [D, pi(a)] K
-        for q in units:  # pi(b)^T is again a unit
-            comm = max(comm, frob(_bracket(X, *q)))
-            first = max(first, frob(_bracket(Y, *q)))
-    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm, tol)
-    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first, tol)
+    comm = first = (0.0, None, None)  # residual, unit q = pi(b)^T, unit a
+    for i, L, _labels in frames:
+        for x, y in np.ndindex(len(L), len(L)):
+            rows, cols = L[x], L[y]
+            X = Kh[:, rows] @ K[cols]  # K^dagger pi(a) K
+            comm = max(comm, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
+            X = KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]  # K^dagger [D, pi(a)] K
+            first = max(first, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm[0], tol, _pair_witness(*comm[1:]))
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first[0], tol_D, _pair_witness(*first[1:]))
     return rep
 
 
-def _bracket(X, rows, cols):
-    """X p - p X for the partial permutation p = sum_z e_{rows[z]} e_{cols[z]}^T."""
-    out = np.zeros_like(X)
-    out[:, cols] = X[:, rows]
-    out[rows] -= X[cols]
-    return out
+def _unit_name(unit):
+    k, x, y = unit
+    return f"E^{k}_{{{x},{y}}}"
+
+
+def _pair_witness(q, a):
+    """Names a and b for the worst [pi(a), J pi(b)* J^-1], whose frame bracket is with q = pi(b)^T."""
+    if q is None:
+        return ""
+    k, x, y = q
+    return f"worst at a = {_unit_name(a)}, b = {_unit_name((k, y, x))}"
+
+
+def _unit_frames(layout):
+    """(k, L_k, labels_k) for each block k with legs.
+
+    L_k is the index map unit_maps(k); labels_k (n x (n_k + 1)) labels every
+    index one-hot by its row of L_k, the last column meaning 'outside L_k'.
+    """
+    frames = []
+    for k in range(1, layout.profile.r + 1):
+        L = layout.unit_maps(k)
+        if L.size:
+            label = np.full(layout.total_dim, len(L))
+            label[L] = np.arange(len(L))[:, None]
+            frames.append((k, L, np.eye(len(L) + 1)[label]))
+    return frames
+
+
+def _worst_bracket(X, frames):
+    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and its (k, x, y).
+
+    With R = L_k[x] and C = L_k[y],
+        ||[X, q]||^2 = ||X[not R, R]||^2 + ||X[C, not C]||^2 + ||X[R, R] - X[C, C]||^2.
+    One label sum of |X|^2 per frame gives the first two terms for every
+    (x, y), the diagonal blocks of X[L_k, L_k] the third.  Only nonnegative
+    terms are added, so nothing cancels and an exact zero stays 0.0.
+    (0.0, None) when every bracket vanishes.
+    """
+    A = X.real ** 2 + X.imag ** 2
+    best, at = 0.0, None
+    for k, L, labels in frames:
+        S = labels.T @ A @ labels
+        np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
+        G = X[L[:, :, None], L[:, None, :]]  # G[x] = X[L_k[x], L_k[x]]
+        same = [(abs(G - g) ** 2).sum(axis=(1, 2)) for g in G]  # ||X[R, R] - X[C, C]||^2, row x
+        sq = S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same
+        x, y = np.unravel_index(np.argmax(sq), sq.shape)
+        if sq[x, y] > best:
+            best, at = sq[x, y], (k, int(x), int(y))
+    return float(np.sqrt(best)), at
 
 
 def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
@@ -486,17 +550,19 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
 
     The parity is fixed by the presence of the grading.  A vanishing D leaves
     eps' unconstrained, so several d can match; an empty set means the triple
-    is inconsistent with every row.
+    is inconsistent with every row.  The eps' relation passes below
+    tol max(1, ||D||_F).
     """
     D, K = t.D, t.K
     eye = np.eye(t.dim)
+    tol_D = tol * max(1.0, frob(D))
     out = set()
     for d, (eps, eps_p, eps_pp) in KO_TABLE.items():
         if (eps_pp is not None) != (t.gamma is not None):
             continue
         if frob(K @ np.conj(K) - eps * eye) > tol:
             continue
-        if frob(K @ np.conj(D) - eps_p * D @ K) > tol:
+        if frob(K @ np.conj(D) - eps_p * D @ K) > tol_D:
             continue
         if eps_pp is not None and frob(K @ np.conj(t.gamma) - eps_pp * t.gamma @ K) > tol:
             continue
@@ -693,7 +759,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
 
     realize(diagram) equals the W-conjugate of t:  D -> W* D W,
     gamma -> W* gamma W, K -> W* K conj(W).  Edges with Frobenius norm at
-    most edge_tol (default tol) are dropped.
+    most edge_tol (default tol) times max(1, ||D||_F) are dropped.
     """
     if edge_tol is None:
         edge_tol = tol
@@ -813,14 +879,17 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
 def extract_edges(profile, layout, D, edge_tol, factor_tol):
     """Read the edge decorations off a Dirac matrix in a vertex-block layout.
 
-    Blocks with Frobenius norm <= edge_tol are dropped; blocks between
-    vertices sharing only one lattice coordinate must factor through it.
+    Blocks with Frobenius norm <= edge_tol max(1, ||D||_F) are dropped;
+    blocks between vertices sharing only one lattice coordinate must factor
+    through it, to a residual of at most factor_tol max(1, ||op||_F).
     """
+    drop = edge_tol * max(1.0, frob(D))
     edges = []
     for src in layout.vids:
         for dst in layout.vids:
             op = D[layout.block(dst).sl, layout.block(src).sl]
-            if frob(op) <= edge_tol:
+            size = frob(op)
+            if size <= drop:
                 continue
             i1, _p1, j1 = src
             i2, _p2, j2 = dst
@@ -832,12 +901,12 @@ def extract_edges(profile, layout, D, edge_tol, factor_tol):
                 kind = "left"
             else:
                 raise ClassificationError(
-                    "first-order structure", f"D couples unrelated fibers {src} -> {dst}", frob(op)
+                    "first-order structure", f"D couples unrelated fibers {src} -> {dst}", size
                 )
             n_i1, n_j1 = _vdim(profile, src)
             n_i2, n_j2 = _vdim(profile, dst)
             fres = _factor_residual(op, kind, (n_i1, n_j1, n_i2, n_j2))
-            if fres > factor_tol:
+            if fres > factor_tol * max(1.0, size):
                 raise ClassificationError(
                     "first-order structure", f"edge {src}->{dst} does not factor", fres
                 )

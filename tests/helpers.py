@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import oracles
 from finspec.algebra import AlgebraProfile
 from finspec.krajewski import KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex, realize
 from finspec.bratteli import BratteliArrow
@@ -12,6 +13,7 @@ from finspec.sampling import (
     random_diagram,
     random_lift,
     random_profile,
+    random_unitary,
 )
 
 
@@ -53,3 +55,14 @@ def identity_lift(d=7):
     )
     arrow = BratteliArrow(prof, prof, ((1,),), (0,))
     return DiagramLift(arrow, diag(), diag(), {(v, v): np.eye(1)})
+
+
+def mix_fibers(rng, t, diag):
+    """t conjugated by a random unitary on the middle factor of every fiber."""
+    rows = {}
+    for fiber in diag.fibers().values():
+        U = random_unitary(rng, len(fiber))
+        rows.update({v: (fiber, U[:, p]) for p, v in enumerate(fiber)})
+    Q = oracles.rotation(t.layout, rows)
+    gamma = None if t.gamma is None else Q.conj().T @ t.gamma @ Q
+    return RealSpectralTriple(t.profile, t.ko, t.layout, Q.conj().T @ t.D @ Q, Q.conj().T @ t.K @ np.conj(Q), gamma)

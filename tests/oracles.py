@@ -21,6 +21,11 @@ residuals with the index-map versions.
 The fourth group is `represent` with a dense pi(a) for every algebra
 element of every term and three n x n products per term.  The tests
 compare it with the vertex-block version to 1e-12 relative.
+
+The fifth group is `verify_axioms` on index maps with one n x n bracket
+and one Frobenius norm per pair of units (`verify_axioms_pairs`).  The
+tests compare its verdicts and residuals with the sums of squares of the
+library version.
 """
 
 import math
@@ -381,6 +386,67 @@ def splitting_residual(t, i, j, fiber):
         unit_insert(t.profile, j, np.eye(t.profile.dim(j)))
     )
     return frob(proj - layout.place({(v, v): 1.0 for v in fiber}))
+
+
+# -- verify_axioms on index maps, as before the sums of squares of _worst_bracket --
+
+
+def verify_axioms_pairs(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
+    """Residual norms of every real-spectral-triple axiom, one n x n bracket per pair of units.
+
+    Commutant and first-order conditions are bilinear in (a, b), so checking
+    the generating matrix units of each block is exhaustive.  Both order
+    conditions are measured in the frame K^dagger (.) K, which equals
+    J pi(b)* J^-1 exactly when K is unitary.  Cost O(U n^3 + U^2 n^2).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rep = Report("spectral triple axioms")
+    D, K, ko = t.D, t.K, t.ko
+    n = t.dim
+    eye = np.eye(n)
+
+    rep.add("D hermitian", frob(D - D.conj().T), tol)
+    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
+    rep.add("J squared = eps", frob(K @ np.conj(K) - ko.eps * eye), tol)
+    rep.add("JD = eps' DJ", frob(K @ np.conj(D) - ko.eps_p * D @ K), tol)
+
+    if ko.even:
+        g = t.gamma
+        if g is None:
+            rep.add_bool("grading present in even KO-dimension", False)
+            return rep
+        rep.add("gamma hermitian", frob(g - g.conj().T), tol)
+        rep.add("gamma squared = 1", frob(g @ g - eye), tol)
+        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol)
+        rep.add("J gamma = eps'' gamma J", frob(K @ np.conj(g) - ko.eps_pp * g @ K), tol)
+    elif t.gamma is not None:
+        rep.add_bool("no grading in odd KO-dimension", False)
+
+    units = [(L[x], L[y]) for L in map(t.layout.unit_maps, range(1, t.profile.r + 1))
+             for x in range(len(L)) for y in range(len(L))]
+    if ko.even:
+        rep.add("gamma commutes with pi(a)", max(frob(_bracket(t.gamma, *u)) for u in units), tol)
+    Kh = K.conj().T
+    KhD, DK = Kh @ D, D @ K
+    comm = first = 0.0
+    for rows, cols in units:
+        X = Kh[:, rows] @ K[cols]                            # K^dagger pi(a) K
+        Y = KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]  # K^dagger [D, pi(a)] K
+        for q in units:  # pi(b)^T is again a unit
+            comm = max(comm, frob(_bracket(X, *q)))
+            first = max(first, frob(_bracket(Y, *q)))
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm, tol)
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first, tol)
+    return rep
+
+
+def _bracket(X, rows, cols):
+    """X p - p X for the partial permutation p = sum_z e_{rows[z]} e_{cols[z]}^T."""
+    out = np.zeros_like(X)
+    out[:, cols] = X[:, rows]
+    out[rows] -= X[cols]
+    return out
 
 
 # -- represent, as before the vertex-block pairs of VertexLayout.sandwich --

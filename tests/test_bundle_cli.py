@@ -9,13 +9,15 @@ from finspec.bundle import Bundle, BundleError, load_bundle, save_bundle
 from finspec.catalog import minimal_diagram
 from finspec.cli import main
 from finspec.dot import render_dot
-from finspec.krajewski import realize, validate
+from finspec.krajewski import RealSpectralTriple, realize, validate
 from finspec.sampling import (
     random_arrow,
     random_compatible_target,
     random_diagram,
+    random_hermitian,
     random_hermitian_form,
     random_lift,
+    random_unitary,
     rng_from_seed,
 )
 
@@ -272,3 +274,27 @@ def test_cli_json_report_machine_readable(full_bundle, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["detected_ko"] == [6]
+
+
+def test_cli_failing_order_lines_name_their_witness(full_bundle, tmp_path, capsys):
+    b, _ = full_bundle
+    t, rng = b.triples["T"], rng_from_seed(2600)
+    noise = lambda X: X + 0.5 * random_hermitian(rng, t.dim)
+    bad = Bundle()
+    bad.triples["bad"] = RealSpectralTriple(t.profile, t.ko, t.layout, noise(t.D),
+                                            t.K @ random_unitary(rng, t.dim), noise(t.gamma))
+    path = str(tmp_path / "bad.json")
+    save_bundle(bad, path)
+    order_lines = ("gamma commutes with pi(a)", "commutant [pi(a), J pi(b)* J^-1] = 0",
+                   "first order [[D, pi(a)], J pi(b)* J^-1] = 0")
+
+    assert main(["axioms", path, "--triple", "bad"]) == 1
+    failing = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    for name in order_lines:
+        line = next(line for line in failing if name in line)
+        assert "(worst at a = E^" in line, line
+
+    assert main(["--format", "json", "axioms", path, "--triple", "bad"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in order_lines:
+        assert not checks[name]["passed"] and checks[name]["detail"].startswith("worst at a = E^"), checks[name]

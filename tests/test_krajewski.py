@@ -1,21 +1,31 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from finspec.algebra import AlgebraProfile
+from helpers import mix_fibers
+
+from finspec import krajewski
+from finspec.algebra import AlgebraProfile, frob, swap_matrix, unit_insert
 from finspec.catalog import minimal_diagram
 from finspec.krajewski import (
+    ClassificationError,
     DiagramError,
     Edge,
     KOSignature,
     KrajewskiDiagram,
+    RealSpectralTriple,
     Vertex,
+    _jim_op,
+    classify,
     detect_ko,
     epsilon_factor,
     realize,
     validate,
     verify_axioms,
 )
-from finspec.sampling import random_diagram, rng_from_seed
+from finspec.sampling import random_complex, random_diagram, random_hermitian, random_unitary, rng_from_seed
 
 ALL_D = list(range(8))
 
@@ -73,6 +83,18 @@ def test_validate_broken_involution():
     rep = validate(diag)
     assert not rep.ok
     assert any("involutive" in c.name for c in rep.failures())
+
+
+def test_validate_stops_at_bad_vertex_ids_and_missing_jim():
+    prof = AlgebraProfile((1,))
+    v, bad = (1, 1, 1), (2, 1, 1)  # block 2 does not exist
+    out_of_range = KrajewskiDiagram(prof, KOSignature.from_dim(7), {v: Vertex(*v), bad: Vertex(*bad)},
+                                    {v: v, bad: bad}, [])
+    no_jim = KrajewskiDiagram(prof, KOSignature.from_dim(7), {v: Vertex(*v)}, {}, [])
+    for diag, failure in ((out_of_range, f"vertex {bad} indices in range"), (no_jim, "jim is defined on all vertices")):
+        assert [c.name for c in validate(diag).failures()] == [failure]
+        with pytest.raises(DiagramError):
+            realize(diag)
 
 
 def test_realize_trivial():
@@ -256,3 +278,109 @@ def test_non_unitary_K_fails_its_own_line():
     rep = verify_axioms(type(t)(t.profile, t.ko, t.layout, t.D, 1.01 * t.K, t.gamma))
     assert rep.ok is False
     assert "J antiunitary (K unitary)" in [c.name for c in rep.failures()]
+
+
+def test_realize_closes_the_edge_orbits_once(monkeypatch):
+    calls, real = [], krajewski.complete_edges
+
+    def spy(diag, tol):
+        calls.append(diag)
+        return real(diag, tol)
+
+    diag = random_diagram(rng_from_seed(43), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+    monkeypatch.setattr(krajewski, "complete_edges", spy)
+    t = realize(diag)
+    assert calls == [diag]
+    assert validate(diag).ok and len(calls) == 2  # validate still closes them itself
+    assert np.array_equal(t.D, realize(diag).D)
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_jim_op_is_the_swap_matrix_product(d):
+    # one vertex over every lattice point of (1, 2, 3), so (src, dst) runs over every vertex-dimension shape
+    prof = AlgebraProfile((1, 2, 3))
+    ko = KOSignature.from_dim(d)
+    vertices = {}
+    for i, j in itertools.product(range(1, 4), repeat=2):
+        vertices[(i, 1, j)] = Vertex(i, 1, j, chi=i % 2 if i == j and d in (2, 3, 4, 5, 6) else None)
+    diag = KrajewskiDiagram(prof, ko, vertices, {v: (v[2], 1, v[0]) for v in vertices}, [])
+    rng = rng_from_seed(1900 + d)
+    for src, dst in itertools.product(vertices, repeat=2):
+        (n_i1, n_j1), (n_i2, n_j2) = [(prof.dim(v[0]), prof.dim(v[2])) for v in (src, dst)]
+        op = random_complex(rng, (n_i2 * n_j2, n_i1 * n_j1))
+        sign = ko.eps_p * epsilon_factor(vertices[src], d) * epsilon_factor(vertices[dst], d)
+        expected = sign * swap_matrix(n_i2, n_j2) @ np.conj(op) @ swap_matrix(n_j1, n_i1)
+        assert np.array_equal(_jim_op(diag, src, dst, op), expected), (src, dst)
+
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8)
+
+
+def _verdicts(diag, t, c):
+    """validate on the diagram with its edge ops scaled by c; verify_axioms, detect_ko and classify on t with D -> c D."""
+    scaled = KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim,
+                              [Edge(e.src, e.dst, e.kind, c * e.op) for e in diag.edges])
+    tc = RealSpectralTriple(t.profile, t.ko, t.layout, c * t.D, t.K, t.gamma)
+    try:
+        found, _W = classify(tc)
+        classified = sorted((e.src, e.dst) for e in found.edges)
+    except ClassificationError as exc:
+        classified = exc.step
+    return validate(scaled).ok, [ch.passed for ch in verify_axioms(tc).checks], detect_ko(tc), classified
+
+
+@pytest.mark.parametrize("d", [None] + ALL_D)
+def test_verdicts_do_not_depend_on_the_units_of_D(d):
+    """None is the (2, 3, 4) d = 6 diagram whose first-order line failed at c = 1e6 under an absolute bound."""
+    rng = rng_from_seed(2410 + (d or 0))
+    if d is None:
+        diag = random_diagram(rng_from_seed(1), 6, AlgebraProfile((2, 3, 4)), max_fiber=2)
+    else:
+        diag = random_diagram(rng_from_seed(2400 + d), d, AlgebraProfile((1, 2)), max_fiber=2,
+                              edge_prob=0.7, ensure_edge=True)
+    t = realize(diag)
+    H = random_hermitian(rng, t.dim)
+    noisy = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + 0.5 * frob(t.D) / frob(H) * H, t.K, t.gamma)
+    for form, ok in ((t, True), (mix_fibers(rng, t, diag), True), (noisy, False)):
+        verdicts = [_verdicts(diag, form, c) for c in SCALES]
+        assert all(v == verdicts[0] for v in verdicts), (ok, verdicts)
+        assert all(verdicts[0][1]) == ok and isinstance(verdicts[0][3], list) == ok
+
+
+_UNIT = re.compile(r"E\^(\d+)_\{(\d+),(\d+)\}")
+
+
+def _named_units(t, detail):
+    """The algebra elements E^k_xy named in a witness, in order."""
+    out = []
+    for k, x, y in _UNIT.findall(detail):
+        m = np.zeros((t.profile.dim(int(k)),) * 2)
+        m[int(x), int(y)] = 1.0
+        out.append(unit_insert(t.profile, int(k), m))
+    return out
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_order_condition_witness_attains_the_residual(d):
+    rng = rng_from_seed(2500 + d)
+    diag = random_diagram(rng, d, AlgebraProfile((1, 2)), max_fiber=2, edge_prob=0.7, ensure_edge=True)
+    while {v[0] for v in diag.vertices} != {1, 2}:  # pi(a) scalar on H leaves the commutant exactly 0
+        diag = random_diagram(rng, d, AlgebraProfile((1, 2)), max_fiber=2, edge_prob=0.7, ensure_edge=True)
+    t = realize(diag)
+    n = t.dim
+    noise = lambda X: None if X is None else X + 0.5 * random_hermitian(rng, n)
+    t = RealSpectralTriple(t.profile, t.ko, t.layout, noise(t.D), t.K @ random_unitary(rng, n), noise(t.gamma))
+    rep = verify_axioms(t)
+    comm = lambda X, Y: X @ Y - Y @ X
+    lines = {  # the residual of each line at the units it names, with dense operators
+        "commutant [pi(a), J pi(b)* J^-1] = 0": lambda a, b: frob(comm(t.pi(a), t.right(b))),
+        "first order [[D, pi(a)], J pi(b)* J^-1] = 0": lambda a, b: frob(comm(comm(t.D, t.pi(a)), t.right(b))),
+    }
+    if t.ko.even:
+        lines["gamma commutes with pi(a)"] = lambda a: frob(comm(t.gamma, t.pi(a)))
+    for name, dense in lines.items():
+        check = rep[name]
+        assert not check.passed and check.detail.startswith("worst at a = E^"), (name, check.detail)
+        units = _named_units(t, check.detail)
+        assert len(units) == (1 if name.startswith("gamma") else 2)
+        assert abs(dense(*units) - check.residual) <= 1e-12 * check.residual, (name, check.detail)

@@ -3,7 +3,8 @@
 The vertex-block kernel is compared with the index loops, the action
 comparison, which builds each operator once, with the one that rebuilt them,
 the axioms path on index maps with the dense pi, right-action and kron
-products, and `represent` on vertex-block pairs with the dense pi products.
+products, `verify_axioms` by sums of squares with one bracket per pair of
+units, and `represent` on vertex-block pairs with the dense pi products.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import lift_chain, normalized_setup
+from helpers import lift_chain, mix_fibers, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
@@ -20,7 +21,6 @@ from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, ri
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
     RealSpectralTriple,
-    _bracket,
     _extract_middle_map,
     _factor_residual,
     _splitting_residual,
@@ -58,17 +58,6 @@ def _record_basis_changes(monkeypatch, module):
     return calls
 
 
-def _mix_fibers(rng, t, diag):
-    """t conjugated by a random unitary on the middle factor of every fiber."""
-    rows = {}
-    for fiber in diag.fibers().values():
-        U = random_unitary(rng, len(fiber))
-        rows.update({v: (fiber, U[:, p]) for p, v in enumerate(fiber)})
-    Q = oracles.rotation(t.layout, rows)
-    gamma = None if t.gamma is None else Q.conj().T @ t.gamma @ Q
-    return RealSpectralTriple(t.profile, t.ko, t.layout, Q.conj().T @ t.D @ Q, Q.conj().T @ t.K @ np.conj(Q), gamma)
-
-
 def test_swap_matrix_matches_loop():
     for n_i in range(1, 5):
         for n_j in range(1, 5):
@@ -86,7 +75,7 @@ def test_block_kernel_matches_loop_oracles(d, monkeypatch):
         assert np.array_equal(t.K, K)
         assert (t.gamma is None and gamma is None) or np.array_equal(t.gamma, gamma)
 
-        tc = _mix_fibers(rng, t, diag)
+        tc = mix_fibers(rng, t, diag)
         fibers = diag.fibers()
         for (i, j), fiber in fibers.items():
             cases = [(fibers[(j, i)], tc.K, True)] + ([(fiber, tc.gamma, False)] if t.ko.even else [])
@@ -224,12 +213,15 @@ def test_axioms_path_matches_dense_oracles(d):
     for _ in range(4):
         diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
         for t in _axiom_forms(rng, realize(diag)):
-            rep, ref = verify_axioms(t), oracles.verify_axioms(t)
+            rep, pairs = verify_axioms(t), oracles.verify_axioms_pairs(t)
             floor = 1e-12 * max(1.0, frob(t.D))
-            assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
-            for c, c0 in zip(rep.checks, ref.checks):
-                assert c.passed == c0.passed, c.name
-                assert _close_to(c.residual, c0.residual, floor), (c.name, c.residual, c0.residual)
+            for ref in (oracles.verify_axioms(t), pairs):
+                assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+                for c, c0 in zip(rep.checks, ref.checks):
+                    assert c.passed == c0.passed, c.name
+                    assert _close_to(c.residual, c0.residual, floor), (c.name, c.residual, c0.residual)
+            for c, c0 in zip(rep.checks, pairs.checks):  # the pair loop forms each bracket entry as ours does
+                assert (c.residual == 0.0) == (c0.residual == 0.0), (c.name, c.residual, c0.residual)
             verdicts.add(rep.ok)
             for (i, j), fiber in diag.fibers().items():
                 res, res0 = _splitting_residual(t, i, j, fiber), oracles.splitting_residual(t, i, j, fiber)
@@ -276,7 +268,21 @@ def test_unit_maps_are_the_matrix_units():
             p = np.zeros((n, n))
             p[L[x], L[y]] = 1.0
             assert np.array_equal(p, layout.pi(next(units)))
-            assert np.array_equal(_bracket(X, L[x], L[y]), X @ p - p @ X)
+            assert np.array_equal(oracles._bracket(X, L[x], L[y]), X @ p - p @ X)
+
+
+def test_verify_axioms_norms_do_not_grow_with_the_units(monkeypatch):
+    calls, real = [], krajewski.frob
+    monkeypatch.setattr(krajewski, "frob", lambda m: calls.append(m.shape) or real(m))
+    counts = {}
+    for dims in ((1,), (2, 2), (1, 2, 3)):
+        for d in (6, 7):
+            t = realize(random_diagram(rng_from_seed(2700), d, AlgebraProfile(dims), max_fiber=2,
+                                       edge_prob=0.7, ensure_edge=True))
+            calls.clear()
+            verify_axioms(t)
+            counts.setdefault(d, set()).add(len(calls))
+    assert all(len(c) == 1 for c in counts.values()), counts
 
 
 def test_axioms_path_builds_no_dense_representation(monkeypatch):
