@@ -297,7 +297,7 @@ def _config_from_json(obj, where) -> GaugeConfiguration:
     )
 
 
-def _lift_to_json(name, lift: DiagramLift, names) -> dict:
+def _lift_to_json(lift: DiagramLift, names) -> dict:
     arrow_key, source_key, target_key = names
     u = {}
     for (v, w), m in sorted(lift.u.items()):
@@ -348,7 +348,7 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
         raise BundleError(f"{where}: {exc}") from None
 
 
-def bundle_to_json(bundle: Bundle, lift_names=None) -> dict:
+def bundle_to_json(bundle: Bundle) -> dict:
     """Serialize; lift references are resolved by identity against the bundle."""
     doc = {"format_version": FORMAT_VERSION}
     doc["profiles"] = {k: list(p.dims) for k, p in sorted(bundle.profiles.items())}
@@ -359,15 +359,12 @@ def bundle_to_json(bundle: Bundle, lift_names=None) -> dict:
     doc["configurations"] = {k: _config_to_json(c) for k, c in sorted(bundle.configurations.items())}
     lifts = {}
     for k, lift in sorted(bundle.lifts.items()):
-        if lift_names and k in lift_names:
-            names = lift_names[k]
-        else:
-            names = (
-                _find_ref(bundle.arrows, lift.arrow, f"lifts.{k}.arrow"),
-                _find_ref(bundle.diagrams, lift.source, f"lifts.{k}.source"),
-                _find_ref(bundle.diagrams, lift.target, f"lifts.{k}.target"),
-            )
-        lifts[k] = _lift_to_json(k, lift, names)
+        names = (
+            _find_ref(bundle.arrows, lift.arrow, f"lifts.{k}.arrow"),
+            _find_ref(bundle.diagrams, lift.source, f"lifts.{k}.source"),
+            _find_ref(bundle.diagrams, lift.target, f"lifts.{k}.target"),
+        )
+        lifts[k] = _lift_to_json(lift, names)
     doc["lifts"] = lifts
     return doc
 

@@ -209,46 +209,34 @@ def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op) -> np.ndarray:
     return sign * swapped.reshape(n_j2 * n_i2, n_j1 * n_i1)
 
 
-_FLIP_KIND = {"left": "right", "right": "left", "general": "general"}
-
-
 def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     """Close the supplied edges under e -> ebar and e -> jim(e).
 
     One representative per orbit is enough; conflicting duplicates (residual
-    above tol max(1, ||op||)) are returned as conflicts.  Result maps (src, dst) to
-    (kind, op).
+    above tol max(1, ||op||)) are returned as conflicts.  Result maps (src, dst) to op.
     """
     closed = {}
     conflicts = []
 
-    def put(src, dst, kind, op, origin):
+    def put(src, dst, op, origin):
         key = (src, dst)
         if key in closed:
-            old_kind, old_op = closed[key]
+            old_op = closed[key]
             res = frob(old_op - op) if old_op.shape == op.shape else float("inf")
             if res > tol and res > tol * frob(old_op):
                 conflicts.append((key, origin, res))
             return False
-        closed[key] = (kind, op)
+        closed[key] = op
         return True
 
-    pending = [(e.src, e.dst, e.kind, e.op, "given") for e in diag.edges]
+    pending = [(e.src, e.dst, e.op, "given") for e in diag.edges]
     while pending:
-        src, dst, kind, op, origin = pending.pop()
-        if not put(src, dst, kind, op, origin):
+        src, dst, op, origin = pending.pop()
+        if not put(src, dst, op, origin):
             continue
-        pending.append((dst, src, kind, op.conj().T, f"adjoint of ({src}->{dst})"))
+        pending.append((dst, src, op.conj().T, f"adjoint of ({src}->{dst})"))
         if src in diag.jim and dst in diag.jim:
-            pending.append(
-                (
-                    diag.jim[src],
-                    diag.jim[dst],
-                    _FLIP_KIND[kind],
-                    _jim_op(diag, src, dst, op),
-                    f"jim of ({src}->{dst})",
-                )
-            )
+            pending.append((diag.jim[src], diag.jim[dst], _jim_op(diag, src, dst, op), f"jim of ({src}->{dst})"))
     return closed, conflicts
 
 
@@ -279,6 +267,14 @@ def _factor_residual(op, kind, dims):
     left0 = left - np.trace(left) / n * np.eye(n)
     right0 = right - np.trace(right) / m * np.eye(m)
     return off(kron(left0, np.eye(m)) + kron(np.eye(n), right0) + scalar * kron(np.eye(n), np.eye(m)))
+
+
+# edge kind -> (the lattice match it needs, the factorization validate measures)
+_KIND_LINES = {
+    "left": ("rho match", "factors as D_L (x) 1"),
+    "right": ("lambda match", "factors as 1 (x) D_R"),
+    "general": ("both matches", "splits as D_L (x) 1 + 1 (x) D_R"),
+}
 
 
 def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
@@ -366,24 +362,11 @@ def _validate(diag, tol):
         if i1 != i2 and j1 != j2:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
             continue
-        if e.kind == "general":
-            if i1 != i2 or j1 != j2:
-                rep.add_bool(f"{tag} kind=general needs both matches", False)
-            else:
-                res = _factor_residual(e.op, "general", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} splits as D_L (x) 1 + 1 (x) D_R", res, bound)
-        elif e.kind == "right":
-            if i1 != i2:
-                rep.add_bool(f"{tag} kind=right needs lambda match", False)
-            else:
-                res = _factor_residual(e.op, "right", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} factors as 1 (x) D_R", res, bound)
-        elif e.kind == "left":
-            if j1 != j2:
-                rep.add_bool(f"{tag} kind=left needs rho match", False)
-            else:
-                res = _factor_residual(e.op, "left", (n_i1, n_j1, n_i2, n_j2))
-                rep.add(f"{tag} factors as D_L (x) 1", res, bound)
+        need, line = _KIND_LINES[e.kind]
+        if not {"general": i1 == i2 and j1 == j2, "right": i1 == i2, "left": j1 == j2}[e.kind]:
+            rep.add_bool(f"{tag} kind={e.kind} needs {need}", False)
+        else:
+            rep.add(f"{tag} {line}", _factor_residual(e.op, e.kind, (n_i1, n_j1, n_i2, n_j2)), bound)
         if i1 == i2 and j1 != j2 and e.kind != "right":
             rep.add_bool(f"{tag} must be kind=right", False)
         if j1 == j2 and i1 != i2 and e.kind != "left":
@@ -426,7 +409,7 @@ def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTri
     n = layout.total_dim
 
     D = np.zeros((n, n), dtype=complex)
-    for (src, dst), (_kind, op) in closed.items():
+    for (src, dst), op in closed.items():
         D[layout.block(dst).sl, layout.block(src).sl] = op
 
     K, gamma = _real_structure(layout, diag.vertices, diag.jim, diag.d, diag.ko.even)
@@ -553,18 +536,20 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     is inconsistent with every row.  The eps' relation passes below
     tol max(1, ||D||_F).
     """
-    D, K = t.D, t.K
+    D, K, g = t.D, t.K, t.gamma
     eye = np.eye(t.dim)
     tol_D = tol * max(1.0, frob(D))
+    KK, KD, DK = K @ np.conj(K), K @ np.conj(D), D @ K
+    Kg, gK = (K @ np.conj(g), g @ K) if g is not None else (None, None)
     out = set()
     for d, (eps, eps_p, eps_pp) in KO_TABLE.items():
-        if (eps_pp is not None) != (t.gamma is not None):
+        if (eps_pp is not None) != (g is not None):
             continue
-        if frob(K @ np.conj(K) - eps * eye) > tol:
+        if frob(KK - eps * eye) > tol:
             continue
-        if frob(K @ np.conj(D) - eps_p * D @ K) > tol_D:
+        if frob(KD - eps_p * DK) > tol_D:
             continue
-        if eps_pp is not None and frob(K @ np.conj(t.gamma) - eps_pp * t.gamma @ K) > tol:
+        if eps_pp is not None and frob(Kg - eps_pp * gK) > tol:
             continue
         out.add(d)
     return out
@@ -678,16 +663,13 @@ def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
     layout = t.layout
     n_i, n_j = _vdim(t.profile, fiber_src[0])
     unit = swap_matrix(n_i, n_j) if expect_swap else np.eye(n_i * n_j)
-    f = np.array([[np.vdot(unit, M[layout.block(w).sl, layout.block(v).sl]) for v in fiber_src]
-                  for w in fiber_dst], dtype=complex) / (n_i * n_j)
-    # residual of the reconstruction
-    rec = layout.place({(w, v): f[q, p] for q, w in enumerate(fiber_dst) for p, v in enumerate(fiber_src)},
-                       swap=expect_swap)
-    ix = np.ix_(*(np.r_[tuple(layout.block(v).sl for v in fiber)] for fiber in (fiber_dst, fiber_src)))
-    return f, frob(M[ix] - rec[ix])
+    B = np.array([[M[layout.block(w).sl, layout.block(v).sl] for v in fiber_src] for w in fiber_dst])
+    f = np.array([[np.vdot(unit, b) for b in row] for row in B], dtype=complex) / (n_i * n_j)
+    # residual of the reconstruction, block by block
+    return f, float(np.linalg.norm(B - f[:, :, None, None] * unit))
 
 
-def _diagonal_fiber_basis(T, ell, eps, eps_pp, mu, d, tol):
+def _diagonal_fiber_basis(T, ell, mu, d):
     """Adapted basis of a diagonal fiber C^mu.
 
     Returns (vectors, s list, chi list, pairing) where pairing maps basis
@@ -747,22 +729,28 @@ def _diagonal_fiber_basis(T, ell, eps, eps_pp, mu, d, tol):
 
 
 def _splitting_residual(t, i, j, fiber):
-    """||pi(1_i) J pi(1_j)* J^-1 - fiber projector||, with the masks pi(1_i), pi(1_j)^T as index sets."""
+    """||pi(1_i) J pi(1_j)* J^-1 - fiber projector||, with the masks pi(1_i), pi(1_j)^T as index sets.
+
+    Only the rows of pi(1_i) are formed; the fiber's indices lie among them.
+    """
     rows, cols = t.layout.unit_maps(i).ravel(), t.layout.unit_maps(j).ravel()
-    proj = np.zeros((t.dim, t.dim), dtype=complex)
-    proj[rows] = t.K[np.ix_(rows, cols)] @ t.K[:, cols].conj().T
-    return frob(proj - t.layout.place({(v, v): 1.0 for v in fiber}))
+    proj = t.K[np.ix_(rows, cols)] @ t.K[:, cols].conj().T
+    at = np.empty(t.dim, dtype=int)
+    at[rows] = np.arange(rows.size)
+    on = np.r_[tuple(t.layout.block(v).sl for v in fiber)]
+    proj[at[on], on] -= 1.0
+    return frob(proj)
 
 
-def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = None):
+def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     """Recover a Krajewski diagram and a witness unitary W from a triple.
 
     realize(diagram) equals the W-conjugate of t:  D -> W* D W,
     gamma -> W* gamma W, K -> W* K conj(W).  Edges with Frobenius norm at
-    most edge_tol (default tol) times max(1, ||D||_F) are dropped.
+    most tol max(1, ||D||_F) are dropped.  The diagram is returned only if
+    validate(diagram, tol) accepts it; otherwise the first failing line is
+    raised at step 'diagram validation'.
     """
-    if edge_tol is None:
-        edge_tol = tol
     layout, ko, d = t.layout, t.ko, t.ko.d
     fibers = {}
     for vid in layout.vids:
@@ -830,7 +818,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
             if frob(L @ np.conj(L) - ko.eps * np.eye(mu)) > tol:
                 raise ClassificationError("real structure reduction", f"T^2 != eps on fiber ({i},{i})")
             ell = ells.get((i, i))
-            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, ko.eps, ko.eps_pp, mu, d, tol)
+            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, mu, d)
             bases[(i, i)] = vecs
             s_dec[(i, i)] = svals
             chi_dec[(i, i)] = chis
@@ -870,45 +858,39 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL, edge_tol: float = 
         if res > max(tol, 1e-8):
             raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
 
-    edges = extract_edges(t.profile, layout, Dp, edge_tol, max(tol, 1e-8))
-
-    diagram = KrajewskiDiagram(t.profile, ko, vertices, jim_new, edges)
+    diagram = KrajewskiDiagram(t.profile, ko, vertices, jim_new, extract_edges(layout, Dp, tol))
+    failed = validate(diagram, tol).failures()
+    if failed:
+        raise ClassificationError("diagram validation", failed[0].name, failed[0].residual)
     return diagram, W
 
 
-def extract_edges(profile, layout, D, edge_tol, factor_tol):
+def extract_edges(layout, D, edge_tol):
     """Read the edge decorations off a Dirac matrix in a vertex-block layout.
 
-    Blocks with Frobenius norm <= edge_tol max(1, ||D||_F) are dropped;
-    blocks between vertices sharing only one lattice coordinate must factor
-    through it, to a residual of at most factor_tol max(1, ||op||_F).
+    Blocks with Frobenius norm <= edge_tol max(1, ||D||_F) are dropped; one
+    label sum of |D|^2 gives the norm of every block.  Each kept block gets
+    the kind its lattice coordinates force, in src-major order; whether it
+    factors accordingly is for validate to judge.
     """
+    vids = layout.vids
+    labels = np.eye(len(vids))[np.repeat(np.arange(len(vids)), [b.length for b in layout.blocks])]
+    sq = labels.T @ (D.real ** 2 + D.imag ** 2) @ labels  # sq[w, v] = ||D[w, v]||_F^2
     drop = edge_tol * max(1.0, frob(D))
     edges = []
-    for src in layout.vids:
-        for dst in layout.vids:
-            op = D[layout.block(dst).sl, layout.block(src).sl]
-            size = frob(op)
-            if size <= drop:
-                continue
-            i1, _p1, j1 = src
-            i2, _p2, j2 = dst
-            if i1 == i2 and j1 == j2:
-                kind = "general"
-            elif i1 == i2:
-                kind = "right"
-            elif j1 == j2:
-                kind = "left"
-            else:
-                raise ClassificationError(
-                    "first-order structure", f"D couples unrelated fibers {src} -> {dst}", size
-                )
-            n_i1, n_j1 = _vdim(profile, src)
-            n_i2, n_j2 = _vdim(profile, dst)
-            fres = _factor_residual(op, kind, (n_i1, n_j1, n_i2, n_j2))
-            if fres > factor_tol * max(1.0, size):
-                raise ClassificationError(
-                    "first-order structure", f"edge {src}->{dst} does not factor", fres
-                )
-            edges.append(Edge(src, dst, kind, np.array(op)))
+    for v, w in zip(*np.nonzero(sq.T > drop ** 2)):
+        src, dst = vids[v], vids[w]
+        i1, _p1, j1 = src
+        i2, _p2, j2 = dst
+        if i1 == i2 and j1 == j2:
+            kind = "general"
+        elif i1 == i2:
+            kind = "right"
+        elif j1 == j2:
+            kind = "left"
+        else:
+            raise ClassificationError(
+                "first-order structure", f"D couples unrelated fibers {src} -> {dst}", float(np.sqrt(sq[w, v]))
+            )
+        edges.append(Edge(src, dst, kind, D[layout.block(dst).sl, layout.block(src).sl]))
     return edges

@@ -24,6 +24,7 @@ from .krajewski import (
     KrajewskiDiagram,
     RealSpectralTriple,
     _basis_change,
+    _phase_fix,
     epsilon_factor,
     extract_edges,
     layout_of,
@@ -320,17 +321,6 @@ def _split_by_s(diag, fiber):
     return out
 
 
-def _phase_fix_columns(V, cut=1e-9):
-    V = V.copy()
-    for c in range(V.shape[1]):
-        col = V[:, c]
-        idx = np.flatnonzero(np.abs(col) > cut * max(1.0, np.abs(col).max()))
-        if idx.size:
-            z = col[idx[0]]
-            V[:, c] = col * (np.conj(z) / abs(z))
-    return V
-
-
 def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
     """Rotate the source fiber bases so that sigma becomes diagonal.
 
@@ -390,7 +380,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         w, V = np.linalg.eigh(S)
         order = np.argsort(-w)
         w, V = w[order], np.ascontiguousarray(V[:, order])
-        C = _phase_fix_columns(V).T
+        C = np.array([_phase_fix(col) for col in V.T])
         for p_new, v_new in enumerate(vids):
             coeffs[v_new] = (vids, C[p_new, :])
             kappa[v_new] = float(w[p_new])
@@ -421,17 +411,8 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
 
     # rotate the Dirac decorations through the block change of basis Q
     tA = realize(lift.source)
-    layout = tA.layout
-    Q = _basis_change(layout, coeffs)
-    Dp = Q.conj().T @ tA.D @ Q
-    edges = extract_edges(lift.source.profile, layout, Dp, tol, max(tol, 1e-8))
-
-    new_source = KrajewskiDiagram(
-        lift.source.profile, lift.source.ko, dict(lift.source.vertices), dict(lift.source.jim), edges
-    )
-    rep = validate(new_source, max(tol, 1e-8))
-    if not rep.ok:
-        raise LiftError("rotated source diagram fails validation:\n" + str(rep))
+    Q = _basis_change(tA.layout, coeffs)
+    new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, tol, "rotated source diagram fails validation")
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u, normalized=False, kappa=kappa)
 
@@ -476,17 +457,23 @@ def inherit_source_dirac(lift: DiagramLift, tol: float = DEFAULT_TOL) -> Diagram
         raise LiftError("inherit_source_dirac needs a normalized lift")
     M = build_phiH(lift).matrix
     tB = realize(lift.target, tol)
-    layout = layout_of(lift.source)
-    DA = M.conj().T @ tB.D @ M
-    edges = extract_edges(lift.source.profile, layout, DA, tol, max(tol, 1e-8))
-    new_source = KrajewskiDiagram(
-        lift.source.profile, lift.source.ko, dict(lift.source.vertices),
-        dict(lift.source.jim), edges,
-    )
+    new_source = _source_with_dirac(lift, M.conj().T @ tB.D @ M, tol, "pullback Dirac does not validate")
+    return replace(lift, source=new_source, u=dict(lift.u))
+
+
+def _source_with_dirac(lift, D, tol, failure):
+    """lift.source with the edges read off D, a matrix in its vertex-block layout.
+
+    Blocks below tol max(1, ||D||_F) are dropped, and the diagram must validate
+    at max(tol, 1e-8), or LiftError(failure) is raised with the report.
+    """
+    src = lift.source
+    edges = extract_edges(layout_of(src), D, tol)
+    new_source = KrajewskiDiagram(src.profile, src.ko, dict(src.vertices), dict(src.jim), edges)
     rep = validate(new_source, max(tol, 1e-8))
     if not rep.ok:
-        raise LiftError("pullback Dirac does not validate:\n" + str(rep))
-    return replace(lift, source=new_source, u=dict(lift.u))
+        raise LiftError(f"{failure}:\n{rep}")
+    return new_source
 
 
 def inherited_split(B: np.ndarray, phiH: PhiHMap):

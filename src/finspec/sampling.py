@@ -237,7 +237,7 @@ def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
             D[layout.block(v2).sl, layout.block(v1).sl] = blk
         D = (D + D.conj().T) / 2
         D = (D + ko.eps_p * (t0.K @ np.conj(D) @ t0.K.conj().T)) / 2
-        edges = extract_edges(profile, layout, D, 1e-12, 1e-8)
+        edges = extract_edges(layout, D, 1e-12)
         if edges or not (ensure_edge and pairs) or attempts > 20:
             break
 

@@ -26,6 +26,12 @@ The fifth group is `verify_axioms` on index maps with one n x n bracket
 and one Frobenius norm per pair of units (`verify_axioms_pairs`).  The
 tests compare its verdicts and residuals with the sums of squares of the
 library version.
+
+The sixth group is `extract_edges` as a loop over pairs of vertices with
+one Frobenius norm and its own factor test per block (`extract_edges_pairs`),
+and `detect_ko` forming its products once per sign row (`detect_ko_rows`).
+The tests ask for the same edges in the same order with identical
+operators, and for identical verdicts.
 """
 
 import math
@@ -35,7 +41,7 @@ import numpy as np
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
 from finspec.algebra import DEFAULT_TOL, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
 from finspec.differential import UniversalOneForm, fluctuate
-from finspec.krajewski import RealSpectralTriple, _vdim, epsilon_factor, layout_of
+from finspec.krajewski import KO_TABLE, ClassificationError, Edge, RealSpectralTriple, _vdim, epsilon_factor, layout_of
 from finspec.lifting import CompatReport, DiagramLift, LiftError, PhiHMap, build_phiH
 from finspec.reports import Report
 
@@ -464,4 +470,59 @@ def represent(omega, t: RealSpectralTriple) -> np.ndarray:
             pa = t.pi(a)
             acc = acc @ (t.D @ pa - pa @ t.D)
         out += acc
+    return out
+
+
+# -- edge reading and KO detection, as before one label sum and hoisted products --
+
+
+def extract_edges_pairs(profile, layout, D, edge_tol, factor_tol):
+    """Edges of D, one block norm per (src, dst); blocks that do not factor raise ClassificationError."""
+    drop = edge_tol * max(1.0, frob(D))
+    edges = []
+    for src in layout.vids:
+        for dst in layout.vids:
+            op = D[layout.block(dst).sl, layout.block(src).sl]
+            size = frob(op)
+            if size <= drop:
+                continue
+            i1, _p1, j1 = src
+            i2, _p2, j2 = dst
+            if i1 == i2 and j1 == j2:
+                kind = "general"
+            elif i1 == i2:
+                kind = "right"
+            elif j1 == j2:
+                kind = "left"
+            else:
+                raise ClassificationError(
+                    "first-order structure", f"D couples unrelated fibers {src} -> {dst}", size
+                )
+            n_i1, n_j1 = _vdim(profile, src)
+            n_i2, n_j2 = _vdim(profile, dst)
+            fres = _factor_residual(op, kind, (n_i1, n_j1, n_i2, n_j2))
+            if fres > factor_tol * max(1.0, size):
+                raise ClassificationError(
+                    "first-order structure", f"edge {src}->{dst} does not factor", fres
+                )
+            edges.append(Edge(src, dst, kind, np.array(op)))
+    return edges
+
+
+def detect_ko_rows(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
+    """All d mod 8 whose sign row matches, with K conj(K), K conj(D), D K, ... formed per row."""
+    D, K = t.D, t.K
+    eye = np.eye(t.dim)
+    tol_D = tol * max(1.0, frob(D))
+    out = set()
+    for d, (eps, eps_p, eps_pp) in KO_TABLE.items():
+        if (eps_pp is not None) != (t.gamma is not None):
+            continue
+        if frob(K @ np.conj(K) - eps * eye) > tol:
+            continue
+        if frob(K @ np.conj(D) - eps_p * D @ K) > tol_D:
+            continue
+        if eps_pp is not None and frob(K @ np.conj(t.gamma) - eps_pp * t.gamma @ K) > tol:
+            continue
+        out.add(d)
     return out

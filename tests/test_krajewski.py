@@ -347,6 +347,60 @@ def test_verdicts_do_not_depend_on_the_units_of_D(d):
         assert all(verdicts[0][1]) == ok and isinstance(verdicts[0][3], list) == ok
 
 
+def _with_dirac(t, D):
+    return RealSpectralTriple(t.profile, t.ko, t.layout, D, t.K, t.gamma)
+
+
+def _noisy(rng, t, size):
+    """t with Hermitian noise of size ||D||_F added to D."""
+    H = random_hermitian(rng, t.dim)
+    return _with_dirac(t, t.D + size * frob(t.D) / frob(H) * H)
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_classify_returns_only_diagrams_that_validate(d):
+    """Realized, fiber-mixed and slightly noisy triples at three scales: classify raises or its diagram validates."""
+    rng = rng_from_seed(2600 + d)
+    returned = raised = 0
+    for _ in range(3):
+        diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        t = realize(diag)
+        for form in (t, mix_fibers(rng, t, diag), _noisy(rng, t, 1e-2)):
+            for c in (1e-6, 1.0, 1e3):
+                try:
+                    found, _W = classify(_with_dirac(form, c * form.D))
+                except ClassificationError:
+                    raised += 1
+                    continue
+                assert validate(found).ok
+                returned += 1
+    assert returned and raised
+
+
+def _found_example(seed, d):
+    """The seed's diagram realized, with Hermitian noise of 1e-2 ||D||_F from the same generator."""
+    rng = rng_from_seed(seed)
+    diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+    return _noisy(rng, realize(diag), 1e-2)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_classify_rejects_a_small_dirac_that_does_not_factor(c):
+    """An edge of D that misses its factorization by 1e-2 of ||D||_F is rejected at every scale of D."""
+    t = _found_example(2401, 1)
+    assert not verify_axioms(_with_dirac(t, c * t.D)).ok
+    with pytest.raises(ClassificationError, match="diagram validation"):
+        classify(_with_dirac(t, c * t.D))
+
+
+def test_classify_rejects_a_dirac_that_breaks_the_edge_orbits():
+    """JD = eps' DJ fails, so the edges read off D and their jim images disagree."""
+    t = _found_example(2403, 3)
+    assert [c.name for c in verify_axioms(t).failures()] == ["JD = eps' DJ"]
+    with pytest.raises(ClassificationError, match="edge orbit consistency"):
+        classify(t)
+
+
 _UNIT = re.compile(r"E\^(\d+)_\{(\d+),(\d+)\}")
 
 

@@ -4,7 +4,9 @@ The vertex-block kernel is compared with the index loops, the action
 comparison, which builds each operator once, with the one that rebuilt them,
 the axioms path on index maps with the dense pi, right-action and kron
 products, `verify_axioms` by sums of squares with one bracket per pair of
-units, and `represent` on vertex-block pairs with the dense pi products.
+units, `represent` on vertex-block pairs with the dense pi products, and
+`extract_edges` by one label sum and `detect_ko` with hoisted products with
+their pair and row loops.
 """
 
 import itertools
@@ -20,12 +22,14 @@ from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangia
 from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, right_action, swap_matrix, unit_insert
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
+    ClassificationError,
     RealSpectralTriple,
     _extract_middle_map,
     _factor_residual,
     _splitting_residual,
     classify,
     detect_ko,
+    extract_edges,
     realize,
     validate,
     verify_axioms,
@@ -206,13 +210,19 @@ def _axiom_forms(rng, t):
     ]
 
 
-@pytest.mark.parametrize("d", range(8))
-def test_axioms_path_matches_dense_oracles(d):
+def _oracle_triples(d):
+    """(diagram, its three _axiom_forms) for four seeded diagrams in KO-dimension d."""
     rng = rng_from_seed(1500 + d)
-    verdicts = set()
     for _ in range(4):
         diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
-        for t in _axiom_forms(rng, realize(diag)):
+        yield diag, _axiom_forms(rng, realize(diag))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_axioms_path_matches_dense_oracles(d):
+    verdicts = set()
+    for diag, forms in _oracle_triples(d):
+        for t in forms:
             rep, pairs = verify_axioms(t), oracles.verify_axioms_pairs(t)
             floor = 1e-12 * max(1.0, frob(t.D))
             for ref in (oracles.verify_axioms(t), pairs):
@@ -227,6 +237,59 @@ def test_axioms_path_matches_dense_oracles(d):
                 res, res0 = _splitting_residual(t, i, j, fiber), oracles.splitting_residual(t, i, j, fiber)
                 assert _close_to(res, res0, 1e-12), ((i, j), res, res0)
     assert verdicts == {True, False}
+
+
+def _read_edges(reader, *args):
+    try:
+        return reader(*args)
+    except ClassificationError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_extract_edges_matches_pair_loop_oracle(d):
+    """D and W* D W of the oracle triples and of a fiber-mixed one, W from classify where it succeeds."""
+    rng = rng_from_seed(1550 + d)
+    lists = 0
+    for diag, forms in _oracle_triples(d):
+        for t in forms + [mix_fibers(rng, forms[0], diag)]:
+            Ds = [t.D]
+            try:
+                W = classify(t)[1]
+                Ds.append(W.conj().T @ t.D @ W)
+            except ClassificationError:
+                pass
+            for D in Ds:
+                new = _read_edges(extract_edges, t.layout, D, 1e-10)
+                old = _read_edges(oracles.extract_edges_pairs, t.profile, t.layout, D, 1e-10, 1e-8)
+                if isinstance(old, ClassificationError):
+                    if "does not factor" not in str(old):  # a block that does not factor is for validate to judge
+                        assert isinstance(new, ClassificationError) and new.step == old.step
+                        assert str(new).split(" (residual")[0] == str(old).split(" (residual")[0]
+                        assert _close_to(new.residual, old.residual, 0.0)
+                    continue
+                assert [(e.src, e.dst, e.kind) for e in new] == [(e.src, e.dst, e.kind) for e in old]
+                assert all(np.array_equal(e.op, e0.op) for e, e0 in zip(new, old))
+                lists += bool(old)
+    assert lists >= 8
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_detect_ko_matches_row_loop_oracle(d):
+    rng = rng_from_seed(1560 + d)
+    verdicts = set()
+    for _diag, forms in _oracle_triples(d):
+        for t in forms:
+            n = t.dim
+            nudge = lambda X: None if X is None else X + 1e-9 * random_hermitian(rng, n)
+            K = t.K + 1e-9 * random_complex(rng, (n, n))
+            for tc in (t, RealSpectralTriple(t.profile, t.ko, t.layout, nudge(t.D), K, nudge(t.gamma)),
+                       RealSpectralTriple(t.profile, t.ko, t.layout, 0 * t.D, K, t.gamma)):
+                for tol in (1e-12, 1e-10, 1e-8, 1e-6, 1.0):
+                    found = detect_ko(tc, tol)
+                    assert found == oracles.detect_ko_rows(tc, tol), tol
+                    verdicts.add(frozenset(found))
+    assert frozenset() in verdicts and len(verdicts) >= 2
 
 
 def test_factor_residual_matches_kron_oracle():
@@ -300,6 +363,22 @@ def test_axioms_path_builds_no_dense_representation(monkeypatch):
     assert 6 in detect_ko(t)
     reclassified, _W = classify(t)
     assert reclassified.edges and validate(reclassified).ok
+
+
+def test_fiber_reads_of_classify_place_no_operator(monkeypatch):
+    diag = random_diagram(rng_from_seed(1710), 6, profile=AlgebraProfile((1, 2)), max_fiber=2,
+                          edge_prob=0.7, ensure_edge=True)
+    t = realize(diag)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fiber read built an n x n placement")
+
+    monkeypatch.setattr(VertexLayout, "place", forbidden)
+    fibers = diag.fibers()
+    for (i, j), fiber in fibers.items():
+        assert _splitting_residual(t, i, j, fiber) < 1e-12
+        assert _extract_middle_map(t, fiber, fibers[(j, i)], t.K, True)[1] < 1e-12
+        assert _extract_middle_map(t, fiber, fiber, t.gamma, False)[1] < 1e-12
 
 
 # -- represent on vertex-block pairs ---------------------------------------------
