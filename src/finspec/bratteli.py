@@ -57,19 +57,8 @@ def apply_phi(arrow: BratteliArrow, a: AlgebraElement) -> AlgebraElement:
     """The normal-form homomorphism phi(a)."""
     if a.profile != arrow.source:
         raise ProfileMismatch("element does not live over the arrow's source")
-    blocks = []
-    for k in range(1, arrow.target.r + 1):
-        m_k = arrow.target.dim(k)
-        out = np.zeros((m_k, m_k), dtype=complex)
-        off = 0
-        for i in range(1, arrow.source.r + 1):
-            alpha_ki, n_i = arrow.mult(k, i), arrow.source.dim(i)
-            if alpha_ki:
-                out[off:off + alpha_ki * n_i, off:off + alpha_ki * n_i] = np.kron(
-                    np.eye(alpha_ki), a.block(i)
-                )
-                off += alpha_ki * n_i
-        blocks.append(out)
+    blocks = [sum(phi_component(arrow, k, i, None, a.block(i)) for i in range(1, arrow.source.r + 1))
+              for k in range(1, arrow.target.r + 1)]
     return AlgebraElement(arrow.target, blocks)
 
 

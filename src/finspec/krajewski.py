@@ -281,7 +281,9 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
     """Check every diagram axiom; failures become report entries.
 
     Edge-factorization and orbit-consistency residuals pass below
-    tol max(1, ||op||_F), so a diagram and its rescaling get the same verdict.
+    tol max(1, ||op||_F), and an edge counts as nonzero above tol times the
+    largest ||op||_F of the diagram, so a diagram and its rescaling get the
+    same verdict.
     """
     return _validate(diag, tol)[0]
 
@@ -341,7 +343,9 @@ def _validate(diag, tol):
             rep.warn(f"block {i} is not represented (non-faithful layout)")
 
     seen_pairs = set()
-    for e in diag.edges:
+    sizes = [frob(e.op) for e in diag.edges]
+    largest = max(sizes, default=0.0)
+    for e, size in zip(diag.edges, sizes):
         tag = f"edge {e.src}->{e.dst}"
         if e.src not in vids or e.dst not in vids:
             rep.add_bool(f"{tag} endpoints exist", False)
@@ -356,8 +360,7 @@ def _validate(diag, tol):
         if e.op.shape != (n_i2 * n_j2, n_i1 * n_j1):
             rep.add_bool(f"{tag} op shape", False)
             continue
-        size = frob(e.op)
-        rep.add_bool(f"{tag} op nonzero", size > tol)
+        rep.add_bool(f"{tag} op nonzero", size > tol * largest)
         bound = tol * max(1.0, size)
         if i1 != i2 and j1 != j2:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
@@ -559,95 +562,101 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
 # classification
 
 
-def _phase_fix(v, cut=1e-9):
+_FIX_CUT = 1e-9  # coordinates below this fraction of the largest one are skipped by the phase and sign fixes
+_GS_CUT = 1e-8   # a Gram-Schmidt residual at most this long is dropped as dependent
+
+
+def _phase_fix(v):
     """Multiply by a phase so the first significant coordinate is real positive."""
-    idx = np.flatnonzero(np.abs(v) > cut * max(1.0, np.abs(v).max()))
+    idx = np.flatnonzero(np.abs(v) > _FIX_CUT * max(1.0, np.abs(v).max()))
     if idx.size == 0:
         return v
     c = v[idx[0]]
     return v * (np.conj(c) / abs(c))
 
 
-def _sign_fix(v, cut=1e-9):
+def _sign_fix(v):
     """Multiply by +-1 so the first significant coordinate points positive."""
-    idx = np.flatnonzero(np.abs(v) > cut * max(1.0, np.abs(v).max()))
+    idx = np.flatnonzero(np.abs(v) > _FIX_CUT * max(1.0, np.abs(v).max()))
     if idx.size == 0:
         return v
     c = v[idx[0]]
-    key = c.real if abs(c.real) > cut else c.imag
+    key = c.real if abs(c.real) > _FIX_CUT else c.imag
     return -v if key < 0 else v
 
 
-def _projected_basis(P, count, cut=1e-8):
+def _residual(w, basis):
+    """w minus its components along the orthonormal vectors of basis, one at a time (Gram-Schmidt)."""
+    for b in basis:
+        w = w - np.vdot(b, w) * b
+    return w
+
+
+def _projected_basis(P, count):
     """Deterministic orthonormal basis of the range of a projector.
 
     Runs Gram-Schmidt over the projected coordinate vectors, taking the
     smallest admissible index first.
     """
-    dim = P.shape[0]
     basis = []
-    for q in range(dim):
+    for q in range(P.shape[0]):
         if len(basis) == count:
             break
-        w = P[:, q].copy()
-        for b in basis:
-            w -= np.vdot(b, w) * b
+        w = _residual(P[:, q], basis)
         nrm = np.linalg.norm(w)
-        if nrm > cut:
+        if nrm > _GS_CUT:
             basis.append(_phase_fix(w / nrm))
     if len(basis) != count:
         raise ClassificationError("fiber basis", f"projector rank {len(basis)} != expected {count}")
     return basis
 
 
-def _real_form_basis(T, space, cut=1e-8):
+def _grading_split(ell, mu):
+    """[(s, orthonormal basis of the s-eigenspace of ell)] for s = +1, then -1.
+
+    Without a grading (ell None) the one entry is (None, the standard basis of C^mu).
+    """
+    if ell is None:
+        return [(None, list(np.eye(mu, dtype=complex)))]
+    plus = _projected_basis((np.eye(mu) + ell) / 2, int(round(np.trace((np.eye(mu) + ell) / 2).real)))
+    return [(1, plus), (-1, _projected_basis((np.eye(mu) - ell) / 2, mu - len(plus)))]
+
+
+def _real_form_basis(T, space):
     """Orthonormal basis of T-fixed vectors spanning `space` (T antiunitary, T^2=+1)."""
     count = len(space)
     basis = []
-    candidates = list(space) + [1j * m for m in space]
-    for c in candidates:
+    for c in list(space) + [1j * m for m in space]:
         if len(basis) == count:
             break
-        w = c.copy()
-        for b in basis:
-            w -= np.vdot(b, w) * b
+        w = _residual(c, basis)
         m = w + T(w)
         nrm = np.linalg.norm(m)
-        if nrm <= cut:
+        if nrm <= _GS_CUT:
             continue
-        m = _sign_fix(m / nrm)
-        # renormalize against accumulated rounding
-        for b in basis:
-            m -= np.vdot(b, m) * b
+        m = _residual(_sign_fix(m / nrm), basis)  # again, against accumulated rounding
         nrm = np.linalg.norm(m)
-        if nrm <= cut:
-            continue
-        basis.append(m / nrm)
+        if nrm > _GS_CUT:
+            basis.append(m / nrm)
     if len(basis) != count:
         raise ClassificationError("real form basis", f"found {len(basis)} of {count} fixed vectors")
     return basis
 
 
-def _quaternionic_pairs(T, space, cut=1e-8):
+def _quaternionic_pairs(T, space):
     """Pairs (x, T(x)) spanning `space` (T antiunitary, T^2=-1 forces even dim)."""
     count = len(space)
     if count % 2:
         raise ClassificationError("quaternionic pairing", f"odd multiplicity {count} with J^2 = -1")
     pairs = []
-    flat = []
     for c in space:
         if len(pairs) == count // 2:
             break
-        w = c.copy()
-        for b in flat:
-            w -= np.vdot(b, w) * b
+        w = _residual(c, [b for pair in pairs for b in pair])
         nrm = np.linalg.norm(w)
-        if nrm <= cut:
-            continue
-        x = _phase_fix(w / nrm)
-        y = T(x)
-        pairs.append((x, y))
-        flat.extend([x, y])
+        if nrm > _GS_CUT:
+            x = _phase_fix(w / nrm)
+            pairs.append((x, T(x)))
     if len(pairs) != count // 2:
         raise ClassificationError("quaternionic pairing", f"found {len(pairs)} of {count // 2} pairs")
     return pairs
@@ -669,63 +678,33 @@ def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
     return f, float(np.linalg.norm(B - f[:, :, None, None] * unit))
 
 
-def _diagonal_fiber_basis(T, ell, mu, d):
+def _diagonal_fiber_basis(T, ell, mu, ko):
     """Adapted basis of a diagonal fiber C^mu.
 
     Returns (vectors, s list, chi list, pairing) where pairing maps basis
-    index p to jim(p) (0-based).
+    index p to jim(p) (0-based).  The KO signs fix the normal form: with
+    eps'' = -1 (d = 2, 6) jim pairs y with T y across the grading split; with
+    eps = +1 (d = 0, 1, 7) every vector is T-fixed; with eps = -1 (d = 3, 4, 5)
+    jim pairs x with T x inside each eigenspace.
     """
-    eye_space = [np.eye(mu, dtype=complex)[:, q] for q in range(mu)]
-    if d in (0, 1, 7):
-        if d == 0:
-            plus = _projected_basis((np.eye(mu) + ell) / 2, int(round(np.trace((np.eye(mu) + ell) / 2).real)))
-            minus = _projected_basis((np.eye(mu) - ell) / 2, mu - len(plus))
-            vecs = _real_form_basis(T, plus) + _real_form_basis(T, minus)
-            s = [1] * len(plus) + [-1] * len(minus)
-        else:
-            vecs = _real_form_basis(T, eye_space)
-            s = [None] * mu
-        return vecs, s, [None] * mu, list(range(mu))
-
-    if d in (3, 5):
-        pairs = _quaternionic_pairs(T, eye_space)
-        vecs, chi, pairing = [], [], []
-        for a, (x, y) in enumerate(pairs):
-            vecs.extend([x, y])
-            chi.extend([0, 1])
-            pairing.extend([2 * a + 1, 2 * a])
-        return vecs, [None] * mu, chi, pairing
-
-    if d in (2, 6):
-        minus_proj = (np.eye(mu) - ell) / 2
-        rank = int(round(np.trace(minus_proj).real))
-        if 2 * rank != mu:
-            raise ClassificationError("grading split", f"s=-1 eigenspace has dim {rank}, fiber size {mu}")
-        ys = _projected_basis(minus_proj, rank)
-        vecs, s, chi, pairing = [], [], [], []
-        for a, y in enumerate(ys):
-            vecs.extend([y, T(y)])
-            s.extend([-1, 1])
-            chi.extend([0, 1])
-            pairing.extend([2 * a + 1, 2 * a])
-        return vecs, s, chi, pairing
-
-    if d == 4:
-        vecs, s, chi, pairing = [], [], [], []
-        for sign in (1, -1):
-            proj = (np.eye(mu) + sign * ell) / 2
-            sub = _projected_basis(proj, int(round(np.trace(proj).real)))
-            if sub and len(sub) % 2:
-                raise ClassificationError("grading split", f"odd s={sign:+d} eigenspace in KO-dimension 4")
-            for x, y in _quaternionic_pairs(T, sub):
-                base = len(vecs)
-                vecs.extend([x, y])
-                s.extend([sign, sign])
-                chi.extend([0, 1])
-                pairing.extend([base + 1, base])
-        return vecs, s, chi, pairing
-
-    raise ClassificationError("fiber basis", f"unhandled KO-dimension {d}")
+    split = _grading_split(ell, mu)
+    if ko.eps_pp == -1:
+        ys = split[1][1]
+        if 2 * len(ys) != mu:
+            raise ClassificationError("grading split", f"s=-1 eigenspace has dim {len(ys)}, fiber size {mu}")
+        pairs = [((-1, 1), y, T(y)) for y in ys]
+    elif ko.eps == 1:
+        vecs = [m for _s, space in split for m in _real_form_basis(T, space)]
+        return vecs, [s for s, space in split for _m in space], [None] * mu, list(range(mu))
+    else:
+        pairs = []
+        for s, space in split:
+            if s is not None and len(space) % 2:
+                raise ClassificationError("grading split", f"odd s={s:+d} eigenspace in KO-dimension {ko.d}")
+            pairs += [((s, s), x, y) for x, y in _quaternionic_pairs(T, space)]
+    vecs = [m for _s, x, y in pairs for m in (x, y)]
+    pairing = [p ^ 1 for p in range(mu)]
+    return vecs, [s for sp, _x, _y in pairs for s in sp], [0, 1] * (mu // 2), pairing
 
 
 def _splitting_residual(t, i, j, fiber):
@@ -747,7 +726,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
 
     realize(diagram) equals the W-conjugate of t:  D -> W* D W,
     gamma -> W* gamma W, K -> W* K conj(W).  Edges with Frobenius norm at
-    most tol max(1, ||D||_F) are dropped.  The diagram is returned only if
+    most tol ||D||_F are dropped.  The diagram is returned only if
     validate(diagram, tol) accepts it; otherwise the first failing line is
     raised at step 'diagram validation'.
     """
@@ -794,15 +773,9 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     for (i, j), fiber in sorted(fibers.items()):
         mu = len(fiber)
         if i < j:
-            if ko.even:
-                ell = ells[(i, j)]
-                plus = _projected_basis((np.eye(mu) + ell) / 2, int(round(np.trace((np.eye(mu) + ell) / 2).real)))
-                minus = _projected_basis((np.eye(mu) - ell) / 2, mu - len(plus))
-                bases[(i, j)] = plus + minus
-                s_dec[(i, j)] = [1] * len(plus) + [-1] * len(minus)
-            else:
-                bases[(i, j)] = [np.eye(mu, dtype=complex)[:, q] for q in range(mu)]
-                s_dec[(i, j)] = [None] * mu
+            split = _grading_split(ells.get((i, j)), mu)
+            bases[(i, j)] = [m for _s, space in split for m in space]
+            s_dec[(i, j)] = [s for s, space in split for _m in space]
             chi_dec[(i, j)] = [None] * mu
             # the partner fiber basis is forced: m_ji^p = L_ij conj(m_ij^p)
             bases[(j, i)] = [Ls[(i, j)] @ np.conj(m) for m in bases[(i, j)]]
@@ -818,7 +791,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
             if frob(L @ np.conj(L) - ko.eps * np.eye(mu)) > tol:
                 raise ClassificationError("real structure reduction", f"T^2 != eps on fiber ({i},{i})")
             ell = ells.get((i, i))
-            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, mu, d)
+            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, mu, ko)
             bases[(i, i)] = vecs
             s_dec[(i, i)] = svals
             chi_dec[(i, i)] = chis
@@ -868,7 +841,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
 def extract_edges(layout, D, edge_tol):
     """Read the edge decorations off a Dirac matrix in a vertex-block layout.
 
-    Blocks with Frobenius norm <= edge_tol max(1, ||D||_F) are dropped; one
+    Blocks with Frobenius norm <= edge_tol ||D||_F are dropped; one
     label sum of |D|^2 gives the norm of every block.  Each kept block gets
     the kind its lattice coordinates force, in src-major order; whether it
     factors accordingly is for validate to judge.
@@ -876,7 +849,7 @@ def extract_edges(layout, D, edge_tol):
     vids = layout.vids
     labels = np.eye(len(vids))[np.repeat(np.arange(len(vids)), [b.length for b in layout.blocks])]
     sq = labels.T @ (D.real ** 2 + D.imag ** 2) @ labels  # sq[w, v] = ||D[w, v]||_F^2
-    drop = edge_tol * max(1.0, frob(D))
+    drop = edge_tol * frob(D)
     edges = []
     for v, w in zip(*np.nonzero(sq.T > drop ** 2)):
         src, dst = vids[v], vids[w]

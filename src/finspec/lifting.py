@@ -6,8 +6,11 @@ alpha_{ell(w) j(v)}}: on each source vertex
     phi_H(xi (x) eta o) = I_{k,l}^{i,j}( xi (x) u(v,w) (x) eta o )
 
 summed over target vertices w.  The Gram data sigma^{v1,v2} =
-sum_w tr(u(v1,w)* u(v2,w)) controls injectivity; rotating the source fiber
-bases diagonalizes it (KO-dimensions 0,1,2,6,7) and rescaling by
+sum_w tr(u(v1,w)* u(v2,w)) controls injectivity.  All source vertices v
+over (i, j) have u(v, w) of the same shape, so the u(v, .) of one source
+fiber are the rows of one matrix U and sigma = conj(U) U^T.  One unitary
+per fiber rotates the source basis, U and the Dirac decorations together
+so that sigma becomes diagonal (KO-dimensions 0,1,2,6,7), and rescaling by
 kappa_v^{-1/2} turns phi_H into an isometry.
 """
 
@@ -20,7 +23,6 @@ import numpy as np
 from .algebra import DEFAULT_TOL, ShapeMismatch, as_matrix, frob
 from .bratteli import BratteliArrow
 from .krajewski import (
-    ClassificationError,
     KrajewskiDiagram,
     RealSpectralTriple,
     _basis_change,
@@ -82,12 +84,12 @@ class PhiHMap:
     normalized: bool = False
     _projector: np.ndarray | None = None
 
-    def projector(self, cutoff: float = 1e-12) -> np.ndarray:
+    def projector(self) -> np.ndarray:
         """Orthogonal projector onto the range of phi_H.
 
         For a normalized (isometric) map this is phi_H phi_H*; otherwise the
-        pseudo-inverse is taken through an eigendecomposition of phi_H* phi_H
-        with the given eigenvalue cutoff.
+        pseudo-inverse is taken through an eigendecomposition of phi_H* phi_H,
+        dropping eigenvalues at most 1e-12.
         """
         if self._projector is None:
             m = self.matrix
@@ -95,7 +97,7 @@ class PhiHMap:
                 self._projector = m @ m.conj().T
             else:
                 w, vec = np.linalg.eigh(m.conj().T @ m)
-                inv = np.where(w > cutoff, 1.0 / np.maximum(w, cutoff), 0.0)
+                inv = np.where(w > 1e-12, 1.0 / np.maximum(w, 1e-12), 0.0)
                 self._projector = m @ (vec * inv) @ vec.conj().T @ m.conj().T
         return self._projector
 
@@ -167,28 +169,29 @@ def build_phiH(lift: DiagramLift) -> PhiHMap:
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
 
 
+def _fiber_rows(lift: DiagramLift, fiber):
+    """The u(v, .) of one source fiber as the rows of a matrix U, and the (w, shape) of its column blocks.
+
+    Row p holds u(fiber[p], w) for every target vertex w, flattened side by
+    side.  Every source vertex over (i, j) has u(v, w) of shape
+    alpha_{k(w) i} x alpha_{l(w) j}, so the rows of one fiber share one
+    column layout; an absent u(v, w) is a zero block.
+    """
+    i, _p, j = fiber[0]
+    blocks = [(w, (lift.arrow.mult(w[0], i), lift.arrow.mult(w[2], j))) for w in lift.target.sorted_vids()]
+    row = lambda v: [lift.u.get((v, w), np.zeros(shape)).ravel() for w, shape in blocks]
+    return np.array([np.concatenate(row(v) + [np.zeros(0)]) for v in fiber], dtype=complex), blocks  # zeros(0): no w
+
+
 def sigma(lift: DiagramLift) -> SigmaData:
-    """Gram matrices sigma^{v1,v2} = sum_w tr(u(v1,w)* u(v2,w)) per fiber."""
+    """Gram matrices sigma^{v1,v2} = sum_w tr(u(v1,w)* u(v2,w)) per fiber, as U* U^T with U from _fiber_rows."""
     fibers = lift.source.fibers()
     mats = {}
     flags = []
-    wids = lift.target.sorted_vids()
     for key, fiber in sorted(fibers.items()):
-        mu = len(fiber)
-        m = np.zeros((mu, mu), dtype=complex)
-        for p1, v1 in enumerate(fiber):
-            for p2, v2 in enumerate(fiber):
-                acc = 0.0
-                for w in wids:
-                    u1 = lift.u_at(v1, w)
-                    u2 = lift.u_at(v2, w)
-                    if u1 is not None and u2 is not None:
-                        acc += np.trace(u1.conj().T @ u2)
-                m[p1, p2] = acc
-        mats[key] = m
-        for p, v in enumerate(fiber):
-            if m[p, p].real <= 0.0:
-                flags.append(f"phi_H^{v} not one-to-one (kappa = 0)")
+        U = _fiber_rows(lift, fiber)[0]
+        m = mats[key] = U.conj() @ U.T
+        flags += [f"phi_H^{v} not one-to-one (kappa = 0)" for p, v in enumerate(fiber) if m[p, p].real <= 0.0]
     return SigmaData(fibers, mats, flags)
 
 
@@ -288,25 +291,17 @@ def _rotation_groups(diag: KrajewskiDiagram):
     """
     d = diag.d
     groups = []
-    done = set()
     for (i, j), fiber in sorted(diag.fibers().items()):
-        if (i, j) in done:
-            continue
-        if i < j:
-            done.update({(i, j), (j, i)})
-            subsets = _split_by_s(diag, fiber)
-            for vids in subsets:
+        if i < j:  # the partner fiber (j, i) carries the conjugate rotation
+            for vids in _split_by_s(diag, fiber):
                 groups.append(("pair", vids, [diag.jim[v] for v in vids]))
         elif i == j:
-            done.add((i, i))
             if d in (0, 1, 7):
                 for vids in _split_by_s(diag, fiber):
                     groups.append(("self", vids, vids))
-            elif d in (2, 6):
+            else:  # d = 2, 6; diagonalize_bases handles d = 3, 4, 5 before grouping
                 plus = [v for v in fiber if diag.vertex(v).s == 1]
                 groups.append(("pair", plus, [diag.jim[v] for v in plus]))
-            else:
-                raise LiftError(f"no automatic diagonalization in KO-dimension {d}")
     return groups
 
 
@@ -325,11 +320,11 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     """Rotate the source fiber bases so that sigma becomes diagonal.
 
     Works in KO-dimensions 0, 1, 2, 6, 7 when the lift respects the grading
-    and the real-structure conjugation relation; the rotation is unitary per
-    fiber (orthogonal on jim-fixed diagonal fibers, conjugated on the jim
-    partner) so kappa_{jim(v)} = kappa_v.  Edge decorations and u data are
-    transformed consistently.  In KO-dimensions 3, 4, 5 only an already
-    diagonal sigma is accepted.
+    and the real-structure conjugation relation; the rotation is one unitary
+    per fiber (orthogonal on jim-fixed diagonal fibers, conjugated on the jim
+    partner) so kappa_{jim(v)} = kappa_v, and kappa is the diagonal of the
+    rotated sigma.  Edge decorations and u data are transformed consistently.
+    In KO-dimensions 3, 4, 5 only an already diagonal sigma is accepted.
     """
     d = lift.source.d
     sig = sigma(lift)
@@ -351,77 +346,65 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
             f"unsupported KO dimension {d} for automatic diagonalization (sigma not diagonal)"
         )
 
-    fibers = lift.source.fibers()
-    fiber_index = {v: (key, p) for key, fiber in fibers.items() for p, v in enumerate(fiber)}
-
     # cross-grading entries of sigma must already vanish
-    for key, mat in sig.mats.items():
-        fiber = sig.fibers[key]
-        for p1, v1 in enumerate(fiber):
-            for p2, v2 in enumerate(fiber):
-                s1, s2 = lift.source.vertex(v1).s, lift.source.vertex(v2).s
-                if s1 != s2 and abs(mat[p1, p2]) > tol:
-                    raise LiftError(f"sigma couples gradings at {v1},{v2}")
+    fibers, src = sig.fibers, lift.source
+    for key, fiber in fibers.items():
+        s = np.array([src.vertex(v).s or 0 for v in fiber])
+        p1, p2 = np.nonzero((s[:, None] != s) & (abs(sig.mats[key]) > tol))
+        if p1.size:
+            raise LiftError(f"sigma couples gradings at {fiber[p1[0]]},{fiber[p2[0]]}")
 
-    coeffs = {}   # vid -> (group vids, row of coefficients)
-    kappa = {}
-    for mode, vids, partner in _rotation_groups(lift.source):
+    def block(vids):
+        """The fiber of vids and the index of its vids x vids block."""
+        key = (vids[0][0], vids[0][2])
+        p = [fibers[key].index(v) for v in vids]
+        return key, np.ix_(p, p)
+
+    # one unitary per fiber: row p_new holds the coefficients of the new vertex fiber[p_new] over the old ones
+    rot = {key: np.eye(len(fiber), dtype=complex) for key, fiber in fibers.items()}
+    rotated = set()
+    for mode, vids, partner in _rotation_groups(src):
         if not vids:
             continue
-        key = fiber_index[vids[0]][0]
-        fiber = fibers[key]
-        idx = [fiber.index(v) for v in vids]
-        S = sig.mats[key][np.ix_(idx, idx)]
+        key, at = block(vids)
+        S = sig.mats[key][at]
         if mode == "self":
             asym = frob(S - S.T) / 2
             if asym > max(tol, 1e-12):
                 raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
             S = ((S + S.T) / 2).real  # the rotation C below is then real orthogonal
         w, V = np.linalg.eigh(S)
-        order = np.argsort(-w)
-        w, V = w[order], np.ascontiguousarray(V[:, order])
+        V = np.ascontiguousarray(V[:, np.argsort(-w)])
         C = np.array([_phase_fix(col) for col in V.T])
-        for p_new, v_new in enumerate(vids):
-            coeffs[v_new] = (vids, C[p_new, :])
-            kappa[v_new] = float(w[p_new])
+        rot[key][at] = C
+        rotated.update(vids)
         if mode == "pair":
-            if any(v in coeffs for v in partner) and partner != vids:
+            if rotated.intersection(partner) and partner != vids:
                 raise LiftError("rotation groups overlap")
-            for p_new, v_new in enumerate(partner):
-                coeffs[v_new] = (partner, np.conj(C[p_new, :]))
-                kappa[v_new] = float(w[p_new])
+            key, at = block(partner)
+            rot[key][at] = np.conj(C)
+            rotated.update(partner)
 
-    for v in lift.source.sorted_vids():
-        coeffs.setdefault(v, ([v], np.ones(1)))
-        kappa.setdefault(v, float(sig.mats[fiber_index[v][0]][fiber_index[v][1], fiber_index[v][1]].real))
-
-    # rotate the u family
-    wids = lift.target.sorted_vids()
-    new_u = {}
-    for v_new, (vids, row) in coeffs.items():
-        for w_t in wids:
-            acc = None
-            for c, v_old in zip(row, vids):
-                u = lift.u_at(v_old, w_t)
-                if u is None or c == 0.0:
-                    continue
-                acc = c * u if acc is None else acc + c * u
-            if acc is not None and frob(acc) > 0.0:
-                new_u[(v_new, w_t)] = acc
-
-    # rotate the Dirac decorations through the block change of basis Q
-    tA = realize(lift.source)
-    Q = _basis_change(tA.layout, coeffs)
+    # rotate the u family and, through the block change of basis Q, the Dirac decorations
+    rows, new_u = {}, {}
+    for key, fiber in fibers.items():
+        U, blocks = _fiber_rows(lift, fiber)
+        cols = np.split(rot[key] @ U, np.cumsum([a * b for _w, (a, b) in blocks])[:-1], axis=1)
+        for (w, shape), col in zip(blocks, cols):
+            new_u.update({(v, w): r.reshape(shape) for v, r in zip(fiber, col) if r.any()})
+        rows.update({v: (fiber, rot[key][p]) for p, v in enumerate(fiber)})
+    tA = realize(src)
+    Q = _basis_change(tA.layout, rows)
     new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, tol, "rotated source diagram fails validation")
 
-    out = DiagramLift(lift.arrow, new_source, lift.target, new_u, normalized=False, kappa=kappa)
-
+    out = DiagramLift(lift.arrow, new_source, lift.target, new_u)
     sig2 = sigma(out)
     if not sig2.is_diagonal(max(tol, 1e-9)):
         raise LiftError("diagonalization failed: sigma still has off-diagonal entries")
     pres = _kappa_pairing_residual(out, sig2)
     if pres > max(tol, 1e-9):
         raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")
+    out.kappa = sig2.kappas()
     return out
 
 
@@ -464,7 +447,7 @@ def inherit_source_dirac(lift: DiagramLift, tol: float = DEFAULT_TOL) -> Diagram
 def _source_with_dirac(lift, D, tol, failure):
     """lift.source with the edges read off D, a matrix in its vertex-block layout.
 
-    Blocks below tol max(1, ||D||_F) are dropped, and the diagram must validate
+    Blocks below tol ||D||_F are dropped, and the diagram must validate
     at max(tol, 1e-8), or LiftError(failure) is raised with the report.
     """
     src = lift.source

@@ -97,7 +97,7 @@ def random_even_vector(rng, t, scale=1.0):
 
 
 def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
-                   requirements=(), ensure_vertex=True, ensure_edge=False) -> KrajewskiDiagram:
+                   requirements=(), ensure_edge=False) -> KrajewskiDiagram:
     """A valid random diagram in KO-dimension d.
 
     requirements is an iterable of (i, j, s) triples guaranteeing that the
@@ -142,7 +142,7 @@ def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
                 cnt = max(base, len(need))
             sizes[(i, j)] = cnt
 
-    if ensure_vertex and all(c == 0 for c in sizes.values()):
+    if all(c == 0 for c in sizes.values()):
         sizes[(1, 1)] = 2 if d in (2, 3, 4, 5, 6) else 1
 
     vertices, jim = {}, {}
@@ -303,16 +303,15 @@ def _source_groups(source: KrajewskiDiagram):
     return groups
 
 
-def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: KrajewskiDiagram,
-                include_prob=0.7, ensure_cover=True, scale=1.0) -> DiagramLift:
+def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: KrajewskiDiagram) -> DiagramLift:
     """A lift respecting the grading and the real-structure relation.
 
     u is drawn on one representative per (jim_A, jim_B) orbit and the
     partner entry is set to (eps_A(v)/eps_B(w)) u(v,w)*; jim-fixed pairs
     are projected onto the constraint.  Support is uniform over each
-    (fiber, grading) group of source vertices; with ensure_cover enough
-    target vertices are selected for the group Gram matrix to be generically
-    nonsingular, so phi_H is one-to-one almost surely.
+    (fiber, grading) group of source vertices: each admissible target vertex
+    is drawn with probability 0.7, then enough are added for the group Gram
+    matrix to be generically nonsingular, so phi_H is one-to-one almost surely.
     """
     dA, dB = source.d, target.d
     groups = _source_groups(source)
@@ -334,21 +333,20 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
             if source.ko.even and source.vertex(v0).s != target.vertex(w).s:
                 continue
             admissible.append(w)
-        sel = {w for w in admissible if rng.random() < include_prob}
-        if ensure_cover:
-            # conservative capacity: the jim constraint can halve the free
-            # dimension when the group is its own partner
-            def capacity(ws):
-                c = sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
-                return c // 2 if self_paired else c
-            for w in admissible:
-                if capacity(sel) >= len(vids):
-                    break
-                sel.add(w)
-            if capacity(sel) < len(vids) and not (self_paired and capacity(sel) * 2 >= len(vids)):
-                if sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in admissible) < len(vids):
-                    raise RuntimeError(f"target cannot make phi_H one-to-one on group {key}")
-                sel = set(admissible)
+        sel = {w for w in admissible if rng.random() < 0.7}
+        # conservative capacity: the jim constraint can halve the free
+        # dimension when the group is its own partner
+        def capacity(ws):
+            c = sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
+            return c // 2 if self_paired else c
+        for w in admissible:
+            if capacity(sel) >= len(vids):
+                break
+            sel.add(w)
+        if capacity(sel) < len(vids) and not (self_paired and capacity(sel) * 2 >= len(vids)):
+            if sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in admissible) < len(vids):
+                raise RuntimeError(f"target cannot make phi_H one-to-one on group {key}")
+            sel = set(admissible)
         if self_paired:
             sel |= {target.jim[w] for w in sel}
         support[key] = sorted(sel)
@@ -368,7 +366,7 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
     u = {}
     for (v, w) in sorted(set(orbit_of.values())):
         ratio = epsilon_factor(source.vertex(v), dA) / epsilon_factor(target.vertex(w), dB)
-        m = random_complex(rng, (arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])), scale)
+        m = random_complex(rng, (arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])))
         partner = (source.jim[v], target.jim[w])
         if partner == (v, w):
             m = (m + ratio * m.conj().T) / 2

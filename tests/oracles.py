@@ -32,17 +32,52 @@ one Frobenius norm and its own factor test per block (`extract_edges_pairs`),
 and `detect_ko` forming its products once per sign row (`detect_ko_rows`).
 The tests ask for the same edges in the same order with identical
 operators, and for identical verdicts.
+
+The seventh group is `classify` with its fiber bases from three Gram-Schmidt
+loops and a branch per KO-dimension, and `sigma` and `diagonalize_bases`
+with loops over the vertices of each fiber and per-vertex coefficient rows.
+The tests ask for a bit-identical classification, and for the same lift up
+to 1e-12 relative.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
 from finspec.algebra import DEFAULT_TOL, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
 from finspec.differential import UniversalOneForm, fluctuate
-from finspec.krajewski import KO_TABLE, ClassificationError, Edge, RealSpectralTriple, _vdim, epsilon_factor, layout_of
-from finspec.lifting import CompatReport, DiagramLift, LiftError, PhiHMap, build_phiH
+from finspec.krajewski import (
+    KO_TABLE,
+    ClassificationError,
+    Edge,
+    KrajewskiDiagram,
+    RealSpectralTriple,
+    Vertex,
+    _basis_change,
+    _extract_middle_map,
+    _real_structure,
+    _splitting_residual,
+    _vdim,
+    epsilon_factor,
+    extract_edges,
+    layout_of,
+    realize,
+    validate,
+)
+from finspec.lifting import (
+    CompatReport,
+    DiagramLift,
+    LiftError,
+    PhiHMap,
+    SigmaData,
+    _conjugation_residual,
+    _grading_residual,
+    _kappa_pairing_residual,
+    _source_with_dirac,
+    build_phiH,
+)
 from finspec.reports import Report
 
 
@@ -525,4 +560,456 @@ def detect_ko_rows(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
         if eps_pp is not None and frob(K @ np.conj(t.gamma) - eps_pp * t.gamma @ K) > tol:
             continue
         out.add(d)
+    return out
+
+
+# -- classify with three Gram-Schmidt loops and a branch per KO-dimension --
+
+
+def _phase_fix(v, cut=1e-9):
+    """Multiply by a phase so the first significant coordinate is real positive."""
+    idx = np.flatnonzero(np.abs(v) > cut * max(1.0, np.abs(v).max()))
+    if idx.size == 0:
+        return v
+    c = v[idx[0]]
+    return v * (np.conj(c) / abs(c))
+
+
+def _sign_fix(v, cut=1e-9):
+    """Multiply by +-1 so the first significant coordinate points positive."""
+    idx = np.flatnonzero(np.abs(v) > cut * max(1.0, np.abs(v).max()))
+    if idx.size == 0:
+        return v
+    c = v[idx[0]]
+    key = c.real if abs(c.real) > cut else c.imag
+    return -v if key < 0 else v
+
+
+def _projected_basis(P, count, cut=1e-8):
+    """Deterministic orthonormal basis of the range of a projector.
+
+    Runs Gram-Schmidt over the projected coordinate vectors, taking the
+    smallest admissible index first.
+    """
+    dim = P.shape[0]
+    basis = []
+    for q in range(dim):
+        if len(basis) == count:
+            break
+        w = P[:, q].copy()
+        for b in basis:
+            w -= np.vdot(b, w) * b
+        nrm = np.linalg.norm(w)
+        if nrm > cut:
+            basis.append(_phase_fix(w / nrm))
+    if len(basis) != count:
+        raise ClassificationError("fiber basis", f"projector rank {len(basis)} != expected {count}")
+    return basis
+
+
+def _real_form_basis(T, space, cut=1e-8):
+    """Orthonormal basis of T-fixed vectors spanning `space` (T antiunitary, T^2=+1)."""
+    count = len(space)
+    basis = []
+    candidates = list(space) + [1j * m for m in space]
+    for c in candidates:
+        if len(basis) == count:
+            break
+        w = c.copy()
+        for b in basis:
+            w -= np.vdot(b, w) * b
+        m = w + T(w)
+        nrm = np.linalg.norm(m)
+        if nrm <= cut:
+            continue
+        m = _sign_fix(m / nrm)
+        # renormalize against accumulated rounding
+        for b in basis:
+            m -= np.vdot(b, m) * b
+        nrm = np.linalg.norm(m)
+        if nrm <= cut:
+            continue
+        basis.append(m / nrm)
+    if len(basis) != count:
+        raise ClassificationError("real form basis", f"found {len(basis)} of {count} fixed vectors")
+    return basis
+
+
+def _quaternionic_pairs(T, space, cut=1e-8):
+    """Pairs (x, T(x)) spanning `space` (T antiunitary, T^2=-1 forces even dim)."""
+    count = len(space)
+    if count % 2:
+        raise ClassificationError("quaternionic pairing", f"odd multiplicity {count} with J^2 = -1")
+    pairs = []
+    flat = []
+    for c in space:
+        if len(pairs) == count // 2:
+            break
+        w = c.copy()
+        for b in flat:
+            w -= np.vdot(b, w) * b
+        nrm = np.linalg.norm(w)
+        if nrm <= cut:
+            continue
+        x = _phase_fix(w / nrm)
+        y = T(x)
+        pairs.append((x, y))
+        flat.extend([x, y])
+    if len(pairs) != count // 2:
+        raise ClassificationError("quaternionic pairing", f"found {len(pairs)} of {count // 2} pairs")
+    return pairs
+
+
+def _diagonal_fiber_basis(T, ell, mu, d):
+    """Adapted basis of a diagonal fiber C^mu.
+
+    Returns (vectors, s list, chi list, pairing) where pairing maps basis
+    index p to jim(p) (0-based).
+    """
+    eye_space = [np.eye(mu, dtype=complex)[:, q] for q in range(mu)]
+    if d in (0, 1, 7):
+        if d == 0:
+            plus = _projected_basis((np.eye(mu) + ell) / 2, int(round(np.trace((np.eye(mu) + ell) / 2).real)))
+            minus = _projected_basis((np.eye(mu) - ell) / 2, mu - len(plus))
+            vecs = _real_form_basis(T, plus) + _real_form_basis(T, minus)
+            s = [1] * len(plus) + [-1] * len(minus)
+        else:
+            vecs = _real_form_basis(T, eye_space)
+            s = [None] * mu
+        return vecs, s, [None] * mu, list(range(mu))
+
+    if d in (3, 5):
+        pairs = _quaternionic_pairs(T, eye_space)
+        vecs, chi, pairing = [], [], []
+        for a, (x, y) in enumerate(pairs):
+            vecs.extend([x, y])
+            chi.extend([0, 1])
+            pairing.extend([2 * a + 1, 2 * a])
+        return vecs, [None] * mu, chi, pairing
+
+    if d in (2, 6):
+        minus_proj = (np.eye(mu) - ell) / 2
+        rank = int(round(np.trace(minus_proj).real))
+        if 2 * rank != mu:
+            raise ClassificationError("grading split", f"s=-1 eigenspace has dim {rank}, fiber size {mu}")
+        ys = _projected_basis(minus_proj, rank)
+        vecs, s, chi, pairing = [], [], [], []
+        for a, y in enumerate(ys):
+            vecs.extend([y, T(y)])
+            s.extend([-1, 1])
+            chi.extend([0, 1])
+            pairing.extend([2 * a + 1, 2 * a])
+        return vecs, s, chi, pairing
+
+    if d == 4:
+        vecs, s, chi, pairing = [], [], [], []
+        for sign in (1, -1):
+            proj = (np.eye(mu) + sign * ell) / 2
+            sub = _projected_basis(proj, int(round(np.trace(proj).real)))
+            if sub and len(sub) % 2:
+                raise ClassificationError("grading split", f"odd s={sign:+d} eigenspace in KO-dimension 4")
+            for x, y in _quaternionic_pairs(T, sub):
+                base = len(vecs)
+                vecs.extend([x, y])
+                s.extend([sign, sign])
+                chi.extend([0, 1])
+                pairing.extend([base + 1, base])
+        return vecs, s, chi, pairing
+
+    raise ClassificationError("fiber basis", f"unhandled KO-dimension {d}")
+
+
+def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
+    """Recover a Krajewski diagram and a witness unitary W from a triple.
+
+    realize(diagram) equals the W-conjugate of t:  D -> W* D W,
+    gamma -> W* gamma W, K -> W* K conj(W).  Edges with Frobenius norm at
+    most tol max(1, ||D||_F) are dropped.  The diagram is returned only if
+    validate(diagram, tol) accepts it; otherwise the first failing line is
+    raised at step 'diagram validation'.
+    """
+    layout, ko, d = t.layout, t.ko, t.ko.d
+    fibers = {}
+    for vid in layout.vids:
+        fibers.setdefault((vid[0], vid[2]), []).append(vid)
+
+    # step 1: the bimodule splitting defined by pi and J matches the layout
+    for (i, j), fiber in sorted(fibers.items()):
+        res = _splitting_residual(t, i, j, fiber)
+        if res > tol:
+            raise ClassificationError("hilbert space splitting", f"fiber ({i},{j}) projection mismatch", res)
+
+    # step 2: extract the middle-factor maps ell (grading) and L (real structure)
+    ells = {}
+    if ko.even:
+        for (i, j), fiber in sorted(fibers.items()):
+            ell, res = _extract_middle_map(t, fiber, fiber, t.gamma, expect_swap=False)
+            if res > tol:
+                raise ClassificationError("grading reduction", f"gamma is not 1 (x) ell (x) 1 on fiber ({i},{j})", res)
+            if frob(ell - ell.conj().T) > tol or frob(ell @ ell - np.eye(len(fiber))) > tol:
+                raise ClassificationError("grading reduction", f"ell on fiber ({i},{j}) is not a hermitian involution")
+            ells[(i, j)] = ell
+
+    Ls = {}
+    for (i, j), fiber in sorted(fibers.items()):
+        partner = fibers.get((j, i), [])
+        if len(partner) != len(fiber):
+            raise ClassificationError("real structure reduction", f"mu({i},{j}) != mu({j},{i})")
+        L, res = _extract_middle_map(t, fiber, partner, t.K, expect_swap=True)
+        if res > tol:
+            raise ClassificationError("real structure reduction", f"K is not 1 (x) L (x) 1 on fiber ({i},{j})", res)
+        Ls[(i, j)] = L
+    for (i, j), L in Ls.items():
+        if frob(L.conj().T @ L - np.eye(L.shape[0])) > tol:
+            raise ClassificationError("real structure reduction", f"L({i},{j}) is not unitary")
+        res = frob(Ls[(j, i)] @ np.conj(L) - ko.eps * np.eye(L.shape[0]))
+        if res > tol:
+            raise ClassificationError("real structure reduction", f"L({j},{i}) conj(L({i},{j})) != eps", res)
+
+    # step 3: adapted bases of every fiber
+    bases, s_dec, chi_dec, jim_new = {}, {}, {}, {}
+    for (i, j), fiber in sorted(fibers.items()):
+        mu = len(fiber)
+        if i < j:
+            if ko.even:
+                ell = ells[(i, j)]
+                plus = _projected_basis((np.eye(mu) + ell) / 2, int(round(np.trace((np.eye(mu) + ell) / 2).real)))
+                minus = _projected_basis((np.eye(mu) - ell) / 2, mu - len(plus))
+                bases[(i, j)] = plus + minus
+                s_dec[(i, j)] = [1] * len(plus) + [-1] * len(minus)
+            else:
+                bases[(i, j)] = [np.eye(mu, dtype=complex)[:, q] for q in range(mu)]
+                s_dec[(i, j)] = [None] * mu
+            chi_dec[(i, j)] = [None] * mu
+            # the partner fiber basis is forced: m_ji^p = L_ij conj(m_ij^p)
+            bases[(j, i)] = [Ls[(i, j)] @ np.conj(m) for m in bases[(i, j)]]
+            s_dec[(j, i)] = [None if s is None else ko.eps_pp * s for s in s_dec[(i, j)]]
+            chi_dec[(j, i)] = [None] * mu
+            partner = fibers[(j, i)]
+            for p in range(mu):
+                jim_new[fiber[p]] = partner[p]
+                jim_new[partner[p]] = fiber[p]
+        elif i == j:
+            L = Ls[(i, i)]
+            T = lambda m, _L=L: _L @ np.conj(m)
+            if frob(L @ np.conj(L) - ko.eps * np.eye(mu)) > tol:
+                raise ClassificationError("real structure reduction", f"T^2 != eps on fiber ({i},{i})")
+            ell = ells.get((i, i))
+            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, mu, d)
+            bases[(i, i)] = vecs
+            s_dec[(i, i)] = svals
+            chi_dec[(i, i)] = chis
+            for p in range(mu):
+                jim_new[fiber[p]] = fiber[pairing[p]]
+
+    # even case: the chosen vectors must be eigenvectors of ell
+    if ko.even:
+        for (i, j), vecs in bases.items():
+            ell = ells[(i, j)]
+            for p, m in enumerate(vecs):
+                sv = s_dec[(i, j)][p]
+                res = np.linalg.norm(ell @ m - sv * m)
+                if res > max(tol, 1e-9):
+                    raise ClassificationError("grading eigenbasis", f"fiber ({i},{j}) vector {p + 1} not an s={sv:+d} eigenvector", res)
+
+    # step 4: witness unitary, block diagonal over fibers
+    W = _basis_change(layout, {fiber[p]: (fiber, m) for key, fiber in fibers.items()
+                               for p, m in enumerate(bases[key])})
+
+    Dp = W.conj().T @ t.D @ W
+    Kp = W.conj().T @ t.K @ np.conj(W)
+    gp = W.conj().T @ t.gamma @ W if ko.even else None
+
+    # step 5: read the diagram off the transformed operators
+    vertices = {}
+    for (i, j), fiber in sorted(fibers.items()):
+        for p, vid in enumerate(fiber):
+            vertices[vid] = Vertex(vid[0], vid[1], vid[2], s=s_dec[(i, j)][p], chi=chi_dec[(i, j)][p])
+
+    Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
+    res = frob(Kp - Kexp)
+    if res > max(tol, 1e-8):
+        raise ClassificationError("real structure normal form", "transformed K is not in canonical form", res)
+    if ko.even:
+        res = frob(gp - gexp)
+        if res > max(tol, 1e-8):
+            raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
+
+    diagram = KrajewskiDiagram(t.profile, ko, vertices, jim_new, extract_edges(layout, Dp, tol))
+    failed = validate(diagram, tol).failures()
+    if failed:
+        raise ClassificationError("diagram validation", failed[0].name, failed[0].residual)
+    return diagram, W
+
+
+# -- sigma and diagonalize_bases with loops over the vertices of each fiber --
+
+
+def sigma(lift: DiagramLift) -> SigmaData:
+    """Gram matrices sigma^{v1,v2} = sum_w tr(u(v1,w)* u(v2,w)) per fiber."""
+    fibers = lift.source.fibers()
+    mats = {}
+    flags = []
+    wids = lift.target.sorted_vids()
+    for key, fiber in sorted(fibers.items()):
+        mu = len(fiber)
+        m = np.zeros((mu, mu), dtype=complex)
+        for p1, v1 in enumerate(fiber):
+            for p2, v2 in enumerate(fiber):
+                acc = 0.0
+                for w in wids:
+                    u1 = lift.u_at(v1, w)
+                    u2 = lift.u_at(v2, w)
+                    if u1 is not None and u2 is not None:
+                        acc += np.trace(u1.conj().T @ u2)
+                m[p1, p2] = acc
+        mats[key] = m
+        for p, v in enumerate(fiber):
+            if m[p, p].real <= 0.0:
+                flags.append(f"phi_H^{v} not one-to-one (kappa = 0)")
+    return SigmaData(fibers, mats, flags)
+
+
+def _rotation_groups(diag: KrajewskiDiagram):
+    """Fiber subsets rotated together, with their jim partners.
+
+    mode 'self' means jim maps the group to itself (orthogonal rotation),
+    'pair' means the partner group carries the conjugate rotation.
+    """
+    d = diag.d
+    groups = []
+    done = set()
+    for (i, j), fiber in sorted(diag.fibers().items()):
+        if (i, j) in done:
+            continue
+        if i < j:
+            done.update({(i, j), (j, i)})
+            subsets = _split_by_s(diag, fiber)
+            for vids in subsets:
+                groups.append(("pair", vids, [diag.jim[v] for v in vids]))
+        elif i == j:
+            done.add((i, i))
+            if d in (0, 1, 7):
+                for vids in _split_by_s(diag, fiber):
+                    groups.append(("self", vids, vids))
+            elif d in (2, 6):
+                plus = [v for v in fiber if diag.vertex(v).s == 1]
+                groups.append(("pair", plus, [diag.jim[v] for v in plus]))
+            else:
+                raise LiftError(f"no automatic diagonalization in KO-dimension {d}")
+    return groups
+
+
+def _split_by_s(diag, fiber):
+    if not diag.ko.even:
+        return [fiber] if fiber else []
+    out = []
+    for sv in (1, -1):
+        sub = [v for v in fiber if diag.vertex(v).s == sv]
+        if sub:
+            out.append(sub)
+    return out
+
+
+def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
+    """Rotate the source fiber bases so that sigma becomes diagonal.
+
+    Works in KO-dimensions 0, 1, 2, 6, 7 when the lift respects the grading
+    and the real-structure conjugation relation; the rotation is unitary per
+    fiber (orthogonal on jim-fixed diagonal fibers, conjugated on the jim
+    partner) so kappa_{jim(v)} = kappa_v.  Edge decorations and u data are
+    transformed consistently.  In KO-dimensions 3, 4, 5 only an already
+    diagonal sigma is accepted.
+    """
+    d = lift.source.d
+    sig = sigma(lift)
+
+    if lift.target.d != d:
+        raise LiftError("source and target KO-dimensions differ")
+
+    res, witness = _conjugation_residual(lift)
+    if res > tol:
+        raise LiftError(f"conjugation relation violated at {witness} (residual {res:.3e})")
+    gres = _grading_residual(lift)
+    if gres > tol:
+        raise LiftError(f"grading not respected by u (residual {gres:.3e})")
+
+    if d in (3, 4, 5):
+        if sig.is_diagonal(tol) and _kappa_pairing_residual(lift, sig) <= tol:
+            return replace(lift, kappa=sig.kappas(), u=dict(lift.u))
+        raise LiftError(
+            f"unsupported KO dimension {d} for automatic diagonalization (sigma not diagonal)"
+        )
+
+    fibers = lift.source.fibers()
+    fiber_index = {v: (key, p) for key, fiber in fibers.items() for p, v in enumerate(fiber)}
+
+    # cross-grading entries of sigma must already vanish
+    for key, mat in sig.mats.items():
+        fiber = sig.fibers[key]
+        for p1, v1 in enumerate(fiber):
+            for p2, v2 in enumerate(fiber):
+                s1, s2 = lift.source.vertex(v1).s, lift.source.vertex(v2).s
+                if s1 != s2 and abs(mat[p1, p2]) > tol:
+                    raise LiftError(f"sigma couples gradings at {v1},{v2}")
+
+    coeffs = {}   # vid -> (group vids, row of coefficients)
+    kappa = {}
+    for mode, vids, partner in _rotation_groups(lift.source):
+        if not vids:
+            continue
+        key = fiber_index[vids[0]][0]
+        fiber = fibers[key]
+        idx = [fiber.index(v) for v in vids]
+        S = sig.mats[key][np.ix_(idx, idx)]
+        if mode == "self":
+            asym = frob(S - S.T) / 2
+            if asym > max(tol, 1e-12):
+                raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
+            S = ((S + S.T) / 2).real  # the rotation C below is then real orthogonal
+        w, V = np.linalg.eigh(S)
+        order = np.argsort(-w)
+        w, V = w[order], np.ascontiguousarray(V[:, order])
+        C = np.array([_phase_fix(col) for col in V.T])
+        for p_new, v_new in enumerate(vids):
+            coeffs[v_new] = (vids, C[p_new, :])
+            kappa[v_new] = float(w[p_new])
+        if mode == "pair":
+            if any(v in coeffs for v in partner) and partner != vids:
+                raise LiftError("rotation groups overlap")
+            for p_new, v_new in enumerate(partner):
+                coeffs[v_new] = (partner, np.conj(C[p_new, :]))
+                kappa[v_new] = float(w[p_new])
+
+    for v in lift.source.sorted_vids():
+        coeffs.setdefault(v, ([v], np.ones(1)))
+        kappa.setdefault(v, float(sig.mats[fiber_index[v][0]][fiber_index[v][1], fiber_index[v][1]].real))
+
+    # rotate the u family
+    wids = lift.target.sorted_vids()
+    new_u = {}
+    for v_new, (vids, row) in coeffs.items():
+        for w_t in wids:
+            acc = None
+            for c, v_old in zip(row, vids):
+                u = lift.u_at(v_old, w_t)
+                if u is None or c == 0.0:
+                    continue
+                acc = c * u if acc is None else acc + c * u
+            if acc is not None and frob(acc) > 0.0:
+                new_u[(v_new, w_t)] = acc
+
+    # rotate the Dirac decorations through the block change of basis Q
+    tA = realize(lift.source)
+    Q = _basis_change(tA.layout, coeffs)
+    new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, tol, "rotated source diagram fails validation")
+
+    out = DiagramLift(lift.arrow, new_source, lift.target, new_u, normalized=False, kappa=kappa)
+
+    sig2 = sigma(out)
+    if not sig2.is_diagonal(max(tol, 1e-9)):
+        raise LiftError("diagonalization failed: sigma still has off-diagonal entries")
+    pres = _kappa_pairing_residual(out, sig2)
+    if pres > max(tol, 1e-9):
+        raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")
     return out

@@ -181,6 +181,23 @@ def test_validate_verdict_does_not_depend_on_edge_units(c):
     assert rep.failures() and all("orbit consistency" in f.name for f in rep.failures())
 
 
+@pytest.mark.parametrize("c", (1e-11, 1e-20))
+def test_small_edges_are_nonzero_against_the_largest_edge(c):
+    """With its edge ops, or D, scaled by c the diagram validates and classify keeps all 24 edges.
+
+    At c = 1e-11 validate failed 'op nonzero' and classify dropped every block
+    while both measured against absolute bounds.
+    """
+    diag = random_diagram(rng_from_seed(1), 6, AlgebraProfile((2, 3, 4)), max_fiber=2)
+    assert len(diag.edges) == 24
+    assert validate(KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim,
+                                     [Edge(e.src, e.dst, e.kind, c * e.op) for e in diag.edges])).ok
+    t = realize(diag)
+    found = [classify(RealSpectralTriple(t.profile, t.ko, t.layout, x * t.D, t.K, t.gamma))[0] for x in (1.0, c)]
+    assert [sorted((e.src, e.dst) for e in f.edges) for f in found] == [sorted((e.src, e.dst) for e in found[0].edges)] * 2
+    assert len(found[1].edges) == 24
+
+
 @pytest.mark.parametrize("d", ALL_D)
 def test_minimal_diagrams_all_dimensions(d):
     diag = minimal_diagram(d, 0.9)

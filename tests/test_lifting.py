@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import identity_lift, lift_chain, normalized_setup
+from helpers import (
+    d2_mixed_chi_lift,
+    d3_chi_pairs_lift,
+    diagonal_sigma_lift,
+    identity_lift,
+    lift_chain,
+    normalized_setup,
+    two_point_fiber_lift,
+)
 
 from finspec.algebra import AlgebraProfile, frob, matrix_units
 from finspec.bratteli import BratteliArrow, apply_phi
-from finspec.krajewski import KOSignature, KrajewskiDiagram, Vertex, realize
+from finspec.krajewski import realize
 from finspec.lifting import (
     DiagramLift,
     LiftError,
@@ -25,22 +33,6 @@ from finspec.sampling import (
     rng_from_seed,
     weaken_pair,
 )
-
-
-def two_point_fiber_lift(a, b, s_sign=1, d=0):
-    """Two d=0 diagonal source vertices mapping to one target vertex by scalars a, b."""
-    prof = AlgebraProfile((1,))
-    v1, v2, w = (1, 1, 1), (1, 2, 1), (1, 1, 1)
-    src = KrajewskiDiagram(
-        prof, KOSignature.from_dim(d),
-        {v1: Vertex(1, 1, 1, s=s_sign), v2: Vertex(1, 2, 1, s=s_sign)},
-        {v1: v1, v2: v2}, [],
-    )
-    tgt = KrajewskiDiagram(
-        prof, KOSignature.from_dim(d), {w: Vertex(1, 1, 1, s=s_sign)}, {w: w}, []
-    )
-    arrow = BratteliArrow(prof, prof, ((1,),), (0,))
-    return DiagramLift(arrow, src, tgt, {(v1, w): [[a]], (v2, w): [[b]]})
 
 
 def test_build_phiH_zero_and_identity():
@@ -98,19 +90,7 @@ def test_sigma_flags_non_injective_vertex():
 
 
 def test_diagonalize_identity_when_already_diagonal():
-    # orthogonal u slots: sigma = diag(4, 1), already descending diagonal
-    prof = AlgebraProfile((1,))
-    v1, v2, w = (1, 1, 1), (1, 2, 1), (1, 1, 1)
-    src = KrajewskiDiagram(
-        prof, KOSignature.from_dim(0),
-        {v1: Vertex(1, 1, 1, s=1), v2: Vertex(1, 2, 1, s=1)}, {v1: v1, v2: v2}, [],
-    )
-    tgt = KrajewskiDiagram(
-        AlgebraProfile((2,)), KOSignature.from_dim(0), {w: Vertex(1, 1, 1, s=1)}, {w: w}, [],
-    )
-    arrow = BratteliArrow(prof, AlgebraProfile((2,)), ((2,),), (0,))
-    lift = DiagramLift(arrow, src, tgt,
-                       {(v1, w): [[2.0, 0.0], [0.0, 0.0]], (v2, w): [[0.0, 0.0], [0.0, 1.0]]})
+    lift = diagonal_sigma_lift()
     rot = diagonalize_bases(lift, 1e-12)
     for key in lift.u:
         assert np.allclose(rot.u[key], lift.u[key])
@@ -158,21 +138,7 @@ def test_diagonalize_and_normalize_random(d):
 
 
 def test_diagonalize_refuses_d3_with_off_diagonal_sigma():
-    # two diagonal chi-pairs in d=3 sharing a target: sigma mixes the fiber
-    prof = AlgebraProfile((1,))
-    ko = KOSignature.from_dim(3)
-    vids = [(1, p, 1) for p in (1, 2, 3, 4)]
-    vertices = {vids[0]: Vertex(1, 1, 1, chi=0), vids[1]: Vertex(1, 2, 1, chi=1),
-                vids[2]: Vertex(1, 3, 1, chi=0), vids[3]: Vertex(1, 4, 1, chi=1)}
-    jim = {vids[0]: vids[1], vids[1]: vids[0], vids[2]: vids[3], vids[3]: vids[2]}
-    src = KrajewskiDiagram(prof, ko, vertices, jim, [])
-    w1, w2 = (1, 1, 1), (1, 2, 1)
-    tgt = KrajewskiDiagram(prof, ko, {w1: Vertex(1, 1, 1, chi=0), w2: Vertex(1, 2, 1, chi=1)},
-                           {w1: w2, w2: w1}, [])
-    arrow = BratteliArrow(prof, prof, ((1,),), (0,))
-    u = {(vids[0], w1): [[1.0]], (vids[1], w2): [[1.0]],
-         (vids[2], w1): [[1.0]], (vids[3], w2): [[1.0]]}
-    lift = DiagramLift(arrow, src, tgt, u)
+    lift = d3_chi_pairs_lift()
     assert not sigma(lift).is_diagonal(1e-10)
     with pytest.raises(LiftError, match="unsupported KO dimension"):
         diagonalize_bases(lift, 1e-10)
@@ -182,33 +148,7 @@ def test_diagonalize_refuses_mixed_chi_binding_in_d2():
     # a valid d=2 fiber whose chi decoration is not constant on each grading
     # level: the paired rotation cannot diagonalize sigma, so the call fails
     # instead of returning wrong kappa data
-    prof = AlgebraProfile((1,))
-    ko = KOSignature.from_dim(2)
-    vs = [(1, p, 1) for p in (1, 2, 3, 4)]
-    vertices = {
-        vs[0]: Vertex(1, 1, 1, s=1, chi=0), vs[1]: Vertex(1, 2, 1, s=-1, chi=1),
-        vs[2]: Vertex(1, 3, 1, s=1, chi=1), vs[3]: Vertex(1, 4, 1, s=-1, chi=0),
-    }
-    jim = {vs[0]: vs[1], vs[1]: vs[0], vs[2]: vs[3], vs[3]: vs[2]}
-    src = KrajewskiDiagram(prof, ko, vertices, jim, [])
-    ws = [(1, 1, 1), (1, 2, 1)]
-    tgt = KrajewskiDiagram(
-        prof, ko,
-        {ws[0]: Vertex(1, 1, 1, s=1, chi=1), ws[1]: Vertex(1, 2, 1, s=-1, chi=0)},
-        {ws[0]: ws[1], ws[1]: ws[0]}, [],
-    )
-    arrow = BratteliArrow(prof, prof, ((1,),), (0,))
-
-    def ratio(v, w):
-        from finspec.krajewski import epsilon_factor
-        return epsilon_factor(src.vertices[v], 2) / epsilon_factor(tgt.vertices[w], 2)
-
-    u = {}
-    for (v, val) in ((vs[0], 1.0), (vs[2], 1.0 + 0.5j)):
-        u[(v, ws[0])] = np.array([[val]])
-        u[(src.jim[v], ws[1])] = ratio(v, ws[0]) * np.array([[np.conj(val)]])
-    # make the s=+1 block genuinely non-diagonal
-    lift = DiagramLift(arrow, src, tgt, u)
+    lift = d2_mixed_chi_lift()
     sig = sigma(lift)
     assert not sig.is_diagonal(1e-10)
     with pytest.raises(LiftError):

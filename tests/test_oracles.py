@@ -4,9 +4,11 @@ The vertex-block kernel is compared with the index loops, the action
 comparison, which builds each operator once, with the one that rebuilt them,
 the axioms path on index maps with the dense pi, right-action and kron
 products, `verify_axioms` by sums of squares with one bracket per pair of
-units, `represent` on vertex-block pairs with the dense pi products, and
+units, `represent` on vertex-block pairs with the dense pi products,
 `extract_edges` by one label sum and `detect_ko` with hoisted products with
-their pair and row loops.
+their pair and row loops, and the fiber bases of `classify` and the
+per-fiber rotation of `sigma` and `diagonalize_bases` with their vertex
+loops.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import lift_chain, mix_fibers, normalized_setup
+from helpers import hand_built_lifts, lift_chain, mix_fibers, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
@@ -34,7 +36,7 @@ from finspec.krajewski import (
     validate,
     verify_axioms,
 )
-from finspec.lifting import build_phiH, diagonalize_bases, normalize
+from finspec.lifting import LiftError, build_phiH, diagonalize_bases, normalize, sigma
 from finspec.sampling import (
     random_complex,
     random_diagram,
@@ -379,6 +381,70 @@ def test_fiber_reads_of_classify_place_no_operator(monkeypatch):
         assert _splitting_residual(t, i, j, fiber) < 1e-12
         assert _extract_middle_map(t, fiber, fibers[(j, i)], t.K, True)[1] < 1e-12
         assert _extract_middle_map(t, fiber, fiber, t.gamma, False)[1] < 1e-12
+
+
+# -- fiber bases of classify and the per-fiber rotation of diagonalize_bases -----
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ClassificationError, LiftError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_classify_matches_gram_schmidt_oracle(d):
+    """Bit-identical W, decorations, jim and edges on the oracle triples and a fiber-mixed form of each."""
+    rng = rng_from_seed(1720 + d)
+    returned = 0
+    for diag, forms in _oracle_triples(d):
+        for t in forms + [mix_fibers(rng, forms[0], diag)]:
+            new, old = _outcome(classify, t), _outcome(oracles.classify, t)
+            if isinstance(old, ClassificationError):
+                assert isinstance(new, ClassificationError) and new.step == old.step, (new, old)
+                continue
+            (found, W), (found0, W0) = new, old
+            assert np.array_equal(W, W0)
+            decorations = lambda g: {vid: (v.s, v.chi) for vid, v in g.vertices.items()}
+            assert decorations(found) == decorations(found0)
+            assert found.jim == found0.jim
+            assert [(e.src, e.dst, e.kind) for e in found.edges] == [(e.src, e.dst, e.kind) for e in found0.edges]
+            assert all(np.array_equal(e.op, e0.op) for e, e0 in zip(found.edges, found0.edges))
+            returned += 1
+    assert returned >= 8
+
+
+def _close_lifts(lift, lift0):
+    """u within 1e-12 relative per block, kappa against the largest kappa, the rotated source D against ||D||_F."""
+    assert sorted(lift.u) == sorted(lift0.u)
+    for key, u0 in lift0.u.items():
+        assert frob(lift.u[key] - u0) <= 1e-12 * frob(u0), key
+    assert lift.kappa.keys() == lift0.kappa.keys()
+    scale = max(lift0.kappa.values())
+    assert all(abs(lift.kappa[v] - k0) <= 1e-12 * scale for v, k0 in lift0.kappa.items())
+    D, D0 = realize(lift.source).D, realize(lift0.source).D
+    assert frob(D - D0) <= 1e-12 * max(1.0, frob(D0))
+
+
+def test_lift_matches_vertex_loop_oracle():
+    """sigma and diagonalize_bases on lift_chain lifts in d = 0, 1, 2, 6, 7 and on the hand-built lifts."""
+    rng = rng_from_seed(1760)
+    lifts = [lift_chain(rng, d)[3] for d in (0, 1, 2, 6, 7) for _ in range(4)] + hand_built_lifts()
+    refused = set()
+    for lift in lifts:
+        sig, sig0 = sigma(lift), oracles.sigma(lift)
+        assert list(sig.mats) == list(sig0.mats) and sig.flags == sig0.flags
+        for key, m0 in sig0.mats.items():
+            assert np.abs(sig.mats[key] - m0).max() <= 1e-12 * max(1.0, np.abs(m0).max()), key
+        new, old = _outcome(diagonalize_bases, lift, 1e-10), _outcome(oracles.diagonalize_bases, lift, 1e-10)
+        if isinstance(old, LiftError):
+            assert isinstance(new, LiftError) and str(new) == str(old)
+            refused.add(str(old).split(" ")[0])
+            continue
+        assert not isinstance(new, LiftError), new
+        _close_lifts(new, old)
+    assert len(refused) >= 2, refused
 
 
 # -- represent on vertex-block pairs ---------------------------------------------
