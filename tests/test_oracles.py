@@ -404,6 +404,7 @@ def test_classify_matches_gram_schmidt_oracle(d):
             if isinstance(old, ClassificationError):
                 assert isinstance(new, ClassificationError) and new.step == old.step, (new, old)
                 continue
+            assert not isinstance(new, ClassificationError), new
             (found, W), (found0, W0) = new, old
             assert np.array_equal(W, W0)
             decorations = lambda g: {vid: (v.s, v.chi) for vid, v in g.vertices.items()}
