@@ -380,7 +380,7 @@ def bundle_from_json(doc) -> Bundle:
     if not isinstance(doc, dict):
         raise BundleError("bundle document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise BundleError(f"unsupported format_version {version!r}")
     b = Bundle()
     table = lambda name: _record(doc.get(name, {}), name).items()

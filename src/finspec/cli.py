@@ -15,7 +15,7 @@ from . import bundle as bundle_mod
 from .action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions, spectral_action
 from .algebra import DEFAULT_TOL
 from .bundle import Bundle, BundleError, load_bundle, save_bundle
-from .differential import pushforward
+from .differential import UniversalOneForm, pushforward
 from .dot import render_dot
 from .krajewski import ClassificationError, classify, detect_ko, realize, validate, verify_axioms
 from .lifting import build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
@@ -47,6 +47,14 @@ def _need(table, key, what):
     if key not in table:
         raise BundleError(f"no {what} named {key!r} in the bundle")
     return table[key]
+
+
+def _one_form(bundle, name):
+    """The form of that name, checked to be a one-form: fluctuations and pushforwards take no higher degree."""
+    w = _need(bundle.forms, name, "form")
+    if not isinstance(w, UniversalOneForm):
+        raise BundleError(f"forms.{name}: a form with terms of degree > 1, where a one-form is needed")
+    return w
 
 
 def _get_triple(bundle, args, tol):
@@ -118,9 +126,14 @@ def cmd_classify(bundle, args, tol):
           + (f"; wrote {args.out}" if args.out else ""))
 
 
-def cmd_lift_check(bundle, args, tol):
+def _lift_triples(bundle, args, tol):
+    """The named lift and the triples of its source and target, which realize validates."""
     lift = _need(bundle.lifts, args.lift, "lift")
-    tA, tB = realize(lift.source, tol), realize(lift.target, tol)
+    return lift, realize(lift.source, tol), realize(lift.target, tol)
+
+
+def cmd_lift_check(bundle, args, tol):
+    lift, tA, tB = _lift_triples(bundle, args, tol)
     rep = real_grading_check(lift, tA, tB, tol)
     _emit(args, rep.as_dict(), str(rep))
     if not rep.ok:
@@ -145,7 +158,7 @@ def cmd_sigma(bundle, args, tol):
 
 
 def cmd_normalize(bundle, args, tol):
-    lift = _need(bundle.lifts, args.lift, "lift")
+    lift = _lift_triples(bundle, args, tol)[0]
     rotated = diagonalize_bases(lift, tol)
     norm = normalize(rotated, tol)
     kappas = {str(v): k for v, k in sorted(rotated.kappa.items())}
@@ -165,16 +178,11 @@ def cmd_normalize(bundle, args, tol):
 def cmd_compat(bundle, args, tol):
     from .differential import represent
 
-    lift = _need(bundle.lifts, args.lift, "lift")
-    tA, tB = realize(lift.source, tol), realize(lift.target, tol)
+    lift, tA, tB = _lift_triples(bundle, args, tol)
     phiH = build_phiH(lift)
     if args.form_a:
-        wA = _need(bundle.forms, args.form_a, "form")
-        wB = (
-            _need(bundle.forms, args.form_b, "form")
-            if args.form_b
-            else pushforward(wA, lift.arrow)
-        )
+        wA = _need(bundle.forms, args.form_a, "form") if args.form_b else _one_form(bundle, args.form_a)
+        wB = _need(bundle.forms, args.form_b, "form") if args.form_b else pushforward(wA, lift.arrow)
         A, B = represent(wA, tA), represent(wB, tB)
         what = f"pi_D({args.form_a}) vs pi_D({args.form_b or 'pushforward'})"
     else:
@@ -194,8 +202,7 @@ def cmd_action(bundle, args, tol):
     f = _cutoff(args)
     payload, text = {}, []
     if args.form:
-        w = _need(bundle.forms, args.form, "form")
-        s = spectral_action(t, w, f, args.lam, tol)
+        s = spectral_action(t, _one_form(bundle, args.form), f, args.lam, tol)
         payload["spectral_action"] = s
         text.append(f"Tr f(D_omega / Lambda) = {s:.10e}")
     if args.config:
@@ -209,12 +216,12 @@ def cmd_action(bundle, args, tol):
 
 
 def cmd_compare(bundle, args, tol):
-    lift = _need(bundle.lifts, args.lift, "lift")
+    lift, tA, tB = _lift_triples(bundle, args, tol)
     if not lift.normalized:
         lift = normalize(diagonalize_bases(lift, tol), tol)
-    tA, tB = realize(lift.source, tol), realize(lift.target, tol)
-    wA = _need(bundle.forms, args.form_a, "form")
-    wB = _need(bundle.forms, args.form_b, "form") if args.form_b else pushforward(wA, lift.arrow)
+        tA = realize(lift.source, tol)
+    wA = _one_form(bundle, args.form_a)
+    wB = _one_form(bundle, args.form_b) if args.form_b else pushforward(wA, lift.arrow)
     cfgs = None
     if args.config_a and args.config_b:
         cfgs = (

@@ -177,18 +177,45 @@ class RealSpectralTriple:
 
 
 def epsilon_factor(v: Vertex, d: int) -> int:
-    """The sign eps(v, d): 1 for i<j, eps for i>j, and on the diagonal 1 for
-    d in {0,1,7} and eps^chi(v) for d in {2,...,6}."""
+    """The sign eps(v, d): 1 for i<j, eps for i>j, and on the diagonal eps^chi(v),
+    which is 1 on the jim-fixed vertices (no chi, eps = +1)."""
     eps = KO_TABLE[d % 8][0]
     if v.i < v.j:
         return 1
     if v.i > v.j:
         return eps
-    if d % 8 in (0, 1, 7):
-        return 1
-    if v.chi is None:
+    if v.chi is None and len(_diagonal_orbit(d)) == 2:
         raise DiagramError(f"vertex {v.vid} needs a chi decoration in KO-dimension {d}")
-    return eps ** v.chi
+    return eps ** (v.chi or 0)
+
+
+def _diagonal_orbit(d, s=None):
+    """The s decorations of one jim orbit on a diagonal fiber in normal form, in p order.
+
+    The KO signs fix it: with eps'' = -1 jim pairs an s = -1 vertex with an
+    s = +1 one; otherwise, with eps = +1, jim fixes the vertex (one entry),
+    and with eps = -1 it pairs two vertices of grading s.  A pair carries
+    chi = 0, 1 in order.
+    """
+    eps, _eps_p, eps_pp = KO_TABLE[d % 8]
+    if eps_pp == -1:
+        return (-1, 1)
+    return (s,) if eps == 1 else (s, s)
+
+
+def _orbit_vertices(ko, orbits):
+    """Vertex records and jim of the jim orbits [(vids, s)] of a diagram in normal form.
+
+    vids lists the one or two vertices of an orbit and s is the grading of
+    the first; the second gets eps'' s, and chi = 0, 1 in order on the diagonal.
+    """
+    vertices, jim = {}, {}
+    for vids, s in orbits:
+        for k, v in enumerate(vids):
+            chi = k if len(vids) == 2 and v[0] == v[2] else None
+            vertices[v] = Vertex(*v, s=s if k == 0 or s is None else ko.eps_pp * s, chi=chi)
+            jim[v] = vids[-1 - k]
+    return vertices, jim
 
 
 def _vdim(profile, vid):
@@ -293,6 +320,7 @@ def _validate(diag, tol):
     rep = Report("diagram validation")
     d, ko = diag.d, diag.ko
     r = diag.profile.r
+    paired = len(_diagonal_orbit(d)) == 2  # jim pairs the vertices of a diagonal fiber
 
     ids_ok = True
     for vid, v in diag.vertices.items():
@@ -306,7 +334,7 @@ def _validate(diag, tol):
             rep.add_bool(f"vertex {vid} has s=+-1 (even case)", False)
         if not ko.even and v.s is not None:
             rep.add_bool(f"vertex {vid} has no s (odd case)", False)
-        needs_chi = v.i == v.j and d in (2, 3, 4, 5, 6)
+        needs_chi = v.i == v.j and paired
         if needs_chi and v.chi not in (0, 1):
             rep.add_bool(f"vertex {vid} has chi in {{0,1}}", False)
         if not needs_chi and v.chi is not None:
@@ -325,7 +353,7 @@ def _validate(diag, tol):
         rep.add_bool(f"jim involutive at {vid}", diag.jim[w] == vid)
         i, _p, j = vid
         rep.add_bool(f"lambda o jim = rho at {vid}", (w[0], w[2]) == (j, i))
-        if i == j and d in (0, 1, 7):
+        if i == j and not paired:
             rep.add_bool(f"jim fixes diagonal vertex {vid} (d={d})", w == vid)
         v, vw = diag.vertex(vid), diag.vertex(w)
         if ko.even and v.s in (-1, 1) and vw.s in (-1, 1):
@@ -334,7 +362,7 @@ def _validate(diag, tol):
             rep.add_bool(f"chi(jim(v)) = 1 - chi(v) at {vid}", vw.chi == 1 - v.chi)
 
     for (i, j), fiber in sorted(diag.fibers().items()):
-        if i == j and d in (2, 3, 4, 5, 6):
+        if i == j and paired:
             rep.add_bool(f"diagonal fiber ({i},{i}) has even size", len(fiber) % 2 == 0)
 
     represented = {v[0] for v in vids}
@@ -376,7 +404,7 @@ def _validate(diag, tol):
             rep.add_bool(f"{tag} must be kind=left", False)
         if ko.even:
             s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
-            rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s2 == -s1)
+            rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
 
     closed = None
     if rep.ok:
@@ -679,32 +707,28 @@ def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
 
 
 def _diagonal_fiber_basis(T, ell, mu, ko):
-    """Adapted basis of a diagonal fiber C^mu.
+    """Adapted basis of a diagonal fiber C^mu, and the grading s of the first vertex of each jim orbit.
 
-    Returns (vectors, s list, chi list, pairing) where pairing maps basis
-    index p to jim(p) (0-based).  The KO signs fix the normal form: with
-    eps'' = -1 (d = 2, 6) jim pairs y with T y across the grading split; with
-    eps = +1 (d = 0, 1, 7) every vector is T-fixed; with eps = -1 (d = 3, 4, 5)
-    jim pairs x with T x inside each eigenspace.
+    The normal form of _diagonal_orbit fixes the basis: jim-fixed vertices
+    are T-fixed vectors in each eigenspace of ell, (-1, +1) pairs are
+    (y, T y) for y in the s = -1 eigenspace, and (s, s) pairs are (x, T x)
+    inside each eigenspace.
     """
     split = _grading_split(ell, mu)
-    if ko.eps_pp == -1:
+    orbit = _diagonal_orbit(ko.d)
+    if len(orbit) == 1:
+        return [m for _s, space in split for m in _real_form_basis(T, space)], [s for s, space in split for _m in space]
+    if orbit == (-1, 1):
         ys = split[1][1]
         if 2 * len(ys) != mu:
             raise ClassificationError("grading split", f"s=-1 eigenspace has dim {len(ys)}, fiber size {mu}")
-        pairs = [((-1, 1), y, T(y)) for y in ys]
-    elif ko.eps == 1:
-        vecs = [m for _s, space in split for m in _real_form_basis(T, space)]
-        return vecs, [s for s, space in split for _m in space], [None] * mu, list(range(mu))
-    else:
-        pairs = []
-        for s, space in split:
-            if s is not None and len(space) % 2:
-                raise ClassificationError("grading split", f"odd s={s:+d} eigenspace in KO-dimension {ko.d}")
-            pairs += [((s, s), x, y) for x, y in _quaternionic_pairs(T, space)]
-    vecs = [m for _s, x, y in pairs for m in (x, y)]
-    pairing = [p ^ 1 for p in range(mu)]
-    return vecs, [s for sp, _x, _y in pairs for s in sp], [0, 1] * (mu // 2), pairing
+        return [m for y in ys for m in (y, T(y))], [-1] * len(ys)
+    pairs = []
+    for s, space in split:
+        if s is not None and len(space) % 2:
+            raise ClassificationError("grading split", f"odd s={s:+d} eigenspace in KO-dimension {ko.d}")
+        pairs += [(s, pair) for pair in _quaternionic_pairs(T, space)]
+    return [m for _s, pair in pairs for m in pair], [s for s, _pair in pairs]
 
 
 def _splitting_residual(t, i, j, fiber):
@@ -731,6 +755,8 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     raised at step 'diagram validation'.
     """
     layout, ko, d = t.layout, t.ko, t.ko.d
+    if ko.even != (t.gamma is not None):
+        raise ClassificationError("grading reduction", f"gamma must be present exactly in even KO-dimension (d = {d})")
     fibers = {}
     for vid in layout.vids:
         fibers.setdefault((vid[0], vid[2]), []).append(vid)
@@ -768,42 +794,31 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
         if res > tol:
             raise ClassificationError("real structure reduction", f"L({j},{i}) conj(L({i},{j})) != eps", res)
 
-    # step 3: adapted bases of every fiber
-    bases, s_dec, chi_dec, jim_new = {}, {}, {}, {}
+    # step 3: adapted bases of every fiber, and the jim orbits of its vertices with the grading of the first
+    bases, orbits = {}, []
+    size = len(_diagonal_orbit(d))
     for (i, j), fiber in sorted(fibers.items()):
         mu = len(fiber)
         if i < j:
             split = _grading_split(ells.get((i, j)), mu)
             bases[(i, j)] = [m for _s, space in split for m in space]
-            s_dec[(i, j)] = [s for s, space in split for _m in space]
-            chi_dec[(i, j)] = [None] * mu
             # the partner fiber basis is forced: m_ji^p = L_ij conj(m_ij^p)
             bases[(j, i)] = [Ls[(i, j)] @ np.conj(m) for m in bases[(i, j)]]
-            s_dec[(j, i)] = [None if s is None else ko.eps_pp * s for s in s_dec[(i, j)]]
-            chi_dec[(j, i)] = [None] * mu
-            partner = fibers[(j, i)]
-            for p in range(mu):
-                jim_new[fiber[p]] = partner[p]
-                jim_new[partner[p]] = fiber[p]
+            orbits += zip(zip(fiber, fibers[(j, i)]), [s for s, space in split for _m in space])
         elif i == j:
             L = Ls[(i, i)]
-            T = lambda m, _L=L: _L @ np.conj(m)
             if frob(L @ np.conj(L) - ko.eps * np.eye(mu)) > tol:
                 raise ClassificationError("real structure reduction", f"T^2 != eps on fiber ({i},{i})")
-            ell = ells.get((i, i))
-            vecs, svals, chis, pairing = _diagonal_fiber_basis(T, ell, mu, ko)
-            bases[(i, i)] = vecs
-            s_dec[(i, i)] = svals
-            chi_dec[(i, i)] = chis
-            for p in range(mu):
-                jim_new[fiber[p]] = fiber[pairing[p]]
+            bases[(i, i)], firsts = _diagonal_fiber_basis(lambda m: L @ np.conj(m), ells.get((i, i)), mu, ko)
+            orbits += zip([tuple(fiber[p:p + size]) for p in range(0, mu, size)], firsts)
+    vertices, jim_new = _orbit_vertices(ko, orbits)
 
     # even case: the chosen vectors must be eigenvectors of ell
     if ko.even:
         for (i, j), vecs in bases.items():
             ell = ells[(i, j)]
             for p, m in enumerate(vecs):
-                sv = s_dec[(i, j)][p]
+                sv = vertices[fibers[(i, j)][p]].s
                 res = np.linalg.norm(ell @ m - sv * m)
                 if res > max(tol, 1e-9):
                     raise ClassificationError("grading eigenbasis", f"fiber ({i},{j}) vector {p + 1} not an s={sv:+d} eigenvector", res)
@@ -817,11 +832,6 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     gp = W.conj().T @ t.gamma @ W if ko.even else None
 
     # step 5: read the diagram off the transformed operators
-    vertices = {}
-    for (i, j), fiber in sorted(fibers.items()):
-        for p, vid in enumerate(fiber):
-            vertices[vid] = Vertex(vid[0], vid[1], vid[2], s=s_dec[(i, j)][p], chi=chi_dec[(i, j)][p])
-
     Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
     res = frob(Kp - Kexp)
     if res > max(tol, 1e-8):

@@ -26,6 +26,7 @@ from .krajewski import (
     KrajewskiDiagram,
     RealSpectralTriple,
     _basis_change,
+    _diagonal_orbit,
     _phase_fix,
     epsilon_factor,
     extract_edges,
@@ -283,39 +284,6 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     return rep
 
 
-def _rotation_groups(diag: KrajewskiDiagram):
-    """Fiber subsets rotated together, with their jim partners.
-
-    mode 'self' means jim maps the group to itself (orthogonal rotation),
-    'pair' means the partner group carries the conjugate rotation.
-    """
-    d = diag.d
-    groups = []
-    for (i, j), fiber in sorted(diag.fibers().items()):
-        if i < j:  # the partner fiber (j, i) carries the conjugate rotation
-            for vids in _split_by_s(diag, fiber):
-                groups.append(("pair", vids, [diag.jim[v] for v in vids]))
-        elif i == j:
-            if d in (0, 1, 7):
-                for vids in _split_by_s(diag, fiber):
-                    groups.append(("self", vids, vids))
-            else:  # d = 2, 6; diagonalize_bases handles d = 3, 4, 5 before grouping
-                plus = [v for v in fiber if diag.vertex(v).s == 1]
-                groups.append(("pair", plus, [diag.jim[v] for v in plus]))
-    return groups
-
-
-def _split_by_s(diag, fiber):
-    if not diag.ko.even:
-        return [fiber] if fiber else []
-    out = []
-    for sv in (1, -1):
-        sub = [v for v in fiber if diag.vertex(v).s == sv]
-        if sub:
-            out.append(sub)
-    return out
-
-
 def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
     """Rotate the source fiber bases so that sigma becomes diagonal.
 
@@ -325,9 +293,12 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     partner) so kappa_{jim(v)} = kappa_v, and kappa is the diagonal of the
     rotated sigma.  Edge decorations and u data are transformed consistently.
     In KO-dimensions 3, 4, 5 only an already diagonal sigma is accepted.
+    The sigma residuals pass below tol times the largest |sigma|, so a lift
+    and its rescaling get the same verdict.
     """
     d = lift.source.d
     sig = sigma(lift)
+    size = _largest(sig)
 
     if lift.target.d != d:
         raise LiftError("source and target KO-dimensions differ")
@@ -339,8 +310,8 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     if gres > tol:
         raise LiftError(f"grading not respected by u (residual {gres:.3e})")
 
-    if d in (3, 4, 5):
-        if sig.is_diagonal(tol) and _kappa_pairing_residual(lift, sig) <= tol:
+    if _diagonal_orbit(d, 1) == (1, 1):  # jim pairs diagonal vertices of one grading: their rotation would be quaternionic
+        if sig.is_diagonal(tol * size) and _kappa_pairing_residual(lift, sig) <= tol * size:
             return replace(lift, kappa=sig.kappas(), u=dict(lift.u))
         raise LiftError(
             f"unsupported KO dimension {d} for automatic diagonalization (sigma not diagonal)"
@@ -350,7 +321,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     fibers, src = sig.fibers, lift.source
     for key, fiber in fibers.items():
         s = np.array([src.vertex(v).s or 0 for v in fiber])
-        p1, p2 = np.nonzero((s[:, None] != s) & (abs(sig.mats[key]) > tol))
+        p1, p2 = np.nonzero((s[:, None] != s) & (abs(sig.mats[key]) > tol * size))
         if p1.size:
             raise LiftError(f"sigma couples gradings at {fiber[p1[0]]},{fiber[p2[0]]}")
 
@@ -360,30 +331,30 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         p = [fibers[key].index(v) for v in vids]
         return key, np.ix_(p, p)
 
-    # one unitary per fiber: row p_new holds the coefficients of the new vertex fiber[p_new] over the old ones
+    # one unitary per fiber: row p_new holds the coefficients of the new vertex fiber[p_new] over the old ones.
+    # The vertices of one fiber and grading turn by C, their jim images by conj(C); C is real where jim fixes them.
     rot = {key: np.eye(len(fiber), dtype=complex) for key, fiber in fibers.items()}
     rotated = set()
-    for mode, vids, partner in _rotation_groups(src):
-        if not vids:
-            continue
-        key, at = block(vids)
-        S = sig.mats[key][at]
-        if mode == "self":
-            asym = frob(S - S.T) / 2
-            if asym > max(tol, 1e-12):
-                raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
-            S = ((S + S.T) / 2).real  # the rotation C below is then real orthogonal
-        w, V = np.linalg.eigh(S)
-        V = np.ascontiguousarray(V[:, np.argsort(-w)])
-        C = np.array([_phase_fix(col) for col in V.T])
-        rot[key][at] = C
-        rotated.update(vids)
-        if mode == "pair":
-            if rotated.intersection(partner) and partner != vids:
-                raise LiftError("rotation groups overlap")
-            key, at = block(partner)
-            rot[key][at] = np.conj(C)
-            rotated.update(partner)
+    for key, fiber in sorted(fibers.items()):
+        for sv in (1, -1, None):
+            vids = [v for v in fiber if src.vertex(v).s == sv and v not in rotated]
+            if not vids:
+                continue
+            partner = [src.jim[v] for v in vids]
+            at = block(vids)[1]
+            S = sig.mats[key][at]
+            if partner == vids:
+                asym = frob(S - S.T) / 2
+                if asym > max(tol, 1e-12) * size:
+                    raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
+                S = ((S + S.T) / 2).real
+            w, V = np.linalg.eigh(S)
+            V = np.ascontiguousarray(V[:, np.argsort(-w)])
+            C = np.array([_phase_fix(col) for col in V.T])
+            rot[key][at] = C
+            pkey, at = block(partner)
+            rot[pkey][at] = np.conj(C)
+            rotated.update(vids + partner)
 
     # rotate the u family and, through the block change of basis Q, the Dirac decorations
     rows, new_u = {}, {}
@@ -399,13 +370,18 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u)
     sig2 = sigma(out)
-    if not sig2.is_diagonal(max(tol, 1e-9)):
+    if not sig2.is_diagonal(max(tol, 1e-9) * size):
         raise LiftError("diagonalization failed: sigma still has off-diagonal entries")
     pres = _kappa_pairing_residual(out, sig2)
-    if pres > max(tol, 1e-9):
+    if pres > max(tol, 1e-9) * size:
         raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")
     out.kappa = sig2.kappas()
     return out
+
+
+def _largest(sig: SigmaData) -> float:
+    """The largest |sigma^{v1,v2}|, against which the sigma residuals are measured."""
+    return max((float(np.abs(m).max()) for m in sig.mats.values()), default=0.0)
 
 
 def _kappa_pairing_residual(lift: DiagramLift, sig: SigmaData) -> float:
@@ -414,12 +390,17 @@ def _kappa_pairing_residual(lift: DiagramLift, sig: SigmaData) -> float:
 
 
 def normalize(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
-    """Rescale u(v, .) by kappa_v^{-1/2}; the resulting phi_H is an isometry."""
+    """Rescale u(v, .) by kappa_v^{-1/2}; the resulting phi_H is an isometry.
+
+    sigma must be diagonal and every kappa_v positive, both against tol
+    times the largest |sigma|.
+    """
     sig = sigma(lift)
-    if not sig.is_diagonal(max(tol, 1e-9)):
+    size = _largest(sig)
+    if not sig.is_diagonal(max(tol, 1e-9) * size):
         raise LiftError("sigma is not diagonal; run diagonalize_bases first")
     kap = sig.kappas()
-    bad = [v for v, k in kap.items() if k <= tol]
+    bad = [v for v, k in kap.items() if k <= tol * size]
     if bad:
         raise LiftError(f"phi_H is not one-to-one: kappa <= tol at {bad}")
     new_u = {}

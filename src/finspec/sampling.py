@@ -16,7 +16,8 @@ from .differential import UniversalOneForm
 from .krajewski import (
     KOSignature,
     KrajewskiDiagram,
-    Vertex,
+    _diagonal_orbit,
+    _orbit_vertices,
     epsilon_factor,
     extract_edges,
     realize,
@@ -96,104 +97,71 @@ def random_even_vector(rng, t, scale=1.0):
 # diagrams
 
 
+def _fiber_orbit(d, i, j, s=None):
+    """The gradings of the vertices one jim orbit has in the fiber (i, j), i <= j: one off the diagonal."""
+    return _diagonal_orbit(d, s) if i == j else (s,)
+
+
 def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
                    requirements=(), ensure_edge=False) -> KrajewskiDiagram:
     """A valid random diagram in KO-dimension d.
 
     requirements is an iterable of (i, j, s) triples guaranteeing that the
-    fiber over (n_i, n_j) contains a vertex with grading s (s None in the
-    odd case).  Edge decorations are drawn blockwise in the forced factor
-    form and then projected onto Hermiticity and the real-structure
-    relation, so the result always validates.
+    fiber over (n_i, n_j) contains a vertex with grading s (s = +-1 in the
+    even case, None in the odd case).  Vertices are in the normal form of
+    classify: the fewest jim orbits holding the required gradings come
+    first, and further orbits draw the grading the normal form leaves open.
+    Edge decorations are drawn blockwise in the forced factor form and then
+    projected onto Hermiticity and the real-structure relation, so the
+    result always validates.
     """
     ko = KOSignature.from_dim(d)
     if profile is None:
         profile = random_profile(rng)
     r = profile.r
 
-    # requirements carry multiplicity: one entry per needed vertex
+    # requirements carry multiplicity: one entry per needed vertex, on the fiber with i <= j
     req = {}
     for (i, j, s) in requirements:
-        if i <= j:
-            req.setdefault((i, j), []).append(s)
-        else:
-            sflip = ko.eps_pp * s if (ko.even and s is not None) else s
-            req.setdefault((j, i), []).append(sflip)
+        if ko.even and s not in (1, -1):
+            raise ValueError(f"requirement {(i, j, s)} needs s = +-1 in even KO-dimension")
+        s = s if ko.even else None
+        if i > j:
+            i, j, s = j, i, (ko.eps_pp * s if ko.even else None)
+        req.setdefault((i, j), []).append(s)
 
-    sizes = {}
+    # the grading of the first vertex of each jim orbit the requirements need, and the fiber sizes
+    firsts, sizes = {}, {}
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             base = int(rng.integers(0, max_fiber + 1))
-            need = req.get((i, j), [])
-            plus = sum(1 for s in need if s == 1)
-            minus = sum(1 for s in need if s == -1)
-            if i == j:
-                if d in (2, 6):
-                    cnt = max(base, 2 * max(plus, minus, 1 if need else 0))
-                elif d == 4:
-                    cnt = max(base, 2 * ((plus + 1) // 2 + (minus + 1) // 2))
-                elif d in (3, 5):
-                    cnt = max(base, 2 * ((len(need) + 1) // 2))
-                else:
-                    cnt = max(base, len(need))
-                if d in (2, 3, 4, 5, 6):
-                    cnt += cnt % 2
-            else:
-                cnt = max(base, len(need))
-            sizes[(i, j)] = cnt
+            left = sorted(req.get((i, j), []), key=lambda s: s or 0, reverse=True)
+            firsts[(i, j)] = []
+            while left:  # open an orbit for the first requirement left; it holds the gradings of its vertices
+                orbit = _fiber_orbit(d, i, j, left[0])
+                firsts[(i, j)].append(orbit[0])
+                for s in orbit:
+                    if s in left:
+                        left.remove(s)
+            size = len(_fiber_orbit(d, i, j))
+            cnt = max(base, size * len(firsts[(i, j)]))
+            sizes[(i, j)] = cnt + -cnt % size
 
     if all(c == 0 for c in sizes.values()):
-        sizes[(1, 1)] = 2 if d in (2, 3, 4, 5, 6) else 1
+        sizes[(1, 1)] = len(_fiber_orbit(d, 1, 1))
 
-    vertices, jim = {}, {}
-    for (i, j) in sorted(sizes):
-        cnt = sizes[(i, j)]
-        if cnt == 0:
-            continue
-        need = sorted((s for s in req.get((i, j), []) if s is not None), reverse=True)
-        if i < j:
-            if ko.even:
-                s_list = list(need)
-                while len(s_list) < cnt:
-                    s_list.append(int(rng.choice([1, -1])))
+    orbits = []
+    for (i, j), cnt in sorted(sizes.items()):
+        blank = _fiber_orbit(d, i, j)  # s = None where the normal form leaves the grading open
+        size = len(blank)
+        drawn = [int(rng.choice([1, -1])) if ko.even and blank[0] is None else blank[0]
+                 for _ in range(cnt // size - len(firsts[(i, j)]))]
+        for p, s in enumerate(firsts[(i, j)] + drawn):
+            if i < j:
+                orbits.append((((i, p + 1, j), (j, p + 1, i)), s))
             else:
-                s_list = [None] * cnt
-            for p in range(1, cnt + 1):
-                s = s_list[p - 1]
-                sj = ko.eps_pp * s if s is not None else None
-                vertices[(i, p, j)] = Vertex(i, p, j, s=s)
-                vertices[(j, p, i)] = Vertex(j, p, i, s=sj)
-                jim[(i, p, j)] = (j, p, i)
-                jim[(j, p, i)] = (i, p, j)
-        elif d in (0, 1, 7):
-            if d == 0:
-                s_list = list(need)
-                while len(s_list) < cnt:
-                    s_list.append(int(rng.choice([1, -1])))
-            else:
-                s_list = [None] * cnt
-            for p in range(1, cnt + 1):
-                vertices[(i, p, i)] = Vertex(i, p, i, s=s_list[p - 1])
-                jim[(i, p, i)] = (i, p, i)
-        else:
-            # paired diagonal fibers; chi = 0 on the first of each pair
-            if d in (2, 6):
-                pair_s = [(-1, 1)] * (cnt // 2)
-            elif d == 4:
-                plus = sum(1 for s in need if s == 1)
-                minus = sum(1 for s in need if s == -1)
-                pair_s = [(1, 1)] * ((plus + 1) // 2) + [(-1, -1)] * ((minus + 1) // 2)
-                while len(pair_s) < cnt // 2:
-                    sv = int(rng.choice([1, -1]))
-                    pair_s.append((sv, sv))
-            else:
-                pair_s = [(None, None)] * (cnt // 2)
-            for a in range(cnt // 2):
-                s1, s2 = pair_s[a]
-                v1, v2 = (i, 2 * a + 1, i), (i, 2 * a + 2, i)
-                vertices[v1] = Vertex(*v1, s=s1, chi=0)
-                vertices[v2] = Vertex(*v2, s=s2, chi=1)
-                jim[v1], jim[v2] = v2, v1
+                orbits.append((tuple((i, size * p + m, i) for m in range(1, size + 1)), s))
+    vertices, jim = _orbit_vertices(ko, orbits)
 
     skeleton = KrajewskiDiagram(profile, ko, vertices, jim, [])
     t0 = realize(skeleton)
@@ -279,7 +247,7 @@ def random_compatible_target(rng, source: KrajewskiDiagram, arrow: BratteliArrow
         k = next(kk for kk in range(1, arrow.target.r + 1) if arrow.mult(kk, i) > 0)
         l = next(ll for ll in range(1, arrow.target.r + 1) if arrow.mult(ll, j) > 0)
         req.append((k, l, source.vertex(v).s))
-        if (k, l) == (l, k) and source.d in (0, 1, 7) and i == j:
+        if k == l and i == j and len(_diagonal_orbit(source.d)) == 1:
             # jim-fixed target vertices carry a hermiticity constraint on u;
             # demand one more for the halved free dimension
             req.append((k, l, source.vertex(v).s))
@@ -317,14 +285,12 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
     groups = _source_groups(source)
 
     support = {}
-    handled = set()
     for key in sorted(groups, key=str):
-        if key in handled:
+        if key in support:
             continue
         vids = groups[key]
-        v0 = vids[0]
-        partner_key = next(k for k, g in groups.items() if source.jim[v0] in g)
-        handled.update({key, partner_key})
+        v0, w0 = vids[0], source.jim[vids[0]]
+        partner_key = (w0[0], w0[2], source.vertex(w0).s)
         self_paired = partner_key == key
         admissible = []
         for w in target.sorted_vids():
@@ -334,37 +300,22 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
                 continue
             admissible.append(w)
         sel = {w for w in admissible if rng.random() < 0.7}
-        # conservative capacity: the jim constraint can halve the free
-        # dimension when the group is its own partner
-        def capacity(ws):
-            c = sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
-            return c // 2 if self_paired else c
-        for w in admissible:
-            if capacity(sel) >= len(vids):
+        capacity = lambda ws: sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
+        for w in admissible:  # conservatively, the jim constraint halves the capacity of a self-paired group
+            if capacity(sel) // (2 if self_paired else 1) >= len(vids):
                 break
             sel.add(w)
-        if capacity(sel) < len(vids) and not (self_paired and capacity(sel) * 2 >= len(vids)):
-            if sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in admissible) < len(vids):
-                raise RuntimeError(f"target cannot make phi_H one-to-one on group {key}")
-            sel = set(admissible)
+        if capacity(admissible) < len(vids):
+            raise RuntimeError(f"target cannot make phi_H one-to-one on group {key}")
         if self_paired:
             sel |= {target.jim[w] for w in sel}
         support[key] = sorted(sel)
         support[partner_key] = sorted({target.jim[w] for w in sel})
 
-    pairs = []
-    for key, vids in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        for v in vids:
-            for w in support[key]:
-                pairs.append((v, w))
-
-    orbit_of = {}
-    for (v, w) in pairs:
-        partner = (source.jim[v], target.jim[w])
-        orbit_of[(v, w)] = min((v, w), partner)
-
+    # one representative per (jim_A, jim_B) orbit of the supported pairs
+    pairs = [(v, w) for key, vids in groups.items() for v in vids for w in support[key]]
     u = {}
-    for (v, w) in sorted(set(orbit_of.values())):
+    for (v, w) in sorted({min((v, w), (source.jim[v], target.jim[w])) for v, w in pairs}):
         ratio = epsilon_factor(source.vertex(v), dA) / epsilon_factor(target.vertex(w), dB)
         m = random_complex(rng, (arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])))
         partner = (source.jim[v], target.jim[w])

@@ -38,6 +38,13 @@ loops and a branch per KO-dimension, and `sigma` and `diagonalize_bases`
 with loops over the vertices of each fiber and per-vertex coefficient rows.
 The tests ask for a bit-identical classification, and for the same lift up
 to 1e-12 relative.
+
+The eighth group is the generators `random_diagram`,
+`random_compatible_target` and `random_lift` with the diagonal normal form
+written out as a branch per KO-dimension, twice in `random_diagram`, and
+with the group and capacity bookkeeping of `random_lift`.  The tests ask
+for bit-identical output from the same seed, and for the same generator
+state after the call.
 """
 
 import math
@@ -47,11 +54,13 @@ import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
 from finspec.algebra import DEFAULT_TOL, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
+from finspec.bratteli import BratteliArrow
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
     KO_TABLE,
     ClassificationError,
     Edge,
+    KOSignature,
     KrajewskiDiagram,
     RealSpectralTriple,
     Vertex,
@@ -79,6 +88,7 @@ from finspec.lifting import (
     build_phiH,
 )
 from finspec.reports import Report
+from finspec.sampling import random_complex, random_profile
 
 
 def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
@@ -1013,3 +1023,268 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     if pres > max(tol, 1e-9):
         raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")
     return out
+
+
+# -- the generators, as before one normal form for the decorations of a diagram --
+
+
+def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
+                   requirements=(), ensure_edge=False) -> KrajewskiDiagram:
+    """A valid random diagram in KO-dimension d.
+
+    requirements is an iterable of (i, j, s) triples guaranteeing that the
+    fiber over (n_i, n_j) contains a vertex with grading s (s None in the
+    odd case).  Edge decorations are drawn blockwise in the forced factor
+    form and then projected onto Hermiticity and the real-structure
+    relation, so the result always validates.
+    """
+    ko = KOSignature.from_dim(d)
+    if profile is None:
+        profile = random_profile(rng)
+    r = profile.r
+
+    # requirements carry multiplicity: one entry per needed vertex
+    req = {}
+    for (i, j, s) in requirements:
+        if i <= j:
+            req.setdefault((i, j), []).append(s)
+        else:
+            sflip = ko.eps_pp * s if (ko.even and s is not None) else s
+            req.setdefault((j, i), []).append(sflip)
+
+    sizes = {}
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            base = int(rng.integers(0, max_fiber + 1))
+            need = req.get((i, j), [])
+            plus = sum(1 for s in need if s == 1)
+            minus = sum(1 for s in need if s == -1)
+            if i == j:
+                if d in (2, 6):
+                    cnt = max(base, 2 * max(plus, minus, 1 if need else 0))
+                elif d == 4:
+                    cnt = max(base, 2 * ((plus + 1) // 2 + (minus + 1) // 2))
+                elif d in (3, 5):
+                    cnt = max(base, 2 * ((len(need) + 1) // 2))
+                else:
+                    cnt = max(base, len(need))
+                if d in (2, 3, 4, 5, 6):
+                    cnt += cnt % 2
+            else:
+                cnt = max(base, len(need))
+            sizes[(i, j)] = cnt
+
+    if all(c == 0 for c in sizes.values()):
+        sizes[(1, 1)] = 2 if d in (2, 3, 4, 5, 6) else 1
+
+    vertices, jim = {}, {}
+    for (i, j) in sorted(sizes):
+        cnt = sizes[(i, j)]
+        if cnt == 0:
+            continue
+        need = sorted((s for s in req.get((i, j), []) if s is not None), reverse=True)
+        if i < j:
+            if ko.even:
+                s_list = list(need)
+                while len(s_list) < cnt:
+                    s_list.append(int(rng.choice([1, -1])))
+            else:
+                s_list = [None] * cnt
+            for p in range(1, cnt + 1):
+                s = s_list[p - 1]
+                sj = ko.eps_pp * s if s is not None else None
+                vertices[(i, p, j)] = Vertex(i, p, j, s=s)
+                vertices[(j, p, i)] = Vertex(j, p, i, s=sj)
+                jim[(i, p, j)] = (j, p, i)
+                jim[(j, p, i)] = (i, p, j)
+        elif d in (0, 1, 7):
+            if d == 0:
+                s_list = list(need)
+                while len(s_list) < cnt:
+                    s_list.append(int(rng.choice([1, -1])))
+            else:
+                s_list = [None] * cnt
+            for p in range(1, cnt + 1):
+                vertices[(i, p, i)] = Vertex(i, p, i, s=s_list[p - 1])
+                jim[(i, p, i)] = (i, p, i)
+        else:
+            # paired diagonal fibers; chi = 0 on the first of each pair
+            if d in (2, 6):
+                pair_s = [(-1, 1)] * (cnt // 2)
+            elif d == 4:
+                plus = sum(1 for s in need if s == 1)
+                minus = sum(1 for s in need if s == -1)
+                pair_s = [(1, 1)] * ((plus + 1) // 2) + [(-1, -1)] * ((minus + 1) // 2)
+                while len(pair_s) < cnt // 2:
+                    sv = int(rng.choice([1, -1]))
+                    pair_s.append((sv, sv))
+            else:
+                pair_s = [(None, None)] * (cnt // 2)
+            for a in range(cnt // 2):
+                s1, s2 = pair_s[a]
+                v1, v2 = (i, 2 * a + 1, i), (i, 2 * a + 2, i)
+                vertices[v1] = Vertex(*v1, s=s1, chi=0)
+                vertices[v2] = Vertex(*v2, s=s2, chi=1)
+                jim[v1], jim[v2] = v2, v1
+
+    skeleton = KrajewskiDiagram(profile, ko, vertices, jim, [])
+    t0 = realize(skeleton)
+    layout = t0.layout
+
+    def admissible_pairs():
+        out = []
+        for v1 in skeleton.sorted_vids():
+            for v2 in skeleton.sorted_vids():
+                i1, _p1, j1 = v1
+                i2, _p2, j2 = v2
+                if i1 != i2 and j1 != j2:
+                    continue
+                if ko.even and vertices[v2].s != -vertices[v1].s:
+                    continue
+                out.append((v1, v2))
+        return out
+
+    pairs = admissible_pairs()
+    edges = []
+    attempts = 0
+    while True:
+        attempts += 1
+        D = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+        for (v1, v2) in pairs:
+            if rng.random() > edge_prob:
+                continue
+            i1, _p1, j1 = v1
+            i2, _p2, j2 = v2
+            n_i1, n_j1 = profile.dim(i1), profile.dim(j1)
+            n_i2, n_j2 = profile.dim(i2), profile.dim(j2)
+            if i1 == i2 and j1 != j2:
+                blk = np.kron(np.eye(n_i1), random_complex(rng, (n_j2, n_j1)))
+            elif j1 == j2 and i1 != i2:
+                blk = np.kron(random_complex(rng, (n_i2, n_i1)), np.eye(n_j1))
+            else:
+                # both coordinates match: first order leaves D_L (x) 1 + 1 (x) D_R
+                blk = np.kron(random_complex(rng, (n_i1, n_i1)), np.eye(n_j1)) + np.kron(
+                    np.eye(n_i1), random_complex(rng, (n_j1, n_j1))
+                )
+            D[layout.block(v2).sl, layout.block(v1).sl] = blk
+        D = (D + D.conj().T) / 2
+        D = (D + ko.eps_p * (t0.K @ np.conj(D) @ t0.K.conj().T)) / 2
+        edges = extract_edges(layout, D, 1e-12)
+        if edges or not (ensure_edge and pairs) or attempts > 20:
+            break
+
+    diag = KrajewskiDiagram(profile, ko, vertices, jim, edges)
+    rep = validate(diag, 1e-9)
+    if not rep.ok:
+        raise RuntimeError("generator produced an invalid diagram:\n" + str(rep))
+    return diag
+
+
+def random_compatible_target(rng, source: KrajewskiDiagram, arrow: BratteliArrow,
+                             max_fiber=2, edge_prob=0.5, ensure_edge=False) -> KrajewskiDiagram:
+    """A random target diagram able to receive every source vertex.
+
+    One target vertex is demanded per source vertex (with matching grading),
+    so a lift with uniform group support can make phi_H one-to-one.
+    """
+    req = []
+    for v in source.sorted_vids():
+        i, _p, j = v
+        k = next(kk for kk in range(1, arrow.target.r + 1) if arrow.mult(kk, i) > 0)
+        l = next(ll for ll in range(1, arrow.target.r + 1) if arrow.mult(ll, j) > 0)
+        req.append((k, l, source.vertex(v).s))
+        if (k, l) == (l, k) and source.d in (0, 1, 7) and i == j:
+            # jim-fixed target vertices carry a hermiticity constraint on u;
+            # demand one more for the halved free dimension
+            req.append((k, l, source.vertex(v).s))
+    return random_diagram(
+        rng, source.d, profile=arrow.target, max_fiber=max_fiber,
+        edge_prob=edge_prob, requirements=req, ensure_edge=ensure_edge,
+    )
+
+
+def _source_groups(source: KrajewskiDiagram):
+    """Source vertices grouped by fiber and grading; the Gram matrix of a
+    lift is block diagonal over these groups."""
+    groups = {}
+    for v in source.sorted_vids():
+        s = source.vertex(v).s
+        groups.setdefault((v[0], v[2], s), []).append(v)
+    return groups
+
+
+def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: KrajewskiDiagram) -> DiagramLift:
+    """A lift respecting the grading and the real-structure relation.
+
+    u is drawn on one representative per (jim_A, jim_B) orbit and the
+    partner entry is set to (eps_A(v)/eps_B(w)) u(v,w)*; jim-fixed pairs
+    are projected onto the constraint.  Support is uniform over each
+    (fiber, grading) group of source vertices: each admissible target vertex
+    is drawn with probability 0.7, then enough are added for the group Gram
+    matrix to be generically nonsingular, so phi_H is one-to-one almost surely.
+    """
+    dA, dB = source.d, target.d
+    groups = _source_groups(source)
+
+    support = {}
+    handled = set()
+    for key in sorted(groups, key=str):
+        if key in handled:
+            continue
+        vids = groups[key]
+        v0 = vids[0]
+        partner_key = next(k for k, g in groups.items() if source.jim[v0] in g)
+        handled.update({key, partner_key})
+        self_paired = partner_key == key
+        admissible = []
+        for w in target.sorted_vids():
+            if arrow.mult(w[0], v0[0]) == 0 or arrow.mult(w[2], v0[2]) == 0:
+                continue
+            if source.ko.even and source.vertex(v0).s != target.vertex(w).s:
+                continue
+            admissible.append(w)
+        sel = {w for w in admissible if rng.random() < 0.7}
+        # conservative capacity: the jim constraint can halve the free
+        # dimension when the group is its own partner
+        def capacity(ws):
+            c = sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
+            return c // 2 if self_paired else c
+        for w in admissible:
+            if capacity(sel) >= len(vids):
+                break
+            sel.add(w)
+        if capacity(sel) < len(vids) and not (self_paired and capacity(sel) * 2 >= len(vids)):
+            if sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in admissible) < len(vids):
+                raise RuntimeError(f"target cannot make phi_H one-to-one on group {key}")
+            sel = set(admissible)
+        if self_paired:
+            sel |= {target.jim[w] for w in sel}
+        support[key] = sorted(sel)
+        support[partner_key] = sorted({target.jim[w] for w in sel})
+
+    pairs = []
+    for key, vids in sorted(groups.items(), key=lambda kv: str(kv[0])):
+        for v in vids:
+            for w in support[key]:
+                pairs.append((v, w))
+
+    orbit_of = {}
+    for (v, w) in pairs:
+        partner = (source.jim[v], target.jim[w])
+        orbit_of[(v, w)] = min((v, w), partner)
+
+    u = {}
+    for (v, w) in sorted(set(orbit_of.values())):
+        ratio = epsilon_factor(source.vertex(v), dA) / epsilon_factor(target.vertex(w), dB)
+        m = random_complex(rng, (arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])))
+        partner = (source.jim[v], target.jim[w])
+        if partner == (v, w):
+            m = (m + ratio * m.conj().T) / 2
+            if frob(m) < 1e-9:
+                # degenerate projection; add a fixed point of u -> ratio u*
+                m = m + (np.eye(m.shape[0]) if ratio > 0 else 1j * np.eye(m.shape[0]))
+            u[(v, w)] = m
+        else:
+            u[(v, w)] = m
+            u[partner] = ratio * m.conj().T
+    return DiagramLift(arrow, source, target, u)

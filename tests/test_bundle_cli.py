@@ -1,7 +1,14 @@
+import contextlib
+import functools
+import io
 import json
+import operator
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finspec.algebra import AlgebraProfile
 from finspec.bratteli import BratteliArrow
@@ -298,3 +305,115 @@ def test_cli_failing_order_lines_name_their_witness(full_bundle, tmp_path, capsy
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     for name in order_lines:
         assert not checks[name]["passed"] and checks[name]["detail"].startswith("worst at a = E^"), checks[name]
+
+
+def test_cli_nform_where_a_one_form_is_needed_names_the_form(full_bundle, tmp_path, capsys):
+    from finspec.differential import UniversalNForm
+    from finspec.sampling import random_element
+
+    b, _ = full_bundle
+    rng = rng_from_seed(2610)
+    prof = b.forms["w"].profile
+    b2 = load_bundle(full_bundle[1])
+    b2.forms["w"] = UniversalNForm(prof, (tuple(random_element(rng, prof) for _ in range(3)),))
+    path = str(tmp_path / "nform.json")
+    save_bundle(b2, path)
+    for argv in (["action", path, "--triple", "T", "--form", "w"],
+                 ["compare", path, "--lift", "L", "--form-a", "w"],
+                 ["compat", path, "--lift", "L", "--form-a", "w"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error: forms.w:" in err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("d", (6, 7))
+def test_cli_classify_refuses_a_grading_of_the_wrong_parity(tmp_path, capsys, d):
+    # an even triple stored without gamma, an odd one carrying a gamma
+    from finspec.krajewski import ClassificationError, classify
+
+    t = realize(minimal_diagram(d, 1.0))
+    gamma = None if t.ko.even else np.eye(t.dim)
+    bad = RealSpectralTriple(t.profile, t.ko, t.layout, t.D, t.K, gamma)
+    with pytest.raises(ClassificationError) as info:
+        classify(bad)
+    assert info.value.step == "grading reduction"
+    b = Bundle()
+    b.triples["T"] = bad
+    path = str(tmp_path / "parity.json")
+    save_bundle(b, path)
+    assert main(["classify", path, "--triple", "T"]) == 1
+    err = capsys.readouterr().err
+    assert "failed: classification failed at step 'grading reduction'" in err and "Traceback" not in err
+
+
+# -- mutated bundles: every command ends in exit 0, 1 or 2, never in a traceback --
+
+COMMANDS = (
+    ["validate"], ["realize", "--diagram", "src"], ["axioms", "--diagram", "d6"], ["axioms", "--triple", "T"],
+    ["classify", "--triple", "T"], ["lift-check", "--lift", "L"], ["sigma", "--lift", "L"],
+    ["normalize", "--lift", "L"], ["compat", "--lift", "L", "--form-a", "w"],
+    ["action", "--triple", "T", "--form", "w"], ["compare", "--lift", "L", "--form-a", "w"],
+    ["render", "--lift", "L"],
+)
+VERTEX_KEY = re.compile(r"\(\d+,\d+,\d+\)")
+
+
+def _paths(doc, path=()):
+    """Paths to every value of a JSON document, entering only the first entry of each matrix."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:1] if path[-1:] == ("entries",) else doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(doc, path, kind):
+    """Mutate the value at path (a nonempty path) in place; True when the schema must reject the result."""
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key, value = path[-1], parent[path[-1]]
+    if kind == "drop":
+        del parent[key]
+        return False
+    if kind == "index":  # a vertex out of range, in a key or a value, or a negative count
+        if isinstance(value, str) and VERTEX_KEY.fullmatch(value):
+            parent[key] = "(9,1,9)"
+        elif isinstance(value, dict) and value and VERTEX_KEY.fullmatch(next(iter(value))):
+            value["(0,1,1)"] = value.pop(next(iter(value)))
+        elif type(value) is int:
+            parent[key] = -1
+        return False
+    parent[key] = {"type": 5 if isinstance(value, str) else "x", "nan": float("nan"), "inf": float("inf"),
+                   "bool": True, "huge": 10 ** 400}[kind]
+    # an integer field may take a huge integer (d is read mod 8, s and chi are judged by validate)
+    return kind in ("type", "nan", "inf") or (kind == "bool" and type(value) is not bool) or (
+        kind == "huge" and type(value) is not int)
+
+
+@pytest.fixture(scope="module")
+def mutation_setup(full_bundle, tmp_path_factory):
+    with open(full_bundle[1], encoding="utf-8") as fh:
+        text = fh.read()
+    return text, [p for p in _paths(json.loads(text)) if p], tmp_path_factory.mktemp("mutated") / "bundle.json"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_bundles_exit_0_1_or_2_without_traceback(mutation_setup, data):
+    text, paths, path = mutation_setup
+    doc = json.loads(text)
+    where = data.draw(st.sampled_from(paths), label="path")
+    kind = data.draw(st.sampled_from(("drop", "type", "nan", "inf", "bool", "huge", "index")), label="kind")
+    command = data.draw(st.sampled_from(COMMANDS), label="command")
+    fmt = data.draw(st.sampled_from(("text", "json")), label="format")
+    parse_level = _mutate(doc, where, kind)
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["--format", fmt, command[0], str(path), *command[1:]])
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
+    if parse_level:
+        assert rc == 2, (rc, err.getvalue())

@@ -155,6 +155,32 @@ def test_diagonalize_refuses_mixed_chi_binding_in_d2():
         diagonalize_bases(lift, 1e-10)
 
 
+def _diagonalized(lift):
+    """kappa of the diagonalized lift and the normalized phi_H, or the LiftError either step raises."""
+    try:
+        rot = diagonalize_bases(lift, 1e-10)
+        return rot.kappa, build_phiH(normalize(rot, 1e-10)).matrix
+    except LiftError as exc:
+        return exc
+
+
+def test_lift_verdicts_do_not_depend_on_the_units_of_u():
+    """The lift_chain lifts with u scaled by c get the verdict of c = 1, with kappa scaled by c^2."""
+    rng = rng_from_seed(5)
+    for d in (0, 1, 2, 6, 7):
+        lift = lift_chain(rng, d)[3]
+        ref = _diagonalized(lift)
+        assert not isinstance(ref, LiftError), (d, ref)
+        kappa, M = ref
+        for c in (1e-6, 1e-4, 1e4, 1e8):
+            scaled = DiagramLift(lift.arrow, lift.source, lift.target, {k: c * u for k, u in lift.u.items()})
+            got = _diagonalized(scaled)
+            assert not isinstance(got, LiftError), (d, c, got)
+            top = max(kappa.values())
+            assert all(abs(got[0][v] - c * c * k) <= 1e-9 * c * c * top for v, k in kappa.items()), (d, c)
+            assert frob(got[1].conj().T @ got[1] - np.eye(M.shape[1])) <= 1e-9, (d, c)
+
+
 def test_compat_check_strong_and_weak():
     rng = rng_from_seed(3003)
     norm, tA, tB, phiH = normalized_setup(rng, 6)

@@ -8,7 +8,8 @@ units, `represent` on vertex-block pairs with the dense pi products,
 `extract_edges` by one label sum and `detect_ko` with hoisted products with
 their pair and row loops, and the fiber bases of `classify` and the
 per-fiber rotation of `sigma` and `diagonalize_bases` with their vertex
-loops.
+loops, and the generators with one normal form for the decorations with
+their branch per KO-dimension.
 """
 
 import itertools
@@ -38,12 +39,15 @@ from finspec.krajewski import (
 )
 from finspec.lifting import LiftError, build_phiH, diagonalize_bases, normalize, sigma
 from finspec.sampling import (
+    random_arrow,
+    random_compatible_target,
     random_complex,
     random_diagram,
     random_element,
     random_even_vector,
     random_hermitian,
     random_hermitian_form,
+    random_lift,
     random_one_form,
     random_unitary,
     random_unitary_element,
@@ -514,3 +518,62 @@ def test_form_path_builds_no_dense_representation(monkeypatch):
     assert gauge_covariance_check(t, w, random_unitary_element(rng, t.profile), 1e-9).ok
     b = random_element(rng, t.profile)
     right_action(b, random_vector(rng, t.dim), t.layout)
+
+
+# -- the generators with one normal form for the decorations ---------------------
+
+
+def _draw(fn, rng, *args, **kwargs):
+    """fn's result, or the type and message of what it raised, with the generator state after the call."""
+    try:
+        out = fn(rng, *args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        out = (type(exc), str(exc))
+    return out, rng.bit_generator.state
+
+
+def _same_diagrams(new, old):
+    """Vertices and jim in the same insertion order, and the same edges in the same order with bit-equal ops."""
+    if isinstance(old, tuple):
+        return new == old
+    as_list = lambda g: (list(g.vertices.items()), list(g.jim.items()),
+                         [(e.src, e.dst, e.kind, e.op.shape, e.op.tobytes()) for e in g.edges])
+    return as_list(new) == as_list(old)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_generators_match_branch_per_dimension_oracle(d):
+    """random_diagram on 200 seeded draws of profile, requirements, max_fiber, edge_prob and ensure_edge;
+    random_compatible_target and random_lift on every eighth: the same output and generator state."""
+    draws = rng_from_seed(2700 + d)
+    targets = 0
+    for n in range(200):
+        profile = AlgebraProfile(tuple(int(x) for x in draws.integers(1, 3, size=draws.integers(1, 3))))
+        side = lambda: int(draws.integers(1, profile.r + 1))
+        requirements = [(side(), side(), int(draws.choice([1, -1])) if d % 2 == 0 else None)
+                        for _ in range(draws.integers(0, 4))]
+        kw = dict(profile=profile, max_fiber=int(draws.integers(0, 3)), edge_prob=float(draws.random()),
+                  requirements=requirements, ensure_edge=bool(draws.integers(0, 2)))
+        seed = int(draws.integers(1 << 30))
+        rng, rng0 = rng_from_seed(seed), rng_from_seed(seed)
+        (source, state), (source0, state0) = _draw(random_diagram, rng, d, **kw), _draw(oracles.random_diagram, rng0, d, **kw)
+        assert _same_diagrams(source, source0) and state == state0, (n, kw)
+        if n % 8 or isinstance(source0, tuple):
+            continue
+        arrow = random_arrow(rng, source.profile, s_max=2, alpha_max=1, n0_max=1)
+        random_arrow(rng0, source.profile, s_max=2, alpha_max=1, n0_max=1)
+        kw = dict(max_fiber=1, edge_prob=kw["edge_prob"], ensure_edge=kw["ensure_edge"])
+        (target, state), (target0, state0) = (_draw(random_compatible_target, rng, source, arrow, **kw),
+                                              _draw(oracles.random_compatible_target, rng0, source0, arrow, **kw))
+        assert _same_diagrams(target, target0) and state == state0, n
+        if isinstance(target0, tuple):
+            continue
+        (lift, state), (lift0, state0) = _draw(random_lift, rng, source, arrow, target), _draw(oracles.random_lift, rng0, source0, arrow, target0)
+        assert state == state0, n
+        if isinstance(lift0, tuple):
+            assert lift == lift0, n
+            continue
+        assert list(lift.u) == list(lift0.u), n
+        assert all(lift.u[k].tobytes() == u0.tobytes() for k, u0 in lift0.u.items()), n
+        targets += 1
+    assert targets >= 20
