@@ -261,15 +261,6 @@ class VertexLayout:
             out[b.sl, b.sl] = np.kron(a.block(b.i), np.eye(b.n_j))
         return out
 
-    def right(self, b_el: AlgebraElement) -> np.ndarray:
-        """Right action b o, acting as b_{j(v)}^T on the opposite factor."""
-        if b_el.profile != self.profile:
-            raise ProfileMismatch("element profile does not match layout")
-        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for b in self.blocks:
-            out[b.sl, b.sl] = np.kron(np.eye(b.n_i), b_el.block(b.j).T)
-        return out
-
 
 def right_action(b: AlgebraElement, psi: np.ndarray, layout: VertexLayout) -> np.ndarray:
     """Apply the opposite-algebra action of b to a vector psi of the layout.

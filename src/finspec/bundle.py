@@ -125,10 +125,12 @@ def _record(obj, where, required=()) -> dict:
     return obj
 
 
-def _int(x, where) -> int:
-    """x, checked to be a JSON integer (booleans are not integers here)."""
+def _int(x, where, domain=None) -> int:
+    """x, checked to be a JSON integer (booleans are not integers here), and to lie in domain if one is given."""
     if type(x) is not int:
         raise BundleError(f"{where}: expected an integer, got {x!r}")
+    if domain is not None and x not in domain:
+        raise BundleError(f"{where}: expected one of {', '.join(map(str, domain))}, got {x!r}")
     return x
 
 
@@ -166,13 +168,14 @@ def _profile(x, where) -> AlgebraProfile:
 def _diagram_from_json(obj, where) -> KrajewskiDiagram:
     _record(obj, where, ("dims", "d"))
     profile = _profile(obj["dims"], f"{where}.dims")
-    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d"))
+    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d", range(8)))
     vertices = {}
     for key, rec in _record(obj.get("vertices", {}), f"{where}.vertices").items():
         vid = _vid_from_key(key, f"{where}.vertices")
         at = f"{where}.vertices.{key}"
         rec = _record(rec, at)
-        dec = {k: None if rec.get(k) is None else _int(rec[k], f"{at}.{k}") for k in ("s", "chi")}
+        dec = {k: None if rec.get(k) is None else _int(rec[k], f"{at}.{k}", domain)
+               for k, domain in (("s", (-1, 1)), ("chi", (0, 1)))}
         vertices[vid] = Vertex(vid[0], vid[1], vid[2], **dec)
     jim = {
         _vid_from_key(k, f"{where}.jim"): _vid_from_key(w, f"{where}.jim")
@@ -209,7 +212,7 @@ def _triple_to_json(t: RealSpectralTriple) -> dict:
 def _triple_from_json(obj, where) -> RealSpectralTriple:
     _record(obj, where, ("dims", "d", "layout", "D", "K"))
     profile = _profile(obj["dims"], f"{where}.dims")
-    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d"))
+    ko = KOSignature.from_dim(_int(obj["d"], f"{where}.d", range(8)))
     vids = [_vid_from_key(k, f"{where}.layout") for k in _array(obj["layout"], f"{where}.layout")]
     r = profile.r
     if len(set(vids)) != len(vids) or not all(1 <= v[0] <= r and 1 <= v[2] <= r for v in vids):

@@ -153,7 +153,7 @@ def cmd_sigma(bundle, args, tol):
         text.append(np.array_str(mat, precision=6))
     for flag in sig.flags:
         text.append(f"warning: {flag}")
-    _emit(args, {"sigma": payload, "flags": sig.flags, "diagonal": sig.is_diagonal(tol)},
+    _emit(args, {"sigma": payload, "flags": sig.flags, "diagonal": sig.is_diagonal(tol * sig.largest)},
           "\n".join(text))
 
 

@@ -296,11 +296,22 @@ def _factor_residual(op, kind, dims):
     return off(kron(left0, np.eye(m)) + kron(np.eye(n), right0) + scalar * kron(np.eye(n), np.eye(m)))
 
 
-# edge kind -> (the lattice match it needs, the factorization validate measures)
-_KIND_LINES = {
-    "left": ("rho match", "factors as D_L (x) 1"),
-    "right": ("lambda match", "factors as 1 (x) D_R"),
-    "general": ("both matches", "splits as D_L (x) 1 + 1 (x) D_R"),
+def _edge_kind(src, dst):
+    """The edge kind the lattice forces from src to dst, or None between unrelated fibers.
+
+    Sharing lambda (i) leaves 1 (x) D_R, sharing rho (j) leaves D_L (x) 1,
+    and sharing both leaves their sum.
+    """
+    if src[0] == dst[0]:
+        return "general" if src[2] == dst[2] else "right"
+    return "left" if src[2] == dst[2] else None
+
+
+# edge kind -> the factorization validate measures
+_FACTOR_LINES = {
+    "left": "factors as D_L (x) 1",
+    "right": "factors as 1 (x) D_R",
+    "general": "splits as D_L (x) 1 + 1 (x) D_R",
 }
 
 
@@ -381,27 +392,21 @@ def _validate(diag, tol):
         if (e.src, e.dst) in seen_pairs:
             rep.add_bool(f"{tag} supplied once", False)
         seen_pairs.add((e.src, e.dst))
-        i1, _q1, j1 = e.src
-        i2, _q2, j2 = e.dst
         n_i1, n_j1 = _vdim(diag.profile, e.src)
         n_i2, n_j2 = _vdim(diag.profile, e.dst)
         if e.op.shape != (n_i2 * n_j2, n_i1 * n_j1):
             rep.add_bool(f"{tag} op shape", False)
             continue
         rep.add_bool(f"{tag} op nonzero", size > tol * largest)
-        bound = tol * max(1.0, size)
-        if i1 != i2 and j1 != j2:
+        forced = _edge_kind(e.src, e.dst)
+        if forced is None:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
             continue
-        need, line = _KIND_LINES[e.kind]
-        if not {"general": i1 == i2 and j1 == j2, "right": i1 == i2, "left": j1 == j2}[e.kind]:
-            rep.add_bool(f"{tag} kind={e.kind} needs {need}", False)
+        if forced not in ("general", e.kind):  # where both coordinates match, any kind is measured by its own factors
+            rep.add_bool(f"{tag} must be kind={forced}", False)
         else:
-            rep.add(f"{tag} {line}", _factor_residual(e.op, e.kind, (n_i1, n_j1, n_i2, n_j2)), bound)
-        if i1 == i2 and j1 != j2 and e.kind != "right":
-            rep.add_bool(f"{tag} must be kind=right", False)
-        if j1 == j2 and i1 != i2 and e.kind != "left":
-            rep.add_bool(f"{tag} must be kind=left", False)
+            res = _factor_residual(e.op, e.kind, (n_i1, n_j1, n_i2, n_j2))
+            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", res, tol * max(1.0, size))
         if ko.even:
             s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
@@ -470,10 +475,11 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     eye = np.eye(n)
     tol_D = tol * max(1.0, frob(D))
 
+    signs = [res[sign] for res, sign in zip(_sign_residuals(t), (ko.eps, ko.eps_p, ko.eps_pp)) if sign is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
     rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
-    rep.add("J squared = eps", frob(K @ np.conj(K) - ko.eps * eye), tol)
-    rep.add("JD = eps' DJ", frob(K @ np.conj(D) - ko.eps_p * D @ K), tol_D)
+    rep.add("J squared = eps", signs[0], tol)
+    rep.add("JD = eps' DJ", signs[1], tol_D)
 
     if ko.even:
         g = t.gamma
@@ -483,7 +489,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
         rep.add("gamma squared = 1", frob(g @ g - eye), tol)
         rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol_D)
-        rep.add("J gamma = eps'' gamma J", frob(K @ np.conj(g) - ko.eps_pp * g @ K), tol)
+        rep.add("J gamma = eps'' gamma J", signs[2], tol)
     elif t.gamma is not None:
         rep.add_bool("no grading in odd KO-dimension", False)
 
@@ -559,31 +565,36 @@ def _worst_bracket(X, frames):
     return float(np.sqrt(best)), at
 
 
+def _sign_residuals(t):
+    """{sign: residual} for J^2 = eps, JD = eps' DJ and, with a grading, J gamma = eps'' gamma J, at both signs.
+
+    K conj(K), K conj(D) and D K, and K conj(gamma) and gamma K, are formed
+    once, one relation at a time.
+    """
+    K, D, g = t.K, t.D, t.gamma
+
+    def products():
+        yield K @ np.conj(K), np.eye(t.dim)
+        yield K @ np.conj(D), D @ K
+        if g is not None:
+            yield K @ np.conj(g), g @ K
+
+    return [{sign: frob(X - sign * Y) for sign in (1, -1)} for X, Y in products()]
+
+
 def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     """All d mod 8 whose sign row matches the measured (eps, eps', eps'').
 
     The parity is fixed by the presence of the grading.  A vanishing D leaves
     eps' unconstrained, so several d can match; an empty set means the triple
-    is inconsistent with every row.  The eps' relation passes below
-    tol max(1, ||D||_F).
+    is inconsistent with every row.  A row matches when the three sign lines
+    of verify_axioms pass: the eps' relation below tol max(1, ||D||_F), the
+    others below tol.
     """
-    D, K, g = t.D, t.K, t.gamma
-    eye = np.eye(t.dim)
-    tol_D = tol * max(1.0, frob(D))
-    KK, KD, DK = K @ np.conj(K), K @ np.conj(D), D @ K
-    Kg, gK = (K @ np.conj(g), g @ K) if g is not None else (None, None)
-    out = set()
-    for d, (eps, eps_p, eps_pp) in KO_TABLE.items():
-        if (eps_pp is not None) != (g is not None):
-            continue
-        if frob(KK - eps * eye) > tol:
-            continue
-        if frob(KD - eps_p * DK) > tol_D:
-            continue
-        if eps_pp is not None and frob(Kg - eps_pp * gK) > tol:
-            continue
-        out.add(d)
-    return out
+    residuals = _sign_residuals(t)
+    bounds = (tol, tol * max(1.0, frob(t.D)), tol)
+    return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
+            and all(res[sign] <= bound for res, sign, bound in zip(residuals, row, bounds))}
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +818,6 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
             orbits += zip(zip(fiber, fibers[(j, i)]), [s for s, space in split for _m in space])
         elif i == j:
             L = Ls[(i, i)]
-            if frob(L @ np.conj(L) - ko.eps * np.eye(mu)) > tol:
-                raise ClassificationError("real structure reduction", f"T^2 != eps on fiber ({i},{i})")
             bases[(i, i)], firsts = _diagonal_fiber_basis(lambda m: L @ np.conj(m), ells.get((i, i)), mu, ko)
             orbits += zip([tuple(fiber[p:p + size]) for p in range(0, mu, size)], firsts)
     vertices, jim_new = _orbit_vertices(ko, orbits)
@@ -863,15 +872,8 @@ def extract_edges(layout, D, edge_tol):
     edges = []
     for v, w in zip(*np.nonzero(sq.T > drop ** 2)):
         src, dst = vids[v], vids[w]
-        i1, _p1, j1 = src
-        i2, _p2, j2 = dst
-        if i1 == i2 and j1 == j2:
-            kind = "general"
-        elif i1 == i2:
-            kind = "right"
-        elif j1 == j2:
-            kind = "left"
-        else:
+        kind = _edge_kind(src, dst)
+        if kind is None:
             raise ClassificationError(
                 "first-order structure", f"D couples unrelated fibers {src} -> {dst}", float(np.sqrt(sq[w, v]))
             )

@@ -111,6 +111,11 @@ class SigmaData:
     mats: dict        # (i, j) -> mu x mu complex matrix
     flags: list       # injectivity warnings
 
+    @property
+    def largest(self) -> float:
+        """The largest |sigma^{v1,v2}|, against which the sigma residuals are measured."""
+        return max((float(np.abs(m).max()) for m in self.mats.values()), default=0.0)
+
     def is_diagonal(self, tol: float = DEFAULT_TOL) -> bool:
         return all(
             frob(m - np.diag(np.diag(m))) <= tol for m in self.mats.values()
@@ -206,25 +211,24 @@ def _grading_residual(lift: DiagramLift) -> float:
     return worst
 
 
+def _jim(diag: KrajewskiDiagram, v):
+    """jim(v); LiftError naming v when it is not a vertex over the swapped lattice point."""
+    w = diag.jim.get(v)
+    if w not in diag.vertices or (w[0], w[2]) != (v[2], v[0]):
+        raise LiftError(f"jim of {v} is not a vertex over ({v[2]},{v[0]})")
+    return w
+
+
 def _conjugation_residual(lift: DiagramLift):
-    """Worst violation of u(jim v, jim w) = (eps_A(v)/eps_B(w)) u(v,w)*, with witness."""
-    dA, dB = lift.source.d, lift.target.d
+    """Worst violation of u(jim v, jim w) = (eps_A(v)/eps_B(w)) u(v,w)*, with witness; an absent u is zero."""
+    src, tgt = lift.source, lift.target
+    image = lambda v, w: (_jim(src, v), _jim(tgt, w))
     worst, witness = 0.0, None
-    keys = set(lift.u)
-    keys |= {(lift.source.jim[v], lift.target.jim[w]) for (v, w) in lift.u}
-    for (v, w) in sorted(keys):
-        ratio = epsilon_factor(lift.source.vertex(v), dA) / epsilon_factor(lift.target.vertex(w), dB)
-        u = lift.u_at(v, w)
-        expected = ratio * u.conj().T if u is not None else None
-        got = lift.u_at(lift.source.jim[v], lift.target.jim[w])
-        if expected is None and got is None:
-            continue
-        if expected is None:
-            res = frob(got)
-        elif got is None:
-            res = frob(expected)
-        else:
-            res = frob(got - expected)
+    for (v, w) in sorted(set(lift.u) | {image(v, w) for (v, w) in lift.u}):
+        ratio = epsilon_factor(src.vertex(v), src.d) / epsilon_factor(tgt.vertex(w), tgt.d)
+        zero = np.zeros((lift.arrow.mult(w[0], v[0]), lift.arrow.mult(w[2], v[2])))
+        expected = ratio * lift.u.get((v, w), zero).conj().T
+        res = frob(lift.u.get(image(v, w), zero.T) - expected)
         if res > worst:
             worst, witness = res, (v, w)
     return worst, witness
@@ -298,7 +302,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     """
     d = lift.source.d
     sig = sigma(lift)
-    size = _largest(sig)
+    size = sig.largest
 
     if lift.target.d != d:
         raise LiftError("source and target KO-dimensions differ")
@@ -379,11 +383,6 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     return out
 
 
-def _largest(sig: SigmaData) -> float:
-    """The largest |sigma^{v1,v2}|, against which the sigma residuals are measured."""
-    return max((float(np.abs(m).max()) for m in sig.mats.values()), default=0.0)
-
-
 def _kappa_pairing_residual(lift: DiagramLift, sig: SigmaData) -> float:
     kap = sig.kappas()
     return max((abs(kap[v] - kap[lift.source.jim[v]]) for v in kap), default=0.0)
@@ -396,7 +395,7 @@ def normalize(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
     times the largest |sigma|.
     """
     sig = sigma(lift)
-    size = _largest(sig)
+    size = sig.largest
     if not sig.is_diagonal(max(tol, 1e-9) * size):
         raise LiftError("sigma is not diagonal; run diagonalize_bases first")
     kap = sig.kappas()

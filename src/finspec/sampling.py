@@ -17,7 +17,9 @@ from .krajewski import (
     KOSignature,
     KrajewskiDiagram,
     _diagonal_orbit,
+    _edge_kind,
     _orbit_vertices,
+    _vdim,
     epsilon_factor,
     extract_edges,
     realize,
@@ -52,10 +54,6 @@ def random_element(rng, profile: AlgebraProfile, scale=1.0) -> AlgebraElement:
     return AlgebraElement(profile, [random_complex(rng, (n, n), scale) for n in profile.dims])
 
 
-def random_hermitian_element(rng, profile: AlgebraProfile, scale=1.0) -> AlgebraElement:
-    return AlgebraElement(profile, [random_hermitian(rng, n, scale) for n in profile.dims])
-
-
 def random_unitary_element(rng, profile: AlgebraProfile) -> AlgebraElement:
     return AlgebraElement(profile, [random_unitary(rng, n) for n in profile.dims])
 
@@ -79,17 +77,17 @@ def random_profile(rng, r_max=3, n_max=2) -> AlgebraProfile:
     return AlgebraProfile(tuple(int(rng.integers(1, n_max + 1)) for _ in range(r)))
 
 
-def random_even_vector(rng, t, scale=1.0):
+def random_even_vector(rng, t):
     """A state vector, projected to ker(gamma - 1) when the grading is present."""
     if t.gamma is not None and np.trace(np.eye(t.dim) + t.gamma).real < 0.5:
         raise RuntimeError("even subspace ker(gamma - 1) is trivial")
     for _ in range(100):
-        v = random_vector(rng, t.dim, scale)
+        v = random_vector(rng, t.dim)
         if t.gamma is not None:
             v = (v + t.gamma @ v) / 2
         nrm = np.linalg.norm(v)
         if nrm > 1e-6:
-            return v * (scale / nrm)
+            return v * (1.0 / nrm)
     raise RuntimeError("could not draw a nonzero even vector")
 
 
@@ -167,46 +165,25 @@ def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
     t0 = realize(skeleton)
     layout = t0.layout
 
-    def admissible_pairs():
-        out = []
-        for v1 in skeleton.sorted_vids():
-            for v2 in skeleton.sorted_vids():
-                i1, _p1, j1 = v1
-                i2, _p2, j2 = v2
-                if i1 != i2 and j1 != j2:
-                    continue
-                if ko.even and vertices[v2].s != -vertices[v1].s:
-                    continue
-                out.append((v1, v2))
-        return out
-
-    pairs = admissible_pairs()
-    edges = []
-    attempts = 0
-    while True:
-        attempts += 1
+    vids = skeleton.sorted_vids()
+    pairs = [(v1, v2, kind) for v1 in vids for v2 in vids if (kind := _edge_kind(v1, v2))
+             and not (ko.even and vertices[v2].s != -vertices[v1].s)]
+    for _attempt in range(21):  # with ensure_edge, draw again while no edge survives
         D = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-        for (v1, v2) in pairs:
+        for (v1, v2, kind) in pairs:
             if rng.random() > edge_prob:
                 continue
-            i1, _p1, j1 = v1
-            i2, _p2, j2 = v2
-            n_i1, n_j1 = profile.dim(i1), profile.dim(j1)
-            n_i2, n_j2 = profile.dim(i2), profile.dim(j2)
-            if i1 == i2 and j1 != j2:
-                blk = np.kron(np.eye(n_i1), random_complex(rng, (n_j2, n_j1)))
-            elif j1 == j2 and i1 != i2:
-                blk = np.kron(random_complex(rng, (n_i2, n_i1)), np.eye(n_j1))
-            else:
-                # both coordinates match: first order leaves D_L (x) 1 + 1 (x) D_R
-                blk = np.kron(random_complex(rng, (n_i1, n_i1)), np.eye(n_j1)) + np.kron(
-                    np.eye(n_i1), random_complex(rng, (n_j1, n_j1))
-                )
-            D[layout.block(v2).sl, layout.block(v1).sl] = blk
+            (n_i1, n_j1), (n_i2, n_j2) = _vdim(profile, v1), _vdim(profile, v2)
+            terms = []  # D_L (x) 1 unless the kind is right, then 1 (x) D_R unless it is left
+            if kind != "right":
+                terms.append(np.kron(random_complex(rng, (n_i2, n_i1)), np.eye(n_j1)))
+            if kind != "left":
+                terms.append(np.kron(np.eye(n_i1), random_complex(rng, (n_j2, n_j1))))
+            D[layout.block(v2).sl, layout.block(v1).sl] = sum(terms[1:], terms[0])
         D = (D + D.conj().T) / 2
         D = (D + ko.eps_p * (t0.K @ np.conj(D) @ t0.K.conj().T)) / 2
         edges = extract_edges(layout, D, 1e-12)
-        if edges or not (ensure_edge and pairs) or attempts > 20:
+        if edges or not (ensure_edge and pairs):
             break
 
     diag = KrajewskiDiagram(profile, ko, vertices, jim, edges)
@@ -331,26 +308,26 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
     return DiagramLift(arrow, source, target, u)
 
 
-def random_strong_pair(rng, phiH: PhiHMap, scale=1.0, hermitian=False):
+def random_strong_pair(rng, phiH: PhiHMap):
     """(A, B) strong phi-compatible: B = M A M* plus an arbitrary complement block."""
     if not phiH.normalized:
         raise ValueError("strong pairs are built over a normalized phi_H")
     M = phiH.matrix
     nA, nB = M.shape[1], M.shape[0]
-    A = random_hermitian(rng, nA, scale) if hermitian else random_complex(rng, (nA, nA), scale)
-    C = random_hermitian(rng, nB, scale) if hermitian else random_complex(rng, (nB, nB), scale)
+    A = random_complex(rng, (nA, nA))
+    C = random_complex(rng, (nB, nB))
     P = phiH.projector()
     comp = np.eye(nB) - P
     B = M @ A @ M.conj().T + comp @ C @ comp
     return A, B
 
 
-def weaken_pair(rng, phiH: PhiHMap, B, scale=1.0):
+def weaken_pair(rng, phiH: PhiHMap, B):
     """Add a nonzero perp <- range block: stays weakly compatible, breaks strong."""
     M = phiH.matrix
     P = phiH.projector()
     comp = np.eye(M.shape[0]) - P
-    E = random_complex(rng, (M.shape[0], M.shape[0]), scale)
+    E = random_complex(rng, (M.shape[0], M.shape[0]))
     off = comp @ E @ P
     if frob(off) < 1e-9:
         raise RuntimeError("degenerate weakening block")

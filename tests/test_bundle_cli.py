@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import lift_chain
+
 from finspec.algebra import AlgebraProfile
 from finspec.bratteli import BratteliArrow
 from finspec.bundle import Bundle, BundleError, load_bundle, save_bundle
@@ -209,6 +211,14 @@ SCHEMA_MUTATIONS = {
                       "triples.T.D"),
     "int-alpha": (lambda doc: doc["arrows"]["phi"].update(alpha=5), "arrows.phi.alpha"),
     "int-form-term": (lambda doc: doc["forms"]["w"]["terms"].__setitem__(0, 5), "forms.w.terms[0]"),
+    "huge-d": (lambda doc: d6(doc).update(d=10**400), "diagrams.d6.d"),
+    "d-out-of-range": (lambda doc: d6(doc).update(d=8), "diagrams.d6.d"),
+    "negative-d": (lambda doc: d6(doc).update(d=-2), "diagrams.d6.d"),
+    "zero-s": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(s=0), "diagrams.d6.vertices.(1,1,1).s"),
+    "huge-s": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(s=-10**400), "diagrams.d6.vertices.(1,1,1).s"),
+    "chi-out-of-range": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(chi=2), "diagrams.d6.vertices.(1,1,1).chi"),
+    "huge-chi": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(chi=10**400), "diagrams.d6.vertices.(1,1,1).chi"),
+    "triple-huge-d": (lambda doc: doc["triples"]["T"].update(d=10**400), "triples.T.d"),
     "huge-entry": (lambda doc: d6(doc)["edges"][0]["op"]["entries"].__setitem__(0, [10**400, 0]),
                    "diagrams.d6.edges[0].op"),
     "huge-kappa": (lambda doc: doc["lifts"]["L"].update(kappa={"(1,1,1)": 10**400}), "lifts.L.kappa.(1,1,1)"),
@@ -346,6 +356,24 @@ def test_cli_classify_refuses_a_grading_of_the_wrong_parity(tmp_path, capsys, d)
     assert "failed: classification failed at step 'grading reduction'" in err and "Traceback" not in err
 
 
+def test_cli_sigma_judges_diagonal_against_the_largest_sigma(tmp_path, capsys):
+    """The lift_chain lifts with u scaled by 1e4, once diagonalize_bases has run, are reported diagonal."""
+    from finspec.lifting import DiagramLift, diagonalize_bases
+
+    rng = rng_from_seed(5)
+    for d in (0, 1, 2, 6, 7):
+        lift = lift_chain(rng, d)[3]
+        for c in (1.0, 1e4):
+            rot = diagonalize_bases(DiagramLift(lift.arrow, lift.source, lift.target,
+                                                {k: c * u for k, u in lift.u.items()}), 1e-10)
+            b = Bundle()
+            b.diagrams["src"], b.diagrams["tgt"], b.arrows["phi"], b.lifts["L"] = rot.source, rot.target, rot.arrow, rot
+            path = tmp_path / "sigma.json"
+            save_bundle(b, path)
+            assert main(["--format", "json", "sigma", str(path), "--lift", "L"]) == 0
+            assert json.loads(capsys.readouterr().out)["diagonal"] is True, (d, c)
+
+
 # -- mutated bundles: every command ends in exit 0, 1 or 2, never in a traceback --
 
 COMMANDS = (
@@ -388,9 +416,9 @@ def _mutate(doc, path, kind):
         return False
     parent[key] = {"type": 5 if isinstance(value, str) else "x", "nan": float("nan"), "inf": float("inf"),
                    "bool": True, "huge": 10 ** 400}[kind]
-    # an integer field may take a huge integer (d is read mod 8, s and chi are judged by validate)
+    # a huge integer lies outside the domains of d (0..7), s (-1, 1) and chi (0, 1); other integer fields may take one
     return kind in ("type", "nan", "inf") or (kind == "bool" and type(value) is not bool) or (
-        kind == "huge" and type(value) is not int)
+        kind == "huge" and (type(value) is not int or key in ("d", "s", "chi")))
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from finspec import krajewski
 from finspec.algebra import AlgebraProfile, frob, swap_matrix, unit_insert
 from finspec.catalog import minimal_diagram
 from finspec.krajewski import (
+    EDGE_KINDS,
     ClassificationError,
     DiagramError,
     Edge,
@@ -179,6 +180,17 @@ def test_validate_verdict_does_not_depend_on_edge_units(c):
     off = edges[:k] + [Edge(e.dst, e.src, e.kind, (1 + 1e-3) * edges[k].op)] + edges[k + 1:]
     rep = validate(scaled(off))
     assert rep.failures() and all("orbit consistency" in f.name for f in rep.failures())
+
+
+@pytest.mark.parametrize("forced", ("right", "left"))
+def test_a_mis_kinded_edge_fails_one_kind_line(forced):
+    """An edge the lattice forces to be right (left), labelled with either other kind, fails only 'must be kind=right' ('left')."""
+    diag = random_diagram(rng_from_seed(1), 6, AlgebraProfile((2, 3, 4)), max_fiber=2)
+    k, e = next((k, e) for k, e in enumerate(diag.edges) if e.kind == forced)
+    for kind in sorted(set(EDGE_KINDS) - {forced}):
+        edges = diag.edges[:k] + [Edge(e.src, e.dst, kind, e.op)] + diag.edges[k + 1:]
+        rep = validate(KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim, edges))
+        assert [f.name for f in rep.failures()] == [f"edge {e.src}->{e.dst} must be kind={forced}"], kind
 
 
 @pytest.mark.parametrize("c", (1e-11, 1e-20))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from helpers import (
 
 from finspec.algebra import AlgebraProfile, frob, matrix_units
 from finspec.bratteli import BratteliArrow, apply_phi
-from finspec.krajewski import realize
+from finspec.krajewski import KrajewskiDiagram, realize
 from finspec.lifting import (
     DiagramLift,
     LiftError,
@@ -179,6 +181,23 @@ def test_lift_verdicts_do_not_depend_on_the_units_of_u():
             top = max(kappa.values())
             assert all(abs(got[0][v] - c * c * k) <= 1e-9 * c * c * top for v, k in kappa.items()), (d, c)
             assert frob(got[1].conj().T @ got[1] - np.eye(M.shape[1])) <= 1e-9, (d, c)
+
+
+@pytest.mark.parametrize("side", ("source", "target"))
+def test_a_jim_without_a_vertex_of_u_raises_lift_error(side):
+    """Both readers of the u conjugation name the vertex whose jim image is missing."""
+    src, _arrow, tgt, lift = lift_chain(rng_from_seed(6), 6)
+    tA, tB = realize(src), realize(tgt)
+    at = ("source", "target").index(side)
+    v = min(vw[at] for vw in lift.u)
+    sides = [src, tgt]
+    sides[at] = KrajewskiDiagram(sides[at].profile, sides[at].ko, sides[at].vertices,
+                                 {w: x for w, x in sides[at].jim.items() if w != v}, sides[at].edges)
+    bad = DiagramLift(lift.arrow, *sides, lift.u)
+    with pytest.raises(LiftError, match=re.escape(f"jim of {v} ")):
+        diagonalize_bases(bad, 1e-10)
+    with pytest.raises(LiftError, match=re.escape(f"jim of {v} ")):
+        real_grading_check(bad, tA, tB, 1e-10)
 
 
 def test_compat_check_strong_and_weak():

