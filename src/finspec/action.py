@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, as_matrix, frob
 from .differential import UniversalOneForm, fluctuate, represent
 from .krajewski import RealSpectralTriple
-from .lifting import DiagramLift, LiftError, build_phiH, compat_check
+from .lifting import DiagramLift, LiftError, _pullback, build_phiH, compat_check
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class ActionReport:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    @property
-    def total(self) -> float:
-        return sum(t.full for t in self.terms if t.name != "total")
 
     def as_dict(self):
         return {
@@ -282,8 +278,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     if failures:
         raise LiftError(f"operators not phi-compatible: {', '.join(failures)}")
 
-    pull = lambda X: M.conj().T @ X @ M
-    cfg_inh = GaugeConfiguration(tuple(pull(b) for b in cfg_B.B), pull(cfg_B.Phi))
+    cfg_inh = GaugeConfiguration(tuple(_pullback(M, b) for b in cfg_B.B), _pullback(M, cfg_B.Phi))
 
     lagrangians = [bosonic_lagrangian(c, f, Lambda, tol).terms for c in (cfg_B, cfg_inh, cfg_A)]
     for tf, ti, ta in zip(*lagrangians):

@@ -11,59 +11,36 @@ The sign constraints leave little room at small size:
   d=5: one chi-pair with opposite real self-loops;
   d=6: one chi-pair with a real edge inside the pair;
   d=7: a single vertex with a real self-loop.
+
+Every vertex sits over (1, 1), in the KO normal form of _diagonal_orbit.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraProfile
-from .krajewski import Edge, KOSignature, KrajewskiDiagram, Vertex
+from .krajewski import Edge, KOSignature, KrajewskiDiagram, _diagonal_orbit, _orbit_vertices
+
+# d -> (the s of the first vertex of each jim orbit, the supplied edge (p1, p2, op / t))
+_MINIMAL = {
+    0: ((1, -1), (1, 2, 1)),
+    1: ((None, None), (1, 2, 1j)),
+    2: ((-1, -1), (1, 4, 1)),
+    3: ((None,), (1, 1, 1)),
+    4: ((1, -1), (1, 3, 1)),
+    5: ((None,), (1, 1, 1)),
+    6: ((1,), (1, 2, 1)),
+    7: ((None,), (1, 1, 1)),
+}
 
 
 def minimal_diagram(d: int, t: float = 1.0) -> KrajewskiDiagram:
     """The smallest diagram over A = C in KO-dimension d whose D is nonzero."""
-    profile = AlgebraProfile((1,))
     ko = KOSignature.from_dim(d)
-    V = lambda p, s=None, chi=None: Vertex(1, p, 1, s=s, chi=chi)
-    vid = lambda p: (1, p, 1)
-
-    if d == 0:
-        vertices = {vid(1): V(1, s=1), vid(2): V(2, s=-1)}
-        jim = {vid(1): vid(1), vid(2): vid(2)}
-        edges = [Edge(vid(1), vid(2), "general", [[t]])]
-    elif d == 1:
-        vertices = {vid(1): V(1), vid(2): V(2)}
-        jim = {vid(1): vid(1), vid(2): vid(2)}
-        edges = [Edge(vid(1), vid(2), "general", [[1j * t]])]
-    elif d == 2:
-        vertices = {
-            vid(1): V(1, s=-1, chi=0), vid(2): V(2, s=1, chi=1),
-            vid(3): V(3, s=-1, chi=0), vid(4): V(4, s=1, chi=1),
-        }
-        jim = {vid(1): vid(2), vid(2): vid(1), vid(3): vid(4), vid(4): vid(3)}
-        edges = [Edge(vid(1), vid(4), "general", [[t]])]
-    elif d == 3:
-        vertices = {vid(1): V(1, chi=0), vid(2): V(2, chi=1)}
-        jim = {vid(1): vid(2), vid(2): vid(1)}
-        edges = [Edge(vid(1), vid(1), "general", [[t]])]
-    elif d == 4:
-        vertices = {
-            vid(1): V(1, s=1, chi=0), vid(2): V(2, s=1, chi=1),
-            vid(3): V(3, s=-1, chi=0), vid(4): V(4, s=-1, chi=1),
-        }
-        jim = {vid(1): vid(2), vid(2): vid(1), vid(3): vid(4), vid(4): vid(3)}
-        edges = [Edge(vid(1), vid(3), "general", [[t]])]
-    elif d == 5:
-        vertices = {vid(1): V(1, chi=0), vid(2): V(2, chi=1)}
-        jim = {vid(1): vid(2), vid(2): vid(1)}
-        edges = [Edge(vid(1), vid(1), "general", [[t]])]
-    elif d == 6:
-        vertices = {vid(1): V(1, s=1, chi=0), vid(2): V(2, s=-1, chi=1)}
-        jim = {vid(1): vid(2), vid(2): vid(1)}
-        edges = [Edge(vid(1), vid(2), "general", [[t]])]
-    elif d == 7:
-        vertices = {vid(1): V(1)}
-        jim = {vid(1): vid(1)}
-        edges = [Edge(vid(1), vid(1), "general", [[t]])]
-    else:
+    if d not in _MINIMAL:
         raise ValueError("d must be 0..7")
-    return KrajewskiDiagram(profile, ko, vertices, jim, edges)
+    firsts, (p1, p2, c) = _MINIMAL[d]
+    size = len(_diagonal_orbit(d))
+    orbits = [(tuple((1, size * k + m, 1) for m in range(1, size + 1)), s) for k, s in enumerate(firsts)]
+    vertices, jim = _orbit_vertices(ko, orbits)
+    edge = Edge((1, p1, 1), (1, p2, 1), "general", [[c * t]])
+    return KrajewskiDiagram(AlgebraProfile((1,)), ko, vertices, jim, [edge])

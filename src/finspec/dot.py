@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from .algebra import frob
 from .bratteli import BratteliArrow
+from .bundle import _vid_to_key
 from .krajewski import KrajewskiDiagram
 from .lifting import DiagramLift
 
 
 def _fmt(x) -> str:
     return f"{x:.6g}"
-
-
-def _vkey(vid) -> str:
-    return f"({vid[0]},{vid[1]},{vid[2]})"
 
 
 def _vertex_label(diag, vid) -> str:
@@ -23,8 +20,7 @@ def _vertex_label(diag, vid) -> str:
         deco.append(f"s={v.s:+d}")
     if v.chi is not None:
         deco.append(f"chi={v.chi}")
-    core = f"({v.i},{v.p},{v.j})"
-    return core + (f"[{','.join(deco)}]" if deco else "")
+    return _vid_to_key(v.vid) + (f"[{','.join(deco)}]" if deco else "")
 
 
 def _diagram_lines(diag, prefix="", indent="  "):
@@ -35,7 +31,7 @@ def _diagram_lines(diag, prefix="", indent="  "):
         i, p, j = vid
         pos = f"{i + 0.25 * (p - 1):.2f},{j + 0.25 * (p - 1):.2f}!"
         lines.append(
-            f'{indent}"{prefix}{_vkey(vid)}" [label="{_vertex_label(diag, vid)}", pos="{pos}"];'
+            f'{indent}"{prefix}{_vid_to_key(vid)}" [label="{_vertex_label(diag, vid)}", pos="{pos}"];'
         )
     seen = set()
     for e in sorted(diag.edges, key=lambda e: (e.src, e.dst)):
@@ -44,7 +40,7 @@ def _diagram_lines(diag, prefix="", indent="  "):
         seen.add((e.src, e.dst))
         style = " dir=none" if e.dst != e.src else ""
         lines.append(
-            f'{indent}"{prefix}{_vkey(e.src)}" -> "{prefix}{_vkey(e.dst)}" '
+            f'{indent}"{prefix}{_vid_to_key(e.src)}" -> "{prefix}{_vid_to_key(e.dst)}" '
             f'[label="{_fmt(frob(e.op))}"{style}];'
         )
     return lines
@@ -76,16 +72,12 @@ def _render_arrow(arrow: BratteliArrow) -> str:
 
 def _render_lift(lift: DiagramLift) -> str:
     lines = ["digraph lift {", "  node [shape=circle];"]
-    lines.append("  subgraph cluster_source {")
-    lines.append('    label="source";')
-    lines += _diagram_lines(lift.source, prefix="A:", indent="    ")
-    lines.append("  }")
-    lines.append("  subgraph cluster_target {")
-    lines.append('    label="target";')
-    lines += _diagram_lines(lift.target, prefix="B:", indent="    ")
-    lines.append("  }")
+    for name, prefix, diag in (("source", "A:", lift.source), ("target", "B:", lift.target)):
+        lines += [f"  subgraph cluster_{name} {{", f'    label="{name}";']
+        lines += _diagram_lines(diag, prefix=prefix, indent="    ")
+        lines.append("  }")
     for (v, w), u in sorted(lift.u.items()):
-        lines.append(f'  "A:{_vkey(v)}" -> "B:{_vkey(w)}" [color=green, label="{_fmt(frob(u))}"];')
+        lines.append(f'  "A:{_vid_to_key(v)}" -> "B:{_vid_to_key(w)}" [color=green, label="{_fmt(frob(u))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

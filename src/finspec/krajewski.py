@@ -272,21 +272,16 @@ def _factor_residual(op, kind, dims):
 
     The first-order condition leaves exactly 1 (x) D_R across rho, D_L (x) 1
     across lambda, and D_L (x) 1 + 1 (x) D_R when both coordinates match.
+    The kind must be one _edge_kind allows, so the dims it shares agree.
     """
     n_i1, n_j1, n_i2, n_j2 = dims
     blk = op.reshape(n_i2, n_j2, n_i1, n_j1)
     kron = lambda A, B: A[:, None, :, None] * B[None, :, None, :]  # the Kronecker product A (x) B on the legs of blk
     off = lambda proj: frob((blk - proj).reshape(op.shape))
     if kind == "right":
-        if n_i1 != n_i2:
-            return float("inf")
         return off(kron(np.eye(n_i1), blk.trace(axis1=0, axis2=2) / n_i1))
     if kind == "left":
-        if n_j1 != n_j2:
-            return float("inf")
         return off(kron(blk.trace(axis1=1, axis2=3) / n_j1, np.eye(n_j1)))
-    if (n_i1, n_j1) != (n_i2, n_j2):
-        return float("inf")
     n, m = n_i1, n_j1
     left = blk.trace(axis1=1, axis2=3) / m
     right = blk.trace(axis1=0, axis2=2) / n
@@ -463,9 +458,9 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     brackets with every unit are read off them as sums of squares
     (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
     and at most m legs per block, with no U^2 term.  Residuals linear in D
-    pass below tol max(1, ||D||_F), so a triple and its rescaling get the
-    same verdict.  The order-condition lines name the units behind their
-    worst residual.
+    pass below tol ||D||_F, so a triple and its rescaling get the same
+    verdict, and an exact zero passes at D = 0.  The order-condition lines
+    name the units behind their worst residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -473,7 +468,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    tol_D = tol * max(1.0, frob(D))
+    tol_D = tol * frob(D)
 
     signs = [res[sign] for res, sign in zip(_sign_residuals(t), (ko.eps, ko.eps_p, ko.eps_pp)) if sign is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
@@ -588,11 +583,11 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     The parity is fixed by the presence of the grading.  A vanishing D leaves
     eps' unconstrained, so several d can match; an empty set means the triple
     is inconsistent with every row.  A row matches when the three sign lines
-    of verify_axioms pass: the eps' relation below tol max(1, ||D||_F), the
-    others below tol.
+    of verify_axioms pass: the eps' relation below tol ||D||_F, the others
+    below tol.
     """
     residuals = _sign_residuals(t)
-    bounds = (tol, tol * max(1.0, frob(t.D)), tol)
+    bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
             and all(res[sign] <= bound for res, sign, bound in zip(residuals, row, bounds))}
 

@@ -62,17 +62,18 @@ class DiagramLift:
             if v not in self.source.vertices or w not in self.target.vertices:
                 raise LiftError(f"u({v},{w}) references unknown vertices")
             m = as_matrix(m)
-            a_ki = self.arrow.mult(w[0], v[0])
-            a_lj = self.arrow.mult(w[2], v[2])
-            if a_ki == 0 or a_lj == 0:
+            a_ki, a_lj = _u_shape(self.arrow, v, w)
+            if 0 in (a_ki, a_lj):
                 raise LiftError(f"u({v},{w}) forbidden: zero multiplicity in the arrow")
             if m.shape != (a_ki, a_lj):
                 raise ShapeMismatch(f"u({v},{w}) must be {a_ki}x{a_lj}, got {m.shape}")
             u[(v, w)] = m
         self.u = u
 
-    def u_at(self, v, w):
-        return self.u.get((v, w))
+
+def _u_shape(arrow: BratteliArrow, v, w):
+    """The shape alpha_{k(w) i(v)} x alpha_{l(w) j(v)} of u(v, w); a zero in it forbids a nonzero u(v, w)."""
+    return arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])
 
 
 @dataclass
@@ -122,12 +123,7 @@ class SigmaData:
         )
 
     def kappas(self) -> dict:
-        out = {}
-        for key, fiber in self.fibers.items():
-            diag = np.diag(self.mats[key])
-            for p, v in enumerate(fiber):
-                out[v] = float(diag[p].real)
-        return out
+        return {v: float(self.mats[key][p, p].real) for key, fiber in self.fibers.items() for p, v in enumerate(fiber)}
 
 
 @dataclass
@@ -175,6 +171,11 @@ def build_phiH(lift: DiagramLift) -> PhiHMap:
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
 
 
+def _pullback(M, X):
+    """The pullback M* X M of an operator X on the range side of M."""
+    return M.conj().T @ X @ M
+
+
 def _fiber_rows(lift: DiagramLift, fiber):
     """The u(v, .) of one source fiber as the rows of a matrix U, and the (w, shape) of its column blocks.
 
@@ -183,8 +184,7 @@ def _fiber_rows(lift: DiagramLift, fiber):
     alpha_{k(w) i} x alpha_{l(w) j}, so the rows of one fiber share one
     column layout; an absent u(v, w) is a zero block.
     """
-    i, _p, j = fiber[0]
-    blocks = [(w, (lift.arrow.mult(w[0], i), lift.arrow.mult(w[2], j))) for w in lift.target.sorted_vids()]
+    blocks = [(w, _u_shape(lift.arrow, fiber[0], w)) for w in lift.target.sorted_vids()]
     row = lambda v: [lift.u.get((v, w), np.zeros(shape)).ravel() for w, shape in blocks]
     return np.array([np.concatenate(row(v) + [np.zeros(0)]) for v in fiber], dtype=complex), blocks  # zeros(0): no w
 
@@ -204,11 +204,8 @@ def sigma(lift: DiagramLift) -> SigmaData:
 def _grading_residual(lift: DiagramLift) -> float:
     if not lift.source.ko.even:
         return 0.0
-    worst = 0.0
-    for (v, w), u in lift.u.items():
-        if lift.source.vertex(v).s != lift.target.vertex(w).s:
-            worst = max(worst, frob(u))
-    return worst
+    src, tgt = lift.source, lift.target
+    return max((frob(u) for (v, w), u in lift.u.items() if src.vertex(v).s != tgt.vertex(w).s), default=0.0)
 
 
 def _jim(diag: KrajewskiDiagram, v):
@@ -219,16 +216,21 @@ def _jim(diag: KrajewskiDiagram, v):
     return w
 
 
+def _conjugation(source: KrajewskiDiagram, target: KrajewskiDiagram, v, w):
+    """The image (jim v, jim w) of the pair (v, w), and the sign eps_A(v)/eps_B(w) of u(jim v, jim w) = sign u(v,w)*."""
+    ratio = epsilon_factor(source.vertex(v), source.d) / epsilon_factor(target.vertex(w), target.d)
+    return (_jim(source, v), _jim(target, w)), ratio
+
+
 def _conjugation_residual(lift: DiagramLift):
     """Worst violation of u(jim v, jim w) = (eps_A(v)/eps_B(w)) u(v,w)*, with witness; an absent u is zero."""
     src, tgt = lift.source, lift.target
-    image = lambda v, w: (_jim(src, v), _jim(tgt, w))
     worst, witness = 0.0, None
-    for (v, w) in sorted(set(lift.u) | {image(v, w) for (v, w) in lift.u}):
-        ratio = epsilon_factor(src.vertex(v), src.d) / epsilon_factor(tgt.vertex(w), tgt.d)
-        zero = np.zeros((lift.arrow.mult(w[0], v[0]), lift.arrow.mult(w[2], v[2])))
+    for (v, w) in sorted(set(lift.u) | {_conjugation(src, tgt, v, w)[0] for (v, w) in lift.u}):
+        image, ratio = _conjugation(src, tgt, v, w)
+        zero = np.zeros(_u_shape(lift.arrow, v, w))
         expected = ratio * lift.u.get((v, w), zero).conj().T
-        res = frob(lift.u.get(image(v, w), zero.T) - expected)
+        res = frob(lift.u.get(image, zero.T) - expected)
         if res > worst:
             worst, witness = res, (v, w)
     return worst, witness
@@ -278,13 +280,13 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     rep.add_bool("KO signatures equal", sigA == sigB, detail=f"A={sigA} B={sigB}")
 
     phiH = build_phiH(lift)
-    jrep = compat_check(tA.K, tB.K, phiH, tol, antilinear=True)
-    rep.add("J data weak residual", jrep.weak_residual, tol)
-    rep.add("J data strong block", jrep.b_perp_phi, tol)
+    pairs = [("J", tA.K, tB.K, True)]  # K stands for the antilinear J = K o conj
     if tA.ko.even and tB.ko.even:
-        grep = compat_check(tA.gamma, tB.gamma, phiH, tol)
-        rep.add("gamma data weak residual", grep.weak_residual, tol)
-        rep.add("gamma data strong block", grep.b_perp_phi, tol)
+        pairs.append(("gamma", tA.gamma, tB.gamma, False))
+    for name, A, B, antilinear in pairs:
+        c = compat_check(A, B, phiH, tol, antilinear=antilinear)
+        rep.add(f"{name} data weak residual", c.weak_residual, tol)
+        rep.add(f"{name} data strong block", c.b_perp_phi, tol)
     return rep
 
 
@@ -370,7 +372,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         rows.update({v: (fiber, rot[key][p]) for p, v in enumerate(fiber)})
     tA = realize(src)
     Q = _basis_change(tA.layout, rows)
-    new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, tol, "rotated source diagram fails validation")
+    new_source = _source_with_dirac(lift, _pullback(Q, tA.D), tol, "rotated source diagram fails validation")
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u)
     sig2 = sigma(out)
@@ -402,9 +404,7 @@ def normalize(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
     bad = [v for v, k in kap.items() if k <= tol * size]
     if bad:
         raise LiftError(f"phi_H is not one-to-one: kappa <= tol at {bad}")
-    new_u = {}
-    for (v, w), u in lift.u.items():
-        new_u[(v, w)] = u / np.sqrt(kap[v])
+    new_u = {(v, w): u / np.sqrt(kap[v]) for (v, w), u in lift.u.items()}
     return replace(lift, u=new_u, normalized=True, kappa={v: 1.0 for v in kap})
 
 
@@ -420,7 +420,7 @@ def inherit_source_dirac(lift: DiagramLift, tol: float = DEFAULT_TOL) -> Diagram
         raise LiftError("inherit_source_dirac needs a normalized lift")
     M = build_phiH(lift).matrix
     tB = realize(lift.target, tol)
-    new_source = _source_with_dirac(lift, M.conj().T @ tB.D @ M, tol, "pullback Dirac does not validate")
+    new_source = _source_with_dirac(lift, _pullback(M, tB.D), tol, "pullback Dirac does not validate")
     return replace(lift, source=new_source, u=dict(lift.u))
 
 
@@ -450,8 +450,6 @@ def inherited_split(B: np.ndarray, phiH: PhiHMap):
     M = phiH.matrix
     B = as_matrix(B)
     P = phiH.projector()
-    eye = np.eye(P.shape[0])
-    comp = eye - P
-    pullback = M.conj().T @ B @ M
+    comp = np.eye(P.shape[0]) - P
     tnic = (frob(P @ B @ comp), frob(comp @ B @ P), frob(comp @ B @ comp))
-    return pullback, tnic
+    return _pullback(M, B), tnic

@@ -20,12 +20,11 @@ from .krajewski import (
     _edge_kind,
     _orbit_vertices,
     _vdim,
-    epsilon_factor,
     extract_edges,
     realize,
     validate,
 )
-from .lifting import DiagramLift, PhiHMap
+from .lifting import DiagramLift, PhiHMap, _conjugation, _u_shape
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -258,7 +257,6 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
     is drawn with probability 0.7, then enough are added for the group Gram
     matrix to be generically nonsingular, so phi_H is one-to-one almost surely.
     """
-    dA, dB = source.d, target.d
     groups = _source_groups(source)
 
     support = {}
@@ -271,13 +269,13 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
         self_paired = partner_key == key
         admissible = []
         for w in target.sorted_vids():
-            if arrow.mult(w[0], v0[0]) == 0 or arrow.mult(w[2], v0[2]) == 0:
+            if 0 in _u_shape(arrow, v0, w):
                 continue
             if source.ko.even and source.vertex(v0).s != target.vertex(w).s:
                 continue
             admissible.append(w)
         sel = {w for w in admissible if rng.random() < 0.7}
-        capacity = lambda ws: sum(arrow.mult(w[0], v0[0]) * arrow.mult(w[2], v0[2]) for w in ws)
+        capacity = lambda ws: sum(np.prod(_u_shape(arrow, v0, w)) for w in ws)
         for w in admissible:  # conservatively, the jim constraint halves the capacity of a self-paired group
             if capacity(sel) // (2 if self_paired else 1) >= len(vids):
                 break
@@ -292,10 +290,9 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
     # one representative per (jim_A, jim_B) orbit of the supported pairs
     pairs = [(v, w) for key, vids in groups.items() for v in vids for w in support[key]]
     u = {}
-    for (v, w) in sorted({min((v, w), (source.jim[v], target.jim[w])) for v, w in pairs}):
-        ratio = epsilon_factor(source.vertex(v), dA) / epsilon_factor(target.vertex(w), dB)
-        m = random_complex(rng, (arrow.mult(w[0], v[0]), arrow.mult(w[2], v[2])))
-        partner = (source.jim[v], target.jim[w])
+    for (v, w) in sorted({min((v, w), _conjugation(source, target, v, w)[0]) for v, w in pairs}):
+        partner, ratio = _conjugation(source, target, v, w)
+        m = random_complex(rng, _u_shape(arrow, v, w))
         if partner == (v, w):
             m = (m + ratio * m.conj().T) / 2
             if frob(m) < 1e-9:

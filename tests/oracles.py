@@ -45,6 +45,10 @@ written out as a branch per KO-dimension, twice in `random_diagram`, and
 with the group and capacity bookkeeping of `random_lift`.  The tests ask
 for bit-identical output from the same seed, and for the same generator
 state after the call.
+
+The ninth group is `minimal_diagram` with a hand-written case per
+KO-dimension.  The tests ask for the same vertex records, jim and edges,
+in the same order, with bit-equal decorations.
 """
 
 import math
@@ -53,7 +57,7 @@ from dataclasses import replace
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
-from finspec.algebra import DEFAULT_TOL, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
+from finspec.algebra import DEFAULT_TOL, AlgebraProfile, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
 from finspec.bratteli import BratteliArrow
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
@@ -558,7 +562,7 @@ def detect_ko_rows(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     """All d mod 8 whose sign row matches, with K conj(K), K conj(D), D K, ... formed per row."""
     D, K = t.D, t.K
     eye = np.eye(t.dim)
-    tol_D = tol * max(1.0, frob(D))
+    tol_D = tol * frob(D)
     out = set()
     for d, (eps, eps_p, eps_pp) in KO_TABLE.items():
         if (eps_pp is not None) != (t.gamma is not None):
@@ -868,8 +872,8 @@ def sigma(lift: DiagramLift) -> SigmaData:
             for p2, v2 in enumerate(fiber):
                 acc = 0.0
                 for w in wids:
-                    u1 = lift.u_at(v1, w)
-                    u2 = lift.u_at(v2, w)
+                    u1 = lift.u.get((v1, w))
+                    u2 = lift.u.get((v2, w))
                     if u1 is not None and u2 is not None:
                         acc += np.trace(u1.conj().T @ u2)
                 m[p1, p2] = acc
@@ -1002,7 +1006,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         for w_t in wids:
             acc = None
             for c, v_old in zip(row, vids):
-                u = lift.u_at(v_old, w_t)
+                u = lift.u.get((v_old, w_t))
                 if u is None or c == 0.0:
                     continue
                 acc = c * u if acc is None else acc + c * u
@@ -1288,3 +1292,56 @@ def random_lift(rng, source: KrajewskiDiagram, arrow: BratteliArrow, target: Kra
             u[(v, w)] = m
             u[partner] = ratio * m.conj().T
     return DiagramLift(arrow, source, target, u)
+
+
+# -- minimal_diagram, as before its table of jim orbits --
+
+
+def minimal_diagram(d: int, t: float = 1.0) -> KrajewskiDiagram:
+    """The smallest diagram over A = C in KO-dimension d whose D is nonzero."""
+    profile = AlgebraProfile((1,))
+    ko = KOSignature.from_dim(d)
+    V = lambda p, s=None, chi=None: Vertex(1, p, 1, s=s, chi=chi)
+    vid = lambda p: (1, p, 1)
+
+    if d == 0:
+        vertices = {vid(1): V(1, s=1), vid(2): V(2, s=-1)}
+        jim = {vid(1): vid(1), vid(2): vid(2)}
+        edges = [Edge(vid(1), vid(2), "general", [[t]])]
+    elif d == 1:
+        vertices = {vid(1): V(1), vid(2): V(2)}
+        jim = {vid(1): vid(1), vid(2): vid(2)}
+        edges = [Edge(vid(1), vid(2), "general", [[1j * t]])]
+    elif d == 2:
+        vertices = {
+            vid(1): V(1, s=-1, chi=0), vid(2): V(2, s=1, chi=1),
+            vid(3): V(3, s=-1, chi=0), vid(4): V(4, s=1, chi=1),
+        }
+        jim = {vid(1): vid(2), vid(2): vid(1), vid(3): vid(4), vid(4): vid(3)}
+        edges = [Edge(vid(1), vid(4), "general", [[t]])]
+    elif d == 3:
+        vertices = {vid(1): V(1, chi=0), vid(2): V(2, chi=1)}
+        jim = {vid(1): vid(2), vid(2): vid(1)}
+        edges = [Edge(vid(1), vid(1), "general", [[t]])]
+    elif d == 4:
+        vertices = {
+            vid(1): V(1, s=1, chi=0), vid(2): V(2, s=1, chi=1),
+            vid(3): V(3, s=-1, chi=0), vid(4): V(4, s=-1, chi=1),
+        }
+        jim = {vid(1): vid(2), vid(2): vid(1), vid(3): vid(4), vid(4): vid(3)}
+        edges = [Edge(vid(1), vid(3), "general", [[t]])]
+    elif d == 5:
+        vertices = {vid(1): V(1, chi=0), vid(2): V(2, chi=1)}
+        jim = {vid(1): vid(2), vid(2): vid(1)}
+        edges = [Edge(vid(1), vid(1), "general", [[t]])]
+    elif d == 6:
+        vertices = {vid(1): V(1, s=1, chi=0), vid(2): V(2, s=-1, chi=1)}
+        jim = {vid(1): vid(2), vid(2): vid(1)}
+        edges = [Edge(vid(1), vid(2), "general", [[t]])]
+    elif d == 7:
+        vertices = {vid(1): V(1)}
+        jim = {vid(1): vid(1)}
+        edges = [Edge(vid(1), vid(1), "general", [[t]])]
+    else:
+        raise ValueError("d must be 0..7")
+    return KrajewskiDiagram(profile, ko, vertices, jim, edges)

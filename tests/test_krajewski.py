@@ -360,7 +360,10 @@ def _verdicts(diag, t, c):
 
 @pytest.mark.parametrize("d", [None] + ALL_D)
 def test_verdicts_do_not_depend_on_the_units_of_D(d):
-    """None is the (2, 3, 4) d = 6 diagram whose first-order line failed at c = 1e6 under an absolute bound."""
+    """None is the (2, 3, 4) d = 6 diagram whose first-order line failed at c = 1e6 under an absolute bound.
+
+    The fourth form adds an anti-Hermitian defect of 1e-6 ||D||_F, which passed at c = 1e-6 under tol max(1, ||D||_F).
+    """
     rng = rng_from_seed(2410 + (d or 0))
     if d is None:
         diag = random_diagram(rng_from_seed(1), 6, AlgebraProfile((2, 3, 4)), max_fiber=2)
@@ -370,7 +373,10 @@ def test_verdicts_do_not_depend_on_the_units_of_D(d):
     t = realize(diag)
     H = random_hermitian(rng, t.dim)
     noisy = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + 0.5 * frob(t.D) / frob(H) * H, t.K, t.gamma)
-    for form, ok in ((t, True), (mix_fibers(rng, t, diag), True), (noisy, False)):
+    mixed = mix_fibers(rng, t, diag)
+    A = 1j * random_hermitian(rng, t.dim)
+    skewed = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + 1e-6 * frob(t.D) / frob(A) * A, t.K, t.gamma)
+    for form, ok in ((t, True), (mixed, True), (noisy, False), (skewed, False)):
         verdicts = [_verdicts(diag, form, c) for c in SCALES]
         assert all(v == verdicts[0] for v in verdicts), (ok, verdicts)
         assert all(verdicts[0][1]) == ok and isinstance(verdicts[0][3], list) == ok

@@ -8,8 +8,8 @@ units, `represent` on vertex-block pairs with the dense pi products,
 `extract_edges` by one label sum and `detect_ko` with hoisted products with
 their pair and row loops, and the fiber bases of `classify` and the
 per-fiber rotation of `sigma` and `diagonalize_bases` with their vertex
-loops, and the generators with one normal form for the decorations with
-their branch per KO-dimension.
+loops, and the generators and `minimal_diagram` with one normal form for
+the decorations with their branch per KO-dimension.
 """
 
 import itertools
@@ -23,6 +23,7 @@ from helpers import hand_built_lifts, lift_chain, mix_fibers, normalized_setup
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
 from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, right_action, swap_matrix, unit_insert
+from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
     ClassificationError,
@@ -324,24 +325,24 @@ def test_detect_ko_agrees_with_the_sign_lines_of_verify_axioms(d):
 
 
 def test_factor_residual_matches_kron_oracle():
+    """Each kind on the dims _edge_kind gives it: right where n_i agrees, left where n_j does, general where both do."""
     rng = rng_from_seed(1600)
     exact = 0
     for kind in ("left", "right", "general"):
         for dims in itertools.product(range(1, 4), repeat=4):
             n_i1, n_j1, n_i2, n_j2 = dims
+            if (kind != "left" and n_i1 != n_i2) or (kind != "right" and n_j1 != n_j2):
+                continue
             ops = [random_complex(rng, (n_i2 * n_j2, n_i1 * n_j1))]
             L, R = random_complex(rng, (n_i2, n_i1)), random_complex(rng, (n_j2, n_j1))
-            if kind != "left" and n_i1 == n_i2:
+            if kind != "left":
                 ops.append(np.kron(np.eye(n_i1), R))
-            if kind != "right" and n_j1 == n_j2:
+            if kind != "right":
                 ops.append(np.kron(L, np.eye(n_j1)))
-            if kind == "general" and (n_i1, n_j1) == (n_i2, n_j2):
+            if kind == "general":
                 ops.append(np.kron(L, np.eye(n_j1)) + np.kron(np.eye(n_i1), R))
             for op in ops:
                 res, res0 = _factor_residual(op, kind, dims), oracles._factor_residual(op, kind, dims)
-                if res0 == float("inf"):
-                    assert res == res0, (kind, dims)
-                    continue
                 assert _close_to(res, res0, 1e-12 * max(1.0, frob(op))), (kind, dims, res, res0)
                 exact += res0 < 1e-12
     assert exact > 20
@@ -602,3 +603,14 @@ def test_generators_match_branch_per_dimension_oracle(d):
         assert all(lift.u[k].tobytes() == u0.tobytes() for k, u0 in lift0.u.items()), n
         targets += 1
     assert targets >= 20
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_minimal_diagram_matches_case_per_dimension_oracle(d):
+    """The table of jim orbits gives each hand-written diagram: vertex records, jim and edges, in order and bit-equal."""
+    for t in (1.0, 0.3, -2.5, 1e-8):
+        new, old = minimal_diagram(d, t), oracles.minimal_diagram(d, t)
+        assert (new.profile, new.ko) == (old.profile, old.ko) and _same_diagrams(new, old), t
+    for bad in (8, -1):
+        with pytest.raises(ValueError):
+            minimal_diagram(bad)
