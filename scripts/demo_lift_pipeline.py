@@ -88,8 +88,7 @@ def main():
     if tA.gamma is None or np.trace(np.eye(tA.dim) + tA.gamma).real > 0.5:
         phiH = build_phiH(norm)
         psi_A = random_even_vector(rng, tA)
-        perp = random_vector(rng, tB.dim)
-        perp -= phiH.projector() @ perp
+        perp = phiH.off_range(random_vector(rng, tB.dim))
         if tB.gamma is not None:
             perp = (perp + tB.gamma @ perp) / 2
         fermions = (psi_A, phiH.matrix @ psi_A + perp)

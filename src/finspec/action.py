@@ -261,7 +261,6 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         raise LiftError("compare_actions needs a normalized lift")
     phiH = build_phiH(lift)
     M = phiH.matrix
-    P = phiH.projector()
 
     diracs = None
     if cfgs is None:
@@ -296,12 +295,12 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
 
     if fermions is not None:
         psi_A, psi_B = (np.asarray(v, dtype=complex) for v in fermions)
-        mismatch = np.linalg.norm(P @ (psi_B - M @ psi_A))
+        mismatch = np.linalg.norm(M.conj().T @ (psi_B - M @ psi_A))  # ||P x|| = ||M* x|| for P = M M*
         if mismatch > max(tol, 1e-9) * (1 + np.linalg.norm(psi_B)):
             raise LiftError(f"fermion pair is not phi-compatible (residual {mismatch:.3e})")
         chi = M @ psi_A
         full_f = _pairing(tB, DB, _even(tB, psi_B, "psi", tol), psi_B)
-        inh_f = _pairing(tB, P @ DB @ P, chi, chi)
+        inh_f = complex(np.vdot(M.conj().T @ tB.apply_J(chi), M.conj().T @ (DB @ chi)))  # <J chi, P D_B P chi>
         a_f = _pairing(tA, DA, _even(tA, psi_A, "psi", tol), psi_A)
         rep.terms.append(ActionTerm("fermionic", full_f.real, inh_f.real,
                                     (full_f - inh_f).real, a_f.real))

@@ -38,6 +38,8 @@ def minimal_diagram(d: int, t: float = 1.0) -> KrajewskiDiagram:
     ko = KOSignature.from_dim(d)
     if d not in _MINIMAL:
         raise ValueError("d must be 0..7")
+    if t == 0:
+        raise ValueError(f"t must be nonzero, got t = {t}: D would vanish")
     firsts, (p1, p2, c) = _MINIMAL[d]
     size = len(_diagonal_orbit(d))
     orbits = [(tuple((1, size * k + m, 1) for m in range(1, size + 1)), s) for k, s in enumerate(firsts)]

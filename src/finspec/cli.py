@@ -233,8 +233,7 @@ def cmd_compare(bundle, args, tol):
         rng = rng_from_seed(args.seed)
         phiH = build_phiH(lift)
         psi_A = random_even_vector(rng, tA)
-        perp = random_vector(rng, tB.dim)
-        perp -= phiH.projector() @ perp
+        perp = phiH.off_range(random_vector(rng, tB.dim))
         if tB.gamma is not None:
             perp = (perp + tB.gamma @ perp) / 2
         fermions = (psi_A, phiH.matrix @ psi_A + perp)

@@ -468,9 +468,9 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    tol_D = tol * frob(D)
+    tol_D, DK = tol * frob(D), D @ K
 
-    signs = [res[sign] for res, sign in zip(_sign_residuals(t), (ko.eps, ko.eps_p, ko.eps_pp)) if sign is not None]
+    signs = [res[sign] for res, sign in zip(_sign_residuals(t, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if sign is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
     rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
     rep.add("J squared = eps", signs[0], tol)
@@ -493,7 +493,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         res, q = _worst_bracket(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
     Kh = K.conj().T
-    KhD, DK = Kh @ D, D @ K
+    KhD = Kh @ D
     comm = first = (0.0, None, None)  # residual, unit q = pi(b)^T, unit a
     for i, L, _labels in frames:
         for x, y in np.ndindex(len(L), len(L)):
@@ -560,17 +560,17 @@ def _worst_bracket(X, frames):
     return float(np.sqrt(best)), at
 
 
-def _sign_residuals(t):
+def _sign_residuals(t, DK):
     """{sign: residual} for J^2 = eps, JD = eps' DJ and, with a grading, J gamma = eps'' gamma J, at both signs.
 
-    K conj(K), K conj(D) and D K, and K conj(gamma) and gamma K, are formed
-    once, one relation at a time.
+    DK = D K comes from the caller.  K conj(K), K conj(D), and K conj(gamma)
+    and gamma K, are formed once, one relation at a time.
     """
     K, D, g = t.K, t.D, t.gamma
 
     def products():
         yield K @ np.conj(K), np.eye(t.dim)
-        yield K @ np.conj(D), D @ K
+        yield K @ np.conj(D), DK
         if g is not None:
             yield K @ np.conj(g), g @ K
 
@@ -586,7 +586,7 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     of verify_axioms pass: the eps' relation below tol ||D||_F, the others
     below tol.
     """
-    residuals = _sign_residuals(t)
+    residuals = _sign_residuals(t, t.D @ t.K)
     bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
             and all(res[sign] <= bound for res, sign, bound in zip(residuals, row, bounds))}

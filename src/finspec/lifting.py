@@ -17,6 +17,7 @@ kappa_v^{-1/2} turns phi_H into an isometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,30 +79,34 @@ def _u_shape(arrow: BratteliArrow, v, w):
 
 @dataclass
 class PhiHMap:
-    """Dense phi_H : H_A -> H_B with its range projector."""
+    """Dense phi_H : H_A -> H_B with an orthonormal basis of its range."""
 
     matrix: np.ndarray
     source_layout: object
     target_layout: object
     normalized: bool = False
-    _projector: np.ndarray | None = None
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Q with orthonormal columns spanning the range of phi_H: M itself when normalized.
+
+        Otherwise M V w^{-1/2} from M* M = V w V*, keeping w > 1e-12 max(w): a cut relative to the units of u.
+        """
+        m = self.matrix
+        if self.normalized:
+            return m
+        w, vec = np.linalg.eigh(m.conj().T @ m)
+        keep = w > 1e-12 * w.max(initial=0.0)
+        return m @ (vec[:, keep] / np.sqrt(w[keep]))
+
+    def off_range(self, X):
+        """(1 - P) X = X - Q (Q* X), P the range projector, without forming P."""
+        Q = self.range_basis
+        return X - Q @ (Q.conj().T @ X)
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the range of phi_H.
-
-        For a normalized (isometric) map this is phi_H phi_H*; otherwise the
-        pseudo-inverse is taken through an eigendecomposition of phi_H* phi_H,
-        dropping eigenvalues at most 1e-12.
-        """
-        if self._projector is None:
-            m = self.matrix
-            if self.normalized:
-                self._projector = m @ m.conj().T
-            else:
-                w, vec = np.linalg.eigh(m.conj().T @ m)
-                inv = np.where(w > 1e-12, 1.0 / np.maximum(w, 1e-12), 0.0)
-                self._projector = m @ (vec * inv) @ vec.conj().T @ m.conj().T
-        return self._projector
+        """The nB x nB orthogonal projector Q Q* onto the range of phi_H."""
+        return self.range_basis @ self.range_basis.conj().T
 
 
 @dataclass
@@ -242,20 +247,19 @@ def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool
     Weak: phi_H(A psi) = P B phi_H(psi) on the canonical basis of H_A
     (exhaustive for linear maps).  Strong: additionally (1-P) B phi_H = 0.
     Antilinear operators are passed by their K matrices (op = K o conj).
+    Each block is an nB x nA residual off the range basis Q: ||P B (1-P)|| = ||(1-P) B* Q||.
     """
     M = phiH.matrix
     if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
         raise ShapeMismatch("operator shapes do not match phi_H")
-    P = phiH.projector()
     lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
     rhs = B @ np.conj(M) if antilinear else B @ M
-    Prhs, PB = P @ rhs, P @ B
-    diff = Prhs - lhs
-    weak_res = float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
+    perp = phiH.off_range(rhs)
+    weak_res = float(np.max(np.linalg.norm(rhs - perp - lhs, axis=0))) if lhs.size else 0.0
     return CompatReport(
         weak_residual=weak_res,
-        b_perp_phi=frob(rhs - Prhs),
-        b_phi_perp=frob(PB - PB @ P),
+        b_perp_phi=frob(perp),
+        b_phi_perp=frob(phiH.off_range(B.conj().T @ phiH.range_basis)),
         tol=tol,
     )
 
@@ -443,13 +447,12 @@ def inherited_split(B: np.ndarray, phiH: PhiHMap):
     """Split B into its inherited pullback on H_A and the non-inherited norms.
 
     Returns (phi_H* B phi_H, (||B_phi^perp||_F, ||B_perp^phi||_F,
-    ||B_perp^perp||_F)).  Requires a normalized phi_H.
+    ||B_perp^perp||_F)) from ||P B (1-P)|| = ||(1-P) B* M|| and ||(1-P) B P|| = ||(1-P) B M||,
+    which needs a normalized phi_H.
     """
     if not phiH.normalized:
         raise LiftError("inherited_split needs a normalized phi_H")
-    M = phiH.matrix
+    M, off = phiH.matrix, phiH.off_range
     B = as_matrix(B)
-    P = phiH.projector()
-    comp = np.eye(P.shape[0]) - P
-    tnic = (frob(P @ B @ comp), frob(comp @ B @ P), frob(comp @ B @ comp))
+    tnic = (frob(off(B.conj().T @ M)), frob(off(B @ M)), frob(off(off(B).conj().T)))
     return _pullback(M, B), tnic

@@ -313,19 +313,16 @@ def random_strong_pair(rng, phiH: PhiHMap):
     nA, nB = M.shape[1], M.shape[0]
     A = random_complex(rng, (nA, nA))
     C = random_complex(rng, (nB, nB))
-    P = phiH.projector()
-    comp = np.eye(nB) - P
-    B = M @ A @ M.conj().T + comp @ C @ comp
+    off = phiH.off_range  # (1-P) C (1-P) = ((1-P) ((1-P) C)*)*
+    B = M @ A @ M.conj().T + off(off(C).conj().T).conj().T
     return A, B
 
 
 def weaken_pair(rng, phiH: PhiHMap, B):
-    """Add a nonzero perp <- range block: stays weakly compatible, breaks strong."""
-    M = phiH.matrix
-    P = phiH.projector()
-    comp = np.eye(M.shape[0]) - P
-    E = random_complex(rng, (M.shape[0], M.shape[0]))
-    off = comp @ E @ P
+    """Add a nonzero perp <- range block (1-P) E P = (1-P) E Q Q*: stays weakly compatible, breaks strong."""
+    Q = phiH.range_basis
+    E = random_complex(rng, (Q.shape[0], Q.shape[0]))
+    off = phiH.off_range(E @ Q) @ Q.conj().T
     if frob(off) < 1e-9:
         raise RuntimeError("degenerate weakening block")
     return B + off

@@ -49,6 +49,13 @@ state after the call.
 The ninth group is `minimal_diagram` with a hand-written case per
 KO-dimension.  The tests ask for the same vertex records, jim and edges,
 in the same order, with bit-equal decorations.
+
+The tenth group is the range of phi_H as a dense nB x nB projector P
+(`projector`, with its absolute eigenvalue cut), and `compat_check` and
+`inherited_split` as products with P and 1 - P.  The second group's
+`compat_check` and `compare_actions` read P from here too.  The tests ask
+for the residuals of the range-basis versions within 1e-12 relative to
+the operator, with the same verdicts.
 """
 
 import math
@@ -57,7 +64,7 @@ from dataclasses import replace
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
-from finspec.algebra import DEFAULT_TOL, AlgebraProfile, ProfileMismatch, ShapeMismatch, frob, matrix_units, unit_insert
+from finspec.algebra import DEFAULT_TOL, AlgebraProfile, ProfileMismatch, ShapeMismatch, as_matrix, frob, matrix_units, unit_insert
 from finspec.bratteli import BratteliArrow
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
@@ -88,6 +95,7 @@ from finspec.lifting import (
     _conjugation_residual,
     _grading_residual,
     _kappa_pairing_residual,
+    _pullback,
     _source_with_dirac,
     build_phiH,
 )
@@ -265,7 +273,7 @@ def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool
     M = phiH.matrix
     if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
         raise ShapeMismatch("operator shapes do not match phi_H")
-    P = phiH.projector()
+    P = projector(phiH)
     lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
     rhs = B @ np.conj(M) if antilinear else B @ M
     diff = P @ rhs - lhs
@@ -295,7 +303,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         raise LiftError("compare_actions needs a normalized lift")
     phiH = build_phiH(lift)
     M = phiH.matrix
-    P = phiH.projector()
+    P = projector(phiH)
 
     if cfgs is None:
         cfg_A = GaugeConfiguration(tuple(np.zeros_like(tA.D) for _ in range(4)),
@@ -353,6 +361,64 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         if abs(inh_f - a_f) > max(tol, tol * abs(a_f)):
             raise LiftError(f"fermionic comparison violated: {inh_f} vs {a_f}")
     return rep
+
+
+# -- the range of phi_H as a dense nB x nB projector ---------------------------
+
+
+def projector(phiH: PhiHMap) -> np.ndarray:
+    """Orthogonal projector onto the range of phi_H.
+
+    For a normalized (isometric) map this is phi_H phi_H*; otherwise the
+    pseudo-inverse is taken through an eigendecomposition of phi_H* phi_H,
+    dropping eigenvalues at most 1e-12.
+    """
+    m = phiH.matrix
+    if phiH.normalized:
+        return m @ m.conj().T
+    w, vec = np.linalg.eigh(m.conj().T @ m)
+    inv = np.where(w > 1e-12, 1.0 / np.maximum(w, 1e-12), 0.0)
+    return m @ (vec * inv) @ vec.conj().T @ m.conj().T
+
+
+def compat_check_projector(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool = False) -> CompatReport:
+    """phi-compatibility of B on H_B with A on H_A through phi_H.
+
+    Weak: phi_H(A psi) = P B phi_H(psi) on the canonical basis of H_A
+    (exhaustive for linear maps).  Strong: additionally (1-P) B phi_H = 0.
+    Antilinear operators are passed by their K matrices (op = K o conj).
+    """
+    M = phiH.matrix
+    if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
+        raise ShapeMismatch("operator shapes do not match phi_H")
+    P = projector(phiH)
+    lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
+    rhs = B @ np.conj(M) if antilinear else B @ M
+    Prhs, PB = P @ rhs, P @ B
+    diff = Prhs - lhs
+    weak_res = float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
+    return CompatReport(
+        weak_residual=weak_res,
+        b_perp_phi=frob(rhs - Prhs),
+        b_phi_perp=frob(PB - PB @ P),
+        tol=tol,
+    )
+
+
+def inherited_split(B: np.ndarray, phiH: PhiHMap):
+    """Split B into its inherited pullback on H_A and the non-inherited norms.
+
+    Returns (phi_H* B phi_H, (||B_phi^perp||_F, ||B_perp^phi||_F,
+    ||B_perp^perp||_F)).  Requires a normalized phi_H.
+    """
+    if not phiH.normalized:
+        raise LiftError("inherited_split needs a normalized phi_H")
+    M = phiH.matrix
+    B = as_matrix(B)
+    P = projector(phiH)
+    comp = np.eye(P.shape[0]) - P
+    tnic = (frob(P @ B @ comp), frob(comp @ B @ P), frob(comp @ B @ comp))
+    return _pullback(M, B), tnic
 
 
 # -- the axioms path, as before the index maps of VertexLayout.unit_maps ----

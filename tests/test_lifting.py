@@ -167,20 +167,31 @@ def _diagonalized(lift):
 
 
 def test_lift_verdicts_do_not_depend_on_the_units_of_u():
-    """The lift_chain lifts with u scaled by c get the verdict of c = 1, with kappa scaled by c^2."""
+    """The lift_chain lifts with u scaled by c get the verdict of c = 1, with kappa scaled by c^2.
+
+    The range of the raw phi_H keeps its rank nA at every c, and the real
+    structure and grading checks pass up to c = 1e4 (at 1e8 the absolute
+    bounds of compat_check are out of reach).
+    """
     rng = rng_from_seed(5)
     for d in (0, 1, 2, 6, 7):
         lift = lift_chain(rng, d)[3]
         ref = _diagonalized(lift)
         assert not isinstance(ref, LiftError), (d, ref)
         kappa, M = ref
-        for c in (1e-6, 1e-4, 1e4, 1e8):
+        tA, tB = realize(lift.source), realize(lift.target)
+        assert build_phiH(lift).range_basis.shape[1] == M.shape[1], d
+        for c in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
             scaled = DiagramLift(lift.arrow, lift.source, lift.target, {k: c * u for k, u in lift.u.items()})
             got = _diagonalized(scaled)
             assert not isinstance(got, LiftError), (d, c, got)
             top = max(kappa.values())
             assert all(abs(got[0][v] - c * c * k) <= 1e-9 * c * c * top for v, k in kappa.items()), (d, c)
             assert frob(got[1].conj().T @ got[1] - np.eye(M.shape[1])) <= 1e-9, (d, c)
+            assert build_phiH(scaled).range_basis.shape[1] == M.shape[1], (d, c)
+            if c <= 1e4:
+                rep = real_grading_check(scaled, tA, tB, 1e-10)
+                assert rep.ok, (d, c, str(rep))
 
 
 @pytest.mark.parametrize("side", ("source", "target"))

@@ -8,11 +8,15 @@ units, `represent` on vertex-block pairs with the dense pi products,
 `extract_edges` by one label sum and `detect_ko` with hoisted products with
 their pair and row loops, and the fiber bases of `classify` and the
 per-fiber rotation of `sigma` and `diagonalize_bases` with their vertex
-loops, and the generators and `minimal_diagram` with one normal form for
-the decorations with their branch per KO-dimension.
+loops, the generators and `minimal_diagram` with one normal form for
+the decorations with their branch per KO-dimension, and `compat_check` and
+`inherited_split` on the range basis of phi_H with the nB x nB projector.
 """
 
+import contextlib
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -38,7 +42,20 @@ from finspec.krajewski import (
     validate,
     verify_axioms,
 )
-from finspec.lifting import LiftError, build_phiH, diagonalize_bases, normalize, sigma
+from finspec.bundle import Bundle, save_bundle
+from finspec.cli import main
+from finspec.lifting import (
+    LiftError,
+    PhiHMap,
+    build_phiH,
+    compat_check,
+    diagonalize_bases,
+    inherit_source_dirac,
+    inherited_split,
+    normalize,
+    real_grading_check,
+    sigma,
+)
 from finspec.sampling import (
     random_arrow,
     random_compatible_target,
@@ -50,10 +67,12 @@ from finspec.sampling import (
     random_hermitian_form,
     random_lift,
     random_one_form,
+    random_strong_pair,
     random_unitary,
     random_unitary_element,
     random_vector,
     rng_from_seed,
+    weaken_pair,
 )
 
 
@@ -143,26 +162,30 @@ def _paths(d):
     return [(args, c, fm) for c, fm in itertools.product((None, cfgs), (None, fermions))]
 
 
-def _close(x, y):
-    assert abs(x - y) <= 1e-12 * abs(y), (x, y)
+def _close(x, y, floor=0.0):
+    assert abs(x - y) <= max(1e-12 * abs(y), floor), (x, y)
 
 
 @pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
 def test_compare_actions_matches_oracle(d):
+    """Values that vanish in exact arithmetic (weak residuals, <J psi, D psi> in d = 1, 2) agree up to 1e-12 of their operands."""
     for args, cfgs, fermions in _paths(d):
         rep = compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
         ref = oracles.compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
+        DB = fluctuate(args[2], args[4])
+        XB = cfgs[1].B + (cfgs[1].Phi,) if cfgs else (0 * DB,) * 4 + (DB,)
+        fermionic = 1e-12 * frob(DB) * np.linalg.norm(fermions[1]) ** 2 if fermions else 0.0
         assert [t.name for t in rep.terms] == [t.name for t in ref.terms]
         for t, t0 in zip(rep.terms, ref.terms):
             for name in ("full", "inherited", "tnic", "a_value"):
-                _close(getattr(t, name), getattr(t0, name))
+                _close(getattr(t, name), getattr(t0, name), fermionic if t.name == "fermionic" else 0.0)
         assert list(rep.spectral) == list(ref.spectral)
         for key, value in ref.spectral.items():
-            _close(rep.spectral[key], value)
+            _close(rep.spectral[key], value, fermionic if key.startswith("fermionic_") else 0.0)
         assert list(rep.compat) == list(ref.compat)
-        for key, c0 in ref.compat.items():
+        for (key, c0), X in zip(ref.compat.items(), XB):
             for name in ("weak_residual", "b_perp_phi", "b_phi_perp"):
-                _close(getattr(rep.compat[key], name), getattr(c0, name))
+                _close(getattr(rep.compat[key], name), getattr(c0, name), 1e-12 * frob(X))
 
 
 @pytest.mark.parametrize("n", (1, 5, 40))
@@ -190,6 +213,92 @@ def test_compare_actions_fluctuates_once_per_side(monkeypatch):
         compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
         path = (cfgs is not None, fermions is not None)
         assert len(calls) == 2 and calls[0] is args[1] and calls[1] is args[2], (path, len(calls))
+
+
+# -- the range of phi_H without a projector --------------------------------------
+
+
+def _range_maps(d):
+    """(phi_H, tA, tB) on the normalized map of normalized_setup and on a raw lift_chain map."""
+    rng = rng_from_seed(1900 + d)
+    _norm, tA, tB, phiH = normalized_setup(rng, d)
+    source, _arrow, target, lift = lift_chain(rng, d)
+    return rng, [(phiH, tA, tB), (build_phiH(lift), realize(source), realize(target))]
+
+
+def _compat_pairs(rng, phiH, tA, tB):
+    """(A, B, antilinear): strong, weakened and dense random pairs, linear and antilinear, and the (D, K) of the triples."""
+    M = phiH.matrix
+    nB, nA = M.shape
+    comp = np.eye(nB) - oracles.projector(phiH)
+    pairs = [(tA.D, tB.D, False), (tA.K, tB.K, True)]
+    for antilinear in (False, True):
+        if phiH.normalized and not antilinear:
+            A, B = random_strong_pair(rng, phiH)
+        else:  # B (conj) M = M A, and a complement block
+            A = random_complex(rng, (nA, nA))
+            B = M @ A @ np.linalg.pinv(np.conj(M) if antilinear else M) + comp @ random_complex(rng, (nB, nB)) @ comp
+        pairs += [(A, B, antilinear), (random_complex(rng, (nA, nA)), random_complex(rng, (nB, nB)), antilinear)]
+        if not antilinear:
+            pairs.append((A, weaken_pair(rng, phiH, B), False))
+    return pairs
+
+
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
+def test_range_basis_matches_projector_oracle(d):
+    """compat_check and inherited_split against the nB x nB projector products, on residuals that do not vanish."""
+    rng, maps = _range_maps(d)
+    verdicts = set()
+    for phiH, tA, tB in maps:
+        for A, B, antilinear in _compat_pairs(rng, phiH, tA, tB):
+            floor = 1e-12 * frob(B)
+            rep = compat_check(A, B, phiH, 1e-10, antilinear=antilinear)
+            ref = oracles.compat_check_projector(A, B, phiH, 1e-10, antilinear=antilinear)
+            for name in ("weak_residual", "b_perp_phi", "b_phi_perp"):
+                _close(getattr(rep, name), getattr(ref, name), floor)
+            assert (rep.weak, rep.strong) == (ref.weak, ref.strong), (phiH.normalized, antilinear)
+            verdicts.add((rep.weak, rep.strong))
+            if phiH.normalized and not antilinear:
+                (pull, tnic), (pull0, tnic0) = inherited_split(B, phiH), oracles.inherited_split(B, phiH)
+                assert np.array_equal(pull, pull0)
+                for x, x0 in zip(tnic, tnic0):
+                    _close(x, x0, floor)
+    assert verdicts == {(True, True), (True, False), (False, False)}, verdicts
+
+
+def test_lift_path_forms_no_projector(monkeypatch, tmp_path):
+    rng = rng_from_seed(1950)
+    source, arrow, target, lift = lift_chain(rng, 6)
+    tA, tB = realize(source), realize(target)
+    _norm, tAn, tBn, phiH = normalized_setup(rng, 6)
+    paths = _paths(6)
+    step = inherit_source_dirac(normalize(diagonalize_bases(lift, 1e-10), 1e-10), 1e-10)
+    bundle = Bundle()
+    bundle.diagrams.update(step_source=step.source, step_target=target)
+    bundle.arrows["step_arrow"] = arrow
+    bundle.lifts["step"] = step
+    bundle.forms["w"] = random_hermitian_form(rng, source.profile)
+    save_bundle(bundle, tmp_path / "bundle.json")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lift path formed the range projector")
+
+    monkeypatch.setattr(PhiHMap, "projector", forbidden)
+    assert real_grading_check(lift, tA, tB, 1e-10).ok
+    for phi, a, b in ((build_phiH(lift), tA, tB), (phiH, tAn, tBn)):
+        compat_check(a.D, b.D, phi)
+        assert compat_check(a.K, b.K, phi, antilinear=True).strong
+        weaken_pair(rng, phi, b.D)
+    inherited_split(tBn.D, phiH)
+    random_strong_pair(rng, phiH)
+    for args, cfgs, fermions in paths:
+        compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["--format", "json", "compare", str(tmp_path / "bundle.json"), "--lift", "step", "--form-a", "w",
+                "--with-fermions"]
+        assert main(argv) == 0
+    assert "fermionic_inherited" in json.loads(out.getvalue())["spectral"]
 
 
 # -- the axioms path on index maps ---------------------------------------------
@@ -614,3 +723,5 @@ def test_minimal_diagram_matches_case_per_dimension_oracle(d):
     for bad in (8, -1):
         with pytest.raises(ValueError):
             minimal_diagram(bad)
+    with pytest.raises(ValueError, match="t = 0.0"):
+        minimal_diagram(d, 0.0)

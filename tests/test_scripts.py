@@ -19,7 +19,7 @@ def _run(*args):
     return done.stdout
 
 
-@pytest.mark.parametrize("d", (0, 6))
+@pytest.mark.parametrize("d", (0, 1, 6))
 def test_demo_lift_pipeline_runs(d):
     assert f"KO-dimension {d}" in _run("scripts/demo_lift_pipeline.py", "--seed", "3", "--d", str(d))
 
