@@ -29,12 +29,11 @@ from finspec.lifting import (
 from finspec.sampling import (
     random_arrow,
     random_compatible_target,
+    random_compatible_fermions,
     random_diagram,
-    random_even_vector,
     random_hermitian_form,
     random_lift,
     random_profile,
-    random_vector,
     rng_from_seed,
 )
 
@@ -84,14 +83,10 @@ def main():
     vecA = [random_hermitian_form(rng, norm.source.profile, 1, scale=0.7) for _ in range(4)]
     cfg_A = GaugeConfiguration.from_forms(tA, vecA, wA)
     cfg_B = GaugeConfiguration.from_forms(tB, [pushforward(v, norm.arrow) for v in vecA], wB)
-    fermions = None
-    if tA.gamma is None or np.trace(np.eye(tA.dim) + tA.gamma).real > 0.5:
-        phiH = build_phiH(norm)
-        psi_A = random_even_vector(rng, tA)
-        perp = phiH.off_range(random_vector(rng, tB.dim))
-        if tB.gamma is not None:
-            perp = (perp + tB.gamma @ perp) / 2
-        fermions = (psi_A, phiH.matrix @ psi_A + perp)
+    try:
+        fermions = random_compatible_fermions(rng, build_phiH(norm), tA, tB)
+    except ValueError:  # the source has no even state: no fermion row
+        fermions = None
 
     rep = compare_actions(norm, tA, tB, wA, wB, CutoffFunction.gaussian(), 1.5,
                           cfgs=(cfg_A, cfg_B), fermions=fermions, tol=1e-9)

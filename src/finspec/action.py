@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, as_matrix, frob
-from .differential import UniversalOneForm, fluctuate, represent
+from .differential import UniversalOneForm, _hermitian_representation, fluctuate
 from .krajewski import RealSpectralTriple
 from .lifting import DiagramLift, LiftError, _pullback, build_phiH, compat_check
 
@@ -102,17 +102,14 @@ class GaugeConfiguration:
     @classmethod
     def from_forms(cls, t: RealSpectralTriple, vector_forms, higgs_form: UniversalOneForm,
                    tol: float = DEFAULT_TOL):
-        """B_mu = A_mu - J A_mu J^-1 and Phi = D + phi + J phi J^-1 from one-forms."""
+        """B_mu = A_mu - J A_mu J^-1 for A_mu = pi_D(vector form), and Phi = fluctuate(t, higgs_form).
+
+        Each A_mu passes fluctuate's Hermitian check; one is held at a time.
+        """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
-        fields = []  # built one form at a time, so only one representation is held
-        for what, w in [("vector", w) for w in vector_forms] + [("scalar", higgs_form)]:
-            X = represent(w, t)
-            if frob(X - X.conj().T) > tol:
-                raise ValueError(f"{what} potential representation is not Hermitian")
-            fields.append(X - t.conjugate_by_J(X) if what == "vector" else t.D + X + t.conjugate_by_J(X))
-        *Bs, Phi = fields
-        return cls(tuple(Bs), Phi)
+        Bs = [X - t.conjugate_by_J(X) for X in (_hermitian_representation(w, t, tol) for w in vector_forms)]
+        return cls(tuple(Bs), fluctuate(t, higgs_form, tol))
 
 
 @dataclass
@@ -197,11 +194,11 @@ def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFun
 
 def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
                        tol: float = DEFAULT_TOL) -> ActionReport:
-    """Per-term values of the flat constant-field Lagrangian."""
-    res = cfg.hermiticity_residual()
-    if res > tol:
-        raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
+    """Per-term values of the flat constant-field Lagrangian, of fields Hermitian within tol max(1, largest ||X||_F)."""
     B, Phi = cfg.B, cfg.Phi
+    res = cfg.hermiticity_residual()
+    if res > tol * max(1.0, *(frob(X) for X in B + (Phi,))):
+        raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
     f0, f2 = f.f0, f.f2
     tr = lambda X, Y, what: _real_trace(np.sum(X * Y.T), what, tol)
 

@@ -19,7 +19,7 @@ from .differential import UniversalOneForm, pushforward
 from .dot import render_dot
 from .krajewski import ClassificationError, classify, detect_ko, realize, validate, verify_axioms
 from .lifting import build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
-from .sampling import random_even_vector, random_vector, rng_from_seed
+from .sampling import random_compatible_fermions, rng_from_seed
 
 
 class CliFailure(Exception):
@@ -228,15 +228,8 @@ def cmd_compare(bundle, args, tol):
             _need(bundle.configurations, args.config_a, "configuration"),
             _need(bundle.configurations, args.config_b, "configuration"),
         )
-    fermions = None
-    if args.with_fermions:
-        rng = rng_from_seed(args.seed)
-        phiH = build_phiH(lift)
-        psi_A = random_even_vector(rng, tA)
-        perp = phiH.off_range(random_vector(rng, tB.dim))
-        if tB.gamma is not None:
-            perp = (perp + tB.gamma @ perp) / 2
-        fermions = (psi_A, phiH.matrix @ psi_A + perp)
+    rng = rng_from_seed(args.seed)
+    fermions = random_compatible_fermions(rng, build_phiH(lift), tA, tB) if args.with_fermions else None
     f = _cutoff(args)
     rep = compare_actions(lift, tA, tB, wA, wB, f, args.lam, cfgs=cfgs, fermions=fermions, tol=tol)
     _emit(args, rep.as_dict(), str(rep))

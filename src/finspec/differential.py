@@ -14,6 +14,7 @@ and no dependence on the number of terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +99,20 @@ def represent(omega, t: RealSpectralTriple) -> np.ndarray:
     return out
 
 
-def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1 (Hermitian).
+def _hermitian_representation(omega, t: RealSpectralTriple, tol: float) -> np.ndarray:
+    """pi_D(omega), refused (never symmetrized) unless Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F."""
+    X, size = represent(omega, t), frob(t.D)
+    herm = frob(X - X.conj().T)
+    if herm > tol * sum(size ** (len(term) - 1) * math.prod(a.norm() for a in term) for term in omega.terms):
+        raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
+    return X
 
-    Rejects forms whose representation is not Hermitian within tol; no
-    silent symmetrization.
-    """
+
+def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1, with pi_D(omega) Hermitian (_hermitian_representation)."""
     if not isinstance(omega, UniversalOneForm):
         raise TypeError("gauge potentials are one-forms")
-    X = represent(omega, t)
-    herm = frob(X - X.conj().T)
-    if herm > tol:
-        raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
+    X = _hermitian_representation(omega, t, tol)
     return t.D + X + t.ko.eps_p * t.conjugate_by_J(X)
 
 

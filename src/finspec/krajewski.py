@@ -239,8 +239,9 @@ def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op) -> np.ndarray:
 def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     """Close the supplied edges under e -> ebar and e -> jim(e).
 
-    One representative per orbit is enough; conflicting duplicates (residual
-    above tol max(1, ||op||)) are returned as conflicts.  Result maps (src, dst) to op.
+    One representative per orbit is enough; a duplicate whose residual against
+    the op already there exceeds tol ||op||_F is returned as a conflict
+    (key, origin, residual, bound).  Result maps (src, dst) to op.
     """
     closed = {}
     conflicts = []
@@ -250,8 +251,8 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
         if key in closed:
             old_op = closed[key]
             res = frob(old_op - op) if old_op.shape == op.shape else float("inf")
-            if res > tol and res > tol * frob(old_op):
-                conflicts.append((key, origin, res))
+            if res > (bound := tol * frob(old_op)):
+                conflicts.append((key, origin, res, bound))
             return False
         closed[key] = op
         return True
@@ -314,7 +315,7 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
     """Check every diagram axiom; failures become report entries.
 
     Edge-factorization and orbit-consistency residuals pass below
-    tol max(1, ||op||_F), and an edge counts as nonzero above tol times the
+    tol ||op||_F, and an edge counts as nonzero above tol times the
     largest ||op||_F of the diagram, so a diagram and its rescaling get the
     same verdict.
     """
@@ -401,7 +402,7 @@ def _validate(diag, tol):
             rep.add_bool(f"{tag} must be kind={forced}", False)
         else:
             res = _factor_residual(e.op, e.kind, (n_i1, n_j1, n_i2, n_j2))
-            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", res, tol * max(1.0, size))
+            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", res, tol * size)
         if ko.even:
             s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
@@ -409,8 +410,8 @@ def _validate(diag, tol):
     closed = None
     if rep.ok:
         closed, conflicts = complete_edges(diag, tol)
-        for (src, dst), origin, res in conflicts:
-            rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, tol)
+        for (src, dst), origin, res, bound in conflicts:
+            rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, bound)
     return rep, closed
 
 
@@ -600,22 +601,22 @@ _FIX_CUT = 1e-9  # coordinates below this fraction of the largest one are skippe
 _GS_CUT = 1e-8   # a Gram-Schmidt residual at most this long is dropped as dependent
 
 
+def _first_significant(v):
+    """The first coordinate of v above _FIX_CUT times its largest (at least 1), or None."""
+    idx = np.flatnonzero(np.abs(v) > _FIX_CUT * max(1.0, np.abs(v).max()))
+    return v[idx[0]] if idx.size else None
+
+
 def _phase_fix(v):
     """Multiply by a phase so the first significant coordinate is real positive."""
-    idx = np.flatnonzero(np.abs(v) > _FIX_CUT * max(1.0, np.abs(v).max()))
-    if idx.size == 0:
-        return v
-    c = v[idx[0]]
-    return v * (np.conj(c) / abs(c))
+    c = _first_significant(v)
+    return v if c is None else v * (np.conj(c) / abs(c))
 
 
 def _sign_fix(v):
     """Multiply by +-1 so the first significant coordinate points positive."""
-    idx = np.flatnonzero(np.abs(v) > _FIX_CUT * max(1.0, np.abs(v).max()))
-    if idx.size == 0:
-        return v
-    c = v[idx[0]]
-    key = c.real if abs(c.real) > _FIX_CUT else c.imag
+    c = _first_significant(v)
+    key = 0.0 if c is None else c.real if abs(c.real) > _FIX_CUT else c.imag
     return -v if key < 0 else v
 
 
@@ -626,23 +627,28 @@ def _residual(w, basis):
     return w
 
 
-def _projected_basis(P, count):
-    """Deterministic orthonormal basis of the range of a projector.
+def _gram_schmidt(candidates, count, step, keep):
+    """count orthonormal vectors from the candidates in order, or ClassificationError at `step`.
 
-    Runs Gram-Schmidt over the projected coordinate vectors, taking the
-    smallest admissible index first.
+    A candidate's residual w against the vectors so far (_residual) is dropped
+    at norm <= _GS_CUT; otherwise keep(w, ||w||, vectors so far) lists what it adds.
     """
     basis = []
-    for q in range(P.shape[0]):
+    for c in candidates:
         if len(basis) == count:
             break
-        w = _residual(P[:, q], basis)
+        w = _residual(c, basis)
         nrm = np.linalg.norm(w)
         if nrm > _GS_CUT:
-            basis.append(_phase_fix(w / nrm))
+            basis += keep(w, nrm, basis)
     if len(basis) != count:
-        raise ClassificationError("fiber basis", f"projector rank {len(basis)} != expected {count}")
+        raise ClassificationError(step, f"found {len(basis)} of {count} orthonormal vectors")
     return basis
+
+
+def _projected_basis(P, count):
+    """Deterministic orthonormal basis of the range of a projector: its columns in order, phase-fixed."""
+    return _gram_schmidt(P.T, count, "fiber basis", lambda w, nrm, _basis: [_phase_fix(w / nrm)])
 
 
 def _grading_split(ell, mu):
@@ -658,42 +664,25 @@ def _grading_split(ell, mu):
 
 def _real_form_basis(T, space):
     """Orthonormal basis of T-fixed vectors spanning `space` (T antiunitary, T^2=+1)."""
-    count = len(space)
-    basis = []
-    for c in list(space) + [1j * m for m in space]:
-        if len(basis) == count:
-            break
-        w = _residual(c, basis)
+
+    def keep(w, _nrm, basis):  # w + T w, sign-fixed and orthogonalized again, against accumulated rounding
         m = w + T(w)
         nrm = np.linalg.norm(m)
         if nrm <= _GS_CUT:
-            continue
-        m = _residual(_sign_fix(m / nrm), basis)  # again, against accumulated rounding
+            return []
+        m = _residual(_sign_fix(m / nrm), basis)
         nrm = np.linalg.norm(m)
-        if nrm > _GS_CUT:
-            basis.append(m / nrm)
-    if len(basis) != count:
-        raise ClassificationError("real form basis", f"found {len(basis)} of {count} fixed vectors")
-    return basis
+        return [m / nrm] if nrm > _GS_CUT else []
+
+    return _gram_schmidt(list(space) + [1j * m for m in space], len(space), "real form basis", keep)
 
 
 def _quaternionic_pairs(T, space):
-    """Pairs (x, T(x)) spanning `space` (T antiunitary, T^2=-1 forces even dim)."""
+    """Orthonormal basis x_1, T x_1, x_2, T x_2, ... of `space` (T antiunitary, T^2=-1 forces even dim)."""
     count = len(space)
     if count % 2:
         raise ClassificationError("quaternionic pairing", f"odd multiplicity {count} with J^2 = -1")
-    pairs = []
-    for c in space:
-        if len(pairs) == count // 2:
-            break
-        w = _residual(c, [b for pair in pairs for b in pair])
-        nrm = np.linalg.norm(w)
-        if nrm > _GS_CUT:
-            x = _phase_fix(w / nrm)
-            pairs.append((x, T(x)))
-    if len(pairs) != count // 2:
-        raise ClassificationError("quaternionic pairing", f"found {len(pairs)} of {count // 2} pairs")
-    return pairs
+    return _gram_schmidt(space, count, "quaternionic pairing", lambda w, nrm, _basis: [x := _phase_fix(w / nrm), T(x)])
 
 
 def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
@@ -729,12 +718,13 @@ def _diagonal_fiber_basis(T, ell, mu, ko):
         if 2 * len(ys) != mu:
             raise ClassificationError("grading split", f"s=-1 eigenspace has dim {len(ys)}, fiber size {mu}")
         return [m for y in ys for m in (y, T(y))], [-1] * len(ys)
-    pairs = []
+    basis, firsts = [], []
     for s, space in split:
         if s is not None and len(space) % 2:
             raise ClassificationError("grading split", f"odd s={s:+d} eigenspace in KO-dimension {ko.d}")
-        pairs += [(s, pair) for pair in _quaternionic_pairs(T, space)]
-    return [m for _s, pair in pairs for m in pair], [s for s, _pair in pairs]
+        basis += _quaternionic_pairs(T, space)
+        firsts += [s] * (len(space) // 2)
+    return basis, firsts
 
 
 def _splitting_residual(t, i, j, fiber):

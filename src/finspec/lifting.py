@@ -271,7 +271,8 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     Checks the conjugation relation on every (v, w) pair, the vanishing of
     u(v,w) across grading mismatches, equality of the KO sign data of the
     two triples, and cross-validates with direct compat checks on the J
-    (and gamma) operators.
+    (and gamma) operators, whose residuals pass below tol ||phi_H||_F, so
+    a lift and its rescaling get the same verdict.
     """
     rep = Report("real structure and grading")
     res, witness = _conjugation_residual(lift)
@@ -287,10 +288,11 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     pairs = [("J", tA.K, tB.K, True)]  # K stands for the antilinear J = K o conj
     if tA.ko.even and tB.ko.even:
         pairs.append(("gamma", tA.gamma, tB.gamma, False))
+    bound = tol * frob(phiH.matrix)
     for name, A, B, antilinear in pairs:
         c = compat_check(A, B, phiH, tol, antilinear=antilinear)
-        rep.add(f"{name} data weak residual", c.weak_residual, tol)
-        rep.add(f"{name} data strong block", c.b_perp_phi, tol)
+        rep.add(f"{name} data weak residual", c.weak_residual, bound)
+        rep.add(f"{name} data strong block", c.b_perp_phi, bound)
     return rep
 
 

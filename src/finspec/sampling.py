@@ -77,9 +77,9 @@ def random_profile(rng, r_max=3, n_max=2) -> AlgebraProfile:
 
 
 def random_even_vector(rng, t):
-    """A state vector, projected to ker(gamma - 1) when the grading is present."""
+    """A state vector, projected to ker(gamma - 1) when the grading is present (ValueError if that is trivial)."""
     if t.gamma is not None and np.trace(np.eye(t.dim) + t.gamma).real < 0.5:
-        raise RuntimeError("even subspace ker(gamma - 1) is trivial")
+        raise ValueError("even subspace ker(gamma - 1) is trivial")
     for _ in range(100):
         v = random_vector(rng, t.dim)
         if t.gamma is not None:
@@ -180,7 +180,7 @@ def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
                 terms.append(np.kron(np.eye(n_i1), random_complex(rng, (n_j2, n_j1))))
             D[layout.block(v2).sl, layout.block(v1).sl] = sum(terms[1:], terms[0])
         D = (D + D.conj().T) / 2
-        D = (D + ko.eps_p * (t0.K @ np.conj(D) @ t0.K.conj().T)) / 2
+        D = (D + ko.eps_p * t0.conjugate_by_J(D)) / 2
         edges = extract_edges(layout, D, 1e-12)
         if edges or not (ensure_edge and pairs):
             break
@@ -316,6 +316,18 @@ def random_strong_pair(rng, phiH: PhiHMap):
     off = phiH.off_range  # (1-P) C (1-P) = ((1-P) ((1-P) C)*)*
     B = M @ A @ M.conj().T + off(off(C).conj().T).conj().T
     return A, B
+
+
+def random_compatible_fermions(rng, phiH: PhiHMap, tA, tB):
+    """A phi-compatible even fermion pair (psi_A, phi_H psi_A + perp), perp off the range of phi_H.
+
+    psi_A is random_even_vector(rng, tA); perp is projected to ker(gamma_B - 1) when tB is graded.
+    """
+    psi_A = random_even_vector(rng, tA)
+    perp = phiH.off_range(random_vector(rng, tB.dim))
+    if tB.gamma is not None:
+        perp = (perp + tB.gamma @ perp) / 2
+    return psi_A, phiH.matrix @ psi_A + perp
 
 
 def weaken_pair(rng, phiH: PhiHMap, B):

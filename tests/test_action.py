@@ -18,14 +18,15 @@ from finspec.action import (
     spectral_action,
 )
 from finspec.catalog import minimal_diagram
-from finspec.differential import UniversalOneForm, gauge_transform, pushforward
-from finspec.krajewski import KrajewskiDiagram, KOSignature, Vertex, realize
+from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_transform, pushforward, represent
+from finspec.krajewski import KrajewskiDiagram, KOSignature, RealSpectralTriple, Vertex, realize
 from finspec.lifting import build_phiH
 from finspec.sampling import (
     random_diagram,
     random_even_vector,
     random_hermitian,
     random_hermitian_form,
+    random_one_form,
     random_unitary_element,
     random_vector,
     rng_from_seed,
@@ -258,3 +259,50 @@ def test_compare_actions_requires_normalized_lift():
     w = random_hermitian_form(rng, src.profile)
     with pytest.raises(LiftError):
         compare_actions(lift, tA, tB, w, pushforward(w, arrow), CutoffFunction.gaussian(), 1.0)
+
+
+def _form_setup(d):
+    """A random triple in KO-dimension d, a Hermitian Higgs form and four Hermitian vector forms."""
+    rng = rng_from_seed(4)
+    t = realize(random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True))
+    w = random_hermitian_form(rng, t.profile, scale=0.7)
+    return rng, t, w, [random_hermitian_form(rng, t.profile, 1, scale=0.7) for _ in range(4)]
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_from_forms_higgs_field_is_the_fluctuated_dirac(d):
+    """Phi of from_forms is fluctuate(t, higgs_form) bit for bit, so J Phi = eps' Phi J.
+
+    Before, from_forms wrote D + X + J X J^-1 without eps', which broke the J
+    relation in d = 1 and 5.  An n-form Higgs potential is refused as fluctuate refuses it.
+    """
+    _rng, t, w, vec = _form_setup(d)
+    Phi = GaugeConfiguration.from_forms(t, vec, w).Phi
+    assert np.array_equal(Phi, fluctuate(t, w))
+    assert frob(t.K @ np.conj(Phi) - t.ko.eps_p * Phi @ t.K) <= 1e-12 * frob(Phi)
+    with pytest.raises(TypeError):
+        GaugeConfiguration.from_forms(t, vec, UniversalNForm(t.profile, w.terms))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_hermitian_checks_do_not_depend_on_the_units_of_D(d):
+    """With D scaled by c, fluctuate and from_forms accept a Hermitian form and refuse one
+    with a non-Hermitian part of relative size 1e-6, and bosonic_lagrangian accepts the
+    configuration from_forms builds, at every c.
+
+    With the absolute bound tol, the Hermitian form was refused at c = 1e5
+    and the defective one passed at c = 1e-6.
+    """
+    rng, t, w, vec = _form_setup(d)
+    v = random_one_form(rng, t.profile, 1)
+    V = represent(v, t)
+    rel = 1e-6 * frob(represent(w, t)) / frob((V - V.conj().T) / 2)
+    bad = w + UniversalOneForm(t.profile, tuple((rel * a0, a1) for a0, a1 in v.terms))
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e5, 1e8):
+        tc = RealSpectralTriple(t.profile, t.ko, t.layout, c * t.D, t.K, t.gamma)
+        fluctuate(tc, w)
+        bosonic_lagrangian(GaugeConfiguration.from_forms(tc, vec, w), CutoffFunction.gaussian(), 1.0)
+        for call in (lambda: fluctuate(tc, bad), lambda: GaugeConfiguration.from_forms(tc, vec, bad),
+                     lambda: GaugeConfiguration.from_forms(tc, [bad] + vec[1:], w)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()

@@ -276,6 +276,24 @@ def test_cli_classification_failure_exits_1(tmp_path, capsys):
     assert "failed: " in capsys.readouterr().err
 
 
+def test_cli_compare_without_an_even_source_state_exits_1(tmp_path, capsys):
+    """--with-fermions on a d = 0 lift whose only source vertex has s = -1 ends in a 'failed:' line, not a traceback."""
+    rng = rng_from_seed(0)
+    src = random_diagram(rng, 0, profile=AlgebraProfile((1,)), max_fiber=0, requirements=[(1, 1, -1)])
+    arrow = random_arrow(rng, src.profile)
+    tgt = random_compatible_target(rng, src, arrow, ensure_edge=True)
+    b = Bundle()
+    b.diagrams["src"], b.diagrams["tgt"], b.arrows["phi"] = src, tgt, arrow
+    b.lifts["step"] = random_lift(rng, src, arrow, tgt)
+    b.forms["w"] = random_hermitian_form(rng, src.profile)
+    path = str(tmp_path / "odd.json")
+    save_bundle(b, path)
+    assert main(["compare", path, "--lift", "step", "--form-a", "w"]) == 0
+    capsys.readouterr()
+    assert main(["compare", path, "--lift", "step", "--form-a", "w", "--with-fermions"]) == 1
+    assert "failed: even subspace ker(gamma - 1) is trivial" in capsys.readouterr().err
+
+
 def test_cli_compare_and_action(full_bundle, tmp_path, capsys):
     _, path = full_bundle
     assert main(["action", path, "--triple", "T", "--form", "w", "--lam", "2.0"]) == 0

@@ -167,19 +167,23 @@ def test_orbit_completion_conflict():
 
 @pytest.mark.parametrize("c", (1e-6, 1.0, 1e3, 1e6))
 def test_validate_verdict_does_not_depend_on_edge_units(c):
+    """With the edge ops scaled by c, the diagram passes, and a split defect or an orbit
+    conflict fails, also at relative size 1e-6 (which passed at c = 1e-6 against
+    the bound tol max(1, ||op||_F))."""
     diag = random_diagram(rng_from_seed(1), 6, AlgebraProfile((2, 3, 4)), max_fiber=2)
     scaled = lambda edges: KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim, edges)
     edges = [Edge(e.src, e.dst, e.kind, c * e.op) for e in diag.edges]
     assert validate(scaled(edges)).ok
 
     e = edges[0]
-    noise = 0.1 * c * np.random.default_rng(0).standard_normal(e.op.shape)
-    rep = validate(scaled([Edge(e.src, e.dst, e.kind, e.op + noise)] + edges[1:]))
-    assert [f.name for f in rep.failures()] == [f"edge {e.src}->{e.dst} splits as D_L (x) 1 + 1 (x) D_R"]
     k = next(k for k, f in enumerate(edges) if (f.src, f.dst) == (e.dst, e.src))  # the adjoint of e, supplied too
-    off = edges[:k] + [Edge(e.dst, e.src, e.kind, (1 + 1e-3) * edges[k].op)] + edges[k + 1:]
-    rep = validate(scaled(off))
-    assert rep.failures() and all("orbit consistency" in f.name for f in rep.failures())
+    direction = np.random.default_rng(0).standard_normal(e.op.shape)
+    for noise, conflict in ((0.1 * c * direction, 1e-3), (1e-6 * frob(e.op) * direction / frob(direction), 1e-6)):
+        rep = validate(scaled([Edge(e.src, e.dst, e.kind, e.op + noise)] + edges[1:]))
+        assert [f.name for f in rep.failures()] == [f"edge {e.src}->{e.dst} splits as D_L (x) 1 + 1 (x) D_R"]
+        off = edges[:k] + [Edge(e.dst, e.src, e.kind, (1 + conflict) * edges[k].op)] + edges[k + 1:]
+        rep = validate(scaled(off))
+        assert rep.failures() and all("orbit consistency" in f.name for f in rep.failures())
 
 
 @pytest.mark.parametrize("forced", ("right", "left"))

@@ -19,9 +19,12 @@ def _run(*args):
     return done.stdout
 
 
-@pytest.mark.parametrize("d", (0, 1, 6))
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
 def test_demo_lift_pipeline_runs(d):
-    assert f"KO-dimension {d}" in _run("scripts/demo_lift_pipeline.py", "--seed", "3", "--d", str(d))
+    """Every KO-dimension the script accepts runs, and no check of the walk fails."""
+    out = _run("scripts/demo_lift_pipeline.py", "--seed", "3", "--d", str(d))
+    assert f"KO-dimension {d}" in out
+    assert not [line for line in out.splitlines() if "FAIL" in line]
 
 
 def test_example_bundle_validates(tmp_path):
