@@ -177,9 +177,9 @@ def _pairing(t: RealSpectralTriple, D, psi, psi_p) -> complex:
 
 
 def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
-    """v as a complex vector; in the even case it must lie in ker(gamma - 1)."""
+    """v as a complex vector; in the even case it must lie in ker(gamma - 1), within max(tol, 1e-9) ||v||."""
     v = np.asarray(v, dtype=complex)
-    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > max(tol, 1e-9) * (1 + np.linalg.norm(v)):
+    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > max(tol, 1e-9) * np.linalg.norm(v):
         raise ValueError(f"{name} is not in the even subspace ker(gamma - 1)")
     return v
 
@@ -293,7 +293,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     if fermions is not None:
         psi_A, psi_B = (np.asarray(v, dtype=complex) for v in fermions)
         mismatch = np.linalg.norm(M.conj().T @ (psi_B - M @ psi_A))  # ||P x|| = ||M* x|| for P = M M*
-        if mismatch > max(tol, 1e-9) * (1 + np.linalg.norm(psi_B)):
+        if mismatch > max(tol, 1e-9) * max(np.linalg.norm(psi_A), np.linalg.norm(psi_B)):
             raise LiftError(f"fermion pair is not phi-compatible (residual {mismatch:.3e})")
         chi = M @ psi_A
         full_f = _pairing(tB, DB, _even(tB, psi_B, "psi", tol), psi_B)

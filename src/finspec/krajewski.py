@@ -19,6 +19,7 @@ structure, following the basis normal forms for each KO-dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -165,15 +166,32 @@ class RealSpectralTriple:
         return self.layout.pi(a)
 
     def apply_J(self, psi: np.ndarray) -> np.ndarray:
-        return self.K @ np.conj(psi)
+        return _products_with(self.K, _monomial(self.K))[0](np.conj(psi))
 
     def conjugate_by_J(self, X: np.ndarray) -> np.ndarray:
-        """J X J^{-1} as a linear operator: K conj(X) K^dagger."""
-        return self.K @ np.conj(X) @ self.K.conj().T
+        """J X J^{-1} as a linear operator: K conj(X) K^dagger, a gather when K is monomial (_monomial)."""
+        if (mono := _monomial(self.K)) is None:
+            return self.K @ np.conj(X) @ self.K.conj().T
+        return mono[1][:, None] * np.conj(X[np.ix_(mono[0], mono[0])]) * np.conj(mono[1])
 
     def right(self, b: AlgebraElement) -> np.ndarray:
         """J pi(b)^* J^{-1}, the right action of b through the real structure."""
         return self.K @ self.pi(b).T @ self.K.conj().T
+
+
+def _monomial(K):
+    """(perm, phase) with K[i, perm[i]] = phase[i] if K has one nonzero per row and column (a realized K does), else None."""
+    rows, perm = np.nonzero(K)
+    monomial = np.array_equal(rows, np.arange(len(K))) and np.array_equal(np.sort(perm), rows)
+    return (perm, K[rows, perm]) if monomial else None
+
+
+def _products_with(K, mono):
+    """(Y -> K Y, Y -> Y K), as gathers of rows and columns when mono = _monomial(K) is not None."""
+    if mono is None:
+        return (lambda Y: K @ Y), (lambda Y: Y @ K)
+    perm, phase, inv = *mono, np.argsort(mono[0])
+    return (lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv])
 
 
 def epsilon_factor(v: Vertex, d: int) -> int:
@@ -223,17 +241,28 @@ def _vdim(profile, vid):
     return profile.dim(i), profile.dim(j)
 
 
-def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op) -> np.ndarray:
+def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op, sign=None) -> np.ndarray:
     """Decoration of jim(e) implied by the real-structure relation.
 
-    Jhat conj(op) Jhat swaps the legs on both sides, a permutation of the entries.
+    Jhat conj(op) Jhat swaps the legs on both sides, a permutation of the
+    entries.  op may be a stack of ops of edges of e's dims, with their signs.
     """
-    v1, v2 = diag.vertex(e_src), diag.vertex(e_dst)
-    sign = diag.ko.eps_p * epsilon_factor(v1, diag.d) * epsilon_factor(v2, diag.d)
+    if sign is None:
+        sign = diag.ko.eps_p * epsilon_factor(diag.vertex(e_src), diag.d) * epsilon_factor(diag.vertex(e_dst), diag.d)
     n_i1, n_j1 = _vdim(diag.profile, e_src)
     n_i2, n_j2 = _vdim(diag.profile, e_dst)
-    swapped = np.conj(op).reshape(n_i2, n_j2, n_i1, n_j1).transpose(1, 0, 3, 2)
-    return sign * swapped.reshape(n_j2 * n_i2, n_j1 * n_i1)
+    lead = op.shape[:-2]
+    swapped = np.conj(op).reshape(lead + (n_i2, n_j2, n_i1, n_j1)).swapaxes(-4, -3).swapaxes(-2, -1)
+    return sign * swapped.reshape(lead + (n_j2 * n_i2, n_j1 * n_i1))
+
+
+def _edge_groups(diag, ks):
+    """[(dims, kind, indices, stacked ops)] of the edges ks, one per (dims, kind), dims = (n_i1, n_j1, n_i2, n_j2)."""
+    dims, groups = {v: _vdim(diag.profile, v) for v in diag.vertices}, {}
+    for k in ks:
+        e = diag.edges[k]
+        groups.setdefault((*dims[e.src], *dims[e.dst], e.kind), []).append(k)
+    return [(key[:4], key[4], ks, np.array([diag.edges[k].op for k in ks])) for key, ks in groups.items()]
 
 
 def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
@@ -242,53 +271,74 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     One representative per orbit is enough; a duplicate whose residual against
     the op already there exceeds tol ||op||_F is returned as a conflict
     (key, origin, residual, bound).  Result maps (src, dst) to op.
+
+    The diagram must pass validate's other lines.  The walk moves labels (edge, image, 'a'djoint and 'j'im
+    steps); each op is a row of a stacked image of an _edge_groups group, and duplicates of another image
+    or edge are measured in one stacked difference per shape.
     """
-    closed = {}
-    conflicts = []
-
-    def put(src, dst, op, origin):
-        key = (src, dst)
-        if key in closed:
-            old_op = closed[key]
-            res = frob(old_op - op) if old_op.shape == op.shape else float("inf")
-            if res > (bound := tol * frob(old_op)):
-                conflicts.append((key, origin, res, bound))
-            return False
-        closed[key] = op
-        return True
-
-    pending = [(e.src, e.dst, e.op, "given") for e in diag.edges]
+    edges, jim, groups = diag.edges, diag.jim, _edge_groups(diag, range(len(diag.edges)))
+    at = {k: (g, r) for g, (_dims, _kind, ks, _ops) in enumerate(groups) for r, k in enumerate(ks)}
+    eps = {v: epsilon_factor(diag.vertex(v), diag.d) for v in diag.vertices}
+    stored, dups = {}, []
+    pending = [((e.src, e.dst), k, 0, "", None) for k, e in enumerate(edges)]  # image bits: 1 adjoint, 2 jim
     while pending:
-        src, dst, op, origin = pending.pop()
-        if not put(src, dst, op, origin):
+        key, k, img, steps, origin = pending.pop()
+        if key in stored:
+            if stored[key][:2] != (k, img):
+                dups.append((key, origin, stored[key], (k, img, steps)))
             continue
-        pending.append((dst, src, op.conj().T, f"adjoint of ({src}->{dst})"))
-        if src in diag.jim and dst in diag.jim:
-            pending.append((diag.jim[src], diag.jim[dst], _jim_op(diag, src, dst, op), f"jim of ({src}->{dst})"))
-    return closed, conflicts
+        stored[key], (src, dst) = (k, img, steps), key
+        pending.append(((dst, src), k, img ^ 1, steps + "a", ("adjoint", key)))
+        if src in jim and dst in jim:
+            pending.append(((jim[src], jim[dst]), k, img ^ 2, steps + "j", ("jim", key)))
+
+    stacks = {}  # (group, steps) -> (its ops after the steps, the key of its first edge then)
+
+    def image(g, steps):  # memoized per prefix of the steps, with no reference cycle to keep the stacks alive
+        X, src, dst = groups[g][3], edges[groups[g][2][0]].src, edges[groups[g][2][0]].dst
+        for n, step in enumerate(steps, 1):
+            if (g, steps[:n]) not in stacks:
+                sign = diag.ko.eps_p * np.array([eps[edges[k].src] * eps[edges[k].dst] for k in groups[g][2]])
+                stacks[g, steps[:n]] = ((X.conj().swapaxes(1, 2), (dst, src)) if step == "a" else
+                                        (_jim_op(diag, src, dst, X, sign[:, None, None]), (jim[src], jim[dst])))
+            X, (src, dst) = stacks[g, steps[:n]]
+        return X
+
+    op = lambda label: image(at[label[0]][0], label[2])[at[label[0]][1]]
+    shapes, res, bound = {}, np.zeros(len(dups)), np.zeros(len(dups))
+    for n, dup in enumerate(dups):
+        shapes.setdefault(op(dup[2]).shape, []).append(n)
+    for ns in shapes.values():
+        olds = np.array([op(dups[n][2]) for n in ns])
+        res[ns] = np.linalg.norm(olds - np.array([op(dups[n][3]) for n in ns]), axis=(1, 2))
+        bound[ns] = tol * np.linalg.norm(olds, axis=(1, 2))
+    conflicts = [(key, "given" if o is None else f"{o[0]} of ({o[1][0]}->{o[1][1]})", float(r), float(b))
+                 for (key, o, _old, _new), r, b in zip(dups, res, bound) if r > b]
+    return {key: op(label) for key, label in stored.items()}, conflicts
 
 
 def _factor_residual(op, kind, dims):
-    """Residual of the forced factorization of an edge decoration.
+    """Residual of the forced factorization of an edge decoration, or of each of a stack of them.
 
     The first-order condition leaves exactly 1 (x) D_R across rho, D_L (x) 1
     across lambda, and D_L (x) 1 + 1 (x) D_R when both coordinates match.
     The kind must be one _edge_kind allows, so the dims it shares agree.
     """
     n_i1, n_j1, n_i2, n_j2 = dims
-    blk = op.reshape(n_i2, n_j2, n_i1, n_j1)
-    kron = lambda A, B: A[:, None, :, None] * B[None, :, None, :]  # the Kronecker product A (x) B on the legs of blk
-    off = lambda proj: frob((blk - proj).reshape(op.shape))
+    blk = op.reshape(op.shape[:-2] + (n_i2, n_j2, n_i1, n_j1))
+    kron = lambda A, B: A[..., :, None, :, None] * B[..., None, :, None, :]  # the Kronecker product A (x) B on the legs of blk
+    trace = lambda X, a=-2, b=-1: np.trace(X, axis1=a, axis2=b)[..., None, None]
+    off = lambda proj: np.linalg.norm((blk - proj).reshape(op.shape), axis=(-2, -1))
     if kind == "right":
-        return off(kron(np.eye(n_i1), blk.trace(axis1=0, axis2=2) / n_i1))
+        return off(kron(np.eye(n_i1), trace(blk, -4, -2)[..., 0, 0] / n_i1))
     if kind == "left":
-        return off(kron(blk.trace(axis1=1, axis2=3) / n_j1, np.eye(n_j1)))
+        return off(kron(trace(blk, -3, -1)[..., 0, 0] / n_j1, np.eye(n_j1)))
     n, m = n_i1, n_j1
-    left = blk.trace(axis1=1, axis2=3) / m
-    right = blk.trace(axis1=0, axis2=2) / n
-    scalar = np.trace(op) / (n * m)
-    left0 = left - np.trace(left) / n * np.eye(n)
-    right0 = right - np.trace(right) / m * np.eye(m)
+    left = trace(blk, -3, -1)[..., 0, 0] / m
+    right = trace(blk, -4, -2)[..., 0, 0] / n
+    scalar = trace(op)[..., None, None] / (n * m)
+    left0 = left - trace(left) / n * np.eye(n)
+    right0 = right - trace(right) / m * np.eye(m)
     return off(kron(left0, np.eye(m)) + kron(np.eye(n), right0) + scalar * kron(np.eye(n), np.eye(m)))
 
 
@@ -377,10 +427,16 @@ def _validate(diag, tol):
         if i not in represented:
             rep.warn(f"block {i} is not represented (non-faithful layout)")
 
-    seen_pairs = set()
-    sizes = [frob(e.op) for e in diag.edges]
+    dims = {v: _vdim(diag.profile, v) for v in vids}
+    shaped = lambda e: e.op.shape == (math.prod(dims[e.dst]), math.prod(dims[e.src]))
+    factor = {}  # edge -> (norm, factor residual), stacked per group of the edges that get a factor line
+    for dim, kind, ks, ops in _edge_groups(diag, [k for k, e in enumerate(diag.edges) if e.src in vids and e.dst in vids
+                                                  and shaped(e) and _edge_kind(e.src, e.dst) in ("general", e.kind)]):
+        factor.update(zip(ks, zip(np.linalg.norm(ops, axis=(1, 2)), _factor_residual(ops, kind, dim))))
+    sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
     largest = max(sizes, default=0.0)
-    for e, size in zip(diag.edges, sizes):
+    seen_pairs = set()
+    for k, (e, size) in enumerate(zip(diag.edges, sizes)):
         tag = f"edge {e.src}->{e.dst}"
         if e.src not in vids or e.dst not in vids:
             rep.add_bool(f"{tag} endpoints exist", False)
@@ -388,9 +444,7 @@ def _validate(diag, tol):
         if (e.src, e.dst) in seen_pairs:
             rep.add_bool(f"{tag} supplied once", False)
         seen_pairs.add((e.src, e.dst))
-        n_i1, n_j1 = _vdim(diag.profile, e.src)
-        n_i2, n_j2 = _vdim(diag.profile, e.dst)
-        if e.op.shape != (n_i2 * n_j2, n_i1 * n_j1):
+        if not shaped(e):
             rep.add_bool(f"{tag} op shape", False)
             continue
         rep.add_bool(f"{tag} op nonzero", size > tol * largest)
@@ -401,8 +455,7 @@ def _validate(diag, tol):
         if forced not in ("general", e.kind):  # where both coordinates match, any kind is measured by its own factors
             rep.add_bool(f"{tag} must be kind={forced}", False)
         else:
-            res = _factor_residual(e.op, e.kind, (n_i1, n_j1, n_i2, n_j2))
-            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", res, tol * size)
+            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", factor[k][1], tol * size)
         if ko.even:
             s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
@@ -458,10 +511,12 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
     brackets with every unit are read off them as sums of squares
     (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
-    and at most m legs per block, with no U^2 term.  Residuals linear in D
-    pass below tol ||D||_F, so a triple and its rescaling get the same
-    verdict, and an exact zero passes at D = 0.  The order-condition lines
-    name the units behind their worst residual.
+    and at most m legs per block, with no U^2 term.  With a monomial K
+    (_monomial; every realized K) products with K are gathers: X_a is a phased
+    partial permutation and Y_a lives on m rows and m columns; a diagonal gamma
+    scales entries.  Residuals linear in D pass below tol ||D||_F, so a triple
+    and its rescaling get the same verdict, and an exact zero passes at D = 0.
+    The order-condition lines name the units behind their worst residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -469,11 +524,14 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    tol_D, DK = tol * frob(D), D @ K
+    mono = _monomial(K)
+    left, right = _products_with(K, mono)
+    tol_D, DK = tol * frob(D), right(D)
 
-    signs = [res[sign] for res, sign in zip(_sign_residuals(t, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if sign is not None]
+    signs = [res[s] for res, s in zip(_sign_residuals(t, left, right, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
-    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye), tol)
+    phase = None if mono is None else mono[1][:, None, None]  # K^dagger K = diag(conj(phase) phase), 1 x 1 products
+    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye if mono is None else (np.conj(phase) @ phase)[:, 0] - 1), tol)
     rep.add("J squared = eps", signs[0], tol)
     rep.add("JD = eps' DJ", signs[1], tol_D)
 
@@ -482,9 +540,10 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         if g is None:
             rep.add_bool("grading present in even KO-dimension", False)
             return rep
+        gd = np.diagonal(g) if np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) else None  # gamma diagonal
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
-        rep.add("gamma squared = 1", frob(g @ g - eye), tol)
-        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g), tol_D)
+        rep.add("gamma squared = 1", frob(g @ g - eye) if gd is None else np.linalg.norm(gd * gd - 1), tol)
+        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g if gd is None else gd[:, None] * D + D * gd), tol_D)
         rep.add("J gamma = eps'' gamma J", signs[2], tol)
     elif t.gamma is not None:
         rep.add_bool("no grading in odd KO-dimension", False)
@@ -493,16 +552,26 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     if ko.even:
         res, q = _worst_bracket(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
-    Kh = K.conj().T
-    KhD = Kh @ D
+    if mono is None:
+        Kh = K.conj().T
+        KhD = Kh @ D
+        frame = lambda rows, cols: (Kh[:, rows] @ K[cols], KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols])
+    else:
+        (perm, phase), KhD = mono, right(D.conj().T).conj().T  # KhD = K^dagger D
+
+        def frame(rows, cols):  # the same numbers, written on the rows perm[rows] and columns perm[cols]
+            X, Y = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+            X[perm[rows], perm[cols]] = np.conj(phase[rows]) * phase[cols]
+            Y[:, perm[cols]] = KhD[:, rows] * phase[cols]
+            Y[perm[rows]] -= np.conj(phase[rows])[:, None] * DK[cols]
+            return X, Y
+
     comm = first = (0.0, None, None)  # residual, unit q = pi(b)^T, unit a
     for i, L, _labels in frames:
         for x, y in np.ndindex(len(L), len(L)):
-            rows, cols = L[x], L[y]
-            X = Kh[:, rows] @ K[cols]  # K^dagger pi(a) K
+            X, Y = frame(L[x], L[y])  # K^dagger pi(a) K and K^dagger [D, pi(a)] K
             comm = max(comm, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
-            X = KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]  # K^dagger [D, pi(a)] K
-            first = max(first, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
+            first = max(first, (*_worst_bracket(Y, frames), (i, x, y)), key=itemgetter(0))
     rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm[0], tol, _pair_witness(*comm[1:]))
     rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first[0], tol_D, _pair_witness(*first[1:]))
     return rep
@@ -561,19 +630,19 @@ def _worst_bracket(X, frames):
     return float(np.sqrt(best)), at
 
 
-def _sign_residuals(t, DK):
+def _sign_residuals(t, left, right, DK):
     """{sign: residual} for J^2 = eps, JD = eps' DJ and, with a grading, J gamma = eps'' gamma J, at both signs.
 
-    DK = D K comes from the caller.  K conj(K), K conj(D), and K conj(gamma)
-    and gamma K, are formed once, one relation at a time.
+    left and right multiply by K (_products_with), DK = D K comes from the caller.
+    K conj(K), K conj(D), and K conj(gamma) and gamma K, are formed once, one relation at a time.
     """
     K, D, g = t.K, t.D, t.gamma
 
     def products():
-        yield K @ np.conj(K), np.eye(t.dim)
-        yield K @ np.conj(D), DK
+        yield left(np.conj(K)), np.eye(t.dim)
+        yield left(np.conj(D)), DK
         if g is not None:
-            yield K @ np.conj(g), g @ K
+            yield left(np.conj(g)), right(g)
 
     return [{sign: frob(X - sign * Y) for sign in (1, -1)} for X, Y in products()]
 
@@ -585,9 +654,10 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     eps' unconstrained, so several d can match; an empty set means the triple
     is inconsistent with every row.  A row matches when the three sign lines
     of verify_axioms pass: the eps' relation below tol ||D||_F, the others
-    below tol.
+    below tol.  Products with a monomial K are gathers, as in verify_axioms.
     """
-    residuals = _sign_residuals(t, t.D @ t.K)
+    left, right = _products_with(t.K, _monomial(t.K))
+    residuals = _sign_residuals(t, left, right, right(t.D))
     bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
             and all(res[sign] <= bound for res, sign, bound in zip(residuals, row, bounds))}

@@ -11,6 +11,7 @@ class Check:
     residual: float
     passed: bool
     detail: str = ""
+    bound: float | None = None  # what the residual was judged against; None for a pass/fail line
 
 
 @dataclass
@@ -22,8 +23,8 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def add(self, name, residual, tol, detail=""):
-        residual = float(abs(residual))
-        self.checks.append(Check(name, residual, residual <= tol, detail))
+        residual, bound = float(abs(residual)), float(tol)
+        self.checks.append(Check(name, residual, residual <= bound, detail, bound))
 
     def add_bool(self, name, passed, detail=""):
         self.checks.append(Check(name, 0.0 if passed else 1.0, bool(passed), detail))
@@ -53,7 +54,7 @@ class Report:
             "title": self.title,
             "ok": self.ok,
             "checks": [
-                {"name": c.name, "residual": c.residual, "passed": c.passed, "detail": c.detail}
+                {"name": c.name, "residual": c.residual, "bound": c.bound, "passed": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
             "warnings": list(self.warnings),
@@ -63,8 +64,9 @@ class Report:
         lines = [f"{self.title}: {'OK' if self.ok else 'FAILED'}"]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
+            bound = f" bound={c.bound:.3e}" if c.bound is not None else ""
             detail = f"  ({c.detail})" if c.detail else ""
-            lines.append(f"  [{mark}] {c.name}: residual={c.residual:.3e}{detail}")
+            lines.append(f"  [{mark}] {c.name}: residual={c.residual:.3e}{bound}{detail}")
         for w in self.warnings:
             lines.append(f"  [warn] {w}")
         return "\n".join(lines)

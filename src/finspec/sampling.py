@@ -180,7 +180,8 @@ def random_diagram(rng, d, profile=None, max_fiber=2, edge_prob=0.6,
                 terms.append(np.kron(np.eye(n_i1), random_complex(rng, (n_j2, n_j1))))
             D[layout.block(v2).sl, layout.block(v1).sl] = sum(terms[1:], terms[0])
         D = (D + D.conj().T) / 2
-        D = (D + ko.eps_p * t0.conjugate_by_J(D)) / 2
+        # dense K conj(D) K^dagger: conjugate_by_J's gather gives equal numbers but may flip the sign of a zero
+        D = (D + ko.eps_p * (t0.K @ np.conj(D) @ t0.K.conj().T)) / 2
         edges = extract_edges(layout, D, 1e-12)
         if edges or not (ensure_edge and pairs):
             break

@@ -20,8 +20,9 @@ from finspec.action import (
 from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_transform, pushforward, represent
 from finspec.krajewski import KrajewskiDiagram, KOSignature, RealSpectralTriple, Vertex, realize
-from finspec.lifting import build_phiH
+from finspec.lifting import LiftError, build_phiH
 from finspec.sampling import (
+    random_compatible_fermions,
     random_diagram,
     random_even_vector,
     random_hermitian,
@@ -306,3 +307,34 @@ def test_hermitian_checks_do_not_depend_on_the_units_of_D(d):
                      lambda: GaugeConfiguration.from_forms(tc, [bad] + vec[1:], w)):
             with pytest.raises(ValueError, match="not Hermitian"):
                 call()
+
+
+FERMION_SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e6)
+
+
+def test_fermion_checks_do_not_depend_on_the_scale_of_the_vectors():
+    """The evenness check refuses an odd vector and the fermion line of compare_actions a pair whose
+    difference has a component in the range of phi_H, at every scale; even vectors and compatible pairs pass.
+
+    Against max(tol, 1e-9) (1 + ||v||) both refusals turned into passes at scale 1e-12.
+    """
+    t = realize(random_diagram(rng_from_seed(4), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True))
+    rng = rng_from_seed(41)
+    v, s = random_vector(rng, t.dim), np.diag(t.gamma).real
+    odd, even = np.where(s < 0, v, 0), np.where(s > 0, v, 0)
+    zero = UniversalOneForm.zero(t.profile)
+    for c in FERMION_SCALES:
+        with pytest.raises(ValueError, match="even subspace"):
+            fermionic_pairing(t, zero, c * odd, c * even)
+        fermionic_pairing(t, zero, c * even, c * even)
+    fermionic_pairing(t, zero, 0 * even, 0 * even)  # an exact zero is even
+
+    norm, tA, tB, phiH = normalized_setup(rng_from_seed(5), 7)
+    psi_A, psi_B = random_compatible_fermions(rng, phiH, tA, tB)
+    in_range = phiH.matrix @ random_vector(rng, tA.dim)
+    wA = UniversalOneForm.zero(tA.profile)
+    args = (norm, tA, tB, wA, pushforward(wA, norm.arrow), CutoffFunction.gaussian(), 1.5)
+    for c in FERMION_SCALES:
+        compare_actions(*args, fermions=(c * psi_A, c * psi_B))
+        with pytest.raises(LiftError, match="not phi-compatible"):
+            compare_actions(*args, fermions=(c * psi_A, c * (psi_B + 1e-3 * in_range)))

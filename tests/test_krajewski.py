@@ -18,6 +18,7 @@ from finspec.krajewski import (
     KrajewskiDiagram,
     RealSpectralTriple,
     Vertex,
+    _FACTOR_LINES,
     _jim_op,
     classify,
     detect_ko,
@@ -477,3 +478,41 @@ def test_order_condition_witness_attains_the_residual(d):
         units = _named_units(t, check.detail)
         assert len(units) == (1 if name.startswith("gamma") else 2)
         assert abs(dense(*units) - check.residual) <= 1e-12 * check.residual, (name, check.detail)
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_report_lines_pass_exactly_below_their_bounds(d):
+    """Every residual line of validate and verify_axioms records its bound, and passes exactly when
+    residual <= bound: tol ||op||_F on the factor lines, tol ||D||_F on the lines linear in D.
+
+    Besides the diagram and its triple, one edge op with a split defect and D with Hermitian noise,
+    so both verdicts occur.
+    """
+    tol = 1e-10
+    rng = rng_from_seed(1960 + d)
+    diag = next(g for g in iter(lambda: random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True), None)
+                if g.edges)
+    e = diag.edges[0]
+    bent = KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim,
+                            [Edge(e.src, e.dst, e.kind, e.op + 1e-6 * random_complex(rng, e.op.shape))] + diag.edges[1:])
+    t = realize(diag)
+    noisy = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + 1e-6 * random_hermitian(rng, t.dim), t.K, t.gamma)
+    reps = [validate(diag, tol), validate(bent, tol), verify_axioms(t, tol), verify_axioms(noisy, tol)]
+    verdicts = set()
+    for rep in reps:
+        for c, row in zip(rep.checks, rep.as_dict()["checks"]):
+            assert row["bound"] == c.bound
+            if c.bound is not None:
+                assert c.passed == (c.residual <= c.bound), c.name
+                assert f"bound={c.bound:.3e}" in str(rep)
+                verdicts.add(c.passed)
+    assert verdicts == {True, False}
+    for g, rep in zip((diag, bent), reps):
+        for f in g.edges:
+            bound = rep[f"edge {f.src}->{f.dst} {_FACTOR_LINES[f.kind]}"].bound
+            assert bound == pytest.approx(tol * frob(f.op), rel=1e-12)
+    linear = ["D hermitian", "JD = eps' DJ", "first order [[D, pi(a)], J pi(b)* J^-1] = 0"]
+    linear += ["gamma D + D gamma = 0"] if d % 2 == 0 else []
+    for tc, rep in zip((t, noisy), reps[2:]):
+        for name in linear:
+            assert rep[name].bound == pytest.approx(tol * frob(tc.D), rel=1e-12), name

@@ -31,13 +31,18 @@ from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
     ClassificationError,
+    Edge,
+    KrajewskiDiagram,
     RealSpectralTriple,
     _extract_middle_map,
     _factor_residual,
+    _monomial,
     _splitting_residual,
+    _validate,
     classify,
     detect_ko,
     extract_edges,
+    layout_of,
     realize,
     validate,
     verify_axioms,
@@ -725,3 +730,114 @@ def test_minimal_diagram_matches_case_per_dimension_oracle(d):
             minimal_diagram(bad)
     with pytest.raises(ValueError, match="t = 0.0"):
         minimal_diagram(d, 0.0)
+
+
+# -- edge checks per shape class, and products with a monomial K as gathers ------
+
+
+def _same_lines(rep, ref, tol=1e-10, witnesses=True):
+    """The same line names, order, verdicts and witnesses, and residuals within 1e-12 max(|y|, bound / tol).
+
+    A bound is tol ||op||_F, tol ||D||_F or tol, so bound / tol is the size of what the line measures.
+    Without witnesses, the units named may differ where brackets tie in exact arithmetic.
+    """
+    assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+    for c, c0 in zip(rep.checks, ref.checks):
+        assert (c.passed, c.detail if witnesses else "") == (c0.passed, c0.detail if witnesses else ""), c.name
+        scale = 0.0 if c0.bound is None else c0.bound / tol
+        assert abs(c.residual - c0.residual) <= 1e-12 * max(c0.residual, scale), (c.name, c.residual, c0.residual)
+
+
+def _edge_variants(rng, diag):
+    """diag with one fault each: an orbit conflict of relative size 1e-3, a split defect, an edge supplied
+    twice, a mis-kinded edge, an op of the wrong shape, a missing endpoint and an edge between unrelated fibers."""
+    edges = diag.edges
+    if not edges:
+        return []
+    e = edges[0]
+    with_edges = lambda new: KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim, new)
+    vids = diag.sorted_vids()
+    unrelated = [(v, w) for v in vids for w in vids if v[0] != w[0] and v[2] != w[2]]
+    out = [
+        with_edges([Edge(e.src, e.dst, e.kind, (1 + 1e-3) * e.op)] + edges[1:]),
+        with_edges([Edge(e.src, e.dst, e.kind, e.op + 1e-3 * random_complex(rng, e.op.shape))] + edges[1:]),
+        with_edges(edges + [e]),
+        with_edges([Edge(e.src, e.dst, "left" if e.kind != "left" else "right", e.op)] + edges[1:]),
+        with_edges([Edge(e.src, e.dst, e.kind, e.op[:, :-1])] + edges[1:]) if e.op.shape[1] > 1 else None,
+        with_edges(edges + [Edge(e.src, (9, 1, 9), e.kind, e.op)]),
+    ]
+    if unrelated:
+        v, w = unrelated[0]
+        (n_i1, n_j1), (n_i2, n_j2) = [(diag.profile.dim(x[0]), diag.profile.dim(x[2])) for x in (v, w)]
+        out.append(with_edges(edges + [Edge(v, w, "general", random_complex(rng, (n_i2 * n_j2, n_i1 * n_j1)))]))
+    return [g for g in out if g is not None]
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_validate_matches_per_edge_oracle(d):
+    """Minimal, random and classified diagrams, and faulty variants: the same report lines, and the same
+    orbit closure and realized D, bit for bit."""
+    rng = rng_from_seed(2800 + d)
+    diags = [minimal_diagram(d)] + [random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+                                    for _ in range(3)]
+    diags += [classify(realize(g))[0] for g in diags]
+    closures = conflicts = 0
+    for g in diags + [v for g in diags[1:] for v in _edge_variants(rng, g)]:
+        (rep, closed), (ref, closed0) = _validate(g, 1e-10), oracles.validate_per_edge(g, 1e-10)
+        _same_lines(rep, ref)
+        assert (closed is None) == (closed0 is None)
+        if closed is None:
+            continue
+        assert list(closed) == list(closed0)
+        assert all(closed[k].tobytes() == closed0[k].tobytes() for k in closed0)
+        conflicts += any("orbit consistency" in c.name for c in rep.checks)
+        if rep.ok:
+            layout = layout_of(g)
+            D0 = np.zeros((layout.total_dim,) * 2, dtype=complex)
+            for (src, dst), op in closed0.items():
+                D0[layout.block(dst).sl, layout.block(src).sl] = op
+            assert realize(g).D.tobytes() == D0.tobytes()
+            closures += 1
+    assert closures >= 8 and conflicts >= 1
+
+
+def _gather_forms(d):
+    """(t, whether K is monomial, whether t is a triple of d) for realized triples of minimal, random and
+    classified diagrams; each with K times a random phased permutation (monomial, but no involution and
+    with complex phases); and each conjugated by a random unitary on the middle factor of every fiber,
+    where K and gamma are dense."""
+    rng = rng_from_seed(2850 + d)
+    diags = [minimal_diagram(d)] + [random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+                                    for _ in range(3)]
+    diags += [classify(realize(g))[0] for g in diags]
+    for g in diags:
+        t = realize(g)
+        yield t, True, True
+        P = np.eye(t.dim)[rng.permutation(t.dim)] * np.exp(2j * np.pi * rng.random(t.dim))
+        yield RealSpectralTriple(t.profile, t.ko, t.layout, t.D, t.K @ P, t.gamma), True, False
+        if any(len(fiber) > 1 for fiber in g.fibers().values()):
+            yield mix_fibers(rng, t, g), False, True
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_axioms_gathers_match_dense_oracles(d):
+    """verify_axioms, detect_ko, conjugate_by_J and apply_J against their dense-K versions: the same lines
+    and witnesses, the same detected rows, and J X J^-1 and J psi equal entry for entry (to 1e-15 relative
+    with complex phases)."""
+    rng = rng_from_seed(2860 + d)
+    dense = gathered = graded = 0
+    for t, monomial, valid in _gather_forms(d):
+        assert (_monomial(t.K) is not None) == monomial
+        if t.gamma is not None:
+            graded += np.count_nonzero(t.gamma) > np.count_nonzero(np.diagonal(t.gamma))  # gamma off its diagonal
+        for tol in (1e-10, 1e-14):
+            _same_lines(verify_axioms(t, tol), oracles.verify_axioms_dense(t, tol), tol, witnesses=valid)
+            assert detect_ko(t, tol) == oracles.detect_ko_dense(t, tol)
+        X, psi = random_complex(rng, (t.dim, t.dim)), random_vector(rng, t.dim)
+        for new, old in ((t.conjugate_by_J(X), oracles.conjugate_by_J_dense(t, X)),
+                         (t.apply_J(psi), oracles.apply_J_dense(t, psi))):  # exact for +-1 phases and dense K
+            assert np.array_equal(new, old) if valid else np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+        assert not valid or (d in detect_ko(t) and verify_axioms(t).ok)
+        dense += not monomial
+        gathered += monomial
+    assert gathered == 16 and dense >= 1 and (graded >= 1 or d % 2)
