@@ -530,8 +530,8 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
 
     signs = [res[s] for res, s in zip(_sign_residuals(t, left, right, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
-    phase = None if mono is None else mono[1][:, None, None]  # K^dagger K = diag(conj(phase) phase), 1 x 1 products
-    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye if mono is None else (np.conj(phase) @ phase)[:, 0] - 1), tol)
+    ph = None if mono is None else mono[1][:, None, None]  # K^dagger K = diag(conj(phase) phase), 1 x 1 products
+    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye if mono is None else (np.conj(ph) @ ph)[:, 0] - 1), tol)
     rep.add("J squared = eps", signs[0], tol)
     rep.add("JD = eps' DJ", signs[1], tol_D)
 
