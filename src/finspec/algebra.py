@@ -5,9 +5,9 @@ through vertex-block layouts: the Hilbert space is an ordered direct sum of
 irreducible pieces C^{n_i} (x) C^{n_j o}, one per vertex, stored row-major,
 so the left action of a is kron(a_i, 1) and the right action of b is
 kron(1, b_j^T) on each block (b o xi o := (xi^T b)^T on the opposite factor).
-Operators that are scalar, or the leg swap Jhat, on each vertex block (the
-real structure, the grading, fiber basis changes) come from
-VertexLayout.place.
+VertexLayout.legs holds the indices of each block; operators that are scalar,
+or the leg swap Jhat (its transpose), on each vertex block (the real
+structure, the grading, fiber basis changes) come from VertexLayout.place.
 """
 
 from __future__ import annotations
@@ -158,11 +158,6 @@ def matrix_units(profile: AlgebraProfile):
                 yield unit_insert(profile, i, m)
 
 
-def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
-    """Jhat on a vertex with dims (n_i, n_j): xi (x) eta o -> eta (x) xi o."""
-    return np.eye(n_i * n_j).reshape(n_i, n_j, n_i * n_j).transpose(1, 0, 2).reshape(n_j * n_i, n_i * n_j)
-
-
 @dataclass(frozen=True)
 class LayoutBlock:
     vid: tuple          # vertex id (i, p, j), all 1-based
@@ -206,20 +201,23 @@ class VertexLayout:
     def vids(self):
         return tuple(b.vid for b in self.blocks)
 
+    def legs(self, vid) -> np.ndarray:
+        """Flat indices of block vid as an n_i x n_j array, [x, y] for e_x (x) e_y o; its transpose is Jhat."""
+        b = self._by_vid[vid]
+        return np.arange(b.offset, b.offset + b.length).reshape(b.n_i, b.n_j)
+
     def index(self, vid, x: int, y: int) -> int:
         """Flat index of basis vector e_x (x) e_y o inside block vid (x, y from 0)."""
-        b = self._by_vid[vid]
-        return b.offset + x * b.n_j + y
+        return int(self.legs(vid)[x, y])
 
     def place(self, coeffs, swap: bool = False) -> np.ndarray:
         """Operator whose (w, v) block is c 1, or c Jhat with swap, for each ((w, v), c).
 
-        Blocks are accumulated with += into zeros; absent blocks stay zero.
+        One scatter per block onto the legs (legs of w transposed with swap), accumulated with += into zeros.
         """
         out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
         for (w, v), c in coeffs.items():
-            bw, bv = self._by_vid[w], self._by_vid[v]
-            out[bw.sl, bv.sl] += c * (swap_matrix(bv.n_i, bv.n_j) if swap else np.eye(bv.length))
+            out[self.legs(w).T if swap else self.legs(w), self.legs(v)] += c
         return out
 
     def unit_maps(self, i: int) -> np.ndarray:
@@ -227,9 +225,8 @@ class VertexLayout:
 
         pi(E^i_xy) is the partial permutation L[y] -> L[x], and pi(1_i) the mask on L.ravel().
         """
-        n = self.profile.dim(i)
-        legs = [np.arange(b.offset, b.offset + b.length).reshape(n, b.n_j) for b in self.blocks if b.i == i]
-        return np.concatenate([np.zeros((n, 0), dtype=int)] + legs, axis=1)
+        legs = [self.legs(b.vid) for b in self.blocks if b.i == i]
+        return np.concatenate([np.zeros((self.profile.dim(i), 0), dtype=int)] + legs, axis=1)
 
     def sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
         """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built.

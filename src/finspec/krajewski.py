@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .algebra import (
     VertexLayout,
     as_matrix,
     frob,
-    swap_matrix,
 )
 from .reports import Report
 
@@ -166,13 +164,12 @@ class RealSpectralTriple:
         return self.layout.pi(a)
 
     def apply_J(self, psi: np.ndarray) -> np.ndarray:
-        return _products_with(self.K, _monomial(self.K))[0](np.conj(psi))
+        return _products_with(self.K)[0](np.conj(psi))
 
     def conjugate_by_J(self, X: np.ndarray) -> np.ndarray:
-        """J X J^{-1} as a linear operator: K conj(X) K^dagger, a gather when K is monomial (_monomial)."""
-        if (mono := _monomial(self.K)) is None:
-            return self.K @ np.conj(X) @ self.K.conj().T
-        return mono[1][:, None] * np.conj(X[np.ix_(mono[0], mono[0])]) * np.conj(mono[1])
+        """J X J^{-1} as a linear operator: K conj(X) K^dagger, gathers when K is monomial (_products_with)."""
+        left, _right, _left_dag, right_dag = _products_with(self.K)
+        return right_dag(left(np.conj(X)))
 
     def right(self, b: AlgebraElement) -> np.ndarray:
         """J pi(b)^* J^{-1}, the right action of b through the real structure."""
@@ -186,12 +183,14 @@ def _monomial(K):
     return (perm, K[rows, perm]) if monomial else None
 
 
-def _products_with(K, mono):
-    """(Y -> K Y, Y -> Y K), as gathers of rows and columns when mono = _monomial(K) is not None."""
-    if mono is None:
-        return (lambda Y: K @ Y), (lambda Y: Y @ K)
+def _products_with(A):
+    """(Y -> A Y, Y -> Y A, Y -> A^dagger Y, Y -> Y A^dagger): gathers of rows and columns when A is
+    monomial (_monomial), dense products otherwise.  Y may be a vector for the left products."""
+    if (mono := _monomial(A)) is None:
+        return (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y), (lambda Y: Y @ A.conj().T)
     perm, phase, inv = *mono, np.argsort(mono[0])
-    return (lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv])
+    return ((lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv]),
+            (lambda Y: (np.conj(phase[inv]) * Y[inv].T).T), (lambda Y: Y[:, perm] * np.conj(phase)))
 
 
 def epsilon_factor(v: Vertex, d: int) -> int:
@@ -241,19 +240,13 @@ def _vdim(profile, vid):
     return profile.dim(i), profile.dim(j)
 
 
-def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op, sign=None) -> np.ndarray:
-    """Decoration of jim(e) implied by the real-structure relation.
+def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op, sign) -> np.ndarray:
+    """Decoration sign Jhat conj(op) Jhat of jim(e) implied by the real-structure relation.
 
-    Jhat conj(op) Jhat swaps the legs on both sides, a permutation of the
-    entries.  op may be a stack of ops of edges of e's dims, with their signs.
+    Jhat transposes the row-major legs of each side (VertexLayout.legs).  op may be a stack of ops of e's dims.
     """
-    if sign is None:
-        sign = diag.ko.eps_p * epsilon_factor(diag.vertex(e_src), diag.d) * epsilon_factor(diag.vertex(e_dst), diag.d)
-    n_i1, n_j1 = _vdim(diag.profile, e_src)
-    n_i2, n_j2 = _vdim(diag.profile, e_dst)
-    lead = op.shape[:-2]
-    swapped = np.conj(op).reshape(lead + (n_i2, n_j2, n_i1, n_j1)).swapaxes(-4, -3).swapaxes(-2, -1)
-    return sign * swapped.reshape(lead + (n_j2 * n_i2, n_j1 * n_i1))
+    swap = lambda n_i, n_j: np.arange(n_i * n_j).reshape(n_i, n_j).T.ravel()  # Jhat on the legs of one block
+    return sign * np.conj(op)[..., swap(*_vdim(diag.profile, e_dst))[:, None], swap(*_vdim(diag.profile, e_src))]
 
 
 def _edge_groups(diag, ks):
@@ -511,10 +504,10 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
     brackets with every unit are read off them as sums of squares
     (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
-    and at most m legs per block, with no U^2 term.  With a monomial K
-    (_monomial; every realized K) products with K are gathers: X_a is a phased
-    partial permutation and Y_a lives on m rows and m columns; a diagonal gamma
-    scales entries.  Residuals linear in D pass below tol ||D||_F, so a triple
+    and at most m legs per block, with no U^2 term.  Products with K and
+    gamma are gathers when monomial (_products_with; every realized K and
+    gamma): X_a is then a phased partial permutation and Y_a lives on m rows
+    and m columns.  Residuals linear in D pass below tol ||D||_F, so a triple
     and its rescaling get the same verdict, and an exact zero passes at D = 0.
     The order-condition lines name the units behind their worst residual.
     """
@@ -524,14 +517,12 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    mono = _monomial(K)
-    left, right = _products_with(K, mono)
-    tol_D, DK = tol * frob(D), right(D)
+    left, right, left_dag, _right_dag = _products_with(K)
+    tol_D, DK, KhD = tol * (size_D := frob(D)), right(D), left_dag(D)
 
     signs = [res[s] for res, s in zip(_sign_residuals(t, left, right, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
-    ph = None if mono is None else mono[1][:, None, None]  # K^dagger K = diag(conj(phase) phase), 1 x 1 products
-    rep.add("J antiunitary (K unitary)", frob(K.conj().T @ K - eye if mono is None else (np.conj(ph) @ ph)[:, 0] - 1), tol)
+    rep.add("J antiunitary (K unitary)", frob(left_dag(K) - eye), tol)
     rep.add("J squared = eps", signs[0], tol)
     rep.add("JD = eps' DJ", signs[1], tol_D)
 
@@ -540,10 +531,10 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         if g is None:
             rep.add_bool("grading present in even KO-dimension", False)
             return rep
-        gd = np.diagonal(g) if np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) else None  # gamma diagonal
+        g_left, g_right, _, _ = _products_with(g)
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
-        rep.add("gamma squared = 1", frob(g @ g - eye) if gd is None else np.linalg.norm(gd * gd - 1), tol)
-        rep.add("gamma D + D gamma = 0", frob(g @ D + D @ g if gd is None else gd[:, None] * D + D * gd), tol_D)
+        rep.add("gamma squared = 1", frob(g_left(g) - eye), tol)
+        rep.add("gamma D + D gamma = 0", frob(g_left(D) + g_right(D)), tol_D)
         rep.add("J gamma = eps'' gamma J", signs[2], tol)
     elif t.gamma is not None:
         rep.add_bool("no grading in odd KO-dimension", False)
@@ -552,12 +543,11 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     if ko.even:
         res, q = _worst_bracket(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
-    if mono is None:
+    if (mono := _monomial(K)) is None:
         Kh = K.conj().T
-        KhD = Kh @ D
         frame = lambda rows, cols: (Kh[:, rows] @ K[cols], KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols])
     else:
-        (perm, phase), KhD = mono, right(D.conj().T).conj().T  # KhD = K^dagger D
+        perm, phase = mono
 
         def frame(rows, cols):  # the same numbers, written on the rows perm[rows] and columns perm[cols]
             X, Y = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
@@ -566,14 +556,15 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
             Y[perm[rows]] -= np.conj(phase[rows])[:, None] * DK[cols]
             return X, Y
 
-    comm = first = (0.0, None, None)  # residual, unit q = pi(b)^T, unit a
+    units, comm, first = [], [], []  # unit a, and the worst bracket (residual, unit q = pi(b)^T) of X_a and of Y_a
     for i, L, _labels in frames:
         for x, y in np.ndindex(len(L), len(L)):
             X, Y = frame(L[x], L[y])  # K^dagger pi(a) K and K^dagger [D, pi(a)] K
-            comm = max(comm, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
-            first = max(first, (*_worst_bracket(Y, frames), (i, x, y)), key=itemgetter(0))
-    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm[0], tol, _pair_witness(*comm[1:]))
-    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first[0], tol_D, _pair_witness(*first[1:]))
+            units.append((i, x, y))
+            comm.append(_worst_bracket(X, frames))
+            first.append(_worst_bracket(Y, frames))
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, size_D))
     return rep
 
 
@@ -582,12 +573,25 @@ def _unit_name(unit):
     return f"E^{k}_{{{x},{y}}}"
 
 
-def _pair_witness(q, a):
-    """Names a and b for the worst [pi(a), J pi(b)* J^-1], whose frame bracket is with q = pi(b)^T."""
-    if q is None:
-        return ""
-    k, x, y = q
-    return f"worst at a = {_unit_name(a)}, b = {_unit_name((k, y, x))}"
+def _witness(sq, labels):
+    """The first label whose squared sum sq is within a relative 1e-12 of the largest, None if all are 0: brackets
+    that tie in exact arithmetic differ by rounding alone, and still name one witness, whatever the summation order."""
+    top = max(sq, default=0.0)
+    return next(label for s, label in zip(sq, labels) if s >= (1 - 1e-12) * top) if top > 0 else None
+
+
+def _order_line(brackets, units, tol, scale):
+    """(residual, bound, witness) of an order-condition line from the worst (residual, q = pi(b)^T) of each unit a.
+
+    The witness (a, q) follows _witness, with b = E^k_{y,x} for q = E^k_{x,y}; a residual within 1e-12 scale
+    of 0 is rounding of an exact zero and names none.
+    """
+    res = [r for r, _q in brackets]
+    top = max(res, default=0.0)
+    if top <= 1e-12 * scale:
+        return top, tol * scale, ""
+    (k, x, y), a = _witness(np.square(res), [(q, a) for (_r, q), a in zip(brackets, units)])
+    return top, tol * scale, f"worst at a = {_unit_name(a)}, b = {_unit_name((k, y, x))}"
 
 
 def _unit_frames(layout):
@@ -607,7 +611,7 @@ def _unit_frames(layout):
 
 
 def _worst_bracket(X, frames):
-    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and its (k, x, y).
+    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and the (k, x, y) _witness names.
 
     With R = L_k[x] and C = L_k[y],
         ||[X, q]||^2 = ||X[not R, R]||^2 + ||X[C, not C]||^2 + ||X[R, R] - X[C, C]||^2.
@@ -617,17 +621,15 @@ def _worst_bracket(X, frames):
     (0.0, None) when every bracket vanishes.
     """
     A = X.real ** 2 + X.imag ** 2
-    best, at = 0.0, None
+    sq, units = [], []
     for k, L, labels in frames:
         S = labels.T @ A @ labels
         np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
         G = X[L[:, :, None], L[:, None, :]]  # G[x] = X[L_k[x], L_k[x]]
         same = [(abs(G - g) ** 2).sum(axis=(1, 2)) for g in G]  # ||X[R, R] - X[C, C]||^2, row x
-        sq = S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same
-        x, y = np.unravel_index(np.argmax(sq), sq.shape)
-        if sq[x, y] > best:
-            best, at = sq[x, y], (k, int(x), int(y))
-    return float(np.sqrt(best)), at
+        sq += list((S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same).ravel())
+        units += [(k, x, y) for x, y in np.ndindex(len(L), len(L))]
+    return float(np.sqrt(max(sq, default=0.0))), _witness(sq, units)
 
 
 def _sign_residuals(t, left, right, DK):
@@ -656,7 +658,7 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     of verify_axioms pass: the eps' relation below tol ||D||_F, the others
     below tol.  Products with a monomial K are gathers, as in verify_axioms.
     """
-    left, right = _products_with(t.K, _monomial(t.K))
+    left, right, _, _ = _products_with(t.K)
     residuals = _sign_residuals(t, left, right, right(t.D))
     bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
@@ -763,12 +765,12 @@ def _extract_middle_map(t, fiber_src, fiber_dst, M, expect_swap):
     tensor legs (the grading case).
     """
     layout = t.layout
-    n_i, n_j = _vdim(t.profile, fiber_src[0])
-    unit = swap_matrix(n_i, n_j) if expect_swap else np.eye(n_i * n_j)
-    B = np.array([[M[layout.block(w).sl, layout.block(v).sl] for v in fiber_src] for w in fiber_dst])
-    f = np.array([[np.vdot(unit, b) for b in row] for row in B], dtype=complex) / (n_i * n_j)
-    # residual of the reconstruction, block by block
-    return f, float(np.linalg.norm(B - f[:, :, None, None] * unit))
+    cols = [layout.legs(v) for v in fiber_src]
+    rows = [layout.legs(w).T if expect_swap else layout.legs(w) for w in fiber_dst]  # legs of the image of each column
+    m = cols[0].size
+    B = M[np.ix_(np.ravel(rows), np.ravel(cols))].reshape(len(rows), m, len(cols), m)  # 1 (x) f (x) 1 makes B = f (x) 1_m
+    f = np.trace(B, axis1=1, axis2=3) / m
+    return f, float(np.linalg.norm(B - f[:, None, :, None] * np.eye(m)[:, None]))
 
 
 def _diagonal_fiber_basis(T, ell, mu, ko):

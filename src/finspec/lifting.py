@@ -166,13 +166,11 @@ def build_phiH(lift: DiagramLift) -> PhiHMap:
     arrow = lift.arrow
     M = np.zeros((tgt_layout.total_dim, src_layout.total_dim), dtype=complex)
     for (v, w), u in lift.u.items():
-        vb, wb = src_layout.block(v), tgt_layout.block(w)
+        src, tgt = src_layout.legs(v), tgt_layout.legs(w)
         koff, loff = arrow.band_offset(w[0], v[0]), arrow.band_offset(w[2], v[2])
-        # e_x (x) e_y o of block v picks up u[a, b] at (koff + a n_i + x, loff + b n_j + y) of block w
-        a, b, x, y = np.indices(u.shape + (vb.n_i, vb.n_j), sparse=True)
-        rows = wb.offset + (koff + a * vb.n_i + x) * wb.n_j + loff + b * vb.n_j + y
-        cols = vb.offset + x * vb.n_j + y
-        M[rows, cols] += u[a, b]
+        # e_x (x) e_y o of block v picks up u[a, b] at the legs (koff + a n_i + x, loff + b n_j + y) of block w
+        a, b, x, y = np.indices(u.shape + src.shape, sparse=True)
+        M[tgt[koff + a * src.shape[0] + x, loff + b * src.shape[1] + y], src[x, y]] += u[a, b]
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
 
 

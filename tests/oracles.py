@@ -68,7 +68,6 @@ and for J X J^-1 and J psi equal entry for entry.
 
 import math
 from dataclasses import replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -89,7 +88,7 @@ from finspec.krajewski import (
     _diagonal_orbit,
     _edge_kind,
     _extract_middle_map,
-    _pair_witness,
+    _order_line,
     _real_structure,
     _splitting_residual,
     _unit_frames,
@@ -1622,16 +1621,15 @@ def verify_axioms_dense(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Repo
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
     Kh = K.conj().T
     KhD = Kh @ D
-    comm = first = (0.0, None, None)  # residual, unit q = pi(b)^T, unit a
+    units, comm, first = [], [], []  # unit a, and the worst bracket (residual, unit q = pi(b)^T) of X_a and of Y_a
     for i, L, _labels in frames:
         for x, y in np.ndindex(len(L), len(L)):
             rows, cols = L[x], L[y]
-            X = Kh[:, rows] @ K[cols]  # K^dagger pi(a) K
-            comm = max(comm, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
-            X = KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]  # K^dagger [D, pi(a)] K
-            first = max(first, (*_worst_bracket(X, frames), (i, x, y)), key=itemgetter(0))
-    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", comm[0], tol, _pair_witness(*comm[1:]))
-    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", first[0], tol_D, _pair_witness(*first[1:]))
+            units.append((i, x, y))
+            comm.append(_worst_bracket(Kh[:, rows] @ K[cols], frames))  # K^dagger pi(a) K
+            first.append(_worst_bracket(KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols], frames))  # K^dagger [D, pi(a)] K
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, frob(D)))
     return rep
 
 

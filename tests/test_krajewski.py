@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import mix_fibers
+from oracles import swap_matrix
 
 from finspec import krajewski
-from finspec.algebra import AlgebraProfile, frob, swap_matrix, unit_insert
+from finspec.algebra import AlgebraProfile, frob, unit_insert
 from finspec.catalog import minimal_diagram
 from finspec.krajewski import (
     EDGE_KINDS,
@@ -344,7 +345,7 @@ def test_jim_op_is_the_swap_matrix_product(d):
         op = random_complex(rng, (n_i2 * n_j2, n_i1 * n_j1))
         sign = ko.eps_p * epsilon_factor(vertices[src], d) * epsilon_factor(vertices[dst], d)
         expected = sign * swap_matrix(n_i2, n_j2) @ np.conj(op) @ swap_matrix(n_j1, n_i1)
-        assert np.array_equal(_jim_op(diag, src, dst, op), expected), (src, dst)
+        assert np.array_equal(_jim_op(diag, src, dst, op, sign), expected), (src, dst)
 
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8)
