@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_matrix, frob
+from .algebra import DEFAULT_TOL, ShapeMismatch, as_matrix, frob
 from .differential import UniversalOneForm, _hermitian_representation, fluctuate
 from .krajewski import RealSpectralTriple
 from .lifting import DiagramLift, LiftError, _pullback, build_phiH, compat_check
@@ -95,6 +95,9 @@ class GaugeConfiguration:
             raise ValueError("expected four B_mu fields")
         self.B = B
         self.Phi = as_matrix(self.Phi)
+        shapes = [X.shape for X in B + (self.Phi,)]
+        if len(set(shapes)) != 1 or shapes[0][0] != shapes[0][1]:
+            raise ShapeMismatch(f"B_mu and Phi must be square and of one size, got shapes {shapes}")
 
     def hermiticity_residual(self) -> float:
         return max(frob(X - X.conj().T) for X in self.B + (self.Phi,))
@@ -187,7 +190,7 @@ def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
 def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFunction,
                     Lambda: float, tol: float = DEFAULT_TOL) -> float:
     """Tr f(D_omega / Lambda), exact at finite dimension."""
-    if Lambda <= 0:
+    if not Lambda > 0:  # refuses NaN as well
         raise ValueError("Lambda must be positive")
     return _spectral_sum(fluctuate(t, omega, tol), f, Lambda)
 
@@ -284,7 +287,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
                 f"inherited trace mismatch on {tf.name}: {ti.full} vs source {ta.full}"
             )
 
-    if Lambda <= 0:
+    if not Lambda > 0:  # refuses NaN as well
         raise ValueError("Lambda must be positive")
     DA, DB = diracs or (fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol))
     rep.spectral["A"] = _spectral_sum(DA, f, Lambda)

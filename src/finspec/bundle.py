@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraProfile, VertexLayout
+from .algebra import AlgebraElement, AlgebraProfile, ShapeMismatch, VertexLayout
 from .action import GaugeConfiguration
 from .bratteli import BratteliArrow
 from .differential import UniversalNForm, UniversalOneForm
@@ -294,10 +294,11 @@ def _config_from_json(obj, where) -> GaugeConfiguration:
     bs = _record(obj, where, ("B", "Phi"))["B"]
     if not isinstance(bs, list) or len(bs) != 4:
         raise BundleError(f"{where}.B: expected four fields")
-    return GaugeConfiguration(
-        tuple(_matrix_from_json(b, f"{where}.B[{n}]") for n, b in enumerate(bs)),
-        _matrix_from_json(obj["Phi"], f"{where}.Phi"),
-    )
+    fields = tuple(_matrix_from_json(b, f"{where}.B[{n}]") for n, b in enumerate(bs))
+    try:
+        return GaugeConfiguration(fields, _matrix_from_json(obj["Phi"], f"{where}.Phi"))
+    except ShapeMismatch as exc:
+        raise BundleError(f"{where}: {exc}") from None
 
 
 def _lift_to_json(lift: DiagramLift, names) -> dict:

@@ -1,36 +1,28 @@
 """Command line interface over bundle files.
 
-Exit codes: 0 success, 1 validation/check failure, 2 I/O or parse error.
+Each command maps (bundle, args, tol) to (payload, text, ok): the JSON payload
+(None for the raw DOT of `render`), the text report, and whether its checks
+passed.  `main` alone prints the text, the JSON or the DOT and picks the exit
+code: 0 success, 1 validation/check failure, 2 I/O or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import bundle as bundle_mod
-from .action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions, spectral_action
+from .action import CutoffFunction, bosonic_lagrangian, compare_actions, spectral_action
 from .algebra import DEFAULT_TOL
 from .bundle import Bundle, BundleError, load_bundle, save_bundle
-from .differential import UniversalOneForm, pushforward
+from .differential import UniversalOneForm, pushforward, represent
 from .dot import render_dot
 from .krajewski import ClassificationError, classify, detect_ko, realize, validate, verify_axioms
 from .lifting import build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
 from .sampling import random_compatible_fermions, rng_from_seed
-
-
-class CliFailure(Exception):
-    """Validation-style failure: exit code 1."""
-
-
-def _emit(args, payload, text):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
-    else:
-        print(text)
 
 
 def _json_default(obj):
@@ -58,9 +50,9 @@ def _one_form(bundle, name):
 
 
 def _get_triple(bundle, args, tol):
-    if getattr(args, "triple", None):
+    if args.triple:
         return _need(bundle.triples, args.triple, "triple")
-    if getattr(args, "diagram", None):
+    if args.diagram:
         return realize(_need(bundle.diagrams, args.diagram, "diagram"), tol)
     raise BundleError("need --triple or --diagram")
 
@@ -70,60 +62,48 @@ def _cutoff(args):
         return CutoffFunction.gaussian(args.width)
     if args.f2 is None:
         raise BundleError("polynomial cutoffs need --f2")
-    coeffs = [float(c) for c in (args.coeffs or "1").split(",")]
-    return CutoffFunction.polynomial(coeffs, args.f2)
+    return CutoffFunction.polynomial(args.coeffs or (1.0,), args.f2)
+
+
+def _saved(bundle, args, text, sep="; "):
+    """text, after writing bundle to --out when it is given, with a note of the write."""
+    if not args.out:
+        return text
+    save_bundle(bundle, args.out)
+    return f"{text}{sep}wrote {args.out}"
 
 
 def cmd_validate(bundle, args, tol):
     names = [args.diagram] if args.diagram else sorted(bundle.diagrams)
     if not names:
         raise BundleError("bundle holds no diagrams")
-    reports = {}
-    ok = True
-    for name in names:
-        rep = validate(_need(bundle.diagrams, name, "diagram"), tol)
-        reports[name] = rep
-        ok = ok and rep.ok
-    _emit(args, {k: r.as_dict() for k, r in reports.items()},
-          "\n".join(str(r) for r in reports.values()))
-    if not ok:
-        raise CliFailure()
+    reports = {name: validate(_need(bundle.diagrams, name, "diagram"), tol) for name in names}
+    return ({k: r.as_dict() for k, r in reports.items()}, "\n".join(str(r) for r in reports.values()),
+            all(r.ok for r in reports.values()))
 
 
 def cmd_realize(bundle, args, tol):
-    diag = _need(bundle.diagrams, args.diagram, "diagram")
-    t = realize(diag, tol)
+    t = realize(_need(bundle.diagrams, args.diagram, "diagram"), tol)
     name = args.name or args.diagram
-    if args.out:
-        bundle.triples[name] = t
-        save_bundle(bundle, args.out)
-    _emit(args, {"triple": name, "dim": t.dim, "d": t.ko.d},
-          f"realized {args.diagram}: dim H = {t.dim}, KO-dimension {t.ko.d}"
-          + (f"; wrote {args.out}" if args.out else ""))
+    bundle.triples[name] = t
+    text = f"realized {args.diagram}: dim H = {t.dim}, KO-dimension {t.ko.d}"
+    return {"triple": name, "dim": t.dim, "d": t.ko.d}, _saved(bundle, args, text), True
 
 
 def cmd_axioms(bundle, args, tol):
     t = _get_triple(bundle, args, tol)
     rep = verify_axioms(t, tol)
     detected = sorted(detect_ko(t, tol))
-    payload = rep.as_dict()
-    payload["detected_ko"] = detected
-    _emit(args, payload, str(rep) + f"\ndetected KO dimensions: {detected}")
-    if not rep.ok:
-        raise CliFailure()
+    return {**rep.as_dict(), "detected_ko": detected}, f"{rep}\ndetected KO dimensions: {detected}", rep.ok
 
 
 def cmd_classify(bundle, args, tol):
-    t = _get_triple(bundle, args, tol)
-    diag, W = classify(t, tol)
+    diag = classify(_get_triple(bundle, args, tol), tol)[0]
     name = args.name or (args.triple or args.diagram) + "_classified"
-    if args.out:
-        bundle.diagrams[name] = diag
-        save_bundle(bundle, args.out)
+    bundle.diagrams[name] = diag
     mus = {f"({i},{j})": len(f) for (i, j), f in sorted(diag.fibers().items())}
-    _emit(args, {"diagram": name, "multiplicities": mus, "edges": len(diag.edges)},
-          f"classified: multiplicities {mus}, {len(diag.edges)} edges"
-          + (f"; wrote {args.out}" if args.out else ""))
+    text = f"classified: multiplicities {mus}, {len(diag.edges)} edges"
+    return {"diagram": name, "multiplicities": mus, "edges": len(diag.edges)}, _saved(bundle, args, text), True
 
 
 def _lift_triples(bundle, args, tol):
@@ -133,51 +113,33 @@ def _lift_triples(bundle, args, tol):
 
 
 def cmd_lift_check(bundle, args, tol):
-    lift, tA, tB = _lift_triples(bundle, args, tol)
-    rep = real_grading_check(lift, tA, tB, tol)
-    _emit(args, rep.as_dict(), str(rep))
-    if not rep.ok:
-        raise CliFailure()
+    rep = real_grading_check(*_lift_triples(bundle, args, tol), tol)
+    return rep.as_dict(), str(rep), rep.ok
 
 
 def cmd_sigma(bundle, args, tol):
-    lift = _need(bundle.lifts, args.lift, "lift")
-    sig = sigma(lift)
-    payload = {
-        f"({i},{j})": [[_json_default(z) for z in row] for row in mat.tolist()]
-        for (i, j), mat in sorted(sig.mats.items())
-    }
-    text = []
-    for (i, j), mat in sorted(sig.mats.items()):
-        text.append(f"sigma({i},{j}) =")
-        text.append(np.array_str(mat, precision=6))
-    for flag in sig.flags:
-        text.append(f"warning: {flag}")
-    _emit(args, {"sigma": payload, "flags": sig.flags, "diagonal": sig.is_diagonal(tol * sig.largest)},
-          "\n".join(text))
+    sig = sigma(_need(bundle.lifts, args.lift, "lift"))
+    mats = sorted(sig.mats.items())
+    payload = {f"({i},{j})": [[_json_default(z) for z in row] for row in mat.tolist()] for (i, j), mat in mats}
+    text = [line for (i, j), mat in mats for line in (f"sigma({i},{j}) =", np.array_str(mat, precision=6))]
+    text += [f"warning: {flag}" for flag in sig.flags]
+    return ({"sigma": payload, "flags": sig.flags, "diagonal": sig.is_diagonal(tol * sig.largest)},
+            "\n".join(text), True)
 
 
 def cmd_normalize(bundle, args, tol):
-    lift = _lift_triples(bundle, args, tol)[0]
-    rotated = diagonalize_bases(lift, tol)
+    rotated = diagonalize_bases(_lift_triples(bundle, args, tol)[0], tol)
     norm = normalize(rotated, tol)
     kappas = {str(v): k for v, k in sorted(rotated.kappa.items())}
-    if args.out:
-        out = Bundle()
-        src_key, tgt_key, arrow_key = f"{args.lift}_source", f"{args.lift}_target", f"{args.lift}_arrow"
-        out.diagrams[src_key] = norm.source
-        out.diagrams[tgt_key] = norm.target
-        out.arrows[arrow_key] = norm.arrow
-        out.lifts[args.name or f"{args.lift}_normalized"] = norm
-        save_bundle(out, args.out)
-    _emit(args, {"kappa": kappas, "normalized": True},
-          "kappa eigenvalues:\n" + "\n".join(f"  {v}: {k:.6e}" for v, k in kappas.items())
-          + (f"\nwrote {args.out}" if args.out else ""))
+    out = Bundle()
+    out.diagrams[f"{args.lift}_source"], out.diagrams[f"{args.lift}_target"] = norm.source, norm.target
+    out.arrows[f"{args.lift}_arrow"] = norm.arrow
+    out.lifts[args.name or f"{args.lift}_normalized"] = norm
+    text = "kappa eigenvalues:\n" + "\n".join(f"  {v}: {k:.6e}" for v, k in kappas.items())
+    return {"kappa": kappas, "normalized": True}, _saved(out, args, text, "\n"), True
 
 
 def cmd_compat(bundle, args, tol):
-    from .differential import represent
-
     lift, tA, tB = _lift_triples(bundle, args, tol)
     phiH = build_phiH(lift)
     if args.form_a:
@@ -186,15 +148,11 @@ def cmd_compat(bundle, args, tol):
         A, B = represent(wA, tA), represent(wB, tB)
         what = f"pi_D({args.form_a}) vs pi_D({args.form_b or 'pushforward'})"
     else:
-        A, B = tA.D, tB.D
-        what = "D_A vs D_B"
+        A, B, what = tA.D, tB.D, "D_A vs D_B"
     rep = compat_check(A, B, phiH, tol)
-    _emit(args, {"checked": what, **rep.as_dict()},
-          f"{what}: weak={rep.weak} strong={rep.strong} "
-          f"(weak residual {rep.weak_residual:.3e}, B_perp^phi {rep.b_perp_phi:.3e}, "
-          f"B_phi^perp {rep.b_phi_perp:.3e})")
-    if not rep.weak:
-        raise CliFailure()
+    return ({"checked": what, **rep.as_dict()},
+            f"{what}: weak={rep.weak} strong={rep.strong} (weak residual {rep.weak_residual:.3e}, "
+            f"B_perp^phi {rep.b_perp_phi:.3e}, B_phi^perp {rep.b_phi_perp:.3e})", rep.weak)
 
 
 def cmd_action(bundle, args, tol):
@@ -206,13 +164,12 @@ def cmd_action(bundle, args, tol):
         payload["spectral_action"] = s
         text.append(f"Tr f(D_omega / Lambda) = {s:.10e}")
     if args.config:
-        cfg = _need(bundle.configurations, args.config, "configuration")
-        rep = bosonic_lagrangian(cfg, f, args.lam, tol)
+        rep = bosonic_lagrangian(_need(bundle.configurations, args.config, "configuration"), f, args.lam, tol)
         payload["lagrangian"] = rep.as_dict()
         text.append(str(rep))
     if not payload:
         raise BundleError("need --form and/or --config")
-    _emit(args, payload, "\n".join(text))
+    return payload, "\n".join(text), True
 
 
 def cmd_compare(bundle, args, tol):
@@ -224,15 +181,12 @@ def cmd_compare(bundle, args, tol):
     wB = _one_form(bundle, args.form_b) if args.form_b else pushforward(wA, lift.arrow)
     cfgs = None
     if args.config_a and args.config_b:
-        cfgs = (
-            _need(bundle.configurations, args.config_a, "configuration"),
-            _need(bundle.configurations, args.config_b, "configuration"),
-        )
-    rng = rng_from_seed(args.seed)
-    fermions = random_compatible_fermions(rng, build_phiH(lift), tA, tB) if args.with_fermions else None
-    f = _cutoff(args)
-    rep = compare_actions(lift, tA, tB, wA, wB, f, args.lam, cfgs=cfgs, fermions=fermions, tol=tol)
-    _emit(args, rep.as_dict(), str(rep))
+        cfgs = tuple(_need(bundle.configurations, c, "configuration") for c in (args.config_a, args.config_b))
+    fermions = None
+    if args.with_fermions:
+        fermions = random_compatible_fermions(rng_from_seed(args.seed), build_phiH(lift), tA, tB)
+    rep = compare_actions(lift, tA, tB, wA, wB, _cutoff(args), args.lam, cfgs=cfgs, fermions=fermions, tol=tol)
+    return rep.as_dict(), str(rep), True
 
 
 def cmd_render(bundle, args, tol):
@@ -244,102 +198,95 @@ def cmd_render(bundle, args, tol):
         item = _need(bundle.lifts, args.lift, "lift")
     else:
         raise BundleError("need --diagram, --arrow, or --lift")
-    sys.stdout.write(render_dot(item))
+    return None, render_dot(item), True
+
+
+def _number(text, positive=False):
+    """text as a finite float, and a positive one when asked: an argparse type."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0):
+        raise argparse.ArgumentTypeError(f"expected a {'positive ' if positive else ''}finite number, got {text!r}")
+    return x
+
+
+def _positive(text):
+    return _number(text, positive=True)
+
+
+def _numbers(text):
+    return tuple(_number(c) for c in text.split(","))
 
 
 def build_parser():
     p = argparse.ArgumentParser(prog="finspec", description=__doc__)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL, help="numerical tolerance (default 1e-10)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
-    cutoff = argparse.ArgumentParser(add_help=False)
-    cutoff.add_argument("--lam", type=float, default=1.0)
+    cutoff, target, out, lift = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    cutoff.add_argument("--lam", type=_positive, default=1.0)
     cutoff.add_argument("--cutoff", choices=("gaussian", "polynomial"), default="gaussian")
-    cutoff.add_argument("--width", type=float, default=1.0)
-    cutoff.add_argument("--coeffs", help="comma-separated even-power coefficients")
-    cutoff.add_argument("--f2", type=float)
+    cutoff.add_argument("--width", type=_positive, default=1.0)
+    cutoff.add_argument("--coeffs", type=_numbers, help="comma-separated even-power coefficients")
+    cutoff.add_argument("--f2", type=_number)
+    target.add_argument("--triple")
+    target.add_argument("--diagram")
+    out.add_argument("--out")
+    out.add_argument("--name")
+    lift.add_argument("--lift", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, fn, help, *parents):
+        sp = sub.add_parser(name, help=help, parents=parents)
         sp.add_argument("bundle", help="bundle file (JSON)")
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("validate", cmd_validate, help="check diagram axioms")
-    sp.add_argument("--diagram")
+    add("validate", cmd_validate, "check diagram axioms").add_argument("--diagram")
+    add("realize", cmd_realize, "realize a diagram into a triple", out).add_argument("--diagram", required=True)
+    add("axioms", cmd_axioms, "verify triple axioms and detect KO dimension", target)
+    add("classify", cmd_classify, "recover a diagram from a triple", target, out)
+    add("lift-check", cmd_lift_check, "build phi_H and check real structure/grading", lift)
+    add("sigma", cmd_sigma, "print the Gram matrices of a lift", lift)
+    add("normalize", cmd_normalize, "diagonalize bases and normalize a lift", lift, out)
 
-    sp = add("realize", cmd_realize, help="realize a diagram into a triple")
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--name")
-
-    sp = add("axioms", cmd_axioms, help="verify triple axioms and detect KO dimension")
-    sp.add_argument("--triple")
-    sp.add_argument("--diagram")
-
-    sp = add("classify", cmd_classify, help="recover a diagram from a triple")
-    sp.add_argument("--triple")
-    sp.add_argument("--diagram")
-    sp.add_argument("--out")
-    sp.add_argument("--name")
-
-    sp = add("lift-check", cmd_lift_check, help="build phi_H and check real structure/grading")
-    sp.add_argument("--lift", required=True)
-
-    sp = add("sigma", cmd_sigma, help="print the Gram matrices of a lift")
-    sp.add_argument("--lift", required=True)
-
-    sp = add("normalize", cmd_normalize, help="diagonalize bases and normalize a lift")
-    sp.add_argument("--lift", required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--name")
-
-    sp = add("compat", cmd_compat, help="phi-compatibility of operators across a lift")
-    sp.add_argument("--lift", required=True)
+    sp = add("compat", cmd_compat, "phi-compatibility of operators across a lift", lift)
     sp.add_argument("--form-a")
     sp.add_argument("--form-b")
 
-    sp = add("action", cmd_action, help="spectral action and Lagrangian terms", parents=[cutoff])
-    sp.add_argument("--triple")
-    sp.add_argument("--diagram")
+    sp = add("action", cmd_action, "spectral action and Lagrangian terms", cutoff, target)
     sp.add_argument("--form")
     sp.add_argument("--config")
 
-    sp = add("compare", cmd_compare, help="inherited vs TNIC action comparison over a lift", parents=[cutoff])
-    sp.add_argument("--lift", required=True)
+    sp = add("compare", cmd_compare, "inherited vs TNIC action comparison over a lift", cutoff, lift)
     sp.add_argument("--form-a", required=True)
-    sp.add_argument("--form-b")
-    sp.add_argument("--config-a")
-    sp.add_argument("--config-b")
+    for flag in ("--form-b", "--config-a", "--config-b"):
+        sp.add_argument(flag)
     sp.add_argument("--with-fermions", action="store_true")
 
-    sp = add("render", cmd_render, help="DOT output for a diagram, arrow, or lift")
-    sp.add_argument("--diagram")
-    sp.add_argument("--arrow")
-    sp.add_argument("--lift")
-
+    sp = add("render", cmd_render, "DOT output for a diagram, arrow, or lift")
+    for flag in ("--diagram", "--arrow", "--lift"):
+        sp.add_argument(flag)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        bundle = load_bundle(args.bundle)
-        args.fn(bundle, args, args.tol)
-    except CliFailure:
-        return 1
-    except (ValueError, ClassificationError) as exc:
-        if isinstance(exc, BundleError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        payload, text, ok = args.fn(load_bundle(args.bundle), args, args.tol)
+        if payload is None:
+            sys.stdout.write(text)
+        elif args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+        else:
+            print(text)
+    except (ValueError, ClassificationError, OSError) as exc:
+        failed = isinstance(exc, (ValueError, ClassificationError)) and not isinstance(exc, BundleError)
+        print(f"{'failed' if failed else 'error'}: {exc}", file=sys.stderr)
+        return 1 if failed else 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

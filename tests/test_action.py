@@ -6,7 +6,7 @@ import pytest
 
 from helpers import normalized_setup
 
-from finspec.algebra import AlgebraProfile, frob
+from finspec.algebra import AlgebraProfile, ShapeMismatch, frob
 from finspec.action import (
     ActionReport,
     CutoffFunction,
@@ -64,6 +64,25 @@ def test_spectral_action_two_eigenvalues():
     f = CutoffFunction.polynomial([0.0, 1.0], f2=1.0)
     s = spectral_action(t, UniversalOneForm.zero(t.profile), f, lam)
     assert s == pytest.approx(2 * tval**2 / lam**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", (0.0, -1.0, float("nan")))
+def test_a_lambda_that_is_not_positive_is_refused(lam):
+    """NaN fails `Lambda > 0` as well as 0 and -1 do; a test of `Lambda <= 0` let it through."""
+    rng = rng_from_seed(201)
+    norm, tA, tB, _ = normalized_setup(rng, 6)
+    w, f = random_hermitian_form(rng, norm.source.profile), CutoffFunction.gaussian()
+    with pytest.raises(ValueError, match="Lambda must be positive"):
+        spectral_action(tA, w, f, lam)
+    with pytest.raises(ValueError, match="Lambda must be positive"):
+        compare_actions(norm, tA, tB, w, pushforward(w, norm.arrow), f, lam, tol=1e-9)
+
+
+def test_configuration_fields_are_square_and_of_one_size():
+    with pytest.raises(ShapeMismatch, match="square and of one size"):
+        GaugeConfiguration((np.eye(2), np.eye(1), np.eye(2), np.eye(2)), np.eye(2))
+    with pytest.raises(ShapeMismatch, match="square and of one size"):
+        GaugeConfiguration(tuple(np.eye(2) for _ in range(4)), np.zeros((2, 3)))
 
 
 def test_spectral_action_zero_dirac_counts_dimension():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import lift_chain
 
+from finspec.action import GaugeConfiguration
 from finspec.algebra import AlgebraProfile
 from finspec.bratteli import BratteliArrow
 from finspec.bundle import Bundle, BundleError, load_bundle, save_bundle
@@ -50,6 +51,9 @@ def full_bundle(tmp_path_factory):
     b.lifts["L"] = lift
     b.forms["w"] = random_hermitian_form(rng, src.profile)
     b.triples["T"] = realize(lift.source)
+    n = b.triples["T"].dim
+    b.configurations["c"] = GaugeConfiguration(tuple(random_hermitian(rng, n) for _ in range(4)),
+                                               random_hermitian(rng, n))
     path = tmp_path_factory.mktemp("bundles") / "bundle.json"
     save_bundle(b, path)
     return b, str(path)
@@ -231,6 +235,44 @@ SCHEMA_MUTATIONS = {
 }
 
 
+CONFIG_MUTATIONS = {
+    "1x1-beside-nxn": (lambda c: c["B"].__setitem__(1, {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]})),
+    "2x3-Phi": (lambda c: c.update(Phi={"rows": 2, "cols": 3, "entries": [[0.0, 0.0]] * 6})),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CONFIG_MUTATIONS))
+def test_malformed_configuration_exits_2_naming_path(full_bundle, tmp_path, capsys, mutation):
+    with open(full_bundle[1], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    CONFIG_MUTATIONS[mutation](doc["configurations"]["c"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=r"^configurations\.c: B_mu and Phi must be square and of one size"):
+        load_bundle(bad)
+    assert main(["action", str(bad), "--triple", "T", "--config", "c"]) == 2
+    assert "error: configurations.c: " in capsys.readouterr().err
+
+
+ACTION = ["action", "{}", "--triple", "T", "--form", "w"]
+BAD_NUMBERS = {
+    "--tol": ["--tol", "-1", "validate", "{}", "--diagram", "d6"],
+    "--lam": ACTION + ["--lam", "nan"],
+    "--width": ACTION + ["--width", "0"],
+    "--f2": ACTION + ["--cutoff", "polynomial", "--f2", "inf"],
+    "--coeffs": ACTION + ["--cutoff", "polynomial", "--f2", "1", "--coeffs", "1,a"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(BAD_NUMBERS))
+def test_cli_numeric_flag_out_of_domain_is_a_usage_error(full_bundle, capsys, flag):
+    """--tol, --lam and --width take positive finite numbers, --f2 a finite one, --coeffs finite ones."""
+    with pytest.raises(SystemExit) as info:
+        main([a.format(full_bundle[1]) for a in BAD_NUMBERS[flag]])
+    assert info.value.code == 2
+    assert f"argument {flag}: expected a " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mutation", sorted(SCHEMA_MUTATIONS))
 def test_malformed_diagram_exits_2_naming_path(full_bundle, tmp_path, capsys, mutation):
     _, path = full_bundle
@@ -244,16 +286,19 @@ def test_malformed_diagram_exits_2_naming_path(full_bundle, tmp_path, capsys, mu
     assert f"error: {where}:" in capsys.readouterr().err
 
 
-def test_cli_validation_failure_exits_1(tmp_path, capsys):
-    # an invalid diagram: broken involution
+def _broken_involution():
+    """An invalid diagram: jim is a 3-cycle, not an involution."""
     from finspec.krajewski import KOSignature, KrajewskiDiagram, Vertex
 
-    prof = AlgebraProfile((1,))
     vids = [(1, 1, 1), (1, 2, 1), (1, 3, 1)]
     vertices = {v: Vertex(*v, s=1) for v in vids}
     jim = {vids[0]: vids[1], vids[1]: vids[2], vids[2]: vids[0]}
+    return KrajewskiDiagram(AlgebraProfile((1,)), KOSignature.from_dim(0), vertices, jim, [])
+
+
+def test_cli_validation_failure_exits_1(tmp_path, capsys):
     b = Bundle()
-    b.diagrams["broken"] = KrajewskiDiagram(prof, KOSignature.from_dim(0), vertices, jim, [])
+    b.diagrams["broken"] = _broken_involution()
     path = tmp_path / "invalid.json"
     save_bundle(b, path)
     assert main(["validate", str(path)]) == 1
@@ -311,13 +356,60 @@ def test_cli_json_report_machine_readable(full_bundle, capsys):
     assert payload["detected_ko"] == [6]
 
 
-def test_cli_failing_order_lines_name_their_witness(full_bundle, tmp_path, capsys):
-    b, _ = full_bundle
-    t, rng = b.triples["T"], rng_from_seed(2600)
+def _noisy_triple(t, rng):
+    """t with noise on D and gamma and K times a random unitary: every order line fails."""
     noise = lambda X: X + 0.5 * random_hermitian(rng, t.dim)
+    return RealSpectralTriple(t.profile, t.ko, t.layout, noise(t.D), t.K @ random_unitary(rng, t.dim), noise(t.gamma))
+
+
+@pytest.fixture(scope="module")
+def failing_bundle(full_bundle, tmp_path_factory):
+    """The fixture bundle plus a diagram, a triple, a lift and a target form that fail validate, axioms,
+    lift-check and compat."""
+    from finspec.lifting import DiagramLift
+
+    b = load_bundle(full_bundle[1])
+    b.diagrams["broken"] = _broken_involution()
+    b.triples["bad"] = _noisy_triple(b.triples["T"], rng_from_seed(2600))
+    L, first = b.lifts["L"], min(b.lifts["L"].u)
+    u = {k: 1j * m if k == first else m for k, m in L.u.items()}  # breaks u(jim v, jim w) = u(v, w)*
+    b.lifts["bad"] = DiagramLift(L.arrow, L.source, L.target, u, normalized=L.normalized, kappa=L.kappa)
+    b.forms["wB"] = random_hermitian_form(rng_from_seed(2601), L.target.profile)  # not the pushforward of w
+    path = tmp_path_factory.mktemp("failing") / "bundle.json"
+    save_bundle(b, path)
+    return str(path)
+
+
+JSON_COMMANDS = (
+    (["validate", "--diagram", "src"], 0), (["validate"], 1),
+    (["realize", "--diagram", "src"], 0),
+    (["axioms", "--triple", "T"], 0), (["axioms", "--triple", "bad"], 1),
+    (["classify", "--triple", "T"], 0),
+    (["lift-check", "--lift", "L"], 0), (["lift-check", "--lift", "bad"], 1),
+    (["sigma", "--lift", "L"], 0),
+    (["normalize", "--lift", "L"], 0),
+    (["compat", "--lift", "L"], 0), (["compat", "--lift", "L", "--form-a", "w", "--form-b", "wB"], 1),
+    (["action", "--triple", "T", "--form", "w", "--config", "c"], 0),
+    (["compare", "--lift", "L", "--form-a", "w"], 0),
+)
+
+
+@pytest.mark.parametrize("command, rc", JSON_COMMANDS, ids=lambda v: " ".join(v) if isinstance(v, list) else f"rc{v}")
+def test_cli_json_stdout_is_one_document(failing_bundle, capsys, command, rc):
+    assert main(["--format", "json", command[0], failing_bundle, *command[1:]]) == rc
+    assert isinstance(json.loads(capsys.readouterr().out), dict)  # trailing text would be 'Extra data'
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_cli_render_prints_dot_in_both_formats(full_bundle, capsys, fmt):
+    _, path = full_bundle
+    assert main(["--format", fmt, "render", path, "--lift", "L"]) == 0
+    assert capsys.readouterr().out == render_dot(load_bundle(path).lifts["L"])
+
+
+def test_cli_failing_order_lines_name_their_witness(full_bundle, tmp_path, capsys):
     bad = Bundle()
-    bad.triples["bad"] = RealSpectralTriple(t.profile, t.ko, t.layout, noise(t.D),
-                                            t.K @ random_unitary(rng, t.dim), noise(t.gamma))
+    bad.triples["bad"] = _noisy_triple(full_bundle[0].triples["T"], rng_from_seed(2600))
     path = str(tmp_path / "bad.json")
     save_bundle(bad, path)
     order_lines = ("gamma commutes with pi(a)", "commutant [pi(a), J pi(b)* J^-1] = 0",
@@ -398,7 +490,8 @@ COMMANDS = (
     ["validate"], ["realize", "--diagram", "src"], ["axioms", "--diagram", "d6"], ["axioms", "--triple", "T"],
     ["classify", "--triple", "T"], ["lift-check", "--lift", "L"], ["sigma", "--lift", "L"],
     ["normalize", "--lift", "L"], ["compat", "--lift", "L", "--form-a", "w"],
-    ["action", "--triple", "T", "--form", "w"], ["compare", "--lift", "L", "--form-a", "w"],
+    ["action", "--triple", "T", "--form", "w"], ["action", "--triple", "T", "--config", "c"],
+    ["compare", "--lift", "L", "--form-a", "w"],
     ["render", "--lift", "L"],
 )
 VERTEX_KEY = re.compile(r"\(\d+,\d+,\d+\)")

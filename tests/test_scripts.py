@@ -1,11 +1,16 @@
-"""The example scripts run end to end, with warnings raised as errors."""
+"""The example scripts and README's commands run end to end, with warnings raised as errors."""
 
+import contextlib
+import io
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from finspec.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -31,3 +36,21 @@ def test_example_bundle_validates(tmp_path):
     path = tmp_path / "bundle.json"
     _run("scripts/make_example_bundle.py", "--seed", "1", "--out", str(path))
     _run("-m", "finspec.cli", "validate", str(path))
+
+
+def test_readme_commands_exit_0(tmp_path):
+    """Every `finspec` line of README's Command line block exits 0, in process, on the bundle its first line writes;
+    every file a line names (the bundle, an --out, a > redirect) lies in tmp_path."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    here = lambda line: [str(tmp_path / a) if a.endswith((".json", ".dot")) else a for a in shlex.split(line)]
+    assert lines[0].startswith("python scripts/make_example_bundle.py ")
+    _run(*here(lines[0])[1:])
+    commands = [line.partition(" > ") for line in lines if line.startswith("finspec ")]
+    assert len(commands) == 10
+    for command, _, target in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(here(command)[1:]) == 0, command
+        if target:
+            (tmp_path / target).write_text(out.getvalue(), encoding="utf-8")
