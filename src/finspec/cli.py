@@ -41,11 +41,13 @@ def _need(table, key, what):
     return table[key]
 
 
-def _one_form(bundle, name):
-    """The form of that name, checked to be a one-form: fluctuations and pushforwards take no higher degree."""
+def _form(bundle, name, flag, t, one=True):
+    """The form named by flag, over the profile of t, and a one-form when one is set (fluctuate and pushforward need one)."""
     w = _need(bundle.forms, name, "form")
-    if not isinstance(w, UniversalOneForm):
+    if one and not isinstance(w, UniversalOneForm):
         raise BundleError(f"forms.{name}: a form with terms of degree > 1, where a one-form is needed")
+    if w.profile != t.profile:
+        raise BundleError(f"{flag} {name}: a form over {w.profile.dims}, where the triple needs {t.profile.dims}")
     return w
 
 
@@ -143,8 +145,8 @@ def cmd_compat(bundle, args, tol):
     lift, tA, tB = _lift_triples(bundle, args, tol)
     phiH = build_phiH(lift)
     if args.form_a:
-        wA = _need(bundle.forms, args.form_a, "form") if args.form_b else _one_form(bundle, args.form_a)
-        wB = _need(bundle.forms, args.form_b, "form") if args.form_b else pushforward(wA, lift.arrow)
+        wA = _form(bundle, args.form_a, "--form-a", tA, one=not args.form_b)
+        wB = _form(bundle, args.form_b, "--form-b", tB, one=False) if args.form_b else pushforward(wA, lift.arrow)
         A, B = represent(wA, tA), represent(wB, tB)
         what = f"pi_D({args.form_a}) vs pi_D({args.form_b or 'pushforward'})"
     else:
@@ -160,11 +162,14 @@ def cmd_action(bundle, args, tol):
     f = _cutoff(args)
     payload, text = {}, []
     if args.form:
-        s = spectral_action(t, _one_form(bundle, args.form), f, args.lam, tol)
+        s = spectral_action(t, _form(bundle, args.form, "--form", t), f, args.lam, tol)
         payload["spectral_action"] = s
         text.append(f"Tr f(D_omega / Lambda) = {s:.10e}")
     if args.config:
-        rep = bosonic_lagrangian(_need(bundle.configurations, args.config, "configuration"), f, args.lam, tol)
+        cfg = _need(bundle.configurations, args.config, "configuration")
+        if len(cfg.Phi) != t.dim:
+            raise BundleError(f"configurations.{args.config}: fields of size {len(cfg.Phi)}, where the triple has dim {t.dim}")
+        rep = bosonic_lagrangian(cfg, f, args.lam, tol)
         payload["lagrangian"] = rep.as_dict()
         text.append(str(rep))
     if not payload:
@@ -177,8 +182,8 @@ def cmd_compare(bundle, args, tol):
     if not lift.normalized:
         lift = normalize(diagonalize_bases(lift, tol), tol)
         tA = realize(lift.source, tol)
-    wA = _one_form(bundle, args.form_a)
-    wB = _one_form(bundle, args.form_b) if args.form_b else pushforward(wA, lift.arrow)
+    wA = _form(bundle, args.form_a, "--form-a", tA)
+    wB = _form(bundle, args.form_b, "--form-b", tB) if args.form_b else pushforward(wA, lift.arrow)
     cfgs = None
     if args.config_a and args.config_b:
         cfgs = tuple(_need(bundle.configurations, c, "configuration") for c in (args.config_a, args.config_b))

@@ -155,6 +155,7 @@ class RealSpectralTriple:
     D: np.ndarray
     K: np.ndarray
     gamma: np.ndarray | None = None
+    _K_monomial: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -163,13 +164,24 @@ class RealSpectralTriple:
     def pi(self, a: AlgebraElement) -> np.ndarray:
         return self.layout.pi(a)
 
+    def _monomial_K(self):
+        """_monomial(K), read once per K object: assigning a new K drops it (nothing writes into a K in place)."""
+        if self._K_monomial[0] is not self.K:
+            self._K_monomial = self.K, _monomial(self.K)
+        return self._K_monomial[1]
+
     def apply_J(self, psi: np.ndarray) -> np.ndarray:
-        return _products_with(self.K)[0](np.conj(psi))
+        mono = self._monomial_K()
+        return self.K @ np.conj(psi) if mono is None else (mono[1] * np.conj(psi)[mono[0]].T).T
 
     def conjugate_by_J(self, X: np.ndarray) -> np.ndarray:
-        """J X J^{-1} as a linear operator: K conj(X) K^dagger, gathers when K is monomial (_products_with)."""
-        left, _right, _left_dag, right_dag = _products_with(self.K)
-        return right_dag(left(np.conj(X)))
+        """J X J^{-1} as a linear operator: K conj(X) K^dagger, one gather when K is monomial.  It scales
+        phase * Y as _products_with does, so K Y is the same bit for bit (numpy rounds a * b and b * a apart)."""
+        if (mono := self._monomial_K()) is None:
+            return self.K @ np.conj(X) @ self.K.conj().T
+        Y = X[np.ix_(mono[0], mono[0])].astype(complex, copy=False)
+        np.multiply(mono[1][:, None], np.conj(Y, out=Y), out=Y)
+        return np.multiply(Y, np.conj(mono[1]), out=Y)
 
     def right(self, b: AlgebraElement) -> np.ndarray:
         """J pi(b)^* J^{-1}, the right action of b through the real structure."""
@@ -184,13 +196,13 @@ def _monomial(K):
 
 
 def _products_with(A):
-    """(Y -> A Y, Y -> Y A, Y -> A^dagger Y, Y -> Y A^dagger): gathers of rows and columns when A is
-    monomial (_monomial), dense products otherwise.  Y may be a vector for the left products."""
+    """(Y -> A Y, Y -> Y A, Y -> A^dagger Y): gathers of rows and columns when A is monomial
+    (_monomial), dense products otherwise.  Y may be a vector for the left products."""
     if (mono := _monomial(A)) is None:
-        return (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y), (lambda Y: Y @ A.conj().T)
+        return (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y)
     perm, phase, inv = *mono, np.argsort(mono[0])
     return ((lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv]),
-            (lambda Y: (np.conj(phase[inv]) * Y[inv].T).T), (lambda Y: Y[:, perm] * np.conj(phase)))
+            (lambda Y: (np.conj(phase[inv]) * Y[inv].T).T))
 
 
 def epsilon_factor(v: Vertex, d: int) -> int:
@@ -517,7 +529,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    left, right, left_dag, _right_dag = _products_with(K)
+    left, right, left_dag = _products_with(K)
     tol_D, DK, KhD = tol * (size_D := frob(D)), right(D), left_dag(D)
 
     signs = [res[s] for res, s in zip(_sign_residuals(t, left, right, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
@@ -531,7 +543,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         if g is None:
             rep.add_bool("grading present in even KO-dimension", False)
             return rep
-        g_left, g_right, _, _ = _products_with(g)
+        g_left, g_right, _ = _products_with(g)
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
         rep.add("gamma squared = 1", frob(g_left(g) - eye), tol)
         rep.add("gamma D + D gamma = 0", frob(g_left(D) + g_right(D)), tol_D)
@@ -658,7 +670,7 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     of verify_axioms pass: the eps' relation below tol ||D||_F, the others
     below tol.  Products with a monomial K are gathers, as in verify_axioms.
     """
-    left, right, _, _ = _products_with(t.K)
+    left, right, _ = _products_with(t.K)
     residuals = _sign_residuals(t, left, right, right(t.D))
     bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)

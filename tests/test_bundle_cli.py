@@ -446,6 +446,28 @@ def test_cli_nform_where_a_one_form_is_needed_names_the_form(full_bundle, tmp_pa
         assert "error: forms.w:" in err and "Traceback" not in err, (argv, err)
 
 
+def test_cli_action_refuses_a_configuration_of_another_size(full_bundle, tmp_path, capsys):
+    """A 1 x 1 configuration against a triple of another dimension is an input error (exit 2), not a table."""
+    b, _ = full_bundle
+    b2 = load_bundle(full_bundle[1])
+    b2.configurations["small"] = GaugeConfiguration(tuple(np.eye(1) for _ in range(4)), np.eye(1))
+    path = str(tmp_path / "small.json")
+    save_bundle(b2, path)
+    for target, dim in ((["--triple", "T"], b.triples["T"].dim), (["--diagram", "d6"], 2)):
+        assert main(["action", path, *target, "--config", "small"]) == 2, target
+        err = capsys.readouterr().err
+        assert f"error: configurations.small: fields of size 1, where the triple has dim {dim}" in err, err
+
+
+def test_cli_form_b_over_the_source_profile_exits_2_naming_the_flag(full_bundle, capsys):
+    """--form-b must live over the target profile; the source form w there was reported as a failed check (exit 1)."""
+    _, path = full_bundle
+    for command in ("compat", "compare"):
+        assert main([command, path, "--lift", "L", "--form-a", "w", "--form-b", "w"]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: --form-b w: a form over") and "Traceback" not in err, (command, err)
+
+
 @pytest.mark.parametrize("d", (6, 7))
 def test_cli_classify_refuses_a_grading_of_the_wrong_parity(tmp_path, capsys, d):
     # an even triple stored without gamma, an odd one carrying a gamma
