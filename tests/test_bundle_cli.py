@@ -459,13 +459,22 @@ def test_cli_action_refuses_a_configuration_of_another_size(full_bundle, tmp_pat
         assert f"error: configurations.small: fields of size 1, where the triple has dim {dim}" in err, err
 
 
-def test_cli_form_b_over_the_source_profile_exits_2_naming_the_flag(full_bundle, capsys):
-    """--form-b must live over the target profile; the source form w there was reported as a failed check (exit 1)."""
-    _, path = full_bundle
+def test_cli_form_over_the_wrong_profile_exits_2_naming_the_flag(full_bundle, tmp_path, capsys):
+    """A form must live over the profile of the triple it meets; the source form w as --form-b was
+    reported as a failed check (exit 1)."""
+    from finspec.differential import pushforward
+
+    b2 = load_bundle(full_bundle[1])
+    b2.forms["wB"] = pushforward(b2.forms["w"], b2.arrows["phi"])
+    path = str(tmp_path / "forms.json")
+    save_bundle(b2, path)
     for command in ("compat", "compare"):
-        assert main([command, path, "--lift", "L", "--form-a", "w", "--form-b", "w"]) == 2, command
-        err = capsys.readouterr().err
-        assert err.startswith("error: --form-b w: a form over") and "Traceback" not in err, (command, err)
+        for argv, flag in ((["--form-a", "w", "--form-b", "w"], "--form-b w"), (["--form-a", "wB"], "--form-a wB")):
+            assert main([command, path, "--lift", "L", *argv]) == 2, (command, argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag}: a form over") and "Traceback" not in err, (command, err)
+    assert main(["action", path, "--diagram", "tgt", "--form", "w"]) == 2
+    assert capsys.readouterr().err.startswith("error: --form w: a form over")
 
 
 @pytest.mark.parametrize("d", (6, 7))
