@@ -301,18 +301,12 @@ def _config_from_json(obj, where) -> GaugeConfiguration:
         raise BundleError(f"{where}: {exc}") from None
 
 
-def _lift_to_json(lift: DiagramLift, names) -> dict:
-    arrow_key, source_key, target_key = names
-    u = {}
-    for (v, w), m in sorted(lift.u.items()):
-        u[f"{_vid_to_key(v)}->{_vid_to_key(w)}"] = _matrix_to_json(m)
-    rec = {
-        "arrow": arrow_key,
-        "source": source_key,
-        "target": target_key,
-        "u": u,
-        "normalized": lift.normalized,
-    }
+def _lift_to_json(lift: DiagramLift, bundle: Bundle, where) -> dict:
+    """The lift's record, naming its arrow and diagrams by their keys in the bundle (found by identity)."""
+    refs = (("arrow", bundle.arrows), ("source", bundle.diagrams), ("target", bundle.diagrams))
+    rec = {ref: _find_ref(table, getattr(lift, ref), f"{where}.{ref}") for ref, table in refs}
+    rec["u"] = {f"{_vid_to_key(v)}->{_vid_to_key(w)}": _matrix_to_json(m) for (v, w), m in sorted(lift.u.items())}
+    rec["normalized"] = lift.normalized
     if lift.kappa is not None:
         rec["kappa"] = {_vid_to_key(v): float(k) for v, k in sorted(lift.kappa.items())}
     return rec
@@ -352,25 +346,22 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
         raise BundleError(f"{where}: {exc}") from None
 
 
-def bundle_to_json(bundle: Bundle) -> dict:
-    """Serialize; lift references are resolved by identity against the bundle."""
-    doc = {"format_version": FORMAT_VERSION}
-    doc["profiles"] = {k: list(p.dims) for k, p in sorted(bundle.profiles.items())}
-    doc["diagrams"] = {k: _diagram_to_json(d) for k, d in sorted(bundle.diagrams.items())}
-    doc["triples"] = {k: _triple_to_json(t) for k, t in sorted(bundle.triples.items())}
-    doc["arrows"] = {k: _arrow_to_json(a) for k, a in sorted(bundle.arrows.items())}
-    doc["forms"] = {k: _form_to_json(w) for k, w in sorted(bundle.forms.items())}
-    doc["configurations"] = {k: _config_to_json(c) for k, c in sorted(bundle.configurations.items())}
-    lifts = {}
-    for k, lift in sorted(bundle.lifts.items()):
-        names = (
-            _find_ref(bundle.arrows, lift.arrow, f"lifts.{k}.arrow"),
-            _find_ref(bundle.diagrams, lift.source, f"lifts.{k}.source"),
-            _find_ref(bundle.diagrams, lift.target, f"lifts.{k}.target"),
-        )
-        lifts[k] = _lift_to_json(lift, names)
-    doc["lifts"] = lifts
-    return doc
+def _plain(to_json, from_json):
+    """A record kind that reads and writes without the rest of the bundle, in the signatures of _KINDS."""
+    return (lambda x, _bundle, _where: to_json(x)), (lambda obj, _bundle, where: from_json(obj, where))
+
+
+# Each record kind of a bundle as (Bundle field, to-json (item, bundle, where), from-json (obj, bundle, where)),
+# in the order a document is read: lifts refer to arrows and diagrams, so they come last.
+_KINDS = (
+    ("profiles", *_plain(lambda p: list(p.dims), _profile)),
+    ("diagrams", *_plain(_diagram_to_json, _diagram_from_json)),
+    ("triples", *_plain(_triple_to_json, _triple_from_json)),
+    ("arrows", *_plain(_arrow_to_json, _arrow_from_json)),
+    ("forms", *_plain(_form_to_json, _form_from_json)),
+    ("configurations", *_plain(_config_to_json, _config_from_json)),
+    ("lifts", _lift_to_json, _lift_from_json),
+)
 
 
 def _find_ref(table, value, where):
@@ -380,6 +371,14 @@ def _find_ref(table, value, where):
     raise BundleError(f"{where}: lift references an object not stored in the bundle")
 
 
+def bundle_to_json(bundle: Bundle) -> dict:
+    """Serialize; lift references are resolved by identity against the bundle."""
+    doc = {"format_version": FORMAT_VERSION}
+    for name, to_json, _ in _KINDS:
+        doc[name] = {k: to_json(x, bundle, f"{name}.{k}") for k, x in sorted(getattr(bundle, name).items())}
+    return doc
+
+
 def bundle_from_json(doc) -> Bundle:
     if not isinstance(doc, dict):
         raise BundleError("bundle document must be a JSON object")
@@ -387,21 +386,9 @@ def bundle_from_json(doc) -> Bundle:
     if type(version) is not int or version != FORMAT_VERSION:
         raise BundleError(f"unsupported format_version {version!r}")
     b = Bundle()
-    table = lambda name: _record(doc.get(name, {}), name).items()
-    for k, dims in table("profiles"):
-        b.profiles[k] = _profile(dims, f"profiles.{k}")
-    for k, obj in table("diagrams"):
-        b.diagrams[k] = _diagram_from_json(obj, f"diagrams.{k}")
-    for k, obj in table("triples"):
-        b.triples[k] = _triple_from_json(obj, f"triples.{k}")
-    for k, obj in table("arrows"):
-        b.arrows[k] = _arrow_from_json(obj, f"arrows.{k}")
-    for k, obj in table("forms"):
-        b.forms[k] = _form_from_json(obj, f"forms.{k}")
-    for k, obj in table("configurations"):
-        b.configurations[k] = _config_from_json(obj, f"configurations.{k}")
-    for k, obj in table("lifts"):
-        b.lifts[k] = _lift_from_json(obj, b, f"lifts.{k}")
+    for name, _, from_json in _KINDS:
+        for k, obj in _record(doc.get(name, {}), name).items():
+            getattr(b, name)[k] = from_json(obj, b, f"{name}.{k}")
     return b
 
 

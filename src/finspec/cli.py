@@ -51,6 +51,14 @@ def _form(bundle, name, flag, t, one=True):
     return w
 
 
+def _config(bundle, name, t, side=""):
+    """The configuration named name, with fields of the dimension of t (the source or target triple, by side)."""
+    cfg = _need(bundle.configurations, name, "configuration")
+    if len(cfg.Phi) != t.dim:
+        raise BundleError(f"configurations.{name}: fields of size {len(cfg.Phi)}, where the {side}triple has dim {t.dim}")
+    return cfg
+
+
 def _get_triple(bundle, args, tol):
     if args.triple:
         return _need(bundle.triples, args.triple, "triple")
@@ -142,6 +150,8 @@ def cmd_normalize(bundle, args, tol):
 
 
 def cmd_compat(bundle, args, tol):
+    if args.form_b and not args.form_a:
+        raise BundleError("--form-b needs --form-a")
     lift, tA, tB = _lift_triples(bundle, args, tol)
     phiH = build_phiH(lift)
     if args.form_a:
@@ -166,10 +176,7 @@ def cmd_action(bundle, args, tol):
         payload["spectral_action"] = s
         text.append(f"Tr f(D_omega / Lambda) = {s:.10e}")
     if args.config:
-        cfg = _need(bundle.configurations, args.config, "configuration")
-        if len(cfg.Phi) != t.dim:
-            raise BundleError(f"configurations.{args.config}: fields of size {len(cfg.Phi)}, where the triple has dim {t.dim}")
-        rep = bosonic_lagrangian(cfg, f, args.lam, tol)
+        rep = bosonic_lagrangian(_config(bundle, args.config, t), f, args.lam, tol)
         payload["lagrangian"] = rep.as_dict()
         text.append(str(rep))
     if not payload:
@@ -178,6 +185,8 @@ def cmd_action(bundle, args, tol):
 
 
 def cmd_compare(bundle, args, tol):
+    if bool(args.config_a) != bool(args.config_b):
+        raise BundleError("--config-a needs --config-b" if args.config_a else "--config-b needs --config-a")
     lift, tA, tB = _lift_triples(bundle, args, tol)
     if not lift.normalized:
         lift = normalize(diagonalize_bases(lift, tol), tol)
@@ -185,8 +194,8 @@ def cmd_compare(bundle, args, tol):
     wA = _form(bundle, args.form_a, "--form-a", tA)
     wB = _form(bundle, args.form_b, "--form-b", tB) if args.form_b else pushforward(wA, lift.arrow)
     cfgs = None
-    if args.config_a and args.config_b:
-        cfgs = tuple(_need(bundle.configurations, c, "configuration") for c in (args.config_a, args.config_b))
+    if args.config_a:
+        cfgs = _config(bundle, args.config_a, tA, "source "), _config(bundle, args.config_b, tB, "target ")
     fermions = None
     if args.with_fermions:
         fermions = random_compatible_fermions(rng_from_seed(args.seed), build_phiH(lift), tA, tB)

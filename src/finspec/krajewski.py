@@ -155,7 +155,7 @@ class RealSpectralTriple:
     D: np.ndarray
     K: np.ndarray
     gamma: np.ndarray | None = None
-    _K_monomial: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _K_read: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -164,20 +164,19 @@ class RealSpectralTriple:
     def pi(self, a: AlgebraElement) -> np.ndarray:
         return self.layout.pi(a)
 
-    def _monomial_K(self):
-        """_monomial(K), read once per K object: assigning a new K drops it (nothing writes into a K in place)."""
-        if self._K_monomial[0] is not self.K:
-            self._K_monomial = self.K, _monomial(self.K)
-        return self._K_monomial[1]
+    def _K_products(self):
+        """_products_with(K), read once per K object: assigning a new K drops it (nothing writes into a K in place)."""
+        if self._K_read[0] is not self.K:
+            self._K_read = self.K, _products_with(self.K)
+        return self._K_read[1]
 
     def apply_J(self, psi: np.ndarray) -> np.ndarray:
-        mono = self._monomial_K()
-        return self.K @ np.conj(psi) if mono is None else (mono[1] * np.conj(psi)[mono[0]].T).T
+        return self._K_products()[1](np.conj(psi))
 
     def conjugate_by_J(self, X: np.ndarray) -> np.ndarray:
         """J X J^{-1} as a linear operator: K conj(X) K^dagger, one gather when K is monomial.  It scales
         phase * Y as _products_with does, so K Y is the same bit for bit (numpy rounds a * b and b * a apart)."""
-        if (mono := self._monomial_K()) is None:
+        if (mono := self._K_products()[0]) is None:
             return self.K @ np.conj(X) @ self.K.conj().T
         Y = X[np.ix_(mono[0], mono[0])].astype(complex, copy=False)
         np.multiply(mono[1][:, None], np.conj(Y, out=Y), out=Y)
@@ -188,20 +187,15 @@ class RealSpectralTriple:
         return self.K @ self.pi(b).T @ self.K.conj().T
 
 
-def _monomial(K):
-    """(perm, phase) with K[i, perm[i]] = phase[i] if K has one nonzero per row and column (a realized K does), else None."""
-    rows, perm = np.nonzero(K)
-    monomial = np.array_equal(rows, np.arange(len(K))) and np.array_equal(np.sort(perm), rows)
-    return (perm, K[rows, perm]) if monomial else None
-
-
 def _products_with(A):
-    """(Y -> A Y, Y -> Y A, Y -> A^dagger Y): gathers of rows and columns when A is monomial
-    (_monomial), dense products otherwise.  Y may be a vector for the left products."""
-    if (mono := _monomial(A)) is None:
-        return (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y)
-    perm, phase, inv = *mono, np.argsort(mono[0])
-    return ((lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv]),
+    """(mono, Y -> A Y, Y -> Y A, Y -> A^dagger Y), the one reading of a phased permutation: mono = (perm, phase)
+    with A[i, perm[i]] = phase[i] if A has one nonzero per row and column (every realized K and gamma), and the
+    products are gathers of rows and columns; else mono is None and they are dense.  Y may be a vector on the left."""
+    rows, perm = np.nonzero(A)
+    if not (np.array_equal(rows, np.arange(len(A))) and np.array_equal(np.sort(perm), rows)):
+        return None, (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y)
+    phase, inv = A[rows, perm], np.argsort(perm)
+    return ((perm, phase), (lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv]),
             (lambda Y: (np.conj(phase[inv]) * Y[inv].T).T))
 
 
@@ -516,11 +510,11 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
     brackets with every unit are read off them as sums of squares
     (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
-    and at most m legs per block, with no U^2 term.  Products with K and
-    gamma are gathers when monomial (_products_with; every realized K and
-    gamma): X_a is then a phased partial permutation and Y_a lives on m rows
-    and m columns.  Residuals linear in D pass below tol ||D||_F, so a triple
-    and its rescaling get the same verdict, and an exact zero passes at D = 0.
+    and at most m legs per block, with no U^2 term.  Products with K (the
+    triple's _K_products) and gamma are gathers when monomial (_products_with;
+    every realized K and gamma): X_a is then a phased partial permutation and
+    Y_a lives on m rows and m columns.  Residuals linear in D pass below
+    tol ||D||_F, so a triple and its rescaling get the same verdict, and an exact zero passes at D = 0.
     The order-condition lines name the units behind their worst residual.
     """
     if tol <= 0:
@@ -529,10 +523,10 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     D, K, ko = t.D, t.K, t.ko
     n = t.dim
     eye = np.eye(n)
-    left, right, left_dag = _products_with(K)
+    mono, _left, right, left_dag = t._K_products()
     tol_D, DK, KhD = tol * (size_D := frob(D)), right(D), left_dag(D)
 
-    signs = [res[s] for res, s in zip(_sign_residuals(t, left, right, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
+    signs = [res[s] for res, s in zip(_sign_residuals(t, DK), (ko.eps, ko.eps_p, ko.eps_pp)) if s is not None]
     rep.add("D hermitian", frob(D - D.conj().T), tol_D)
     rep.add("J antiunitary (K unitary)", frob(left_dag(K) - eye), tol)
     rep.add("J squared = eps", signs[0], tol)
@@ -543,7 +537,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         if g is None:
             rep.add_bool("grading present in even KO-dimension", False)
             return rep
-        g_left, g_right, _ = _products_with(g)
+        _, g_left, g_right, _ = _products_with(g)
         rep.add("gamma hermitian", frob(g - g.conj().T), tol)
         rep.add("gamma squared = 1", frob(g_left(g) - eye), tol)
         rep.add("gamma D + D gamma = 0", frob(g_left(D) + g_right(D)), tol_D)
@@ -555,7 +549,7 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     if ko.even:
         res, q = _worst_bracket(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
-    if (mono := _monomial(K)) is None:
+    if mono is None:
         Kh = K.conj().T
         frame = lambda rows, cols: (Kh[:, rows] @ K[cols], KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols])
     else:
@@ -644,13 +638,14 @@ def _worst_bracket(X, frames):
     return float(np.sqrt(max(sq, default=0.0))), _witness(sq, units)
 
 
-def _sign_residuals(t, left, right, DK):
+def _sign_residuals(t, DK):
     """{sign: residual} for J^2 = eps, JD = eps' DJ and, with a grading, J gamma = eps'' gamma J, at both signs.
 
-    left and right multiply by K (_products_with), DK = D K comes from the caller.
+    The products with K are the triple's (_K_products), DK = D K comes from the caller.
     K conj(K), K conj(D), and K conj(gamma) and gamma K, are formed once, one relation at a time.
     """
     K, D, g = t.K, t.D, t.gamma
+    _, left, right, _ = t._K_products()
 
     def products():
         yield left(np.conj(K)), np.eye(t.dim)
@@ -670,8 +665,7 @@ def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
     of verify_axioms pass: the eps' relation below tol ||D||_F, the others
     below tol.  Products with a monomial K are gathers, as in verify_axioms.
     """
-    left, right, _ = _products_with(t.K)
-    residuals = _sign_residuals(t, left, right, right(t.D))
+    residuals = _sign_residuals(t, t._K_products()[2](t.D))  # D K
     bounds = (tol, tol * frob(t.D), tol)
     return {d for d, row in KO_TABLE.items() if (row[2] is not None) == (t.gamma is not None)
             and all(res[sign] <= bound for res, sign, bound in zip(residuals, row, bounds))}
@@ -906,8 +900,8 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
                                for p, m in enumerate(bases[key])})
 
     Dp = W.conj().T @ t.D @ W
-    Kp = W.conj().T @ t.K @ np.conj(W)
-    gp = W.conj().T @ t.gamma @ W if ko.even else None
+    Kp = W.conj().T @ t._K_products()[1](np.conj(W))  # the left products K conj(W) and gamma W
+    gp = W.conj().T @ _products_with(t.gamma)[1](W) if ko.even else None
 
     # step 5: read the diagram off the transformed operators
     Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)

@@ -477,6 +477,42 @@ def test_cli_form_over_the_wrong_profile_exits_2_naming_the_flag(full_bundle, tm
     assert capsys.readouterr().err.startswith("error: --form w: a form over")
 
 
+def test_cli_compare_needs_both_configurations(full_bundle, capsys):
+    """One configuration flag without the other is an input error naming the missing flag; it used to be
+    ignored, with exit 0 and the zero-B table."""
+    for given, missing in (("--config-a", "--config-b"), ("--config-b", "--config-a")):
+        assert main(["compare", full_bundle[1], "--lift", "L", "--form-a", "w", given, "c"]) == 2, given
+        assert capsys.readouterr().err == f"error: {given} needs {missing}\n"
+
+
+def test_cli_compare_refuses_configurations_of_another_size(full_bundle, tmp_path, capsys):
+    """Each configuration must have the dimension of its side's triple (exit 2 naming it), where a mismatch
+    used to exit 1 with 'failed: operator shapes do not match phi_H'; matching sizes give a table."""
+    from finspec.lifting import build_phiH
+
+    b2 = load_bundle(full_bundle[1])
+    M, c = build_phiH(b2.lifts["L"]).matrix, b2.configurations["c"]
+    nB, nA = M.shape
+    b2.configurations["cB"] = GaugeConfiguration(tuple(M @ X @ M.conj().T for X in c.B), M @ c.Phi @ M.conj().T)  # phi-compatible with c
+    path = str(tmp_path / "configs.json")
+    save_bundle(b2, path)
+    compare = ["compare", path, "--lift", "L", "--form-a", "w", "--config-a"]
+    for pair, side, name, m, n in ((["c", "--config-b", "c"], "target", "c", nA, nB),
+                                   (["cB", "--config-b", "cB"], "source", "cB", nB, nA)):
+        assert main(compare + pair) == 2, pair
+        err = capsys.readouterr().err
+        assert err == f"error: configurations.{name}: fields of size {m}, where the {side} triple has dim {n}\n", err
+    assert main(compare + ["c", "--config-b", "cB"]) == 0
+    assert "trF2" in capsys.readouterr().out
+
+
+def test_cli_compat_form_b_needs_form_a(full_bundle, capsys):
+    """--form-b without --form-a used to check D_A against D_B with exit 0, even for a form not in the bundle."""
+    for name in ("w", "nonexistent"):
+        assert main(["compat", full_bundle[1], "--lift", "L", "--form-b", name]) == 2, name
+        assert capsys.readouterr().err == "error: --form-b needs --form-a\n"
+
+
 @pytest.mark.parametrize("d", (6, 7))
 def test_cli_classify_refuses_a_grading_of_the_wrong_parity(tmp_path, capsys, d):
     # an even triple stored without gamma, an odd one carrying a gamma

@@ -36,7 +36,7 @@ from finspec.krajewski import (
     RealSpectralTriple,
     _extract_middle_map,
     _factor_residual,
-    _monomial,
+    _products_with,
     _splitting_residual,
     _validate,
     classify,
@@ -887,9 +887,9 @@ def test_axioms_gathers_match_dense_oracles(d):
     rng = rng_from_seed(2860 + d)
     dense = gathered = graded = permuted = 0
     for t, monomial, valid in _gather_forms(d):
-        assert (_monomial(t.K) is not None) == monomial
+        assert (_products_with(t.K)[0] is not None) == monomial
         if t.gamma is not None:
-            mono = _monomial(t.gamma)
+            mono = _products_with(t.gamma)[0]
             graded += mono is None
             permuted += mono is not None and np.any(mono[0] != np.arange(t.dim))
         for tol in (1e-10, 1e-14):
@@ -918,3 +918,26 @@ def test_J_products_read_a_newly_assigned_K():
         for new, old in ((t.conjugate_by_J(X), oracles.conjugate_by_J_dense(t, X)),
                          (t.apply_J(psi), oracles.apply_J_dense(t, psi))):
             assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("d", (3, 6))
+def test_K_is_scanned_once_per_triple(d, monkeypatch):
+    """verify_axioms and detect_ko (twice each), classify, conjugate_by_J and apply_J scan a triple's K
+    (np.nonzero of K) once between them, on realized, phased and fiber-mixed (dense K) triples; gamma is
+    scanned once per verify_axioms call and at most once per classify call."""
+    rng, scans, nonzero = rng_from_seed(2880 + d), [], np.nonzero
+    monkeypatch.setattr(np, "nonzero", lambda a: scans.append(a) or nonzero(a))
+    count = 0
+    for t, *_ in _gather_forms(d):
+        scans.clear()
+        for tol in (1e-10, 1e-14):
+            verify_axioms(t, tol)
+            detect_ko(t, tol)
+        with contextlib.suppress(ClassificationError):
+            classify(t)
+        t.conjugate_by_J(random_complex(rng, (t.dim, t.dim)))
+        t.apply_J(random_vector(rng, t.dim))
+        assert sum(a is t.K for a in scans) == 1
+        assert t.gamma is None or sum(a is t.gamma for a in scans) in (2, 3)
+        count += 1
+    assert count >= 12

@@ -54,3 +54,28 @@ def test_readme_commands_exit_0(tmp_path):
             assert main(here(command)[1:]) == 0, command
         if target:
             (tmp_path / target).write_text(out.getvalue(), encoding="utf-8")
+
+
+def test_readme_names_resolve():
+    """Every backticked dotted name in README that starts at finspec, one of its modules, or a class or function
+    of one (`krajewski._products_with(A)`, `VertexLayout.legs`) names an attribute that exists."""
+    import importlib
+    import pkgutil
+    import re
+
+    import finspec
+
+    modules = {m.name: importlib.import_module(f"finspec.{m.name}") for m in pkgutil.iter_modules(finspec.__path__)}
+    roots = {"finspec": finspec, **modules}
+    roots.update({name: obj for m in modules.values() for name, obj in vars(m).items()
+                  if getattr(obj, "__module__", "").startswith("finspec.") and name not in roots})
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = [path.split(".") for path in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[^`]*`", text)]
+    refs = [parts for parts in refs if parts[0] in roots]
+    for parts in refs:
+        obj = roots[parts[0]]
+        for n, part in enumerate(parts[1:], 2):
+            assert hasattr(obj, part), f"README names `{'.'.join(parts[:n])}`, which does not resolve"
+            obj = getattr(obj, part)
+    kinds = {"finspec" if p[0] == "finspec" else "module" if p[0] in modules else "class or function" for p in refs}
+    assert kinds == {"finspec", "module", "class or function"}, kinds
