@@ -2,9 +2,11 @@
 
 Complex scalars are two-element arrays [re, im]; matrices are
 {rows, cols, entries} with row-major entries; vertices are keyed
-"(i,p,j)" and lift data "(i,p,j)->(k,q,l)".  Serialization is
-deterministic (sorted keys, repr floats), so save o load o save is
-byte-stable.
+"(i,p,j)" and lift data "(i,p,j)->(k,q,l)".  `save_bundle` writes the bytes
+of json.dump(doc, fh, indent=2, sort_keys=True) and a newline, doc holding
+each matrix's entries as [re, im] lists of floats, so save o load o save is
+byte-stable; it formats the entries straight from the array, in chunks, and
+refuses a non-finite number with the reader's JSON path before opening the file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .lifting import DiagramLift
 
 FORMAT_VERSION = 1
 _REAL = (int, float)  # JSON number types; bool is excluded by exact type tests
+_CHUNK = 1 << 16  # matrix entries formatted per write
 
 
 class BundleError(ValueError):
@@ -41,17 +45,12 @@ class Bundle:
     configurations: dict = field(default_factory=dict)
 
 
-def _complex_to_json(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_to_json(m) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [_complex_to_json(z) for z in m.reshape(-1)],
-    }
+def _matrix_to_json(m, where) -> dict:
+    """The {rows, cols, entries} record of m, its entries kept as the complex array that _write reads."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise BundleError(f"{where}: matrix entries must be finite")
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": m}
 
 
 def _matrix_from_json(obj, where) -> np.ndarray:
@@ -61,13 +60,14 @@ def _matrix_from_json(obj, where) -> np.ndarray:
     entries = _array(obj["entries"], f"{where}.entries")
     if rows < 0 or cols < 0 or len(entries) != rows * cols:
         raise BundleError(f"{where}: expected {rows} x {cols} entries, got {len(entries)}")
-    for n, z in enumerate(entries):
-        if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
-            raise BundleError(
-                f"{where}.entries[{n}]: complex scalar must be a two-element [re, im] array, got {z!r}"
-            )
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}  # C-level passes; the loop
+            and set(map(type, chain.from_iterable(entries))) <= set(_REAL)):  # only names the first bad entry
+        for n, z in enumerate(entries):
+            if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+                raise BundleError(f"{where}.entries[{n}]: complex scalar must be a two-element [re, im] array, "
+                                  f"got {z!r}")
     try:
-        m = np.array(entries, dtype=float).view(complex).reshape(rows, cols)
+        m = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).view(complex).reshape(rows, cols)
     except OverflowError:  # a JSON integer beyond the float range
         m = None
     if m is None or not np.isfinite(m).all():
@@ -88,7 +88,7 @@ def _vid_from_key(key, where):
         raise BundleError(f"{where}: malformed vertex key {key!r}, expected '(i,p,j)'") from None
 
 
-def _diagram_to_json(diag: KrajewskiDiagram) -> dict:
+def _diagram_to_json(diag: KrajewskiDiagram, where) -> dict:
     vertices = {}
     for vid in diag.sorted_vids():
         v = diag.vertex(vid)
@@ -108,9 +108,9 @@ def _diagram_to_json(diag: KrajewskiDiagram) -> dict:
                 "src": _vid_to_key(e.src),
                 "dst": _vid_to_key(e.dst),
                 "kind": e.kind,
-                "op": _matrix_to_json(e.op),
+                "op": _matrix_to_json(e.op, f"{where}.edges[{n}].op"),
             }
-            for e in diag.edges
+            for n, e in enumerate(diag.edges)
         ],
     }
 
@@ -198,14 +198,14 @@ def _diagram_from_json(obj, where) -> KrajewskiDiagram:
     return KrajewskiDiagram(profile, ko, vertices, jim, edges)
 
 
-def _triple_to_json(t: RealSpectralTriple) -> dict:
+def _triple_to_json(t: RealSpectralTriple, where) -> dict:
     return {
         "dims": list(t.profile.dims),
         "d": t.ko.d,
         "layout": [_vid_to_key(v) for v in t.layout.vids],
-        "D": _matrix_to_json(t.D),
-        "K": _matrix_to_json(t.K),
-        "gamma": None if t.gamma is None else _matrix_to_json(t.gamma),
+        "D": _matrix_to_json(t.D, f"{where}.D"),
+        "K": _matrix_to_json(t.K, f"{where}.K"),
+        "gamma": None if t.gamma is None else _matrix_to_json(t.gamma, f"{where}.gamma"),
     }
 
 
@@ -228,7 +228,7 @@ def _triple_from_json(obj, where) -> RealSpectralTriple:
     return RealSpectralTriple(profile, ko, layout, D, K, gamma)
 
 
-def _arrow_to_json(a: BratteliArrow) -> dict:
+def _arrow_to_json(a: BratteliArrow, _where) -> dict:
     return {
         "source": list(a.source.dims),
         "target": list(a.target.dims),
@@ -252,8 +252,8 @@ def _arrow_from_json(obj, where) -> BratteliArrow:
         raise BundleError(f"{where}: {exc}") from None
 
 
-def _element_to_json(a: AlgebraElement) -> list:
-    return [_matrix_to_json(b) for b in a.blocks]
+def _element_to_json(a: AlgebraElement, where) -> list:
+    return [_matrix_to_json(b, f"{where}[{n}]") for n, b in enumerate(a.blocks)]
 
 
 def _element_from_json(obj, profile, where) -> AlgebraElement:
@@ -262,10 +262,11 @@ def _element_from_json(obj, profile, where) -> AlgebraElement:
     return AlgebraElement(profile, [_matrix_from_json(b, f"{where}[{n}]") for n, b in enumerate(obj)])
 
 
-def _form_to_json(w) -> dict:
+def _form_to_json(w, where) -> dict:
     return {
         "dims": list(w.profile.dims),
-        "terms": [[_element_to_json(a) for a in term] for term in w.terms],
+        "terms": [[_element_to_json(a, f"{where}.terms[{n}][{m}]") for m, a in enumerate(term)]
+                  for n, term in enumerate(w.terms)],
     }
 
 
@@ -286,8 +287,9 @@ def _form_from_json(obj, where):
     return UniversalNForm(profile, tuple(terms))
 
 
-def _config_to_json(c: GaugeConfiguration) -> dict:
-    return {"B": [_matrix_to_json(b) for b in c.B], "Phi": _matrix_to_json(c.Phi)}
+def _config_to_json(c: GaugeConfiguration, where) -> dict:
+    return {"B": [_matrix_to_json(b, f"{where}.B[{n}]") for n, b in enumerate(c.B)],
+            "Phi": _matrix_to_json(c.Phi, f"{where}.Phi")}
 
 
 def _config_from_json(obj, where) -> GaugeConfiguration:
@@ -305,10 +307,12 @@ def _lift_to_json(lift: DiagramLift, bundle: Bundle, where) -> dict:
     """The lift's record, naming its arrow and diagrams by their keys in the bundle (found by identity)."""
     refs = (("arrow", bundle.arrows), ("source", bundle.diagrams), ("target", bundle.diagrams))
     rec = {ref: _find_ref(table, getattr(lift, ref), f"{where}.{ref}") for ref, table in refs}
-    rec["u"] = {f"{_vid_to_key(v)}->{_vid_to_key(w)}": _matrix_to_json(m) for (v, w), m in sorted(lift.u.items())}
+    u = {f"{_vid_to_key(v)}->{_vid_to_key(w)}": m for (v, w), m in lift.u.items()}
+    rec["u"] = {key: _matrix_to_json(m, f"{where}.u[{key}]") for key, m in sorted(u.items())}
     rec["normalized"] = lift.normalized
     if lift.kappa is not None:
-        rec["kappa"] = {_vid_to_key(v): float(k) for v, k in sorted(lift.kappa.items())}
+        kappa = {_vid_to_key(v): k for v, k in lift.kappa.items()}
+        rec["kappa"] = {key: _real(float(k), f"{where}.kappa.{key}") for key, k in sorted(kappa.items())}
     return rec
 
 
@@ -348,13 +352,13 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
 
 def _plain(to_json, from_json):
     """A record kind that reads and writes without the rest of the bundle, in the signatures of _KINDS."""
-    return (lambda x, _bundle, _where: to_json(x)), (lambda obj, _bundle, where: from_json(obj, where))
+    return (lambda x, _bundle, where: to_json(x, where)), (lambda obj, _bundle, where: from_json(obj, where))
 
 
 # Each record kind of a bundle as (Bundle field, to-json (item, bundle, where), from-json (obj, bundle, where)),
 # in the order a document is read: lifts refer to arrows and diagrams, so they come last.
 _KINDS = (
-    ("profiles", *_plain(lambda p: list(p.dims), _profile)),
+    ("profiles", *_plain(lambda p, _where: list(p.dims), _profile)),
     ("diagrams", *_plain(_diagram_to_json, _diagram_from_json)),
     ("triples", *_plain(_triple_to_json, _triple_from_json)),
     ("arrows", *_plain(_arrow_to_json, _arrow_from_json)),
@@ -372,7 +376,7 @@ def _find_ref(table, value, where):
 
 
 def bundle_to_json(bundle: Bundle) -> dict:
-    """Serialize; lift references are resolved by identity against the bundle."""
+    """The document of the bundle, each matrix's entries a complex array; lift references resolve by identity."""
     doc = {"format_version": FORMAT_VERSION}
     for name, to_json, _ in _KINDS:
         doc[name] = {k: to_json(x, bundle, f"{name}.{k}") for k, x in sorted(getattr(bundle, name).items())}
@@ -392,10 +396,32 @@ def bundle_from_json(doc) -> Bundle:
     return b
 
 
+def _write(obj, indent, write):
+    """Write obj as json.dump(obj, fh, indent=2, sort_keys=True) does; keys and scalars go through json.dumps."""
+    inner = indent + "  "
+    if isinstance(obj, np.ndarray):  # a matrix's entries, each as [re, im]
+        first, mid, last = f"\n{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+        write("[")
+        for k in range(0, obj.size, _CHUNK):
+            reprs = iter(map(float.__repr__, obj.reshape(-1)[k:k + _CHUNK].view(float).tolist()))
+            write(("," if k else "") + first + f"{last},{first}".join(map(mid.join, zip(reprs, reprs))) + last)
+        write(f"\n{indent}]" if obj.size else "]")
+    elif isinstance(obj, (dict, list)) and obj:
+        is_dict = isinstance(obj, dict)
+        items = [(f"{json.dumps(str(k))}: ", v) for k, v in sorted(obj.items())] if is_dict else [("", v) for v in obj]
+        write("{" if is_dict else "[")
+        for n, (key, value) in enumerate(items):
+            write(f"{',' if n else ''}\n{inner}{key}")
+            _write(value, inner, write)
+        write(f"\n{indent}" + ("}" if is_dict else "]"))
+    else:
+        write(json.dumps(obj))
+
+
 def save_bundle(bundle: Bundle, path) -> None:
     doc = bundle_to_json(bundle)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        _write(doc, "", fh.write)
         fh.write("\n")
 
 

@@ -920,10 +920,10 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     return diagram, W
 
 
-def extract_edges(layout, D, edge_tol):
+def extract_edges(layout, D, edge_tol, norm=None):
     """Read the edge decorations off a Dirac matrix in a vertex-block layout.
 
-    Blocks with Frobenius norm <= edge_tol ||D||_F are dropped; one
+    Blocks with Frobenius norm <= edge_tol times norm (||D||_F unless given) are dropped; one
     label sum of |D|^2 gives the norm of every block.  Each kept block gets
     the kind its lattice coordinates force, in src-major order; whether it
     factors accordingly is for validate to judge.
@@ -931,7 +931,7 @@ def extract_edges(layout, D, edge_tol):
     vids = layout.vids
     labels = np.eye(len(vids))[np.repeat(np.arange(len(vids)), [b.length for b in layout.blocks])]
     sq = labels.T @ (D.real ** 2 + D.imag ** 2) @ labels  # sq[w, v] = ||D[w, v]||_F^2
-    drop = edge_tol * frob(D)
+    drop = edge_tol * (frob(D) if norm is None else norm)
     edges = []
     for v, w in zip(*np.nonzero(sq.T > drop ** 2)):
         src, dst = vids[v], vids[w]

@@ -204,6 +204,11 @@ def sigma(lift: DiagramLift) -> SigmaData:
     return SigmaData(fibers, mats, flags)
 
 
+def _u_size(lift: DiagramLift) -> float:
+    """The largest ||u(v, w)||_F: the conjugation and grading residuals of u pass below tol times this."""
+    return max((frob(m) for m in lift.u.values()), default=0.0)
+
+
 def _grading_residual(lift: DiagramLift) -> float:
     if not lift.source.ko.even:
         return 0.0
@@ -266,17 +271,19 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
                        tol: float = DEFAULT_TOL) -> Report:
     """Real-structure and grading compatibility of the lift.
 
-    Checks the conjugation relation on every (v, w) pair, the vanishing of
-    u(v,w) across grading mismatches, equality of the KO sign data of the
-    two triples, and cross-validates with direct compat checks on the J
-    (and gamma) operators, whose residuals pass below tol ||phi_H||_F, so
-    a lift and its rescaling get the same verdict.
+    Checks the conjugation relation on every (v, w) pair and the vanishing
+    of u(v,w) across grading mismatches, both below tol times the largest
+    ||u(v, w)||_F, equality of the KO sign data of the two triples, and
+    cross-validates with direct compat checks on the J (and gamma)
+    operators, whose residuals pass below tol ||phi_H||_F, so a lift and
+    its rescaling get the same verdict.
     """
     rep = Report("real structure and grading")
     res, witness = _conjugation_residual(lift)
-    rep.add("u(jim v, jim w) = (eps_A/eps_B) u(v,w)*", res, tol,
+    ubound = tol * _u_size(lift)
+    rep.add("u(jim v, jim w) = (eps_A/eps_B) u(v,w)*", res, ubound,
             detail=f"worst at {witness}" if witness else "")
-    rep.add("u(v,w) = 0 when s(v) != s(w)", _grading_residual(lift), tol)
+    rep.add("u(v,w) = 0 when s(v) != s(w)", _grading_residual(lift), ubound)
 
     sigA = (tA.ko.eps, tA.ko.eps_p, tA.ko.eps_pp)
     sigB = (tB.ko.eps, tB.ko.eps_p, tB.ko.eps_pp)
@@ -303,21 +310,23 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     partner) so kappa_{jim(v)} = kappa_v, and kappa is the diagonal of the
     rotated sigma.  Edge decorations and u data are transformed consistently.
     In KO-dimensions 3, 4, 5 only an already diagonal sigma is accepted.
-    The sigma residuals pass below tol times the largest |sigma|, so a lift
-    and its rescaling get the same verdict.
+    The sigma residuals pass below tol times the largest |sigma|, and the
+    conjugation and grading residuals below tol times the largest
+    ||u(v, w)||_F, so a lift and its rescaling get the same verdict.
     """
     d = lift.source.d
     sig = sigma(lift)
     size = sig.largest
+    usize = _u_size(lift)
 
     if lift.target.d != d:
         raise LiftError("source and target KO-dimensions differ")
 
     res, witness = _conjugation_residual(lift)
-    if res > tol:
+    if res > tol * usize:
         raise LiftError(f"conjugation relation violated at {witness} (residual {res:.3e})")
     gres = _grading_residual(lift)
-    if gres > tol:
+    if gres > tol * usize:
         raise LiftError(f"grading not respected by u (residual {gres:.3e})")
 
     if _diagonal_orbit(d, 1) == (1, 1):  # jim pairs diagonal vertices of one grading: their rotation would be quaternionic
@@ -376,7 +385,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         rows.update({v: (fiber, rot[key][p]) for p, v in enumerate(fiber)})
     tA = realize(src)
     Q = _basis_change(tA.layout, rows)
-    new_source = _source_with_dirac(lift, _pullback(Q, tA.D), tol, "rotated source diagram fails validation")
+    new_source = _source_with_dirac(lift, _pullback(Q, tA.D), frob(tA.D), tol, "rotated source diagram fails validation")
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u)
     sig2 = sigma(out)
@@ -424,18 +433,20 @@ def inherit_source_dirac(lift: DiagramLift, tol: float = DEFAULT_TOL) -> Diagram
         raise LiftError("inherit_source_dirac needs a normalized lift")
     M = build_phiH(lift).matrix
     tB = realize(lift.target, tol)
-    new_source = _source_with_dirac(lift, _pullback(M, tB.D), tol, "pullback Dirac does not validate")
+    new_source = _source_with_dirac(lift, _pullback(M, tB.D), frob(tB.D), tol, "pullback Dirac does not validate")
     return replace(lift, source=new_source, u=dict(lift.u))
 
 
-def _source_with_dirac(lift, D, tol, failure):
+def _source_with_dirac(lift, D, norm, tol, failure):
     """lift.source with the edges read off D, a matrix in its vertex-block layout.
 
-    Blocks below tol ||D||_F are dropped, and the diagram must validate
-    at max(tol, 1e-8), or LiftError(failure) is raised with the report.
+    Blocks below tol times norm, the norm of the operator D is pulled back
+    from, are dropped, so a pullback that vanishes in exact arithmetic
+    leaves no edges of rounding noise.  The diagram must validate at
+    max(tol, 1e-8), or LiftError(failure) is raised with the report.
     """
     src = lift.source
-    edges = extract_edges(layout_of(src), D, tol)
+    edges = extract_edges(layout_of(src), D, tol, norm)
     new_source = KrajewskiDiagram(src.profile, src.ko, dict(src.vertices), dict(src.jim), edges)
     rep = validate(new_source, max(tol, 1e-8))
     if not rep.ok:

@@ -6,7 +6,7 @@ import oracles
 from finspec.algebra import AlgebraProfile
 from finspec.krajewski import KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex, epsilon_factor, realize
 from finspec.bratteli import BratteliArrow
-from finspec.lifting import DiagramLift, build_phiH, diagonalize_bases, normalize
+from finspec.lifting import DiagramLift, build_phiH, diagonalize_bases, inherit_source_dirac, normalize
 from finspec.sampling import (
     random_arrow,
     random_compatible_target,
@@ -29,21 +29,15 @@ def lift_chain(rng, d, max_fiber=2, edge_prob=0.6, ensure_edge=True, r_max=2, n_
 
 
 def normalized_setup(rng, d, **kw):
-    """A normalized lift plus triples with D_A the pullback of D_B.
+    """A normalized lift whose source Dirac is inherited from the target, plus both triples and phi_H.
 
-    The pullback Dirac is weakly compatible with D_B by construction and
-    satisfies all source-triple axioms, which makes the pair usable for
-    action comparisons.
+    The inherited D_A is the pullback of D_B read back as edges, so it is
+    weakly compatible with D_B and satisfies all source-triple axioms,
+    which makes the pair usable for action comparisons.
     """
-    source, arrow, target, lift = lift_chain(rng, d, **kw)
-    norm = normalize(diagonalize_bases(lift, 1e-10), 1e-10)
-    phiH = build_phiH(norm)
-    tB = realize(target)
-    tA0 = realize(norm.source)
-    M = phiH.matrix
-    tA = RealSpectralTriple(tA0.profile, tA0.ko, tA0.layout,
-                            M.conj().T @ tB.D @ M, tA0.K, tA0.gamma)
-    return norm, tA, tB, phiH
+    _source, _arrow, target, lift = lift_chain(rng, d, **kw)
+    norm = inherit_source_dirac(normalize(diagonalize_bases(lift, 1e-10), 1e-10), 1e-10)
+    return norm, realize(norm.source), realize(target), build_phiH(norm)
 
 
 def identity_lift(d=7):

@@ -64,8 +64,16 @@ with dense products with K and gamma.  The tests ask for the same report
 lines, verdicts and witnesses with residuals within 1e-12 relative, for the
 same orbit closure and realized D bit for bit, for the same detected rows,
 and for J X J^-1 and J psi equal entry for entry.
+
+The twelfth group is bundle I/O with a Python object per matrix entry:
+`save_bundle_json_dump` writes json.dump of the document with every
+matrix's entries as a list of [re, im] lists, and `matrix_from_json_per_entry`
+checks the entries one at a time before np.array reads them.  The tests ask
+for the writer's bytes, and for the reader's arrays and error messages,
+exactly.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -74,6 +82,7 @@ import numpy as np
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing, spectral_action
 from finspec.algebra import DEFAULT_TOL, AlgebraProfile, ProfileMismatch, ShapeMismatch, as_matrix, frob, matrix_units, unit_insert
 from finspec.bratteli import BratteliArrow
+from finspec.bundle import _REAL, BundleError, _array, _int, bundle_to_json
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
     _FACTOR_LINES,
@@ -1097,7 +1106,8 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
     # rotate the Dirac decorations through the block change of basis Q
     tA = realize(lift.source)
     Q = _basis_change(tA.layout, coeffs)
-    new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, tol, "rotated source diagram fails validation")
+    new_source = _source_with_dirac(lift, Q.conj().T @ tA.D @ Q, frob(tA.D), tol,
+                                    "rotated source diagram fails validation")
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u, normalized=False, kappa=kappa)
 
@@ -1676,3 +1686,43 @@ def conjugate_by_J_dense(t: RealSpectralTriple, X: np.ndarray) -> np.ndarray:
 
 def apply_J_dense(t: RealSpectralTriple, psi: np.ndarray) -> np.ndarray:
     return t.K @ np.conj(psi)
+
+
+def _entries_as_lists(obj):
+    """The bundle document with every matrix's entries as a list of [re, im] lists of Python floats."""
+    if isinstance(obj, np.ndarray):
+        return [[float(np.real(z)), float(np.imag(z))] for z in obj.reshape(-1)]
+    if isinstance(obj, dict):
+        return {k: _entries_as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_entries_as_lists(v) for v in obj]
+    return obj
+
+
+def save_bundle_json_dump(bundle, path) -> None:
+    """save_bundle through json.dump and its pure-Python encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_entries_as_lists(bundle_to_json(bundle)), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def matrix_from_json_per_entry(obj, where) -> np.ndarray:
+    """The {rows, cols, entries} record as a complex matrix, each entry checked on its own."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
+        raise BundleError(f"{where}: matrix must be a {{rows, cols, entries}} record")
+    rows, cols = _int(obj["rows"], f"{where}.rows"), _int(obj["cols"], f"{where}.cols")
+    entries = _array(obj["entries"], f"{where}.entries")
+    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        raise BundleError(f"{where}: expected {rows} x {cols} entries, got {len(entries)}")
+    for n, z in enumerate(entries):
+        if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+            raise BundleError(
+                f"{where}.entries[{n}]: complex scalar must be a two-element [re, im] array, got {z!r}"
+            )
+    try:
+        m = np.array(entries, dtype=float).view(complex).reshape(rows, cols)
+    except OverflowError:  # a JSON integer beyond the float range
+        m = None
+    if m is None or not np.isfinite(m).all():
+        raise BundleError(f"{where}: matrix entries must be finite")
+    return m

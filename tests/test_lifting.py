@@ -15,19 +15,22 @@ from helpers import (
 
 from finspec.algebra import AlgebraProfile, frob, matrix_units
 from finspec.bratteli import BratteliArrow, apply_phi
-from finspec.krajewski import KrajewskiDiagram, realize
+from finspec.krajewski import KrajewskiDiagram, realize, validate
 from finspec.lifting import (
     DiagramLift,
     LiftError,
+    _conjugation_residual,
     build_phiH,
     compat_check,
     diagonalize_bases,
+    inherit_source_dirac,
     inherited_split,
     normalize,
     real_grading_check,
     sigma,
 )
 from finspec.sampling import (
+    random_complex,
     random_lift,
     random_strong_pair,
     random_unitary_element,
@@ -192,6 +195,34 @@ def test_lift_verdicts_do_not_depend_on_the_units_of_u():
             assert build_phiH(scaled).range_basis.shape[1] == M.shape[1], (d, c)
             rep = real_grading_check(scaled, tA, tB, 1e-10)
             assert rep.ok, (d, c, str(rep))
+
+
+@pytest.mark.parametrize("c", (1e-6, 1.0, 1e6))
+def test_diagonalize_bases_judges_u_against_its_size(c):
+    """A relative 1e-13 defect in the conjugation relation of u passes in every unit of u.
+
+    Against the absolute tol, both diagonalize_bases and real_grading_check refused it at c = 1e6.
+    """
+    source, _arrow, target, lift = lift_chain(rng_from_seed(106), 6)
+    rng = rng_from_seed(1)
+    u = {k: c * (m + 1e-13 * frob(m) * random_complex(rng, m.shape)) for k, m in lift.u.items()}
+    defective = DiagramLift(lift.arrow, lift.source, lift.target, u)
+    largest = max(frob(m) for m in u.values())
+    assert _conjugation_residual(defective)[0] > 1e-14 * largest
+    assert min(diagonalize_bases(defective).kappa.values()) > 0
+    rep = real_grading_check(defective, realize(source), realize(target), 1e-10)
+    assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("seed, d", ((102, 2), (102, 1), (111, 2)))
+def test_inherit_source_dirac_accepts_a_pullback_that_is_zero(seed, d):
+    """phi_H* D_B phi_H vanishes in exact arithmetic: its rounding noise is cut against ||D_B||_F, not its own norm."""
+    lift = lift_chain(rng_from_seed(seed), d)[3]
+    norm = normalize(diagonalize_bases(lift, 1e-10), 1e-10)
+    M, DB = build_phiH(norm).matrix, realize(lift.target).D
+    assert 0 < frob(M.conj().T @ DB @ M) <= 1e-14 * frob(DB)
+    inherited = inherit_source_dirac(norm, 1e-10)
+    assert inherited.source.edges == [] and validate(inherited.source, 1e-10).ok
 
 
 @pytest.mark.parametrize("side", ("source", "target"))
