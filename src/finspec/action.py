@@ -161,13 +161,6 @@ class ActionReport:
         return "\n".join(lines)
 
 
-def _real_trace(v, what, tol):
-    v = complex(v)
-    if abs(v.imag) > max(tol, 1e-9) * (1.0 + abs(v)):
-        raise ValueError(f"{what} has a non-real trace ({v})")
-    return v.real
-
-
 def _spectral_sum(D, f: CutoffFunction, Lambda: float) -> float:
     """Tr f(D / Lambda) for a Hermitian D and Lambda > 0."""
     if not Lambda > 0:  # refuses NaN as well
@@ -181,9 +174,9 @@ def _pairing(t: RealSpectralTriple, D, psi, psi_p) -> complex:
 
 
 def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
-    """v as a complex vector; in the even case it must lie in ker(gamma - 1), within max(tol, 1e-9) ||v||."""
+    """v as a complex vector; in the even case it must lie in ker(gamma - 1), within tol ||v||."""
     v = np.asarray(v, dtype=complex)
-    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > max(tol, 1e-9) * np.linalg.norm(v):
+    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > tol * np.linalg.norm(v):
         raise ValueError(f"{name} is not in the even subspace ker(gamma - 1)")
     return v
 
@@ -206,6 +199,8 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
 
     With h the largest ||X - X^dagger||_F and s the largest ||X||_F, each squared commutator is within 8 h s^3
     of its two-product value, since ||[X, Y] - (P - P^dagger)|| <= ||Y - Y^dagger|| ||X|| + ||Y|| ||X - X^dagger||.
+    tr Phi^2 and tr Phi^4 are taken as real parts: |Im tr Phi^2| <= h s and |Im tr Phi^4| <= 2 h s^3, since
+    2i Im tr X^2 = tr((X - X^dagger)(X + X^dagger)) for X = Phi and X = Phi^2.
     """
     B, Phi = cfg.B, cfg.Phi
     res = cfg.hermiticity_residual()
@@ -214,8 +209,7 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
     f0, f2 = f.f0, f.f2
 
     Phi2 = Phi @ Phi
-    trPhi2 = _real_trace(np.trace(Phi2), "tr(Phi^2)", tol)
-    trPhi4 = _real_trace(np.sum(Phi2 * Phi2.T), "tr(Phi^4)", tol)
+    trPhi2, trPhi4 = float(np.trace(Phi2).real), float(np.sum(Phi2 * Phi2.T).real)
 
     trF2 = trDPhi2 = 0.0  # no products for B = 0, the configuration compare_actions builds without cfgs
     if any(b.any() for b in B):  # F_{mu mu} = 0, F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
@@ -255,16 +249,18 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
                     tol: float = DEFAULT_TOL) -> ActionReport:
     """Split every Lagrangian term of the target side into inherited + TNIC.
 
-    The inherited value of each traced monomial is computed with every factor
-    replaced by its pullback phi_H* X phi_H and must equal the source-side
-    value within tol; TNIC = full - inherited by definition.  Operator pairs
-    must be weakly phi-compatible, and fermions phi-compatible (psi_B -
-    phi_H psi_A orthogonal to the range).  Each side's D_omega is built once.
+    The lift must be normalized, with ||phi_H* phi_H - 1||_F <= tol sqrt(nA).  The inherited value of each
+    traced monomial is computed with every factor replaced by its pullback phi_H* X phi_H and must equal the
+    source-side value within tol; TNIC = full - inherited by definition.  Operator pairs must be weakly
+    phi-compatible, and fermions phi-compatible (psi_B - phi_H psi_A orthogonal to the range, within
+    tol max(||psi_A||, ||psi_B||)).  Each side's D_omega is built once.
     """
     if not lift.normalized:
         raise LiftError("compare_actions needs a normalized lift")
     phiH = build_phiH(lift)
     M = phiH.matrix
+    if (iso := frob(M.conj().T @ M - np.eye(M.shape[1]))) > tol * math.sqrt(M.shape[1]):
+        raise LiftError(f"lift is marked normalized, but phi_H is not an isometry (residual {iso:.3e})")
 
     diracs = None
     if cfgs is None:
@@ -298,7 +294,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     if fermions is not None:
         psi_A, psi_B = (np.asarray(v, dtype=complex) for v in fermions)
         mismatch = np.linalg.norm(M.conj().T @ (psi_B - M @ psi_A))  # ||P x|| = ||M* x|| for P = M M*
-        if mismatch > max(tol, 1e-9) * max(np.linalg.norm(psi_A), np.linalg.norm(psi_B)):
+        if mismatch > tol * max(np.linalg.norm(psi_A), np.linalg.norm(psi_B)):
             raise LiftError(f"fermion pair is not phi-compatible (residual {mismatch:.3e})")
         chi = M @ psi_A
         full_f = _pairing(tB, DB, _even(tB, psi_B, "psi", tol), psi_B)

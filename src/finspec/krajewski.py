@@ -892,7 +892,7 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
             for p, m in enumerate(vecs):
                 sv = vertices[fibers[(i, j)][p]].s
                 res = np.linalg.norm(ell @ m - sv * m)
-                if res > max(tol, 1e-9):
+                if res > tol:
                     raise ClassificationError("grading eigenbasis", f"fiber ({i},{j}) vector {p + 1} not an s={sv:+d} eigenvector", res)
 
     # step 4: witness unitary, block diagonal over fibers
@@ -906,11 +906,11 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     # step 5: read the diagram off the transformed operators
     Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
     res = frob(Kp - Kexp)
-    if res > max(tol, 1e-8):
+    if res > tol:
         raise ClassificationError("real structure normal form", "transformed K is not in canonical form", res)
     if ko.even:
         res = frob(gp - gexp)
-        if res > max(tol, 1e-8):
+        if res > tol:
             raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
 
     diagram = KrajewskiDiagram(t.profile, ko, vertices, jim_new, extract_edges(layout, Dp, tol))

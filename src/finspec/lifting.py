@@ -122,10 +122,12 @@ class SigmaData:
         """The largest |sigma^{v1,v2}|, against which the sigma residuals are measured."""
         return max((float(np.abs(m).max()) for m in self.mats.values()), default=0.0)
 
+    def off_diagonal(self) -> float:
+        """The largest Frobenius norm of the off-diagonal part of a fiber's sigma."""
+        return max((frob(m - np.diag(np.diag(m))) for m in self.mats.values()), default=0.0)
+
     def is_diagonal(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(
-            frob(m - np.diag(np.diag(m))) <= tol for m in self.mats.values()
-        )
+        return self.off_diagonal() <= tol
 
     def kappas(self) -> dict:
         return {v: float(self.mats[key][p, p].real) for key, fiber in self.fibers.items() for p, v in enumerate(fiber)}
@@ -364,7 +366,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
             S = sig.mats[key][at]
             if partner == vids:
                 asym = frob(S - S.T) / 2
-                if asym > max(tol, 1e-12) * size:
+                if asym > tol * size:
                     raise LiftError(f"sigma block on {key} not symmetric (residual {asym:.3e})")
                 S = ((S + S.T) / 2).real
             w, V = np.linalg.eigh(S)
@@ -389,10 +391,11 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
 
     out = DiagramLift(lift.arrow, new_source, lift.target, new_u)
     sig2 = sigma(out)
-    if not sig2.is_diagonal(max(tol, 1e-9) * size):
-        raise LiftError("diagonalization failed: sigma still has off-diagonal entries")
+    if (off := sig2.off_diagonal()) > tol * size:
+        raise LiftError(f"diagonalization failed: sigma still has off-diagonal entries "
+                        f"(residual {off:.3e}, bound {tol * size:.3e})")
     pres = _kappa_pairing_residual(out, sig2)
-    if pres > max(tol, 1e-9) * size:
+    if pres > tol * size:
         raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")
     out.kappa = sig2.kappas()
     return out
@@ -410,13 +413,13 @@ def normalize(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLift:
     times the largest |sigma|.
     """
     sig = sigma(lift)
-    size = sig.largest
-    if not sig.is_diagonal(max(tol, 1e-9) * size):
-        raise LiftError("sigma is not diagonal; run diagonalize_bases first")
+    bound = tol * sig.largest
+    if (off := sig.off_diagonal()) > bound:
+        raise LiftError(f"sigma is not diagonal (residual {off:.3e}, bound {bound:.3e}); run diagonalize_bases first")
     kap = sig.kappas()
-    bad = [v for v, k in kap.items() if k <= tol * size]
+    bad = [v for v, k in kap.items() if k <= bound]
     if bad:
-        raise LiftError(f"phi_H is not one-to-one: kappa <= tol at {bad}")
+        raise LiftError(f"phi_H is not one-to-one: kappa {min(kap.values()):.3e} <= {bound:.3e} at {bad}")
     new_u = {(v, w): u / np.sqrt(kap[v]) for (v, w), u in lift.u.items()}
     return replace(lift, u=new_u, normalized=True, kappa={v: 1.0 for v in kap})
 
@@ -442,13 +445,13 @@ def _source_with_dirac(lift, D, norm, tol, failure):
 
     Blocks below tol times norm, the norm of the operator D is pulled back
     from, are dropped, so a pullback that vanishes in exact arithmetic
-    leaves no edges of rounding noise.  The diagram must validate at
-    max(tol, 1e-8), or LiftError(failure) is raised with the report.
+    leaves no edges of rounding noise.  The diagram must validate at tol,
+    or LiftError(failure) is raised with the report.
     """
     src = lift.source
     edges = extract_edges(layout_of(src), D, tol, norm)
     new_source = KrajewskiDiagram(src.profile, src.ko, dict(src.vertices), dict(src.jim), edges)
-    rep = validate(new_source, max(tol, 1e-8))
+    rep = validate(new_source, tol)
     if not rep.ok:
         raise LiftError(f"{failure}:\n{rep}")
     return new_source

@@ -1113,7 +1113,8 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
 
     sig2 = sigma(out)
     if not sig2.is_diagonal(max(tol, 1e-9)):
-        raise LiftError("diagonalization failed: sigma still has off-diagonal entries")
+        raise LiftError(f"diagonalization failed: sigma still has off-diagonal entries "
+                        f"(residual {sig2.off_diagonal():.3e}, bound {max(tol, 1e-9):.3e})")
     pres = _kappa_pairing_residual(out, sig2)
     if pres > max(tol, 1e-9):
         raise LiftError(f"kappa_jim(v) != kappa_v after rotation (residual {pres:.3e})")

@@ -185,10 +185,19 @@ def test_fermionic_pairing_zero_dirac():
 
 
 def test_fermionic_pairing_even_subspace_required():
+    """An odd vector is refused, and at tol 1e-12 so is one with an odd part of relative size 1e-10.
+
+    Against max(tol, 1e-9) ||v|| the second passed at every tol below 1e-9.
+    """
     t = realize(minimal_diagram(6, 1.0))
+    zero = UniversalOneForm.zero(t.profile)
     bad = np.array([0.0, 1.0], dtype=complex)   # gamma eigenvalue -1
     with pytest.raises(ValueError):
-        fermionic_pairing(t, UniversalOneForm.zero(t.profile), bad, bad)
+        fermionic_pairing(t, zero, bad, bad)
+    nearly = np.array([1.0, 1e-10], dtype=complex)
+    fermionic_pairing(t, zero, nearly, nearly, tol=1e-9)
+    with pytest.raises(ValueError, match="even subspace"):
+        fermionic_pairing(t, zero, nearly, nearly, tol=1e-12)
 
 
 def test_fermionic_symmetry_defect_reports():
@@ -334,8 +343,10 @@ FERMION_SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e6)
 def test_fermion_checks_do_not_depend_on_the_scale_of_the_vectors():
     """The evenness check refuses an odd vector and the fermion line of compare_actions a pair whose
     difference has a component in the range of phi_H, at every scale; even vectors and compatible pairs pass.
+    At tol 1e-12 a range component of relative size 1e-10 is refused.
 
-    Against max(tol, 1e-9) (1 + ||v||) both refusals turned into passes at scale 1e-12.
+    Against max(tol, 1e-9) (1 + ||v||) both refusals turned into passes at scale 1e-12, and against
+    max(tol, 1e-9) max(||psi_A||, ||psi_B||) the 1e-10 component passed at every tol below 1e-9.
     """
     t = realize(random_diagram(rng_from_seed(4), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True))
     rng = rng_from_seed(41)
@@ -357,3 +368,33 @@ def test_fermion_checks_do_not_depend_on_the_scale_of_the_vectors():
         compare_actions(*args, fermions=(c * psi_A, c * psi_B))
         with pytest.raises(LiftError, match="not phi-compatible"):
             compare_actions(*args, fermions=(c * psi_A, c * (psi_B + 1e-3 * in_range)))
+    tiny = 1e-10 * np.linalg.norm(psi_B) / np.linalg.norm(in_range) * in_range
+    compare_actions(*args, fermions=(psi_A, psi_B + tiny), tol=1e-9)
+    with pytest.raises(LiftError, match="fermion pair is not phi-compatible"):
+        compare_actions(*args, fermions=(psi_A, psi_B + tiny), tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lagrangian_traces_are_real_parts_within_the_hermitian_bound(seed):
+    """On fields that pass the Hermitian check, tr Phi^2 and tr Phi^4 are the real parts of the traces, and
+    |Im tr Phi^2| <= h s and |Im tr Phi^4| <= 2 h s^3, h the largest ||X - X^dagger||_F and s the largest ||X||_F.
+
+    Phi = (1 + i eps) H brings the first bound to equality.  A second check against max(tol, 1e-9) (1 + |tr|)
+    refused such a Phi at tol 1e-6 as having a non-real trace.
+    """
+    rng = rng_from_seed(seed)
+    n, f = 2 + seed % 5, CutoffFunction.gaussian()
+    for tol in (1e-6, 1e-10):
+        H = (0.5 + 3 * rng.random()) * random_hermitian(rng, n)
+        A = random_hermitian(rng, n)
+        for Phi in ((1 + 0.45j * tol * max(1.0, frob(H)) / frob(H)) * H,
+                    H + 0.45j * tol * max(1.0, frob(H)) / frob(A) * A):
+            cfg = GaugeConfiguration(tuple(np.zeros((n, n)) for _ in range(4)), Phi)
+            h, s = cfg.hermiticity_residual(), frob(Phi)
+            assert h <= tol * max(1.0, s)
+            terms = {t.name: t.full for t in bosonic_lagrangian(cfg, f, 1.0, tol).terms}
+            tr2, tr4 = np.trace(Phi @ Phi), np.trace(np.linalg.matrix_power(Phi, 4))
+            assert abs(tr2.imag) <= h * s + 1e-14 * s**2
+            assert abs(tr4.imag) <= 2 * h * s**3 + 1e-14 * s**4
+            assert terms["trPhi2"] == pytest.approx(-2 * f.f2 / (4 * math.pi**2) * tr2.real, rel=1e-12)
+            assert terms["trPhi4"] == pytest.approx(f.f0 / (8 * math.pi**2) * tr4.real, rel=1e-12)

@@ -339,6 +339,18 @@ def test_cli_compare_without_an_even_source_state_exits_1(tmp_path, capsys):
     assert "failed: even subspace ker(gamma - 1) is trivial" in capsys.readouterr().err
 
 
+def test_cli_compare_refuses_a_normalized_lift_that_is_not_an_isometry(full_bundle, tmp_path, capsys):
+    """A lift marked normalized whose u is doubled is refused for phi_H, not for the fields it compares."""
+    doc = json.loads(open(full_bundle[1], encoding="utf-8").read())
+    assert doc["lifts"]["L"]["normalized"] is True
+    for m in doc["lifts"]["L"]["u"].values():
+        m["entries"] = [[2 * re, 2 * im] for re, im in m["entries"]]
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["compare", str(path), "--lift", "L", "--form-a", "w"]) == 1
+    assert "failed: lift is marked normalized, but phi_H is not an isometry (residual" in capsys.readouterr().err
+
+
 def test_cli_compare_and_action(full_bundle, tmp_path, capsys):
     _, path = full_bundle
     assert main(["action", path, "--triple", "T", "--form", "w", "--lam", "2.0"]) == 0

@@ -20,6 +20,8 @@ from finspec.lifting import (
     DiagramLift,
     LiftError,
     _conjugation_residual,
+    _pullback,
+    _source_with_dirac,
     build_phiH,
     compat_check,
     diagonalize_bases,
@@ -110,7 +112,7 @@ def test_diagonalize_rank_deficient_two_vertex_fiber():
     kappas = sorted(rot.kappa.values(), reverse=True)
     assert kappas == pytest.approx([2.0, 0.0], abs=1e-12)
     assert any("not one-to-one" in f for f in sigma(rot).flags)
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError, match=r"not one-to-one: kappa \S+ <= 2\.000e-10 at \["):
         normalize(rot, 1e-10)
 
 
@@ -123,6 +125,21 @@ def test_normalize_scales_u():
     # already normalized: unchanged
     again = normalize(norm, 1e-12)
     assert np.allclose(again.u[(v, v)], [[1.0]])
+
+
+def test_normalize_judges_sigma_at_the_caller_tol():
+    """An off-diagonal sigma of 5e-10 of the largest |sigma| passes at tol 1e-9 and is refused at tol 1e-11,
+    with its residual and bound named.  Against max(tol, 1e-9) times the largest |sigma| it passed at every tol.
+    """
+    lift = diagonal_sigma_lift()
+    u = dict(lift.u)
+    u[(1, 2, 1), (1, 1, 1)] = np.array([[1e-9, 0.0], [0.0, 1.0]])
+    tilted = DiagramLift(lift.arrow, lift.source, lift.target, u)
+    sig = sigma(tilted)
+    assert abs(sig.mats[1, 1][0, 1]) == pytest.approx(5e-10 * sig.largest)
+    normalize(tilted, 1e-9)
+    with pytest.raises(LiftError, match=r"sigma is not diagonal \(residual 2\.828e-09, bound 4\.000e-11\)"):
+        normalize(tilted, 1e-11)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 6, 7])
@@ -223,6 +240,20 @@ def test_inherit_source_dirac_accepts_a_pullback_that_is_zero(seed, d):
     assert 0 < frob(M.conj().T @ DB @ M) <= 1e-14 * frob(DB)
     inherited = inherit_source_dirac(norm, 1e-10)
     assert inherited.source.edges == [] and validate(inherited.source, 1e-10).ok
+
+
+def test_source_with_dirac_validates_at_the_caller_tol():
+    """A pullback whose largest block carries a relative defect of 1e-9 fails orbit consistency at tol 1e-10.
+
+    Validated at max(tol, 1e-8), the defect passed.
+    """
+    norm, tA, tB, phiH = normalized_setup(rng_from_seed(5), 6)
+    D, layout = _pullback(phiH.matrix, tB.D), tA.layout
+    _source_with_dirac(norm, D, frob(tB.D), 1e-10, "pullback Dirac does not validate")
+    _, v, w = max((frob(D[layout.block(w).sl, layout.block(v).sl]), v, w) for v in layout.vids for w in layout.vids)
+    D[layout.block(w).sl, layout.block(v).sl] *= 1 + 1e-9
+    with pytest.raises(LiftError, match=r"pullback Dirac does not validate:(.|\n)*FAIL\] edge orbit consistency"):
+        _source_with_dirac(norm, D, frob(tB.D), 1e-10, "pullback Dirac does not validate")
 
 
 @pytest.mark.parametrize("side", ("source", "target"))

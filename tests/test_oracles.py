@@ -17,6 +17,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -641,8 +642,9 @@ def test_lift_matches_vertex_loop_oracle():
         for key, m0 in sig0.mats.items():
             assert np.abs(sig.mats[key] - m0).max() <= 1e-12 * max(1.0, np.abs(m0).max()), key
         new, old = _outcome(diagonalize_bases, lift, 1e-10), _outcome(oracles.diagonalize_bases, lift, 1e-10)
-        if isinstance(old, LiftError):
-            assert isinstance(new, LiftError) and str(new) == str(old)
+        if isinstance(old, LiftError):  # the oracle's absolute bounds are not the library's relative ones
+            unbound = lambda e: re.sub(r", bound [^)]*", "", str(e))
+            assert isinstance(new, LiftError) and unbound(new) == unbound(old)
             refused.add(str(old).split(" ")[0])
             continue
         assert not isinstance(new, LiftError), new
