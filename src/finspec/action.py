@@ -161,11 +161,42 @@ class ActionReport:
         return "\n".join(lines)
 
 
+def _bipartition(ops):
+    """Index sets (P, Q) with every operator in ops exactly zero on P x P and Q x Q, or None.
+
+    A breadth-first 2-colouring of the joint support; an index with no entry goes to P, and a diagonal entry or
+    an odd cycle gives None.  In even KO-dimension the gamma eigenspaces are such a pair for D, B_mu, Phi and
+    their pullbacks, which anticommute with gamma.
+    """
+    S = np.logical_or.reduce([X != 0 for X in ops])
+    S |= S.T
+    colour = np.where(S.any(axis=1), -1, 0)
+    while (todo := np.flatnonzero(colour < 0)).size:
+        frontier, c = todo[:1], 0
+        while frontier.size:
+            colour[frontier] = c
+            frontier, c = np.flatnonzero(S[frontier].any(axis=0) & (colour < 0)), 1 - c
+    P, Q = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+    if S[np.ix_(P, P)].any() or S[np.ix_(Q, Q)].any():
+        return None
+    return P, Q
+
+
 def _spectral_sum(D, f: CutoffFunction, Lambda: float) -> float:
-    """Tr f(D / Lambda) for a Hermitian D and Lambda > 0."""
+    """Tr f(D / Lambda) for a Hermitian D and Lambda > 0.
+
+    When D is zero on P x P and Q x Q (`_bipartition`), its spectrum is +-sigma_i(D[P, Q]) plus ||P| - |Q||
+    zeros, else `eigvalsh` of D.  For D Hermitian within h = ||D - D^dagger||_F the two read Hermitian matrices
+    within h of each other (the lower triangle, and D[P, Q]), so by Weyl each eigenvalue moves by at most h.
+    """
     if not Lambda > 0:  # refuses NaN as well
         raise ValueError("Lambda must be positive")
-    return float(np.sum(f(np.linalg.eigvalsh(D) / Lambda)))
+    if (split := _bipartition((D,))) is None:
+        spectrum = np.linalg.eigvalsh(D)
+    else:
+        s = np.linalg.svd(D[np.ix_(*split)], compute_uv=False)
+        spectrum = np.concatenate((s, -s, np.zeros(abs(len(split[0]) - len(split[1])))))
+    return float(np.sum(f(spectrum / Lambda)))
 
 
 def _pairing(t: RealSpectralTriple, D, psi, psi_p) -> complex:
@@ -183,14 +214,20 @@ def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
 
 def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFunction,
                     Lambda: float, tol: float = DEFAULT_TOL) -> float:
-    """Tr f(D_omega / Lambda), exact at finite dimension."""
+    """Tr f(D_omega / Lambda), exact at finite dimension; in even KO-dimension from the singular values of
+    one off-diagonal block of D_omega (`_spectral_sum`), each eigenvalue within ||D_omega - D_omega^dagger||_F."""
     return _spectral_sum(fluctuate(t, omega, tol), f, Lambda)
 
 
-def _squared_commutator(X, Y) -> float:
-    """tr((i [X, Y])^2) = ||P - P^dagger||_F^2 with P = X Y, for Hermitian X and Y: one product, real by construction."""
-    C = (P := X @ Y) - P.conj().T
-    return float(np.vdot(C, C).real)
+def _products(x, y):
+    """The nonzero blocks of X Y: (X Y,) from (X,), or (X[P, Q] Y[Q, P], X[Q, P] Y[P, Q]) from (X[P, Q], X[Q, P])."""
+    return [a @ b for a, b in zip(x, y[::-1])]
+
+
+def _squared_commutator(x, y) -> float:
+    """tr((i [X, Y])^2) = ||P - P^dagger||_F^2 with P = X Y, for Hermitian X and Y in blocks: real by construction."""
+    Cs = [P - P.conj().T for P in _products(x, y)]
+    return sum(float(np.vdot(C, C).real) for C in Cs)
 
 
 def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
@@ -201,6 +238,9 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
     of its two-product value, since ||[X, Y] - (P - P^dagger)|| <= ||Y - Y^dagger|| ||X|| + ||Y|| ||X - X^dagger||.
     tr Phi^2 and tr Phi^4 are taken as real parts: |Im tr Phi^2| <= h s and |Im tr Phi^4| <= 2 h s^3, since
     2i Im tr X^2 = tr((X - X^dagger)(X + X^dagger)) for X = Phi and X = Phi^2.
+    When every field is zero on P x P and Q x Q (`_bipartition`, as in even KO-dimension), each product is
+    formed as its diagonal blocks X[P, Q] Y[Q, P] and X[Q, P] Y[P, Q], a quarter of the flops at |P| = |Q|.
+    Only products of zero blocks are skipped: values and bounds are the dense ones, up to summation order.
     """
     B, Phi = cfg.B, cfg.Phi
     res = cfg.hermiticity_residual()
@@ -208,13 +248,18 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
         raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
     f0, f2 = f.f0, f.f2
 
-    Phi2 = Phi @ Phi
-    trPhi2, trPhi4 = float(np.trace(Phi2).real), float(np.sum(Phi2 * Phi2.T).real)
+    split = _bipartition(B + (Phi,))
+    blocks = (lambda X: (X,)) if split is None else (lambda X: (X[np.ix_(*split)], X[np.ix_(*split[::-1])]))
+    phi = blocks(Phi)
+    Phi2 = _products(phi, phi)
+    trPhi2 = sum(float(np.trace(M).real) for M in Phi2)
+    trPhi4 = sum(float(np.sum(M * M.T).real) for M in Phi2)
 
     trF2 = trDPhi2 = 0.0  # no products for B = 0, the configuration compare_actions builds without cfgs
     if any(b.any() for b in B):  # F_{mu mu} = 0, F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
-        trF2 = 2 * sum(_squared_commutator(B[mu], B[nu]) for nu in range(4) for mu in range(nu))
-        trDPhi2 = sum(_squared_commutator(b, Phi) for b in B)
+        b = [blocks(X) for X in B]
+        trF2 = 2 * sum(_squared_commutator(b[mu], b[nu]) for nu in range(4) for mu in range(nu))
+        trDPhi2 = sum(_squared_commutator(x, phi) for x in b)
 
     return ActionReport([
         ActionTerm("trF2", f0 / (24 * math.pi**2) * trF2),

@@ -88,13 +88,11 @@ class PhiHMap:
 
     @cached_property
     def range_basis(self) -> np.ndarray:
-        """Q with orthonormal columns spanning the range of phi_H: M itself when normalized.
+        """Q with orthonormal columns spanning the range of phi_H, whether or not it is marked normalized.
 
-        Otherwise M V w^{-1/2} from M* M = V w V*, keeping w > 1e-12 max(w): a cut relative to the units of u.
+        Q = M V w^{-1/2} from M* M = V w V*, keeping w > 1e-12 max(w): a cut relative to the units of u.
         """
         m = self.matrix
-        if self.normalized:
-            return m
         w, vec = np.linalg.eigh(m.conj().T @ m)
         keep = w > 1e-12 * w.max(initial=0.0)
         return m @ (vec[:, keep] / np.sqrt(w[keep]))

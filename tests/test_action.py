@@ -9,6 +9,8 @@ from helpers import normalized_setup
 from finspec.algebra import AlgebraProfile, ShapeMismatch, frob
 from finspec.action import (
     ActionReport,
+    _bipartition,
+    _spectral_sum,
     CutoffFunction,
     GaugeConfiguration,
     bosonic_lagrangian,
@@ -96,6 +98,59 @@ def test_spectral_action_zero_dirac_counts_dimension():
     t = realize(diag)
     s = spectral_action(t, UniversalOneForm.zero(prof), CutoffFunction.gaussian(), 3.0)
     assert s == pytest.approx(t.dim)
+
+
+def _vanishes_on(split, ops):
+    """split partitions the indices of ops, and every op is exactly zero on P x P and Q x Q."""
+    P, Q = split
+    n = ops[0].shape[0]
+    assert np.array_equal(np.sort(np.concatenate((P, Q))), np.arange(n))
+    return all(not X[np.ix_(P, P)].any() and not X[np.ix_(Q, Q)].any() for X in ops)
+
+
+@pytest.mark.parametrize("d", (0, 2, 4, 6))
+def test_bipartition_of_an_even_triple(d):
+    """D, the B_mu and Phi of from_forms anticommute with gamma, so their joint support is 2-coloured;
+    so are gamma's own eigenspaces, and D alone."""
+    rng = rng_from_seed(2300 + d)
+    for _ in range(4):
+        t = realize(random_diagram(rng, d, AlgebraProfile((2, 3)), max_fiber=2, edge_prob=0.7, ensure_edge=True))
+        vec = [random_hermitian_form(rng, t.profile, 1) for _ in range(4)]
+        cfg = GaugeConfiguration.from_forms(t, vec, random_hermitian_form(rng, t.profile))
+        ops = (t.D,) + cfg.B + (cfg.Phi,)
+        g = np.diag(t.gamma)
+        assert np.array_equal(t.gamma, np.diag(g))
+        assert _vanishes_on((np.flatnonzero(g > 0), np.flatnonzero(g < 0)), ops)
+        assert (split := _bipartition(ops)) is not None and _vanishes_on(split, ops)
+        assert (split := _bipartition((t.D,))) is not None and _vanishes_on(split, (t.D,))
+
+
+def test_bipartition_refuses_a_diagonal_entry_and_an_odd_cycle():
+    X = np.zeros((4, 4), dtype=complex)
+    X[0, 1] = X[1, 0] = 1.0
+    assert _bipartition((X,)) is not None
+    Y = np.zeros_like(X)
+    Y[3, 3] = 2.0
+    assert _bipartition((X, Y)) is None
+    for i, j in ((1, 2), (2, 0)):  # the cycle 0 - 1 - 2 - 0, one entry each, made symmetric by the support
+        X[i, j] = 0.5j
+    assert _bipartition((X,)) is None
+
+
+def test_bipartition_colours_components_and_isolated_indices():
+    """Two paths 0 - 1 - 4 and 3 - 5, read from two operators and one-sided entries; 2 and 6 have no entry and go to P."""
+    X, Y = np.zeros((7, 7)), np.zeros((7, 7))
+    X[0, 1], X[4, 1], Y[3, 5] = 1.0, -2.0, 3.0
+    P, Q = _bipartition((X, Y))
+    assert {2, 6} <= set(P) and _vanishes_on((P, Q), (X, Y))
+    assert list(P) == [0, 2, 3, 4, 6] and list(Q) == [1, 5]
+
+
+def test_spectral_sum_of_a_zero_matrix_is_n_f0():
+    f = CutoffFunction.gaussian(0.7)
+    P, Q = _bipartition((np.zeros((5, 5)),))
+    assert list(P) == list(range(5)) and len(Q) == 0
+    assert _spectral_sum(np.zeros((5, 5)), f, 2.0) == 5 * f.f0
 
 
 def test_spectral_action_requires_positive_scale():

@@ -339,16 +339,33 @@ def test_cli_compare_without_an_even_source_state_exits_1(tmp_path, capsys):
     assert "failed: even subspace ker(gamma - 1) is trivial" in capsys.readouterr().err
 
 
-def test_cli_compare_refuses_a_normalized_lift_that_is_not_an_isometry(full_bundle, tmp_path, capsys):
-    """A lift marked normalized whose u is doubled is refused for phi_H, not for the fields it compares."""
+def _doubled_lift(full_bundle, tmp_path):
+    """The fixture bundle with every u entry of lift L doubled; L stays marked normalized."""
     doc = json.loads(open(full_bundle[1], encoding="utf-8").read())
     assert doc["lifts"]["L"]["normalized"] is True
     for m in doc["lifts"]["L"]["u"].values():
         m["entries"] = [[2 * re, 2 * im] for re, im in m["entries"]]
     path = tmp_path / "doubled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["compare", str(path), "--lift", "L", "--form-a", "w"]) == 1
+    return str(path)
+
+
+def test_cli_compare_refuses_a_normalized_lift_that_is_not_an_isometry(full_bundle, tmp_path, capsys):
+    """A lift marked normalized whose u is doubled is refused for phi_H, not for the fields it compares."""
+    path = _doubled_lift(full_bundle, tmp_path)
+    assert main(["compare", path, "--lift", "L", "--form-a", "w"]) == 1
     assert "failed: lift is marked normalized, but phi_H is not an isometry (residual" in capsys.readouterr().err
+
+
+def test_cli_lift_check_and_compat_do_not_trust_the_normalized_mark(full_bundle, tmp_path, capsys):
+    """The range of phi_H comes from M* M also on a lift marked normalized: doubling u changes neither the
+    J and gamma lines of lift-check nor the weak verdict of compat, and only compare names phi_H."""
+    path = _doubled_lift(full_bundle, tmp_path)
+    assert main(["--format", "json", "lift-check", path, "--lift", "L"]) == 0
+    assert main(["--format", "json", "compat", path, "--lift", "L", "--form-a", "w"]) == 0
+    capsys.readouterr()
+    assert main(["compare", path, "--lift", "L", "--form-a", "w"]) == 1
+    assert "phi_H is not an isometry" in capsys.readouterr().err
 
 
 def test_cli_compare_and_action(full_bundle, tmp_path, capsys):

@@ -9,8 +9,10 @@ units, `represent` on vertex-block pairs with the dense pi products,
 their pair and row loops, and the fiber bases of `classify` and the
 per-fiber rotation of `sigma` and `diagonalize_bases` with their vertex
 loops, the generators and `minimal_diagram` with one normal form for
-the decorations with their branch per KO-dimension, and `compat_check` and
-`inherited_split` on the range basis of phi_H with the nB x nB projector.
+the decorations with their branch per KO-dimension, `compat_check` and
+`inherited_split` on the range basis of phi_H with the nB x nB projector, and
+the off-diagonal block products and +-singular values of gamma-odd fields with
+the dense products and `eigvalsh`.
 """
 
 import contextlib
@@ -262,6 +264,64 @@ def test_bosonic_lagrangian_keeps_its_bound_on_a_non_hermitian_field():
             assert 1e-12 * abs(term0.full) < abs(term.full - term0.full) <= bound, term.name
         else:
             _close(term.full, term0.full)
+
+
+def _split_and_dense(cfg, f, lam):
+    """bosonic_lagrangian and the spectral sum of Phi against the dense oracles: the commutator terms within
+    bosonic_lagrangian's bound, the other values within 1e-12 relative."""
+    bound = _commutator_bound(f, cfg.B + (cfg.Phi,))
+    rep, ref = bosonic_lagrangian(cfg, f, lam), oracles.bosonic_lagrangian(cfg, f, lam)
+    for term, term0 in zip(rep.terms, ref.terms):
+        _close(term.full, term0.full, bound if term.name in ("trF2", "trDPhi2") else 0.0)
+    _close(action._spectral_sum(cfg.Phi, f, lam), oracles.spectral_sum(cfg.Phi, f, lam))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_split_products_and_spectrum_match_dense_oracles(d):
+    """from_forms fields as they come, which the off-diagonal blocks read in every even d; one entry on
+    the diagonal or on a gamma-even block sends the same fields down the dense path."""
+    rng = rng_from_seed(2400 + d)
+    f, lam = CutoffFunction.gaussian(0.8), 1.3
+    for _ in range(3):
+        t = realize(random_diagram(rng, d, AlgebraProfile((2, 3)), max_fiber=2, edge_prob=0.7, ensure_edge=True))
+        vec = [random_hermitian_form(rng, t.profile, 1) for _ in range(4)]
+        cfg = GaugeConfiguration.from_forms(t, vec, random_hermitian_form(rng, t.profile))
+        fields = cfg.B + (cfg.Phi,)
+        assert t.gamma is None or action._bipartition(fields) is not None
+        _split_and_dense(cfg, f, lam)
+        if t.gamma is None:
+            continue
+        S = np.logical_or.reduce([X != 0 for X in fields])
+        hubs = [k for k in range(t.dim) if np.count_nonzero(S[k] | S[:, k]) >= 2]
+        pairs = [(0, 0)]  # a diagonal entry, and an entry joining two neighbours of one index: a triangle
+        if hubs:
+            i, j = np.flatnonzero(S[hubs[0]] | S[:, hubs[0]])[:2]
+            assert t.gamma[i, i] == t.gamma[j, j]
+            pairs.append((i, j))
+        for i, j in pairs:
+            Phi = cfg.Phi.copy()
+            Phi[i, j] += 0.3 + 0.2j * (i != j)
+            Phi[j, i] = np.conj(Phi[i, j])
+            bent = GaugeConfiguration(cfg.B, Phi)
+            assert action._bipartition(bent.B + (bent.Phi,)) is None
+            _split_and_dense(bent, f, lam)
+
+
+@pytest.mark.parametrize("d", (0, 2, 6))
+def test_compare_actions_reads_every_configuration_on_its_blocks(d, monkeypatch):
+    """In even d the target, inherited and source configurations and both D_omega are 2-coloured: five
+    splits per comparison, none refused, on both the cfgs and the cfgs=None path."""
+    calls, real = [], action._bipartition
+
+    def spy(ops):
+        calls.append(real(ops))
+        return calls[-1]
+
+    monkeypatch.setattr(action, "_bipartition", spy)
+    for args, cfgs, fermions in _paths(d):
+        calls.clear()
+        compare_actions(*args, cfgs=cfgs, fermions=fermions, tol=1e-9)
+        assert len(calls) == 5 and all(c is not None for c in calls), (cfgs is None, calls)
 
 
 def test_compare_actions_fluctuates_once_per_side(monkeypatch):
