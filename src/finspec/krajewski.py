@@ -55,8 +55,7 @@ class DiagramError(ValueError):
 
 class ClassificationError(RuntimeError):
     def __init__(self, step, message, residual=None):
-        self.step = step
-        self.residual = residual
+        self.step, self.message, self.residual = step, message, residual
         text = f"classification failed at step '{step}': {message}"
         if residual is not None:
             text += f" (residual {residual:.3e})"
@@ -271,10 +270,17 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     the op already there exceeds tol ||op||_F is returned as a conflict
     (key, origin, residual, bound).  Result maps (src, dst) to op.
 
-    The diagram must pass validate's other lines.  The walk moves labels (edge, image, 'a'djoint and 'j'im
+    The diagram must pass validate's other lines; an edge whose endpoint is not a vertex, or whose op is not
+    shaped for its endpoints, raises DiagramError naming it.  The walk moves labels (edge, image, 'a'djoint and 'j'im
     steps); each op is a row of a stacked image of an _edge_groups group, and duplicates of another image
     or edge are measured in one stacked difference per shape.
     """
+    length = {v: math.prod(_vdim(diag.profile, v)) for v in diag.vertices}
+    for e in diag.edges:  # validate's edge lines that the walk needs, raised rather than left to numpy or a dict
+        if e.src not in length or e.dst not in length:
+            raise DiagramError(f"edge {e.src}->{e.dst}: endpoint {e.dst if e.src in length else e.src} is not a vertex")
+        if e.op.shape != (length[e.dst], length[e.src]):
+            raise DiagramError(f"edge {e.src}->{e.dst}: op shape {e.op.shape}, not {(length[e.dst], length[e.src])}")
     edges, jim, groups = diag.edges, diag.jim, _edge_groups(diag, range(len(diag.edges)))
     at = {k: (g, r) for g, (_dims, _kind, ks, _ops) in enumerate(groups) for r, k in enumerate(ks)}
     eps = {v: epsilon_factor(diag.vertex(v), diag.d) for v in diag.vertices}
@@ -426,28 +432,30 @@ def _validate(diag, tol):
         if i not in represented:
             rep.warn(f"block {i} is not represented (non-faithful layout)")
 
-    dims = {v: _vdim(diag.profile, v) for v in vids}
-    shaped = lambda e: e.op.shape == (math.prod(dims[e.dst]), math.prod(dims[e.src]))
+    length = {v: math.prod(_vdim(diag.profile, v)) for v in vids}
+    names, grading = {v: str(v) for v in vids}, {v: diag.vertices[v].s for v in vids}  # str(v) is the f-string's text
+    # per edge, once: None if an endpoint is missing, else whether its op has their shape and the kind forced
+    verdicts = [None if e.src not in vids or e.dst not in vids else
+                (e.op.shape == (length[e.dst], length[e.src]), _edge_kind(e.src, e.dst)) for e in diag.edges]
     factor = {}  # edge -> (norm, factor residual), stacked per group of the edges that get a factor line
-    for dim, kind, ks, ops in _edge_groups(diag, [k for k, e in enumerate(diag.edges) if e.src in vids and e.dst in vids
-                                                  and shaped(e) and _edge_kind(e.src, e.dst) in ("general", e.kind)]):
+    for dim, kind, ks, ops in _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
+                                                  if v and v[0] and v[1] in ("general", e.kind)]):
         factor.update(zip(ks, zip(np.linalg.norm(ops, axis=(1, 2)), _factor_residual(ops, kind, dim))))
     sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
     largest = max(sizes, default=0.0)
     seen_pairs = set()
-    for k, (e, size) in enumerate(zip(diag.edges, sizes)):
-        tag = f"edge {e.src}->{e.dst}"
-        if e.src not in vids or e.dst not in vids:
-            rep.add_bool(f"{tag} endpoints exist", False)
+    for k, (e, size, verdict) in enumerate(zip(diag.edges, sizes, verdicts)):
+        if verdict is None:
+            rep.add_bool(f"edge {e.src}->{e.dst} endpoints exist", False)
             continue
+        tag, (shaped, forced) = f"edge {names[e.src]}->{names[e.dst]}", verdict
         if (e.src, e.dst) in seen_pairs:
             rep.add_bool(f"{tag} supplied once", False)
         seen_pairs.add((e.src, e.dst))
-        if not shaped(e):
+        if not shaped:
             rep.add_bool(f"{tag} op shape", False)
             continue
         rep.add_bool(f"{tag} op nonzero", size > tol * largest)
-        forced = _edge_kind(e.src, e.dst)
         if forced is None:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
             continue
@@ -456,7 +464,7 @@ def _validate(diag, tol):
         else:
             rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", factor[k][1], tol * size)
         if ko.even:
-            s1, s2 = diag.vertex(e.src).s, diag.vertex(e.dst).s
+            s1, s2 = grading[e.src], grading[e.dst]
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
 
     closed = None
@@ -506,16 +514,16 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Commutant and first-order conditions are bilinear in (a, b), so checking
     the generating matrix units of each block is exhaustive.  Both order
     conditions are measured in the frame K^dagger (.) K, which equals
-    J pi(b)* J^-1 exactly when K is unitary.  X_a = K^dagger pi(a) K and
-    Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
-    brackets with every unit are read off them as sums of squares
-    (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
-    and at most m legs per block, with no U^2 term.  Products with K (the
-    triple's _K_products) and gamma are gathers when monomial (_products_with;
-    every realized K and gamma): X_a is then a phased partial permutation and
-    Y_a lives on m rows and m columns.  Residuals linear in D pass below
-    tol ||D||_F, so a triple and its rescaling get the same verdict, and an exact zero passes at D = 0.
-    The order-condition lines name the units behind their worst residual.
+    J pi(b)* J^-1 exactly when K is unitary.  The brackets of X_a = K^dagger pi(a) K and
+    Y_a = K^dagger [D, pi(a)] K with every unit are read off them as sums of squares, with no U^2 term
+    for U = sum_k n_k^2 units of at most m legs.  Products with K (the triple's _K_products) and gamma
+    are gathers when monomial (_products_with; every realized K and gamma).  X_a is then a phased
+    partial permutation, and the commutant line reads its m entries for all units of a block at once
+    (_monomial_brackets): cost O(U m sum_k n_k^2), no n^2 term.  The first-order line writes Y_a on its
+    m rows and m columns and reads it densely (_worst_bracket): cost O(U n^2 sum_k n_k).  Any other K
+    takes dense products and _worst_bracket for both lines: cost O(U n^2 (m + sum_k n_k)).  Residuals
+    linear in D pass below tol ||D||_F, so a triple and its rescaling get the same verdict, and an exact
+    zero passes at D = 0.  The order-condition lines name the units behind their worst residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -549,26 +557,23 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     if ko.even:
         res, q = _worst_bracket(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
+    units = [(i, x, y) for i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]
+    pairs = [(L[x], L[y]) for _i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]  # pi(a): cols -> rows
     if mono is None:
         Kh = K.conj().T
-        frame = lambda rows, cols: (Kh[:, rows] @ K[cols], KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols])
+        comm = [_worst_bracket(Kh[:, rows] @ K[cols], frames) for rows, cols in pairs]
+        frame = lambda rows, cols: KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]
     else:
-        perm, phase = mono
+        (perm, phase), comm = mono, _monomial_brackets(*mono, frames)
 
         def frame(rows, cols):  # the same numbers, written on the rows perm[rows] and columns perm[cols]
-            X, Y = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-            X[perm[rows], perm[cols]] = np.conj(phase[rows]) * phase[cols]
+            Y = np.zeros((n, n), dtype=complex)
             Y[:, perm[cols]] = KhD[:, rows] * phase[cols]
             Y[perm[rows]] -= np.conj(phase[rows])[:, None] * DK[cols]
-            return X, Y
+            return Y
 
-    units, comm, first = [], [], []  # unit a, and the worst bracket (residual, unit q = pi(b)^T) of X_a and of Y_a
-    for i, L, _labels in frames:
-        for x, y in np.ndindex(len(L), len(L)):
-            X, Y = frame(L[x], L[y])  # K^dagger pi(a) K and K^dagger [D, pi(a)] K
-            units.append((i, x, y))
-            comm.append(_worst_bracket(X, frames))
-            first.append(_worst_bracket(Y, frames))
+    # the worst bracket (residual, unit q = pi(b)^T) of X_a = K^dagger pi(a) K (comm) and Y_a = K^dagger [D, pi(a)] K
+    first = [_worst_bracket(frame(rows, cols), frames) for rows, cols in pairs]
     rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
     rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, size_D))
     return rep
@@ -627,15 +632,66 @@ def _worst_bracket(X, frames):
     (0.0, None) when every bracket vanishes.
     """
     A = X.real ** 2 + X.imag ** 2
-    sq, units = [], []
-    for k, L, labels in frames:
+    sq = []
+    for _k, L, labels in frames:
         S = labels.T @ A @ labels
         np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
-        G = X[L[:, :, None], L[:, None, :]]  # G[x] = X[L_k[x], L_k[x]]
-        same = [(abs(G - g) ** 2).sum(axis=(1, 2)) for g in G]  # ||X[R, R] - X[C, C]||^2, row x
-        sq += list((S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same).ravel())
-        units += [(k, x, y) for x, y in np.ndindex(len(L), len(L))]
-    return float(np.sqrt(max(sq, default=0.0))), _witness(sq, units)
+        G = np.asarray(X[L[:, :, None], L[:, None, :]], complex).view(float).reshape(len(L), -1)  # X[L_k[x], L_k[x]]
+        G = G[:, None] - G  # G[x] - G[y] at [x, y], as many numbers as X since n_k m_k <= n
+        sq.append(S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + np.einsum("xyi,xyi->xy", G, G))
+    return _worst([s[None] for s in sq], frames)[0]
+
+
+def _monomial_brackets(perm, phase, frames):
+    """[_worst_bracket(X_a, frames) for every unit a, in verify_axioms' order], read off the m entries of each
+    X_a = K^dagger pi(a) K for a monomial K (K[i, perm[i]] = phase[i]), all units of a block at once.
+
+    X_a holds conj(phase[L[x]]) phase[L[y]] at the rows perm[L[x]] and columns perm[L[y]] for a = E_xy.  One
+    bincount over (unit, row label, column label) gives the label sums S of _worst_bracket.  The entries whose
+    row and column lie in one row x' of L_k go to P[key, x'], keyed by (unit, row position, column position),
+    and ||X[R, R] - X[C, C]||^2 sums |P[key, x'] - P[key, y']|^2 over the keys of a unit.  Temporaries are
+    O(U m + keys n_k^2), no dense X_a; only nonnegative terms are added, so an exact zero stays 0.0.
+    """
+    places = [np.full(len(perm), Lk.size) for _k, Lk, _labels in frames]  # of each index in L_k.ravel(), else L_k.size
+    for at, (_k, Lk, _labels) in zip(places, frames):
+        at[Lk] = np.arange(Lk.size).reshape(Lk.shape)
+    out = []
+    for _i, L, _labels in frames:
+        (nu, m), u = L.shape, np.repeat(np.arange(len(L) ** 2), L.shape[1])  # unit x nu + y of each entry
+        rows, cols = (np.broadcast_to(p, (nu, nu, m)).ravel() for p in (perm[L][:, None], perm[L][None]))
+        v = (np.conj(phase[L])[:, None] * phase[L][None]).ravel()
+        w, sq = v.real ** 2 + v.imag ** 2, []
+        for (_k, Lk, _labels), at in zip(frames, places):
+            nk, mk = Lk.shape
+            (xr, pr), (xc, pc) = divmod(at[rows], mk), divmod(at[cols], mk)
+            S = np.bincount((u * (nk + 1) + xr) * (nk + 1) + xc, w, nu * nu * (nk + 1) ** 2).reshape(-1, nk + 1, nk + 1)
+            S[:, range(nk + 1), range(nk + 1)] = 0.0  # the blocks of one label lie on the support of q
+            same, on = np.zeros((nu * nu, nk, nk)), (xr == xc) & (xr < nk)
+            keys, key = np.unique((u[on] * mk + pr[on]) * mk + pc[on], return_inverse=True)
+            if keys.size:
+                P = np.zeros((keys.size, nk), dtype=complex)
+                P[key, xr[on]] = v[on]
+                P, starts = P[:, :, None] - P[:, None], np.flatnonzero(np.diff(keys // mk ** 2, prepend=-1))
+                same[keys[starts] // mk ** 2] = np.add.reduceat(P.real ** 2 + P.imag ** 2, starts)
+            sq.append(S[:, :, :-1].sum(axis=1)[:, :, None] + S[:, :-1].sum(axis=2)[:, None] + same)
+        out += _worst(sq, frames)
+    return out
+
+
+def _worst(sq, frames):
+    """[(sqrt of the largest, the (k, x, y) _witness names)] per unit, from the squared brackets sq[k][unit, x, y]
+    with the units q = pi(E^k_xy) of each frame; (0.0, None) where every bracket vanishes."""
+    sq = np.concatenate([np.zeros((len(sq[0]) if sq else 1, 0))] + [s.reshape(len(s), -1) for s in sq], axis=1)
+    return [(float(np.sqrt(t)), _unit_at(frames, int(np.flatnonzero(s >= (1 - 1e-12) * t)[0])) if t > 0 else None)
+            for s, t in zip(sq, sq.max(axis=1, initial=0.0))]  # the witness by _witness's rule
+
+
+def _unit_at(frames, j):
+    """The unit (k, x, y) behind column j of _worst's squared brackets."""
+    for k, L, _labels in frames:
+        if j < len(L) ** 2:
+            return (k, *divmod(j, len(L)))
+        j -= len(L) ** 2
 
 
 def _sign_residuals(t, DK):
@@ -873,16 +929,19 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     size = len(_diagonal_orbit(d))
     for (i, j), fiber in sorted(fibers.items()):
         mu = len(fiber)
-        if i < j:
-            split = _grading_split(ells.get((i, j)), mu)
-            bases[(i, j)] = [m for _s, space in split for m in space]
-            # the partner fiber basis is forced: m_ji^p = L_ij conj(m_ij^p)
-            bases[(j, i)] = [Ls[(i, j)] @ np.conj(m) for m in bases[(i, j)]]
-            orbits += zip(zip(fiber, fibers[(j, i)]), [s for s, space in split for _m in space])
-        elif i == j:
-            L = Ls[(i, i)]
-            bases[(i, i)], firsts = _diagonal_fiber_basis(lambda m: L @ np.conj(m), ells.get((i, i)), mu, ko)
-            orbits += zip([tuple(fiber[p:p + size]) for p in range(0, mu, size)], firsts)
+        try:
+            if i < j:
+                split = _grading_split(ells.get((i, j)), mu)
+                bases[(i, j)] = [m for _s, space in split for m in space]
+                # the partner fiber basis is forced: m_ji^p = L_ij conj(m_ij^p)
+                bases[(j, i)] = [Ls[(i, j)] @ np.conj(m) for m in bases[(i, j)]]
+                orbits += zip(zip(fiber, fibers[(j, i)]), [s for s, space in split for _m in space])
+            elif i == j:
+                L = Ls[(i, i)]
+                bases[(i, i)], firsts = _diagonal_fiber_basis(lambda m: L @ np.conj(m), ells.get((i, i)), mu, ko)
+                orbits += zip([tuple(fiber[p:p + size]) for p in range(0, mu, size)], firsts)
+        except ClassificationError as err:
+            raise ClassificationError(err.step, f"fiber ({i},{j}): {err.message}", err.residual) from None
     vertices, jim_new = _orbit_vertices(ko, orbits)
 
     # even case: the chosen vectors must be eigenvectors of ell

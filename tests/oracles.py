@@ -62,7 +62,9 @@ the operator, with the same verdicts.
 The eleventh group is `validate` with one norm, one factor residual and one
 orbit step per edge (`validate_per_edge`, `complete_edges_per_edge`,
 `jim_op`), and `verify_axioms`, `detect_ko`, `conjugate_by_J` and `apply_J`
-with dense products with K and gamma.  The tests ask for the same report
+with dense products with K and gamma, whose brackets are read densely for
+every unit, X_a included, one row of each frame at a time
+(`worst_bracket_rows`).  The tests ask for the same report
 lines, verdicts and witnesses with residuals within 1e-12 relative, for the
 same orbit closure and realized D bit for bit, for the same detected rows,
 and for J X J^-1 and J psi equal entry for entry.
@@ -105,7 +107,7 @@ from finspec.krajewski import (
     _unit_frames,
     _unit_name,
     _vdim,
-    _worst_bracket,
+    _witness,
     epsilon_factor,
     extract_edges,
     layout_of,
@@ -1601,7 +1603,7 @@ def verify_axioms_dense(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Repo
     J pi(b)* J^-1 exactly when K is unitary.  X_a = K^dagger pi(a) K and
     Y_a = K^dagger [D, pi(a)] K are formed once per unit a, and their
     brackets with every unit are read off them as sums of squares
-    (_worst_bracket): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
+    (worst_bracket_rows): cost O(U n^2 (m + sum_k n_k)) for U = sum_k n_k^2 units
     and at most m legs per block, with no U^2 term.  Residuals linear in D
     pass below tol ||D||_F, so a triple and its rescaling get the same
     verdict, and an exact zero passes at D = 0.  The order-condition lines
@@ -1635,7 +1637,7 @@ def verify_axioms_dense(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Repo
 
     frames = _unit_frames(t.layout)
     if ko.even:
-        res, q = _worst_bracket(t.gamma, frames)
+        res, q = worst_bracket_rows(t.gamma, frames)
         rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
     Kh = K.conj().T
     KhD = Kh @ D
@@ -1644,13 +1646,28 @@ def verify_axioms_dense(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Repo
         for x, y in np.ndindex(len(L), len(L)):
             rows, cols = L[x], L[y]
             units.append((i, x, y))
-            comm.append(_worst_bracket(Kh[:, rows] @ K[cols], frames))  # K^dagger pi(a) K
-            first.append(_worst_bracket(KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols], frames))  # K^dagger [D, pi(a)] K
+            comm.append(worst_bracket_rows(Kh[:, rows] @ K[cols], frames))  # K^dagger pi(a) K
+            first.append(worst_bracket_rows(KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols], frames))  # K^dagger [D, pi(a)] K
     rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
     rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, frob(D)))
     return rep
 
 
+
+
+def worst_bracket_rows(X, frames):
+    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and the (k, x, y) _witness names, with
+    ||X[R, R] - X[C, C]||^2 taken one row x of a frame at a time and the witness from a list of every unit."""
+    A = X.real ** 2 + X.imag ** 2
+    sq, units = [], []
+    for k, L, labels in frames:
+        S = labels.T @ A @ labels
+        np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
+        G = X[L[:, :, None], L[:, None, :]]  # G[x] = X[L_k[x], L_k[x]]
+        same = [(abs(G - g) ** 2).sum(axis=(1, 2)) for g in G]  # ||X[R, R] - X[C, C]||^2, row x
+        sq += list((S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same).ravel())
+        units += [(k, x, y) for x, y in np.ndindex(len(L), len(L))]
+    return float(np.sqrt(max(sq, default=0.0))), _witness(sq, units)
 
 
 def sign_residuals_dense(t, DK):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from finspec.krajewski import (
     _FACTOR_LINES,
     _jim_op,
     classify,
+    complete_edges,
     detect_ko,
     epsilon_factor,
     realize,
@@ -328,6 +330,55 @@ def test_realize_closes_the_edge_orbits_once(monkeypatch):
     assert calls == [diag]
     assert validate(diag).ok and len(calls) == 2  # validate still closes them itself
     assert np.array_equal(t.D, realize(diag).D)
+
+
+def test_complete_edges_names_a_malformed_edge():
+    """An op cut short and an edge to a vertex that is not there: validate reports each as a failed line, and
+    complete_edges raises DiagramError naming the edge and the condition, not a numpy or dict error."""
+    diag = random_diagram(rng_from_seed(3), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+    e, stray = diag.edges[0], (9, 1, 9)
+    with_edges = lambda edges: KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim, edges)
+    cases = (
+        (with_edges([Edge(e.src, e.dst, e.kind, e.op[:, :-1])] + diag.edges[1:]), f"edge {e.src}->{e.dst} op shape",
+         f"edge {e.src}->{e.dst}: op shape {e.op[:, :-1].shape}, not {e.op.shape}"),
+        (with_edges(diag.edges + [Edge(e.src, stray, e.kind, e.op)]), f"edge {e.src}->{stray} endpoints exist",
+         f"edge {e.src}->{stray}: endpoint {stray} is not a vertex"),
+    )
+    for g, line, message in cases:
+        assert line in [c.name for c in validate(g).failures()]
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            complete_edges(g)
+
+
+def test_classify_names_the_fiber_of_a_basis_failure():
+    """A grading flipped on one diagonal vertex leaves its fiber without the s = -1 eigenspace that the
+    d = 6 normal form pairs; classify's step 3 names that fiber."""
+    t = realize(random_diagram(rng_from_seed(0), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True))
+    block = next(b for b in t.layout.blocks if b.vid[0] == b.vid[2])
+    gamma = t.gamma.copy()
+    gamma[block.sl, block.sl] *= -1
+    i = block.vid[0]
+    with pytest.raises(ClassificationError, match=re.escape(
+            f"at step 'grading split': fiber ({i},{i}): s=-1 eigenspace has dim 0, fiber size 2")):
+        classify(RealSpectralTriple(t.profile, t.ko, t.layout, t.D, t.K, gamma))
+
+
+def test_verify_axioms_peak_memory_is_a_few_dense_matrices():
+    """One verify_axioms call on a realized d = 6 triple of n = 288 (eight vertices over one lattice point of
+    M_6 + M_3, the shape of the d = 6 lift target) allocates at most 8 complex n x n matrices at its peak,
+    so no reader holds a stack of dense frames."""
+    diag = random_diagram(rng_from_seed(24), 6, AlgebraProfile((6, 3)), max_fiber=0, edge_prob=0.5,
+                          requirements=[(1, 1, 1)] * 4, ensure_edge=True)
+    t = realize(diag)
+    assert t.dim == 288
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_axioms(t).ok
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * t.dim ** 2 * 16
 
 
 @pytest.mark.parametrize("d", ALL_D)

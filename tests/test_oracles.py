@@ -39,9 +39,12 @@ from finspec.krajewski import (
     RealSpectralTriple,
     _extract_middle_map,
     _factor_residual,
+    _monomial_brackets,
     _products_with,
     _splitting_residual,
+    _unit_frames,
     _validate,
+    _worst_bracket,
     classify,
     detect_ko,
     extract_edges,
@@ -965,6 +968,30 @@ def test_axioms_gathers_match_dense_oracles(d):
         dense += not monomial
         gathered += monomial
     assert gathered == (16 if d % 2 else 24) and dense >= 1 and (graded >= 1 and permuted >= 1 or d % 2)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_monomial_brackets_match_the_dense_reader_unit_by_unit(d):
+    """The commutant brackets read off the m entries of each X_a = K^dagger pi(a) K, against _worst_bracket and
+    the oracle's row-by-row reader of the dense X_a, for every unit a: residuals within 1e-12 relative and the same witness, or both rounding of
+    an exact zero.  Realized triples read exactly 0.0 for every unit; K times a phased permutation with
+    complex phases does not."""
+    phased = 0
+    for t, monomial, valid in _gather_forms(d):
+        if not monomial:
+            continue
+        frames, (perm, phase), Kh = _unit_frames(t.layout), _products_with(t.K)[0], t.K.conj().T
+        read = _monomial_brackets(perm, phase, frames)
+        for reader in (_worst_bracket, oracles.worst_bracket_rows):
+            dense = [reader(Kh[:, L[x]] @ t.K[L[y]], frames)
+                     for _i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]
+            assert len(read) == len(dense) == sum(t.profile.dim(i) ** 2 for i, _L, _labels in frames)
+            for (res, q), (res0, q0) in zip(read, dense):  # X_a has entries of modulus 1: below 1e-12, rounding of 0
+                assert abs(res - res0) <= 1e-12 * res0 and q == q0 if res0 > 1e-12 else res <= 1e-12, (res, q, res0, q0)
+        if valid:
+            assert all(res == 0.0 for res, _q in read)
+        phased += max(res for res, _q in read) > 1e-12
+    assert phased >= 2
 
 
 def test_J_products_read_a_newly_assigned_K():
