@@ -241,8 +241,11 @@ def _orbit_vertices(ko, orbits):
 
 
 def _vdim(profile, vid):
-    i, _p, j = vid
-    return profile.dim(i), profile.dim(j)
+    return profile.dims[vid[0] - 1], profile.dims[vid[2] - 1]
+
+
+def _norms(X):  # np.linalg.norm(X, axis=(1, 2)) of a stack of matrices: its sum, in its order, without its dispatch
+    return np.sqrt(np.add.reduce((X.conj() * X).real, axis=(1, 2)))
 
 
 def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op, sign) -> np.ndarray:
@@ -250,17 +253,18 @@ def _jim_op(diag: KrajewskiDiagram, e_src, e_dst, op, sign) -> np.ndarray:
 
     Jhat transposes the row-major legs of each side (VertexLayout.legs).  op may be a stack of ops of e's dims.
     """
-    swap = lambda n_i, n_j: np.arange(n_i * n_j).reshape(n_i, n_j).T.ravel()  # Jhat on the legs of one block
-    return sign * np.conj(op)[..., swap(*_vdim(diag.profile, e_dst))[:, None], swap(*_vdim(diag.profile, e_src))]
+    (n_i1, n_j1), (n_i2, n_j2), stack = _vdim(diag.profile, e_src), _vdim(diag.profile, e_dst), op.shape[:-2]
+    legs = np.conj(op).reshape(stack + (n_i2, n_j2, n_i1, n_j1)).swapaxes(-4, -3).swapaxes(-2, -1)
+    return sign * legs.reshape(op.shape)
 
 
 def _edge_groups(diag, ks):
     """[(dims, kind, indices, stacked ops)] of the edges ks, one per (dims, kind), dims = (n_i1, n_j1, n_i2, n_j2)."""
-    dims, groups = {v: _vdim(diag.profile, v) for v in diag.vertices}, {}
+    edges, dims, groups = diag.edges, {v: _vdim(diag.profile, v) for v in diag.vertices}, {}
     for k in ks:
-        e = diag.edges[k]
-        groups.setdefault((*dims[e.src], *dims[e.dst], e.kind), []).append(k)
-    return [(key[:4], key[4], ks, np.array([diag.edges[k].op for k in ks])) for key, ks in groups.items()]
+        e = edges[k]
+        groups.setdefault((dims[e.src], dims[e.dst], e.kind), []).append(k)
+    return [(src + dst, kind, ks, np.array([edges[k].op for k in ks])) for (src, dst, kind), ks in groups.items()]
 
 
 def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
@@ -271,9 +275,9 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     (key, origin, residual, bound).  Result maps (src, dst) to op.
 
     The diagram must pass validate's other lines; an edge whose endpoint is not a vertex, or whose op is not
-    shaped for its endpoints, raises DiagramError naming it.  The walk moves labels (edge, image, 'a'djoint and 'j'im
-    steps); each op is a row of a stacked image of an _edge_groups group, and duplicates of another image
-    or edge are measured in one stacked difference per shape.
+    shaped for its endpoints, raises DiagramError naming it.  The walk moves labels 8 edge + image; each op is a row
+    of an image of an _edge_groups group, formed once: X, X^dagger, J = jim(X), J^dagger (1, 2, 3) and jim(J^dagger)
+    (5: image 1 reached through jim, its +-1 sign applied twice).  Duplicates are measured in one difference per shape.
     """
     length = {v: math.prod(_vdim(diag.profile, v)) for v in diag.vertices}
     for e in diag.edges:  # validate's edge lines that the walk needs, raised rather than left to numpy or a dict
@@ -281,45 +285,42 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
             raise DiagramError(f"edge {e.src}->{e.dst}: endpoint {e.dst if e.src in length else e.src} is not a vertex")
         if e.op.shape != (length[e.dst], length[e.src]):
             raise DiagramError(f"edge {e.src}->{e.dst}: op shape {e.op.shape}, not {(length[e.dst], length[e.src])}")
-    edges, jim, groups = diag.edges, diag.jim, _edge_groups(diag, range(len(diag.edges)))
-    at = {k: (g, r) for g, (_dims, _kind, ks, _ops) in enumerate(groups) for r, k in enumerate(ks)}
-    eps = {v: epsilon_factor(diag.vertex(v), diag.d) for v in diag.vertices}
-    stored, dups = {}, []
-    pending = [((e.src, e.dst), k, 0, "", None) for k, e in enumerate(edges)]  # image bits: 1 adjoint, 2 jim
+    edges, jim, stored, dups = diag.edges, diag.jim, {}, []
+    pending = [((e.src, e.dst), 8 * k, "given", None) for k, e in enumerate(edges)]  # label 8 edge + image
     while pending:
-        key, k, img, steps, origin = pending.pop()
+        key, label, step, parent = pending.pop()
         if key in stored:
-            if stored[key][:2] != (k, img):
-                dups.append((key, origin, stored[key], (k, img, steps)))
+            if (stored[key] ^ label) & ~4:  # not the same edge and image bits
+                dups.append((key, step, parent, stored[key], label))
             continue
-        stored[key], (src, dst) = (k, img, steps), key
-        pending.append(((dst, src), k, img ^ 1, steps + "a", ("adjoint", key)))
+        stored[key], (src, dst) = label, key
+        pending.append(((dst, src), label & ~7 | (label & 3 ^ 1), "adjoint", key))
         if src in jim and dst in jim:
-            pending.append(((jim[src], jim[dst]), k, img ^ 2, steps + "j", ("jim", key)))
+            pending.append(((jim[src], jim[dst]), label & ~7 | (5 if label & 7 == 3 else label & 3 ^ 2), "jim", key))
 
-    stacks = {}  # (group, steps) -> (its ops after the steps, the key of its first edge then)
+    groups, eps = _edge_groups(diag, range(len(edges))), {v: epsilon_factor(x, diag.d) for v, x in diag.vertices.items()}
+    at, images, J = {k: (g, r) for g, (_d, _kind, ks, _X) in enumerate(groups) for r, k in enumerate(ks)}, {}, (None,)
+    for g, img in sorted({(at[label >> 3][0], label & 7) for label in [*stored.values(), *(dup[4] for dup in dups)]}):
+        ks, X = groups[g][2:]
+        if img > 1 and J[0] != g:  # the jim images of a group come together, so _jim_op runs once for them
+            s = np.array([diag.ko.eps_p * eps[edges[k].src] * eps[edges[k].dst] for k in ks], complex)[:, None, None]
+            J = g, _jim_op(diag, edges[ks[0]].src, edges[ks[0]].dst, X, s)  # s is +-1 + 0j, as numpy casts an int
+        images[g, img] = X if img == 0 else J[1] if img == 2 else (
+            X.conj() if img == 1 else J[1].conj() if img == 3 else s * (s * X.conj())).swapaxes(1, 2)
 
-    def image(g, steps):  # memoized per prefix of the steps, with no reference cycle to keep the stacks alive
-        X, src, dst = groups[g][3], edges[groups[g][2][0]].src, edges[groups[g][2][0]].dst
-        for n, step in enumerate(steps, 1):
-            if (g, steps[:n]) not in stacks:
-                sign = diag.ko.eps_p * np.array([eps[edges[k].src] * eps[edges[k].dst] for k in groups[g][2]])
-                stacks[g, steps[:n]] = ((X.conj().swapaxes(1, 2), (dst, src)) if step == "a" else
-                                        (_jim_op(diag, src, dst, X, sign[:, None, None]), (jim[src], jim[dst])))
-            X, (src, dst) = stacks[g, steps[:n]]
-        return X
+    def op_of(label):  # a row of the image stack of the label's group
+        return images[at[label >> 3][0], label & 7][at[label >> 3][1]]
 
-    op = lambda label: image(at[label[0]][0], label[2])[at[label[0]][1]]
-    shapes, res, bound = {}, np.zeros(len(dups)), np.zeros(len(dups))
+    by_shape, found = {}, []  # shape -> the duplicates of its keys; (duplicate, residual, bound) of each conflict
     for n, dup in enumerate(dups):
-        shapes.setdefault(op(dup[2]).shape, []).append(n)
-    for ns in shapes.values():
-        olds = np.array([op(dups[n][2]) for n in ns])
-        res[ns] = np.linalg.norm(olds - np.array([op(dups[n][3]) for n in ns]), axis=(1, 2))
-        bound[ns] = tol * np.linalg.norm(olds, axis=(1, 2))
-    conflicts = [(key, "given" if o is None else f"{o[0]} of ({o[1][0]}->{o[1][1]})", float(r), float(b))
-                 for (key, o, _old, _new), r, b in zip(dups, res, bound) if r > b]
-    return {key: op(label) for key, label in stored.items()}, conflicts
+        by_shape.setdefault(op_of(dup[3]).shape, []).append(n)
+    for ns in by_shape.values():  # one stack of the old ops and one of the new, summed as np.linalg.norm sums
+        olds = np.array([op_of(dups[n][3]) for n in ns])
+        res, sizes = _norms(olds - np.array([op_of(dups[n][4]) for n in ns])).tolist(), _norms(olds).tolist()
+        found += [(n, r, tol * b) for n, b, r in zip(ns, sizes, res) if r > tol * b]
+    origin = lambda step, parent: step if parent is None else f"{step} of ({parent[0]}->{parent[1]})"
+    conflicts = [(dups[n][0], origin(*dups[n][1:3]), r, b) for n, r, b in sorted(found)]
+    return {key: op_of(label) for key, label in stored.items()}, conflicts
 
 
 def _factor_residual(op, kind, dims):
@@ -327,24 +328,22 @@ def _factor_residual(op, kind, dims):
 
     The first-order condition leaves exactly 1 (x) D_R across rho, D_L (x) 1
     across lambda, and D_L (x) 1 + 1 (x) D_R when both coordinates match.
-    The kind must be one _edge_kind allows, so the dims it shares agree.
+    The kind must be one _edge_kind allows, so the dims it shares agree.  D_L (x) 1, with D_L = tr_rho / n_j, comes
+    off where the rho legs agree; then 1 (x) D_R, with D_R = tr_lambda / n_i of what is left, where the lambda legs
+    agree (the two projections commute).  Where the identity factor acts on a leg of size 1, every finite op factors.
     """
     n_i1, n_j1, n_i2, n_j2 = dims
-    blk = op.reshape(op.shape[:-2] + (n_i2, n_j2, n_i1, n_j1))
-    kron = lambda A, B: A[..., :, None, :, None] * B[..., None, :, None, :]  # the Kronecker product A (x) B on the legs of blk
-    trace = lambda X, a=-2, b=-1: np.trace(X, axis1=a, axis2=b)[..., None, None]
-    off = lambda proj: np.linalg.norm((blk - proj).reshape(op.shape), axis=(-2, -1))
-    if kind == "right":
-        return off(kron(np.eye(n_i1), trace(blk, -4, -2)[..., 0, 0] / n_i1))
-    if kind == "left":
-        return off(kron(trace(blk, -3, -1)[..., 0, 0] / n_j1, np.eye(n_j1)))
-    n, m = n_i1, n_j1
-    left = trace(blk, -3, -1)[..., 0, 0] / m
-    right = trace(blk, -4, -2)[..., 0, 0] / n
-    scalar = trace(op)[..., None, None] / (n * m)
-    left0 = left - trace(left) / n * np.eye(n)
-    right0 = right - trace(right) / m * np.eye(m)
-    return off(kron(left0, np.eye(m)) + kron(np.eye(n), right0) + scalar * kron(np.eye(n), np.eye(m)))
+    if (n_i1 == 1 and kind != "left") or (n_j1 == 1 and kind != "right"):
+        return np.zeros(op.shape[:-2])
+    off = op.reshape(op.shape[:-2] + (n_i2, n_j2, n_i1, n_j1)).copy()
+    if kind != "right":
+        rho = np.einsum("...ayby->...ayb", off)  # a view of the entries of off where the rho legs agree
+        rho -= off.trace(axis1=-3, axis2=-1)[..., None, :] / n_j1
+    if kind != "left":
+        lam = np.einsum("...xaxb->...xab", off)
+        lam -= off.trace(axis1=-4, axis2=-2)[..., None, :, :] / n_i1
+    off = off.reshape(op.shape[:-2] + (-1,)).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", off, off))
 
 
 def _edge_kind(src, dst):
@@ -410,18 +409,19 @@ def _validate(diag, tol):
     if not jim_ok:
         return rep, None
 
-    for vid in diag.sorted_vids():
-        w = diag.jim[vid]
-        rep.add_bool(f"jim involutive at {vid}", diag.jim[w] == vid)
+    vertices, jim, names = diag.vertices, diag.jim, {v: str(v) for v in vids}  # str(v) is the f-string's text
+    for vid in sorted(vertices):
+        w, name = jim[vid], names[vid]
+        rep.add_bool(f"jim involutive at {name}", jim[w] == vid)
         i, _p, j = vid
-        rep.add_bool(f"lambda o jim = rho at {vid}", (w[0], w[2]) == (j, i))
+        rep.add_bool(f"lambda o jim = rho at {name}", (w[0], w[2]) == (j, i))
         if i == j and not paired:
-            rep.add_bool(f"jim fixes diagonal vertex {vid} (d={d})", w == vid)
-        v, vw = diag.vertex(vid), diag.vertex(w)
+            rep.add_bool(f"jim fixes diagonal vertex {name} (d={d})", w == vid)
+        v, vw = vertices[vid], vertices[w]
         if ko.even and v.s in (-1, 1) and vw.s in (-1, 1):
-            rep.add_bool(f"s(jim(v)) = eps'' s(v) at {vid}", vw.s == ko.eps_pp * v.s)
+            rep.add_bool(f"s(jim(v)) = eps'' s(v) at {name}", vw.s == ko.eps_pp * v.s)
         if v.chi in (0, 1) and vw.chi in (0, 1):
-            rep.add_bool(f"chi(jim(v)) = 1 - chi(v) at {vid}", vw.chi == 1 - v.chi)
+            rep.add_bool(f"chi(jim(v)) = 1 - chi(v) at {name}", vw.chi == 1 - v.chi)
 
     for (i, j), fiber in sorted(diag.fibers().items()):
         if i == j and paired:
@@ -432,18 +432,16 @@ def _validate(diag, tol):
         if i not in represented:
             rep.warn(f"block {i} is not represented (non-faithful layout)")
 
-    length = {v: math.prod(_vdim(diag.profile, v)) for v in vids}
-    names, grading = {v: str(v) for v in vids}, {v: diag.vertices[v].s for v in vids}  # str(v) is the f-string's text
+    length, grading = {v: math.prod(_vdim(diag.profile, v)) for v in vids}, {v: vertices[v].s for v in vids}
     # per edge, once: None if an endpoint is missing, else whether its op has their shape and the kind forced
     verdicts = [None if e.src not in vids or e.dst not in vids else
                 (e.op.shape == (length[e.dst], length[e.src]), _edge_kind(e.src, e.dst)) for e in diag.edges]
     factor = {}  # edge -> (norm, factor residual), stacked per group of the edges that get a factor line
     for dim, kind, ks, ops in _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
                                                   if v and v[0] and v[1] in ("general", e.kind)]):
-        factor.update(zip(ks, zip(np.linalg.norm(ops, axis=(1, 2)), _factor_residual(ops, kind, dim))))
+        factor.update(zip(ks, zip(_norms(ops).tolist(), _factor_residual(ops, kind, dim).tolist())))
     sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
-    largest = max(sizes, default=0.0)
-    seen_pairs = set()
+    nonzero, seen_pairs = tol * max(sizes, default=0.0), set()
     for k, (e, size, verdict) in enumerate(zip(diag.edges, sizes, verdicts)):
         if verdict is None:
             rep.add_bool(f"edge {e.src}->{e.dst} endpoints exist", False)
@@ -455,7 +453,7 @@ def _validate(diag, tol):
         if not shaped:
             rep.add_bool(f"{tag} op shape", False)
             continue
-        rep.add_bool(f"{tag} op nonzero", size > tol * largest)
+        rep.add_bool(f"{tag} op nonzero", size > nonzero)
         if forced is None:
             rep.add_bool(f"{tag} shares a row or column of the lattice", False)
             continue

@@ -332,6 +332,27 @@ def test_realize_closes_the_edge_orbits_once(monkeypatch):
     assert np.array_equal(t.D, realize(diag).D)
 
 
+@pytest.mark.parametrize("d", ALL_D)
+def test_complete_edges_forms_the_jim_images_once_per_group(d, monkeypatch):
+    """complete_edges forms the jim images of an _edge_groups group in one _jim_op call on its whole stack, at most
+    once per group and call, not one image per label."""
+    calls, real = [], krajewski._jim_op
+
+    def spy(diag, src, dst, op, sign):
+        calls.append((src, dst, len(op)))
+        return real(diag, src, dst, op, sign)
+
+    monkeypatch.setattr(krajewski, "_jim_op", spy)
+    rng = rng_from_seed(4400 + d)
+    for _ in range(3):
+        diag = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        groups = {(diag.edges[ks[0]].src, diag.edges[ks[0]].dst, len(ks))
+                  for _dims, _kind, ks, _ops in krajewski._edge_groups(diag, range(len(diag.edges)))}
+        calls.clear()
+        complete_edges(diag)
+        assert bool(calls) == bool(diag.edges) and len(set(calls)) == len(calls) and set(calls) <= groups
+
+
 def test_complete_edges_names_a_malformed_edge():
     """An op cut short and an edge to a vertex that is not there: validate reports each as a failed line, and
     complete_edges raises DiagramError naming the edge and the condition, not a numpy or dict error."""

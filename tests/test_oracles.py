@@ -923,6 +923,63 @@ def test_validate_matches_per_edge_oracle(d):
     assert closures >= 8 and conflicts >= 1
 
 
+def _same_validation(g, tol=1e-10):
+    """validate and the per-edge oracle give g the same lines, and the same closure bit for bit; its report."""
+    (rep, closed), (ref, closed0) = _validate(g, tol), oracles.validate_per_edge(g, tol)
+    _same_lines(rep, ref)
+    assert (closed is None) == (closed0 is None)
+    if closed is not None:
+        assert list(closed) == list(closed0)
+        assert all(closed[k].tobytes() == closed0[k].tobytes() for k in closed0)
+    return rep
+
+
+# seeds of normalized_setup whose target profiles mix block sizes: (5, 1), (2, 6), (4, 6)
+_LIFT_SIDE_SEEDS = {0: (32, 58, 292), 1: (59, 66, 246), 2: (39, 76, 82), 6: (39, 76, 82), 7: (3, 59, 66)}
+
+
+@pytest.mark.parametrize("d", sorted(_LIFT_SIDE_SEEDS))
+def test_validate_matches_per_edge_oracle_on_lift_sides(d):
+    """Targets and inherited sources of normalized lifts, over profiles with blocks of mixed sizes: the lines
+    and the closure of the per-edge oracle."""
+    profiles = set()
+    for seed in _LIFT_SIDE_SEEDS[d]:
+        norm = normalized_setup(rng_from_seed(seed), d)[0]
+        for g in (norm.target, norm.source):
+            assert _same_validation(g).ok
+            profiles.add(g.profile.dims)
+    assert any(len(set(dims)) > 1 for dims in profiles)
+
+
+def _derived_variants(diag):
+    """diag with the supplied ebar, or jim(e), of its first edge e scaled by 1 + 1e-3 or turned by a phase 1e-3:
+    the defect sits on an edge that may be the root of its orbit, or on an image of one."""
+    if not diag.edges:
+        return []
+    e, index, out = diag.edges[0], {(f.src, f.dst): k for k, f in enumerate(diag.edges)}, []
+    for key in ((e.dst, e.src), (diag.jim[e.src], diag.jim[e.dst])):
+        for c in ((1 + 1e-3, np.exp(1e-3j)) if key in index else ()):
+            edges = list(diag.edges)
+            f = edges[index[key]]
+            edges[index[key]] = Edge(f.src, f.dst, f.kind, c * f.op)
+            out.append(KrajewskiDiagram(diag.profile, diag.ko, diag.vertices, diag.jim, edges))
+    return out
+
+
+def test_orbit_conflicts_between_images_match_the_oracle():
+    """A defect on ebar or jim(e) rather than on e, in d = 0..7: the conflicts are measured between other pairs
+    of images, found at a given edge, an adjoint step and a jim step, and their lines (named with their origin),
+    order and verdicts are the per-edge oracle's."""
+    origins = set()
+    for d in range(8):
+        rng = rng_from_seed(5200 + d)
+        diags = [random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True) for _ in range(3)]
+        for v in [v for g in diags + [classify(realize(g))[0] for g in diags] for v in _derived_variants(g)]:
+            origins |= {re.search(r"\[(\w+)", c.name)[1] for c in _same_validation(v).failures()
+                        if "orbit consistency" in c.name}
+    assert origins == {"given", "adjoint", "jim"}
+
+
 def _gather_forms(d):
     """(t, whether K is monomial, whether t is a triple of d) for realized triples of minimal, random and
     classified diagrams; each with K, and in even d each with gamma, times a random phased permutation
