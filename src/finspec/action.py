@@ -280,14 +280,6 @@ def fermionic_pairing(t: RealSpectralTriple, omega: UniversalOneForm, psi, psi_p
     return _pairing(t, fluctuate(t, omega, tol), psi, psi_p)
 
 
-def fermionic_symmetry_defect(t, omega, psi, psi_p, tol: float = DEFAULT_TOL):
-    """(|A(psi,psi') - A(psi',psi)|, |A(psi,psi') + A(psi',psi)|) for the form A."""
-    psi, psi_p = _even(t, psi, "psi", tol), _even(t, psi_p, "psi'", tol)
-    D = fluctuate(t, omega, tol)
-    a, b = _pairing(t, D, psi, psi_p), _pairing(t, D, psi_p, psi)
-    return abs(a - b), abs(a + b)
-
-
 def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralTriple,
                     omega_A: UniversalOneForm, omega_B: UniversalOneForm,
                     f: CutoffFunction, Lambda: float, cfgs=None, fermions=None,

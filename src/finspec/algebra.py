@@ -5,9 +5,9 @@ through vertex-block layouts: the Hilbert space is an ordered direct sum of
 irreducible pieces C^{n_i} (x) C^{n_j o}, one per vertex, stored row-major,
 so the left action of a is kron(a_i, 1) and the right action of b is
 kron(1, b_j^T) on each block (b o xi o := (xi^T b)^T on the opposite factor).
-VertexLayout.legs holds the indices of each block; operators that are scalar,
-or the leg swap Jhat (its transpose), on each vertex block (the real
-structure, the grading, fiber basis changes) come from VertexLayout.place.
+VertexLayout.legs and unit_maps hold the indices of each vertex and algebra block, built once per
+layout as read-only arrays; operators that are scalar, or the leg swap Jhat (its transpose), on each
+vertex block (the real structure, the grading, fiber basis changes) come from VertexLayout.place.
 """
 
 from __future__ import annotations
@@ -193,6 +193,11 @@ class VertexLayout:
         self._by_vid = {b.vid: b for b in self.blocks}
         if len(self._by_vid) != len(self.blocks):
             raise ValueError("duplicate vertex ids in layout")
+        self._legs = {b.vid: np.arange(b.offset, b.offset + b.length).reshape(b.n_i, b.n_j) for b in self.blocks}
+        self._units = {i: np.hstack([np.zeros((n, 0), int)] + [self._legs[b.vid] for b in self.blocks if b.i == i])
+                       for i, n in enumerate(profile.dims, start=1)}
+        for table in [*self._legs.values(), *self._units.values()]:  # each call returns the same array: none is written
+            table.flags.writeable = False
 
     def block(self, vid) -> LayoutBlock:
         return self._by_vid[vid]
@@ -202,9 +207,8 @@ class VertexLayout:
         return tuple(b.vid for b in self.blocks)
 
     def legs(self, vid) -> np.ndarray:
-        """Flat indices of block vid as an n_i x n_j array, [x, y] for e_x (x) e_y o; its transpose is Jhat."""
-        b = self._by_vid[vid]
-        return np.arange(b.offset, b.offset + b.length).reshape(b.n_i, b.n_j)
+        """Flat indices of block vid as a read-only n_i x n_j array, [x, y] for e_x (x) e_y o; its transpose is Jhat."""
+        return self._legs[vid]
 
     def index(self, vid, x: int, y: int) -> int:
         """Flat index of basis vector e_x (x) e_y o inside block vid (x, y from 0)."""
@@ -223,10 +227,9 @@ class VertexLayout:
     def unit_maps(self, i: int) -> np.ndarray:
         """Index map L of block i, one row per leg: pi(E^i_xy) = sum_z e_{L[x, z]} e_{L[y, z]}^T.
 
-        pi(E^i_xy) is the partial permutation L[y] -> L[x], and pi(1_i) the mask on L.ravel().
+        pi(E^i_xy) is the partial permutation L[y] -> L[x], and pi(1_i) the mask on L.ravel().  Read-only.
         """
-        legs = [self.legs(b.vid) for b in self.blocks if b.i == i]
-        return np.concatenate([np.zeros((self.profile.dim(i), 0), dtype=int)] + legs, axis=1)
+        return self._units[i]
 
     def sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
         """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built.
@@ -238,7 +241,7 @@ class VertexLayout:
         out = np.zeros(X.shape, dtype=complex)
         if not pairs:
             return out
-        legs = [(i, L) for i in range(1, self.profile.r + 1) if (L := self.unit_maps(i)).size]
+        legs = [(i, L) for i, L in self._units.items() if L.size]
         for i, Li in legs:
             A = np.stack([a.block(i) for a, _b in pairs])
             for k, Lk in legs:

@@ -275,9 +275,7 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
     (key, origin, residual, bound).  Result maps (src, dst) to op.
 
     The diagram must pass validate's other lines; an edge whose endpoint is not a vertex, or whose op is not
-    shaped for its endpoints, raises DiagramError naming it.  The walk moves labels 8 edge + image; each op is a row
-    of an image of an _edge_groups group, formed once: X, X^dagger, J = jim(X), J^dagger (1, 2, 3) and jim(J^dagger)
-    (5: image 1 reached through jim, its +-1 sign applied twice).  Duplicates are measured in one difference per shape.
+    shaped for its endpoints, raises DiagramError naming it.
     """
     length = {v: math.prod(_vdim(diag.profile, v)) for v in diag.vertices}
     for e in diag.edges:  # validate's edge lines that the walk needs, raised rather than left to numpy or a dict
@@ -285,6 +283,13 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
             raise DiagramError(f"edge {e.src}->{e.dst}: endpoint {e.dst if e.src in length else e.src} is not a vertex")
         if e.op.shape != (length[e.dst], length[e.src]):
             raise DiagramError(f"edge {e.src}->{e.dst}: op shape {e.op.shape}, not {(length[e.dst], length[e.src])}")
+    return _close(diag, _edge_groups(diag, range(len(diag.edges))), tol)
+
+
+def _close(diag, groups, tol):
+    """complete_edges' walk on the _edge_groups groups of all edges, in edge order: it moves labels 8 edge + image,
+    each op a row of a group's image, formed once: X, X^dagger, J = jim(X), J^dagger (1, 2, 3) and jim(J^dagger) (5:
+    image 1 reached through jim, its +-1 sign applied twice).  Duplicates are measured in one difference per shape."""
     edges, jim, stored, dups = diag.edges, diag.jim, {}, []
     pending = [((e.src, e.dst), 8 * k, "given", None) for k, e in enumerate(edges)]  # label 8 edge + image
     while pending:
@@ -298,7 +303,7 @@ def complete_edges(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL):
         if src in jim and dst in jim:
             pending.append(((jim[src], jim[dst]), label & ~7 | (5 if label & 7 == 3 else label & 3 ^ 2), "jim", key))
 
-    groups, eps = _edge_groups(diag, range(len(edges))), {v: epsilon_factor(x, diag.d) for v, x in diag.vertices.items()}
+    eps = {v: epsilon_factor(x, diag.d) for v, x in diag.vertices.items()}
     at, images, J = {k: (g, r) for g, (_d, _kind, ks, _X) in enumerate(groups) for r, k in enumerate(ks)}, {}, (None,)
     for g, img in sorted({(at[label >> 3][0], label & 7) for label in [*stored.values(), *(dup[4] for dup in dups)]}):
         ks, X = groups[g][2:]
@@ -377,7 +382,7 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
 
 
 def _validate(diag, tol):
-    """validate's report, and the orbit closure of complete_edges it ends with (None if not reached)."""
+    """validate's report, and the orbit closure it ends with (None if not reached), walked on its factor groups."""
     rep = Report("diagram validation")
     d, ko = diag.d, diag.ko
     r = diag.profile.r
@@ -436,9 +441,9 @@ def _validate(diag, tol):
     # per edge, once: None if an endpoint is missing, else whether its op has their shape and the kind forced
     verdicts = [None if e.src not in vids or e.dst not in vids else
                 (e.op.shape == (length[e.dst], length[e.src]), _edge_kind(e.src, e.dst)) for e in diag.edges]
-    factor = {}  # edge -> (norm, factor residual), stacked per group of the edges that get a factor line
-    for dim, kind, ks, ops in _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
-                                                  if v and v[0] and v[1] in ("general", e.kind)]):
+    factor, groups = {}, _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
+                                              if v and v[0] and v[1] in ("general", e.kind)])
+    for dim, kind, ks, ops in groups:  # edge -> (norm, factor residual), stacked per group of the factor-line edges
         factor.update(zip(ks, zip(_norms(ops).tolist(), _factor_residual(ops, kind, dim).tolist())))
     sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
     nonzero, seen_pairs = tol * max(sizes, default=0.0), set()
@@ -466,8 +471,8 @@ def _validate(diag, tol):
             rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
 
     closed = None
-    if rep.ok:
-        closed, conflicts = complete_edges(diag, tol)
+    if rep.ok:  # then every edge has its factor line, so groups are complete_edges' groups of all edges
+        closed, conflicts = _close(diag, groups, tol)
         for (src, dst), origin, res, bound in conflicts:
             rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, bound)
     return rep, closed

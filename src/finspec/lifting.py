@@ -383,7 +383,7 @@ def diagonalize_bases(lift: DiagramLift, tol: float = DEFAULT_TOL) -> DiagramLif
         for (w, shape), col in zip(blocks, cols):
             new_u.update({(v, w): r.reshape(shape) for v, r in zip(fiber, col) if r.any()})
         rows.update({v: (fiber, rot[key][p]) for p, v in enumerate(fiber)})
-    tA = realize(src)
+    tA = realize(src, tol)
     Q = _basis_change(tA.layout, rows)
     new_source = _source_with_dirac(lift, _pullback(Q, tA.D), frob(tA.D), tol, "rotated source diagram fails validation")
 

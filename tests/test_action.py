@@ -16,7 +16,6 @@ from finspec.action import (
     bosonic_lagrangian,
     compare_actions,
     fermionic_pairing,
-    fermionic_symmetry_defect,
     spectral_action,
 )
 from finspec.catalog import minimal_diagram
@@ -253,14 +252,6 @@ def test_fermionic_pairing_even_subspace_required():
     fermionic_pairing(t, zero, nearly, nearly, tol=1e-9)
     with pytest.raises(ValueError, match="even subspace"):
         fermionic_pairing(t, zero, nearly, nearly, tol=1e-12)
-
-
-def test_fermionic_symmetry_defect_reports():
-    t = realize(minimal_diagram(6, 1.0))
-    zero = UniversalOneForm.zero(t.profile)
-    psi = np.array([1.0, 0.0], dtype=complex)
-    anti, sym = fermionic_symmetry_defect(t, zero, psi, psi)
-    assert anti == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("d", [0, 2, 6])

@@ -115,6 +115,31 @@ def _single_vertex_layout(prof, i=1, j=1):
     return VertexLayout(prof, [(i, 1, j)])
 
 
+def test_layout_tables_are_built_once_and_read_only():
+    """legs(v) and unit_maps(i) return the same read-only array on every call: legs(v)[x, y] = offset + x n_j + y
+    (row-major), and unit_maps(i) the legs of block i's vertices side by side, with no columns where it has none."""
+    prof = AlgebraProfile((2, 1, 3, 2))
+    layout = VertexLayout(prof, [(3, 1, 1), (1, 1, 3), (2, 1, 2), (1, 2, 3), (3, 1, 4)])
+    rows = {}
+    for b in layout.blocks:
+        legs = layout.legs(b.vid)
+        assert legs is layout.legs(b.vid) and not legs.flags.writeable and not legs.T.flags.writeable
+        assert np.array_equal(legs, b.offset + np.arange(b.n_i)[:, None] * b.n_j + np.arange(b.n_j))
+        assert layout.index(b.vid, b.n_i - 1, b.n_j - 1) == b.offset + b.length - 1
+        rows.setdefault(b.i, []).append(legs)
+    for i, n in enumerate(prof.dims, start=1):
+        L = layout.unit_maps(i)
+        assert L is layout.unit_maps(i) and not L.flags.writeable and not L.ravel().flags.writeable
+        assert np.array_equal(L, np.hstack(rows[i]) if i in rows else np.zeros((n, 0), dtype=int))
+    assert layout.unit_maps(4).shape == (2, 0)
+    with pytest.raises(ValueError):
+        layout.legs((1, 1, 3))[0, 0] = 0
+    with pytest.raises(KeyError):  # blocks count from 1: no unit map 0 or r + 1
+        layout.unit_maps(0)
+    with pytest.raises(KeyError):
+        layout.unit_maps(5)
+
+
 def test_right_action_identity_and_scalar():
     prof = AlgebraProfile((1,))
     layout = _single_vertex_layout(prof)

@@ -4,6 +4,7 @@ import io
 import json
 import operator
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_round_trip_byte_stable(full_bundle, tmp_path):
     b2 = load_bundle(path)
     path2 = tmp_path / "again.json"
     save_bundle(b2, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
     # complex entries bit-identical
     for key, lift in b.lifts.items():
         for k, m in lift.u.items():
@@ -341,7 +342,7 @@ def test_cli_compare_without_an_even_source_state_exits_1(tmp_path, capsys):
 
 def _doubled_lift(full_bundle, tmp_path):
     """The fixture bundle with every u entry of lift L doubled; L stays marked normalized."""
-    doc = json.loads(open(full_bundle[1], encoding="utf-8").read())
+    doc = json.loads(Path(full_bundle[1]).read_text(encoding="utf-8"))
     assert doc["lifts"]["L"]["normalized"] is True
     for m in doc["lifts"]["L"]["u"].values():
         m["entries"] = [[2 * re, 2 * im] for re, im in m["entries"]]

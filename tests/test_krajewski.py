@@ -318,18 +318,25 @@ def test_non_unitary_K_fails_its_own_line():
 
 
 def test_realize_closes_the_edge_orbits_once(monkeypatch):
-    calls, real = [], krajewski.complete_edges
+    """realize and validate each group the edges once and close their orbits once, on the groups of the factor lines."""
+    calls = []
 
-    def spy(diag, tol):
-        calls.append(diag)
-        return real(diag, tol)
+    def spy(name):
+        real = getattr(krajewski, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(krajewski, name, counted)
 
     diag = random_diagram(rng_from_seed(43), 6, max_fiber=2, edge_prob=0.7, ensure_edge=True)
-    monkeypatch.setattr(krajewski, "complete_edges", spy)
+    D = realize(diag).D
+    spy("_edge_groups")
+    spy("_close")
     t = realize(diag)
-    assert calls == [diag]
-    assert validate(diag).ok and len(calls) == 2  # validate still closes them itself
-    assert np.array_equal(t.D, realize(diag).D)
+    assert calls == ["_edge_groups", "_close"]
+    assert validate(diag).ok and calls == ["_edge_groups", "_close"] * 2
+    assert np.array_equal(t.D, D)
 
 
 @pytest.mark.parametrize("d", ALL_D)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
 
 from finspec.algebra import AlgebraProfile, frob, matrix_units
 from finspec.bratteli import BratteliArrow, apply_phi
-from finspec.krajewski import KrajewskiDiagram, realize, validate
+from finspec.krajewski import Edge, KrajewskiDiagram, realize, validate
 from finspec.lifting import (
     DiagramLift,
     LiftError,
@@ -254,6 +255,20 @@ def test_source_with_dirac_validates_at_the_caller_tol():
     D[layout.block(w).sl, layout.block(v).sl] *= 1 + 1e-9
     with pytest.raises(LiftError, match=r"pullback Dirac does not validate:(.|\n)*FAIL\] edge orbit consistency"):
         _source_with_dirac(norm, D, frob(tB.D), 1e-10, "pullback Dirac does not validate")
+
+
+def test_diagonalize_bases_realizes_the_source_at_the_caller_tol():
+    """A source edge moved off its factor form by a relative 1e-8 passes validate at tol 1e-6 and fails it at 1e-10.
+
+    diagonalize_bases at tol 1e-6 must accept it; realized at the default tol, the source was refused as invalid.
+    """
+    src, _arrow, _tgt, lift = lift_chain(rng_from_seed(5), 6)
+    e, noise = src.edges[0], random_complex(rng_from_seed(50), src.edges[0].op.shape)
+    op = e.op + 1e-8 * frob(e.op) / frob(noise) * noise
+    off = KrajewskiDiagram(src.profile, src.ko, src.vertices, src.jim, [Edge(e.src, e.dst, e.kind, op)] + src.edges[1:])
+    assert validate(off, 1e-6).ok and not validate(off, 1e-10).ok
+    out = diagonalize_bases(replace(lift, source=off), 1e-6)
+    assert out.kappa is not None and validate(out.source, 1e-6).ok
 
 
 @pytest.mark.parametrize("side", ("source", "target"))
