@@ -106,11 +106,17 @@ class GaugeConfiguration:
                    tol: float = DEFAULT_TOL):
         """B_mu = A_mu - J A_mu J^-1 for A_mu = pi_D(vector form), and Phi = fluctuate(t, higgs_form).
 
-        Each A_mu passes fluctuate's Hermitian check; one is held at a time.
+        Each A_mu passes fluctuate's Hermitian check; one is held at a time, and B_mu is written into the buffer
+        of J A_mu J^-1, so each B_mu costs one n x n array beyond pi_D.  The configuration keeps copies (as_matrix).
         """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
-        Bs = [X - t.conjugate_by_J(X) for X in (_hermitian_representation(w, t, tol) for w in vector_forms)]
+        Bs = []
+        for w in vector_forms:
+            X = _hermitian_representation(w, t, tol)
+            Y = t.conjugate_by_J(X)
+            Bs.append(np.subtract(X, Y, out=Y))  # written into the buffer of J A_mu J^-1
+            del X
         return cls(tuple(Bs), fluctuate(t, higgs_form, tol))
 
 
@@ -241,23 +247,26 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
     When every field is zero on P x P and Q x Q (`_bipartition`, as in even KO-dimension), each product is
     formed as its diagonal blocks X[P, Q] Y[Q, P] and X[Q, P] Y[P, Q], a quarter of the flops at |P| = |Q|.
     Only products of zero blocks are skipped: values and bounds are the dense ones, up to summation order.
+    h and s are read off those blocks too, as sqrt(2) ||X[P, Q] - X[Q, P]^dagger||_F and their hypot.
     """
     B, Phi = cfg.B, cfg.Phi
-    res = cfg.hermiticity_residual()
-    if res > tol * max(1.0, *(frob(X) for X in B + (Phi,))):
+    if (split := _bipartition(B + (Phi,))) is None:
+        *b, phi = [(X,) for X in B + (Phi,)]
+        res, size = cfg.hermiticity_residual(), max(frob(X) for X in B + (Phi,))
+    else:  # X - X^dagger is X[P, Q] - X[Q, P]^dagger on P x Q, and minus its adjoint on Q x P
+        *b, phi = fields = [(X[np.ix_(*split)], X[np.ix_(*split[::-1])]) for X in B + (Phi,)]
+        res = max(math.sqrt(2) * frob(pq - qp.conj().T) for pq, qp in fields)
+        size = max(math.hypot(frob(pq), frob(qp)) for pq, qp in fields)
+    if res > tol * max(1.0, size):
         raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
     f0, f2 = f.f0, f.f2
 
-    split = _bipartition(B + (Phi,))
-    blocks = (lambda X: (X,)) if split is None else (lambda X: (X[np.ix_(*split)], X[np.ix_(*split[::-1])]))
-    phi = blocks(Phi)
     Phi2 = _products(phi, phi)
     trPhi2 = sum(float(np.trace(M).real) for M in Phi2)
     trPhi4 = sum(float(np.sum(M * M.T).real) for M in Phi2)
 
     trF2 = trDPhi2 = 0.0  # no products for B = 0, the configuration compare_actions builds without cfgs
-    if any(b.any() for b in B):  # F_{mu mu} = 0, F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
-        b = [blocks(X) for X in B]
+    if any(x.any() for bx in b for x in bx):  # F_{mu mu} = 0, F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
         trF2 = 2 * sum(_squared_commutator(b[mu], b[nu]) for nu in range(4) for mu in range(nu))
         trDPhi2 = sum(_squared_commutator(x, phi) for x in b)
 

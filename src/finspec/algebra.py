@@ -12,6 +12,7 @@ vertex block (the real structure, the grading, fiber basis changes) come from Ve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,8 @@ class AlgebraElement:
         return all(frob(b.conj().T @ b - np.eye(b.shape[0])) <= tol for b in self.blocks)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(frob(b) ** 2 for b in self.blocks)))
+        """Frobenius norm, from each block's sum of squares."""
+        return math.sqrt(sum(np.vdot(b, b).real for b in self.blocks))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -232,10 +234,14 @@ class VertexLayout:
         return self._units[i]
 
     def sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
-        """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built.
+        """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built (_sandwich on the blocks of each pair)."""
+        return self._sandwich([(a.blocks, b.blocks) for a, b in pairs], X)
 
-        On the legs L_i, L_k of blocks i and k (unit_maps) the sum is one
-        contraction of T_ik = sum a_i (x) b_k with the 4-leg block X[L_i, L_k]:
+    def _sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
+        """sandwich for pairs of block tuples: one gather, one GEMM and one scatter per pair of algebra blocks.
+
+        On the legs L_i, L_k of blocks i and k (unit_maps) the sum is T_ik = sum a_i (x) b_k, laid out as an
+        (n_i n_k) x (n_i n_k) matrix, times the gather X[L_i[x, z], L_k[y, w]] as an (n_i n_k) x (m_i m_k) one:
         O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of block i, for any number of pairs.
         """
         out = np.zeros(X.shape, dtype=complex)
@@ -243,13 +249,13 @@ class VertexLayout:
             return out
         legs = [(i, L) for i, L in self._units.items() if L.size]
         for i, Li in legs:
-            A = np.stack([a.block(i) for a, _b in pairs])
+            A = np.stack([a[i - 1] for a, _b in pairs])
             for k, Lk in legs:
-                B = np.stack([b.block(k) for _a, b in pairs])
-                at = np.ix_(Li.ravel(), Lk.ravel())
-                T = np.einsum("txX,tYy->xXYy", A, B)
-                blk = np.tensordot(T, X[at].reshape(Li.shape + Lk.shape), axes=([1, 2], [0, 2]))
-                out[at] = blk.transpose(0, 2, 1, 3).reshape(Li.size, Lk.size)
+                B = np.stack([b[k - 1] for _a, b in pairs])
+                (n_i, m_i), (n_k, m_k) = Li.shape, Lk.shape
+                at = Li[:, None, :, None], Lk[None, :, None, :]
+                T = np.einsum("txX,tYy->xyXY", A, B).reshape(n_i * n_k, n_i * n_k)
+                out[at] = np.dot(T, X[at].reshape(n_i * n_k, m_i * m_k)).reshape(n_i, n_k, m_i, m_k)
         return out
 
     def pi(self, a: AlgebraElement) -> np.ndarray:

@@ -54,11 +54,16 @@ class BratteliArrow:
 
 
 def apply_phi(arrow: BratteliArrow, a: AlgebraElement) -> AlgebraElement:
-    """The normal-form homomorphism phi(a)."""
+    """The normal-form homomorphism phi(a): one zero block per target block, with a_i written at its slots."""
     if a.profile != arrow.source:
         raise ProfileMismatch("element does not live over the arrow's source")
-    blocks = [sum(phi_component(arrow, k, i, None, a.block(i)) for i in range(1, arrow.source.r + 1))
-              for k in range(1, arrow.target.r + 1)]
+    blocks = [np.zeros((m_k, m_k), dtype=complex) for m_k in arrow.target.dims]
+    for k, out in enumerate(blocks, start=1):
+        for i, a_i in enumerate(a.blocks, start=1):
+            n = len(a_i)
+            for off in range(arrow.band_offset(k, i), arrow.band_offset(k, i + 1), n):  # the alpha_ki slots
+                out[off:off + n, off:off + n] = a_i
+        out += 0.0  # -0.0 entries come out as 0.0, as in a sum of the components
     return AlgebraElement(arrow.target, blocks)
 
 

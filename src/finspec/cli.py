@@ -9,6 +9,7 @@ code: 0 success, 1 validation/check failure, 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -286,8 +287,11 @@ def build_parser():
     return p
 
 
+_parser = functools.cache(build_parser)  # main's parser, built on first use; build_parser() returns a fresh one
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, text, ok = args.fn(load_bundle(args.bundle), args, args.tol)
         if payload is None:

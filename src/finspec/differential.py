@@ -7,9 +7,11 @@ fluctuated Dirac operator is D_omega = D + pi_D(omega) + eps' J pi_D(omega)
 J^-1, and a non-unital homomorphism phi pushes a^0 dU a^1 forward to
 phi(a^0) dU phi(a^1) - phi(a^0 a^1) dU p_phi with p_phi = phi(1).
 
-No dense pi(a) is built: a one-form is one `VertexLayout.sandwich` of D,
-O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of block i, with no n^3 term
-and no dependence on the number of terms.
+No dense pi(a) is built: a one-form is one `VertexLayout.sandwich` of D, one
+GEMM per pair of algebra blocks, O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs
+of block i, with no n^3 term and no dependence on the number of terms.
+`fluctuate` writes D_omega into the buffer of pi_D(omega), so beyond it one
+n x n array (J pi_D(omega) J^-1) is made.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def represent(omega, t: RealSpectralTriple) -> np.ndarray:
     if omega.profile != t.profile:
         raise ProfileMismatch("form and triple live over different profiles")
     one = AlgebraElement.identity(t.profile)
-    d = lambda terms: t.layout.sandwich([p for a0, a1 in terms for p in ((a0, a1), (-1.0 * (a0 @ a1), one))], t.D)
+    d = lambda terms: t.layout._sandwich([p for a0, a1 in terms for p in (  # (-a0 a1, 1) as -1.0 * (a0 @ a1) forms it
+        (a0.blocks, a1.blocks), (tuple(-1.0 * (x @ y) for x, y in zip(a0.blocks, a1.blocks)), one.blocks))], t.D)
     out = d([term for term in omega.terms if len(term) == 2])
     for term in omega.terms:
         if len(term) > 2:
@@ -113,7 +116,9 @@ def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAU
     if not isinstance(omega, UniversalOneForm):
         raise TypeError("gauge potentials are one-forms")
     X = _hermitian_representation(omega, t, tol)
-    return t.D + X + t.ko.eps_p * t.conjugate_by_J(X)
+    Y = t.conjugate_by_J(X)
+    np.multiply(t.ko.eps_p, Y, out=Y)  # the product eps' * Y, which keeps zeros signed as a skip or negation would not
+    return np.add(np.add(t.D, X, out=X), Y, out=X)
 
 
 def gauge_transform(omega: UniversalOneForm, u: AlgebraElement, tol: float = DEFAULT_TOL) -> UniversalOneForm:

@@ -75,6 +75,15 @@ matrix's entries as a list of [re, im] lists, and `matrix_from_json_per_entry`
 checks the entries one at a time before np.array reads them.  The tests ask
 for the writer's bytes, and for the reader's arrays and error messages,
 exactly.
+
+The thirteenth group is field assembly as it was before one GEMM per pair
+of algebra blocks and one buffer per field: `sandwich` with np.tensordot
+and a transposed copy of its product, `represent_elements` with an
+AlgebraElement (-a0 a1) per term, `apply_phi_components` as a sum of
+`phi_component`s, `fluctuate_whole` and `from_forms_whole` as whole-array
+expressions, and `hermiticity_dense`, the dense Hermiticity residual and
+size of `bosonic_lagrangian`'s check.  The tests ask for the same bits, and
+for the same refusals of a non-Hermitian configuration.
 """
 
 import json
@@ -84,8 +93,8 @@ from dataclasses import replace
 import numpy as np
 
 from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing
-from finspec.algebra import DEFAULT_TOL, AlgebraProfile, ProfileMismatch, ShapeMismatch, as_matrix, frob, matrix_units, unit_insert
-from finspec.bratteli import BratteliArrow
+from finspec.algebra import DEFAULT_TOL, AlgebraElement, AlgebraProfile, ProfileMismatch, ShapeMismatch, as_matrix, frob, matrix_units, unit_insert
+from finspec.bratteli import BratteliArrow, phi_component
 from finspec.bundle import _REAL, BundleError, _array, _int, bundle_to_json
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
@@ -1751,3 +1760,75 @@ def matrix_from_json_per_entry(obj, where) -> np.ndarray:
     if m is None or not np.isfinite(m).all():
         raise BundleError(f"{where}: matrix entries must be finite")
     return m
+
+
+# -- field assembly, as before one GEMM per block pair and one buffer per field --
+
+
+def sandwich(layout, pairs, X):
+    """sum over (a, b) in pairs of pi(a) X pi(b): np.tensordot of T_ik with the 4-leg block X[L_i, L_k]."""
+    out = np.zeros(X.shape, dtype=complex)
+    if not pairs:
+        return out
+    legs = [(i, layout.unit_maps(i)) for i in range(1, layout.profile.r + 1)]
+    legs = [(i, L) for i, L in legs if L.size]
+    for i, Li in legs:
+        A = np.stack([a.block(i) for a, _b in pairs])
+        for k, Lk in legs:
+            B = np.stack([b.block(k) for _a, b in pairs])
+            at = np.ix_(Li.ravel(), Lk.ravel())
+            T = np.einsum("txX,tYy->xXYy", A, B)
+            blk = np.tensordot(T, X[at].reshape(Li.shape + Lk.shape), axes=([1, 2], [0, 2]))
+            out[at] = blk.transpose(0, 2, 1, 3).reshape(Li.size, Lk.size)
+    return out
+
+
+def represent_elements(omega, t: RealSpectralTriple) -> np.ndarray:
+    """pi_D(omega) from the pairs (a0, a1), (-1.0 * (a0 @ a1), 1) of AlgebraElements, through `sandwich`."""
+    if omega.profile != t.profile:
+        raise ProfileMismatch("form and triple live over different profiles")
+    one = AlgebraElement.identity(t.profile)
+    d = lambda terms: sandwich(t.layout, [p for a0, a1 in terms for p in ((a0, a1), (-1.0 * (a0 @ a1), one))], t.D)
+    out = d([term for term in omega.terms if len(term) == 2])
+    for term in omega.terms:
+        if len(term) > 2:
+            acc = d([term[:2]])
+            for a in term[2:]:
+                acc = acc @ d([(one, a)])
+            out += acc
+    return out
+
+
+def hermitian_representation(omega, t: RealSpectralTriple, tol: float) -> np.ndarray:
+    """represent_elements, refused unless Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F."""
+    X, size = represent_elements(omega, t), frob(t.D)
+    herm = frob(X - X.conj().T)
+    norm = lambda a: float(np.sqrt(sum(frob(b) ** 2 for b in a.blocks)))
+    if herm > tol * sum(size ** (len(term) - 1) * math.prod(norm(a) for a in term) for term in omega.terms):
+        raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
+    return X
+
+
+def fluctuate_whole(t: RealSpectralTriple, omega, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """D + X + eps' J X J^-1 as one expression, four new n x n arrays."""
+    X = hermitian_representation(omega, t, tol)
+    return t.D + X + t.ko.eps_p * t.conjugate_by_J(X)
+
+
+def from_forms_whole(t: RealSpectralTriple, vector_forms, higgs_form, tol: float = DEFAULT_TOL) -> GaugeConfiguration:
+    """B_mu = X - J X J^-1 as one expression per field, and Phi = fluctuate_whole."""
+    Bs = [X - t.conjugate_by_J(X) for X in (hermitian_representation(w, t, tol) for w in vector_forms)]
+    return GaugeConfiguration(tuple(Bs), fluctuate_whole(t, higgs_form, tol))
+
+
+def apply_phi_components(arrow: BratteliArrow, a: AlgebraElement) -> AlgebraElement:
+    """phi(a) with block k the sum over i of phi_component(k, i): one m_k x m_k matrix per (k, i)."""
+    blocks = [sum(phi_component(arrow, k, i, None, a.block(i)) for i in range(1, arrow.source.r + 1))
+              for k in range(1, arrow.target.r + 1)]
+    return AlgebraElement(arrow.target, blocks)
+
+
+def hermiticity_dense(cfg: GaugeConfiguration):
+    """(h, s): the largest ||X - X^dagger||_F and the largest ||X||_F over the fields, on the dense fields."""
+    fields = cfg.B + (cfg.Phi,)
+    return max(frob(X - X.conj().T) for X in fields), max(frob(X) for X in fields)

@@ -18,6 +18,7 @@ from finspec.algebra import AlgebraProfile
 from finspec.bratteli import BratteliArrow
 from finspec.bundle import Bundle, BundleError, load_bundle, save_bundle
 from finspec.catalog import minimal_diagram
+from finspec import cli
 from finspec.cli import main
 from finspec.dot import render_dot
 from finspec.krajewski import RealSpectralTriple, realize, validate
@@ -193,6 +194,36 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["validate", str(missing)]) == 2
     capsys.readouterr()
+
+
+def test_cli_in_process_calls_behave_like_fresh_calls(full_bundle, tmp_path, capsys):
+    """main parses with one parser, built on first use: a run of calls in one process returns, prints and
+    writes what each call does through a freshly built parser, across --format json then text, --out then
+    none, and an argparse error (exit 2) followed by a valid call."""
+    path, out = full_bundle[1], tmp_path / "normalized.json"
+    calls = [["--format", "json", "axioms", path, "--diagram", "d6"], ["axioms", path, "--diagram", "d6"],
+             ["normalize", path, "--lift", "L", "--out", str(out)], ["normalize", path, "--lift", "L"],
+             ["sigma", path, "--lift", "L", "--no-such-flag"], ["--format", "json", "sigma", path, "--lift", "L"]]
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return rc, *capsys.readouterr(), written
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0]
+    assert [r[3] is not None for r in shared] == [False, False, True, False, False, False]
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
 
 
 d6 = lambda doc: doc["diagrams"]["d6"]

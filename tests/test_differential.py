@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import normalized_setup
 
+from finspec.action import GaugeConfiguration
 from finspec.algebra import AlgebraElement, AlgebraProfile, frob
 from finspec.differential import (
     UniversalNForm,
@@ -17,6 +20,7 @@ from finspec.bratteli import BratteliArrow, apply_phi
 from finspec.krajewski import KrajewskiDiagram, KOSignature, Vertex, realize
 from finspec.lifting import build_phiH, compat_check
 from finspec.sampling import (
+    random_compatible_target,
     random_diagram,
     random_element,
     random_hermitian_form,
@@ -277,3 +281,32 @@ def test_fluctuated_dirac_compatibility_with_lifted_unitary(d):
     DB = fluctuate(tB, gauge_transform(wB, uB), 1e-9)
     rep = compat_check(DA, DB, phiH, 1e-10)
     assert rep.weak, rep.weak_residual
+
+
+def _peak(fn):
+    """Peak traced bytes of fn() above the bytes traced at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_assembly_peak_memory_on_the_lift_target():
+    """On an n = 288 target of the d = 6 inclusion (1, 2) -> (6, 3), alpha = ((2, 2), (1, 1)), with pushed-forward
+    forms: represent and fluctuate each hold at most 3.5 complex n x n arrays at their peak (the sandwich's gather
+    and product beside its output, no transposed copies), and from_forms at most 10.1 (four B_mu and Phi, and the
+    configuration's copies of them)."""
+    rng = rng_from_seed(27)
+    src = random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.6, ensure_edge=True,
+                         requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)])
+    arrow = BratteliArrow(src.profile, AlgebraProfile((6, 3)), ((2, 2), (1, 1)), (0, 0))
+    t = realize(random_compatible_target(rng, src, arrow, max_fiber=0, edge_prob=0.5, ensure_edge=True))
+    assert t.dim == 288
+    forms = [pushforward(random_hermitian_form(rng, src.profile, scale=0.7), arrow) for _ in range(5)]
+    dense = t.dim ** 2 * 16
+    assert _peak(lambda: represent(forms[0], t)) <= 3.5 * dense
+    assert _peak(lambda: fluctuate(t, forms[0])) <= 3.5 * dense
+    assert _peak(lambda: GaugeConfiguration.from_forms(t, forms[:4], forms[4])) <= 10.1 * dense

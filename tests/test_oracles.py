@@ -12,7 +12,10 @@ loops, the generators and `minimal_diagram` with one normal form for
 the decorations with their branch per KO-dimension, `compat_check` and
 `inherited_split` on the range basis of phi_H with the nB x nB projector, and
 the off-diagonal block products and +-singular values of gamma-odd fields with
-the dense products and `eigvalsh`.
+the dense products and `eigvalsh`, and field assembly (`sandwich`, `represent`,
+`apply_phi`, `fluctuate`, `from_forms` and the Hermitian check of
+`bosonic_lagrangian`) bit for bit with the tensordot, AlgebraElement,
+component-sum and whole-array versions.
 """
 
 import contextlib
@@ -29,7 +32,7 @@ from helpers import hand_built_lifts, lift_chain, mix_fibers, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
-from finspec.algebra import AlgebraProfile, VertexLayout, frob, matrix_units, right_action, unit_insert
+from finspec.algebra import AlgebraElement, AlgebraProfile, VertexLayout, frob, matrix_units, right_action, unit_insert
 from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
 from finspec.krajewski import (
@@ -53,6 +56,7 @@ from finspec.krajewski import (
     validate,
     verify_axioms,
 )
+from finspec.bratteli import apply_phi
 from finspec.bundle import Bundle, save_bundle
 from finspec.cli import main
 from finspec.lifting import (
@@ -78,6 +82,7 @@ from finspec.sampling import (
     random_hermitian_form,
     random_lift,
     random_one_form,
+    random_profile,
     random_strong_pair,
     random_unitary,
     random_unitary_element,
@@ -1087,3 +1092,103 @@ def test_K_is_scanned_once_per_triple(d, monkeypatch):
         assert t.gamma is None or sum(a is t.gamma for a in scans) in (2, 3)
         count += 1
     assert count >= 12
+
+
+# -- field assembly: one GEMM per block pair, one buffer per field -----------------
+
+
+def _same_bits(new, old):
+    """The same shape, dtype and bytes: signed zeros count, where np.array_equal would not see them."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert (new.shape, new.dtype) == (old.shape, old.dtype) and new.tobytes() == old.tobytes()
+
+
+def _field_triples(rng, d):
+    """_axiom_forms of realized triples in d: one on a random profile, two on profiles of two and three blocks."""
+    for profile in (None, AlgebraProfile((2, 1)), AlgebraProfile((1, 2, 3))):
+        diag = random_diagram(rng, d, profile, max_fiber=1, edge_prob=0.7, ensure_edge=True)
+        yield from _axiom_forms(rng, realize(diag))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_sandwich_is_the_tensordot_oracle_bit_for_bit(d):
+    """On D and a dense X for zero to five pairs, and on K with gauge_covariance_check's (u, ubar)."""
+    rng = rng_from_seed(2700 + d)
+    for t in _field_triples(rng, d):
+        X = random_complex(rng, (t.dim, t.dim))
+        for count in (0, 1, 2, 5):
+            pairs = [(random_element(rng, t.profile), random_element(rng, t.profile)) for _ in range(count)]
+            for Y in (t.D, X):
+                _same_bits(t.layout.sandwich(pairs, Y), oracles.sandwich(t.layout, pairs, Y))
+        u = random_unitary_element(rng, t.profile)
+        pairs = [(u, AlgebraElement(u.profile, [np.conj(b) for b in u.blocks]))]
+        _same_bits(t.layout.sandwich(pairs, t.K), oracles.sandwich(t.layout, pairs, t.K))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_represent_is_the_element_pair_oracle_bit_for_bit(d):
+    """Forms of degree 1, 2 and 3, mixed degrees and empty forms (_forms)."""
+    rng = rng_from_seed(2710 + d)
+    for t in _field_triples(rng, d):
+        for w in _forms(rng, t.profile):
+            _same_bits(represent(w, t), oracles.represent_elements(w, t))
+
+
+def _same_fields(t, forms):
+    _same_bits(fluctuate(t, forms[4]), oracles.fluctuate_whole(t, forms[4]))
+    cfg, ref = GaugeConfiguration.from_forms(t, forms[:4], forms[4]), oracles.from_forms_whole(t, forms[:4], forms[4])
+    for X, X0 in zip(cfg.B + (cfg.Phi,), ref.B + (ref.Phi,)):
+        _same_bits(X, X0)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_fields_are_the_whole_array_oracles_bit_for_bit(d):
+    """fluctuate and from_forms on realized triples, their dense forms (a dense K takes J X J^-1 densely),
+    and, in the KO-dimensions of automatic diagonalization, lift targets with pushed-forward forms."""
+    rng = rng_from_seed(2720 + d)
+    for t in _field_triples(rng, d):
+        _same_fields(t, [random_hermitian_form(rng, t.profile) for _ in range(5)])
+    for _ in range(3 if d in (0, 1, 2, 6, 7) else 0):
+        _source, arrow, target, _lift = lift_chain(rng, d)
+        _same_fields(realize(target), [pushforward(random_hermitian_form(rng, arrow.source), arrow) for _ in range(5)])
+
+
+def test_apply_phi_is_the_component_sum_oracle_bit_for_bit():
+    """Elements with -0.0 real and imaginary parts come out with 0.0 there, as the sum of components writes them."""
+    rng, signed = rng_from_seed(2730), 0
+    for _ in range(20):
+        arrow = random_arrow(rng, random_profile(rng, 3, 3), s_max=3, alpha_max=2, n0_max=2)
+        blocks = [random_complex(rng, (n, n)) for n in arrow.source.dims]
+        for b in blocks:
+            b.real[rng.random(b.shape) < 0.4] = -0.0
+            b.imag[rng.random(b.shape) < 0.4] = -0.0
+        for a in (AlgebraElement(arrow.source, blocks), -1.0 * AlgebraElement.zero(arrow.source)):
+            signed += sum(np.signbit(b.view(float)).sum() for b in a.blocks)
+            for new, old in zip(apply_phi(arrow, a).blocks, oracles.apply_phi_components(arrow, a).blocks):
+                _same_bits(new, old)
+    assert signed > 0
+
+
+@pytest.mark.parametrize("split", (True, False))
+def test_non_hermitian_configuration_is_refused_at_the_dense_residual(split):
+    """Phi off Hermitian by a relative 1e-6 on its own support: bosonic_lagrangian refuses it just below and
+    accepts it just above the dense oracle's h / max(1, s), within 1e-12 relative, with the gamma split (d = 6
+    fields from from_forms) and without it (dense random fields)."""
+    rng, f = rng_from_seed(2740 + split), CutoffFunction.gaussian()
+    if split:
+        t = realize(random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.7, ensure_edge=True,
+                                   requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)]))
+        forms = [random_hermitian_form(rng, t.profile) for _ in range(5)]
+        cfg = GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        fields = list(cfg.B + (cfg.Phi,))
+    else:
+        fields = [random_hermitian(rng, 14) for _ in range(5)]
+    bosonic_lagrangian(GaugeConfiguration(tuple(fields[:4]), fields[4]), f, 1.3)
+    E = random_complex(rng, fields[4].shape) * (fields[4] != 0)
+    cfg = GaugeConfiguration(tuple(fields[:4]), fields[4] + 1e-6 * frob(fields[4]) / frob(E) * E)
+    assert (action._bipartition(cfg.B + (cfg.Phi,)) is not None) == split
+    h, s = oracles.hermiticity_dense(cfg)
+    assert 1e-7 < h / frob(cfg.Phi) < 1e-5
+    with pytest.raises(ValueError, match=f"not Hermitian \\(residual {h:.3e}\\)"):
+        bosonic_lagrangian(cfg, f, 1.3, h / max(1.0, s) * (1 - 1e-12))
+    bosonic_lagrangian(cfg, f, 1.3, h / max(1.0, s) * (1 + 1e-12))
