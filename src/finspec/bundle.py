@@ -7,6 +7,9 @@ of json.dump(doc, fh, indent=2, sort_keys=True) and a newline, doc holding
 each matrix's entries as [re, im] lists of floats, so save o load o save is
 byte-stable; it formats the entries straight from the array, in chunks, and
 refuses a non-finite number with the reader's JSON path before opening the file.
+Malformed input is a BundleError that says where: each reader names its field,
+`bundle_from_json` names the record of any other ValueError its read raises
+("triples.T: ..."), and `load_bundle` names a file it cannot read as JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraProfile, ShapeMismatch, VertexLayout
+from .algebra import AlgebraElement, AlgebraProfile, VertexLayout
 from .action import GaugeConfiguration
 from .bratteli import BratteliArrow
 from .differential import UniversalNForm, UniversalOneForm
@@ -217,15 +220,14 @@ def _triple_from_json(obj, where) -> RealSpectralTriple:
     r = profile.r
     if len(set(vids)) != len(vids) or not all(1 <= v[0] <= r and 1 <= v[2] <= r for v in vids):
         raise BundleError(f"{where}.layout: vertex keys must be distinct, with blocks in 1..{r}")
-    layout = VertexLayout(profile, vids)
     D = _matrix_from_json(obj["D"], f"{where}.D")
     K = _matrix_from_json(obj["K"], f"{where}.K")
     gamma = None if obj.get("gamma") is None else _matrix_from_json(obj["gamma"], f"{where}.gamma")
-    n = layout.total_dim
+    n = sum(profile.dim(i) * profile.dim(j) for i, _p, j in vids)  # the layout's dimension, before its index tables
     for name, m in (("D", D), ("K", K)) + ((("gamma", gamma),) if gamma is not None else ()):
         if m.shape != (n, n):
             raise BundleError(f"{where}.{name}: shape {m.shape} does not match layout dimension {n}")
-    return RealSpectralTriple(profile, ko, layout, D, K, gamma)
+    return RealSpectralTriple(profile, ko, VertexLayout(profile, vids), D, K, gamma)
 
 
 def _arrow_to_json(a: BratteliArrow, _where) -> dict:
@@ -240,16 +242,12 @@ def _arrow_to_json(a: BratteliArrow, _where) -> dict:
 def _arrow_from_json(obj, where) -> BratteliArrow:
     _record(obj, where, ("source", "target", "alpha", "n0"))
     rows = _array(obj["alpha"], f"{where}.alpha")
-    parts = (
+    return BratteliArrow(
         _profile(obj["source"], f"{where}.source"),
         _profile(obj["target"], f"{where}.target"),
         tuple(_ints(row, f"{where}.alpha[{k}]") for k, row in enumerate(rows)),
         _ints(obj["n0"], f"{where}.n0"),
     )
-    try:
-        return BratteliArrow(*parts)
-    except ValueError as exc:
-        raise BundleError(f"{where}: {exc}") from None
 
 
 def _element_to_json(a: AlgebraElement, where) -> list:
@@ -297,10 +295,7 @@ def _config_from_json(obj, where) -> GaugeConfiguration:
     if not isinstance(bs, list) or len(bs) != 4:
         raise BundleError(f"{where}.B: expected four fields")
     fields = tuple(_matrix_from_json(b, f"{where}.B[{n}]") for n, b in enumerate(bs))
-    try:
-        return GaugeConfiguration(fields, _matrix_from_json(obj["Phi"], f"{where}.Phi"))
-    except ShapeMismatch as exc:
-        raise BundleError(f"{where}: {exc}") from None
+    return GaugeConfiguration(fields, _matrix_from_json(obj["Phi"], f"{where}.Phi"))
 
 
 def _lift_to_json(lift: DiagramLift, bundle: Bundle, where) -> dict:
@@ -344,10 +339,7 @@ def _lift_from_json(obj, bundle: Bundle, where) -> DiagramLift:
     normalized = obj.get("normalized", False)
     if type(normalized) is not bool:
         raise BundleError(f"{where}.normalized: expected true or false, got {normalized!r}")
-    try:
-        return DiagramLift(arrow, source, target, u, normalized=normalized, kappa=kappa)
-    except ValueError as exc:
-        raise BundleError(f"{where}: {exc}") from None
+    return DiagramLift(arrow, source, target, u, normalized=normalized, kappa=kappa)
 
 
 def _plain(to_json, from_json):
@@ -392,7 +384,12 @@ def bundle_from_json(doc) -> Bundle:
     b = Bundle()
     for name, _, from_json in _KINDS:
         for k, obj in _record(doc.get(name, {}), name).items():
-            getattr(b, name)[k] = from_json(obj, b, f"{name}.{k}")
+            try:
+                getattr(b, name)[k] = from_json(obj, b, f"{name}.{k}")
+            except BundleError:
+                raise
+            except ValueError as exc:  # a constructor refused the record: malformed input, named by its path
+                raise BundleError(f"{name}.{k}: {exc}") from None
     return b
 
 
@@ -433,4 +430,8 @@ def load_bundle(path) -> Bundle:
         raise BundleError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise BundleError(f"{path}: JSON nested too deeply") from None
     return bundle_from_json(doc)

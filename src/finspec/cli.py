@@ -61,11 +61,9 @@ def _config(bundle, name, t, side=""):
 
 
 def _get_triple(bundle, args, tol):
-    if args.triple:
+    if args.triple is not None:
         return _need(bundle.triples, args.triple, "triple")
-    if args.diagram:
-        return realize(_need(bundle.diagrams, args.diagram, "diagram"), tol)
-    raise BundleError("need --triple or --diagram")
+    return realize(_need(bundle.diagrams, args.diagram, "diagram"), tol)
 
 
 def _cutoff(args):
@@ -110,7 +108,7 @@ def cmd_axioms(bundle, args, tol):
 
 def cmd_classify(bundle, args, tol):
     diag = classify(_get_triple(bundle, args, tol), tol)[0]
-    name = args.name or (args.triple or args.diagram) + "_classified"
+    name = args.name or (args.diagram if args.triple is None else args.triple) + "_classified"
     bundle.diagrams[name] = diag
     mus = {f"({i},{j})": len(f) for (i, j), f in sorted(diag.fibers().items())}
     text = f"classified: multiplicities {mus}, {len(diag.edges)} edges"
@@ -205,15 +203,8 @@ def cmd_compare(bundle, args, tol):
 
 
 def cmd_render(bundle, args, tol):
-    if args.diagram:
-        item = _need(bundle.diagrams, args.diagram, "diagram")
-    elif args.arrow:
-        item = _need(bundle.arrows, args.arrow, "arrow")
-    elif args.lift:
-        item = _need(bundle.lifts, args.lift, "lift")
-    else:
-        raise BundleError("need --diagram, --arrow, or --lift")
-    return None, render_dot(item), True
+    what = next(w for w in ("diagram", "arrow", "lift") if getattr(args, w) is not None)  # argparse gives exactly one
+    return None, render_dot(_need(getattr(bundle, f"{what}s"), getattr(args, what), what)), True
 
 
 def _number(text, positive=False):
@@ -247,8 +238,9 @@ def build_parser():
     cutoff.add_argument("--width", type=_positive, default=1.0)
     cutoff.add_argument("--coeffs", type=_numbers, help="comma-separated even-power coefficients")
     cutoff.add_argument("--f2", type=_number)
-    target.add_argument("--triple")
-    target.add_argument("--diagram")
+    one_target = target.add_mutually_exclusive_group(required=True)  # argparse refuses none or both: exit 2
+    one_target.add_argument("--triple")
+    one_target.add_argument("--diagram")
     out.add_argument("--out")
     out.add_argument("--name")
     lift.add_argument("--lift", required=True)
@@ -281,9 +273,9 @@ def build_parser():
         sp.add_argument(flag)
     sp.add_argument("--with-fermions", action="store_true")
 
-    sp = add("render", cmd_render, "DOT output for a diagram, arrow, or lift")
+    one = add("render", cmd_render, "DOT output for a diagram, arrow, or lift").add_mutually_exclusive_group(required=True)
     for flag in ("--diagram", "--arrow", "--lift"):
-        sp.add_argument(flag)
+        one.add_argument(flag)
     return p
 
 

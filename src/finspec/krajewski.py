@@ -878,6 +878,11 @@ def _splitting_residual(t, i, j, fiber):
     return frob(proj)
 
 
+def _normal_form_residual(AV, W, A0):
+    """||W* A V - A0||_F for AV = A V, as ||A V - W A0||_F (W unitary; W A0 a gather, A0 the canonical K or gamma)."""
+    return frob(AV - _products_with(A0)[2](W))
+
+
 def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     """Recover a Krajewski diagram and a witness unitary W from a triple.
 
@@ -961,20 +966,17 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
     W = _basis_change(layout, {fiber[p]: (fiber, m) for key, fiber in fibers.items()
                                for p, m in enumerate(bases[key])})
 
-    Dp = W.conj().T @ t.D @ W
-    Kp = W.conj().T @ t._K_products()[1](np.conj(W))  # the left products K conj(W) and gamma W
-    gp = W.conj().T @ _products_with(t.gamma)[1](W) if ko.even else None
-
     # step 5: read the diagram off the transformed operators
     Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
-    res = frob(Kp - Kexp)
+    res = _normal_form_residual(t._K_products()[1](np.conj(W)), W, Kexp)
     if res > tol:
         raise ClassificationError("real structure normal form", "transformed K is not in canonical form", res)
     if ko.even:
-        res = frob(gp - gexp)
+        res = _normal_form_residual(_products_with(t.gamma)[1](W), W, gexp)
         if res > tol:
             raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
 
+    Dp = W.conj().T @ t.D @ W
     diagram = KrajewskiDiagram(t.profile, ko, vertices, jim_new, extract_edges(layout, Dp, tol))
     failed = validate(diagram, tol).failures()
     if failed:

@@ -147,12 +147,17 @@ def hand_built_lifts():
     ]
 
 
-def mix_fibers(rng, t, diag):
-    """t conjugated by a random unitary on the middle factor of every fiber."""
+def fiber_unitary(rng, layout, diag):
+    """A random unitary Q on the middle factor of every fiber of diag, on layout."""
     rows = {}
     for fiber in diag.fibers().values():
         U = random_unitary(rng, len(fiber))
         rows.update({v: (fiber, U[:, p]) for p, v in enumerate(fiber)})
-    Q = oracles.rotation(t.layout, rows)
+    return oracles.rotation(layout, rows)
+
+
+def mix_fibers(rng, t, diag):
+    """t conjugated by a random unitary on the middle factor of every fiber."""
+    Q = fiber_unitary(rng, t.layout, diag)
     gamma = None if t.gamma is None else Q.conj().T @ t.gamma @ Q
     return RealSpectralTriple(t.profile, t.ko, t.layout, Q.conj().T @ t.D @ Q, Q.conj().T @ t.K @ np.conj(Q), gamma)

@@ -84,6 +84,12 @@ AlgebraElement (-a0 a1) per term, `apply_phi_components` as a sum of
 expressions, and `hermiticity_dense`, the dense Hermiticity residual and
 size of `bosonic_lagrangian`'s check.  The tests ask for the same bits, and
 for the same refusals of a non-Hermitian configuration.
+
+The fourteenth group is step 5 of `classify` with two dense products by W*:
+`normal_form_residual` forms ||W* A W - A0||_F, or ||W* A conj(W) - A0||_F
+for K.  The tests ask for the library's ||A V - W A0||_F within 1e-12
+relative to ||A||_F, for W from `classify` and for W times a random fiber
+unitary.
 """
 
 import json
@@ -1832,3 +1838,11 @@ def hermiticity_dense(cfg: GaugeConfiguration):
     """(h, s): the largest ||X - X^dagger||_F and the largest ||X||_F over the fields, on the dense fields."""
     fields = cfg.B + (cfg.Phi,)
     return max(frob(X - X.conj().T) for X in fields), max(frob(X) for X in fields)
+
+
+# -- step 5 of classify with dense products by W* --
+
+
+def normal_form_residual(A, W, A0, antilinear=False):
+    """||W* A W - A0||_F, or ||W* A conj(W) - A0||_F when antilinear (K, which J composes with conjugation)."""
+    return frob(W.conj().T @ A @ (np.conj(W) if antilinear else W) - A0)

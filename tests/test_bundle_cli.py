@@ -3,7 +3,10 @@ import functools
 import io
 import json
 import operator
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,7 @@ def test_cli_in_process_calls_behave_like_fresh_calls(full_bundle, tmp_path, cap
 
 
 d6 = lambda doc: doc["diagrams"]["d6"]
+_zeros = lambda rows, cols: {"rows": rows, "cols": cols, "entries": [[0.0, 0.0]] * (rows * cols)}
 SCHEMA_MUTATIONS = {
     "bool-s": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(s=True), "diagrams.d6.vertices.(1,1,1).s"),
     "bool-chi": (lambda doc: d6(doc)["vertices"]["(1,1,1)"].update(chi=False), "diagrams.d6.vertices.(1,1,1).chi"),
@@ -264,6 +268,9 @@ SCHEMA_MUTATIONS = {
     "layout-out-of-range": (lambda doc: doc["triples"]["T"]["layout"].__setitem__(0, "(9,1,9)"), "triples.T.layout"),
     "duplicate-layout": (lambda doc: doc["triples"]["T"]["layout"].append(doc["triples"]["T"]["layout"][0]),
                          "triples.T.layout"),
+    "form-block-shape": (lambda doc: doc["forms"]["w"]["terms"][0][0].__setitem__(0, _zeros(2, 2)), "forms.w"),
+    # no layout of these dims can be allocated: the reader compares the shapes before it builds one
+    "unallocatable-triple-dims": (lambda doc: doc["triples"]["T"].update(dims=[10**10, 10**10]), "triples.T.D"),
 }
 
 
@@ -316,6 +323,52 @@ def test_malformed_diagram_exits_2_naming_path(full_bundle, tmp_path, capsys, mu
     bad.write_text(json.dumps(doc))
     assert main(["--format", "json", "validate", str(bad)]) == 2
     assert f"error: {where}:" in capsys.readouterr().err
+
+
+UNREADABLE = {
+    "utf-16": (b"\xff\xfe" + '{"format_version": 1}'.encode("utf-16-le"), "not UTF-8 text"),
+    "deep-nesting": (b"[" * 100_000, "JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_bundle_file_exits_2_naming_the_file(tmp_path, capsys, name):
+    """Bytes that are not UTF-8, and nesting deeper than the JSON reader recurses, end in exit 2 with a message
+    naming the file, in process and through python -m finspec.cli, never in a traceback."""
+    data, what = UNREADABLE[name]
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {what}") and "Traceback" not in err, err
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-m", "finspec.cli", "validate", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stderr.startswith(f"error: {path}: {what}"), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+TARGET_FLAGS = {
+    "axioms-both": (["axioms", "--triple", "T", "--diagram", "d6"], "argument --diagram: not allowed with argument --triple"),
+    "classify-both": (["classify", "--diagram", "d6", "--triple", "T"], "argument --triple: not allowed with argument --diagram"),
+    "action-both": (["action", "--triple", "T", "--diagram", "d6", "--form", "w"], "not allowed with argument --triple"),
+    "render-two": (["render", "--diagram", "d6", "--lift", "L"], "argument --lift: not allowed with argument --diagram"),
+    "render-arrow-lift": (["render", "--arrow", "phi", "--lift", "L"], "argument --lift: not allowed with argument --arrow"),
+    "axioms-none": (["axioms"], "one of the arguments --triple --diagram is required"),
+    "render-none": (["render"], "one of the arguments --diagram --arrow --lift is required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGET_FLAGS))
+def test_cli_takes_exactly_one_target_flag(full_bundle, capsys, case):
+    """axioms, classify and action read one of --triple, --diagram, and render one of --diagram, --arrow,
+    --lift: two of them, or none, is a usage error (exit 2), not a call that drops one."""
+    command, message = TARGET_FLAGS[case]
+    with pytest.raises(SystemExit) as info:
+        main([command[0], full_bundle[1], *command[1:]])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def _broken_involution():
@@ -684,3 +737,58 @@ def test_mutated_bundles_exit_0_1_or_2_without_traceback(mutation_setup, data):
     assert rc in (0, 1, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
     if parse_level:
         assert rc == 2, (rc, err.getvalue())
+
+
+VALUES = (None, True, -1, 0, 2, 0.5, float("nan"), "x", "(9,1,9)", [], {}, [[0.0, 0.0]])
+
+
+def _seeded_mutation(rng, doc, paths, matrices):
+    """Mutate doc in place: drop a key or entry, put one of VALUES anywhere, grow a matrix by a row and a column,
+    or give a triple or a form dims no layout can hold.  Returns the record path the reader must name in its
+    refusal, or None when the result may be valid (diagram edges are judged by validate, not by the reader)."""
+    at = lambda path: functools.reduce(operator.getitem, path, doc)
+    kind = rng.integers(4)
+    if kind < 2:
+        path = paths[rng.integers(len(paths))]
+        if kind == 0:
+            del at(path[:-1])[path[-1]]
+        else:
+            at(path[:-1])[path[-1]] = VALUES[rng.integers(len(VALUES))]
+        return None
+    if kind == 2:
+        path = matrices[rng.integers(len(matrices))]
+        m = at(path)
+        at(path[:-1])[path[-1]] = _zeros(m["rows"] + 1, m["cols"] + 1)
+        return None if path[0] == "diagrams" else ".".join(path[:2])
+    path = (("triples", "T"), ("forms", "w"))[rng.integers(2)]
+    at(path)["dims"] = [10**10, 10**10]
+    return ".".join(path)
+
+
+def test_seeded_mutations_exit_0_1_or_2_with_their_prefix(mutation_setup, tmp_path):
+    """300 seeded mutations of the fixture bundle, each through a seeded command: main returns 0, 1 or 2 and raises
+    nothing; stderr is empty or starts with 'failed: ' on exit 1 and starts with 'error: ' on exit 2; a record that
+    a constructor refuses (a matrix or dims of the wrong size) is malformed input, named by its path."""
+    text, paths, _ = mutation_setup
+    value = lambda path, doc=json.loads(text): functools.reduce(operator.getitem, path, doc)
+    matrices = [p for p in paths if isinstance(value(p), dict) and {"rows", "cols", "entries"} <= value(p).keys()]
+    rng, path, refused = rng_from_seed(2800), tmp_path / "mutated.json", 0
+    for _ in range(300):
+        doc = json.loads(text)
+        where = _seeded_mutation(rng, doc, paths, matrices)
+        command = COMMANDS[rng.integers(len(COMMANDS))]
+        path.unlink(missing_ok=True)  # a new file each time: truncating a just-written file can wait on a flush
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--format", ("text", "json")[rng.integers(2)], command[0], str(path), *command[1:]])
+        err = err.getvalue()
+        assert rc in (0, 1, 2) and "Traceback" not in err, (command, rc, err)
+        if rc == 1:
+            assert err == "" or err.startswith("failed: "), (command, err)
+        if rc == 2:
+            assert err.startswith("error: "), (command, err)
+        if where is not None:
+            assert rc == 2 and err.startswith(f"error: {where}"), (where, command, rc, err)
+            refused += 1
+    assert refused >= 50

@@ -12,10 +12,12 @@ import oracles
 from helpers import lift_chain
 
 from finspec.action import GaugeConfiguration
+from finspec import bundle
+from finspec.algebra import VertexLayout
 from finspec.bundle import Bundle, BundleError, _matrix_from_json, _matrix_to_json, _write, load_bundle, save_bundle
 from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm
-from finspec.krajewski import realize
+from finspec.krajewski import RealSpectralTriple, realize
 from finspec.lifting import diagonalize_bases, inherit_source_dirac, normalize
 from finspec.sampling import random_complex, random_element, random_hermitian, random_hermitian_form, rng_from_seed
 
@@ -155,3 +157,21 @@ def test_a_large_matrix_goes_out_in_chunks():
     assert len(parts) > 8
     ref = json.dumps(oracles._entries_as_lists({"op": _matrix_to_json(m, "op")}), indent=2, sort_keys=True)
     assert "".join(parts) == ref.replace("\n", "\n    ")
+
+
+def test_a_triple_is_refused_by_its_shapes_before_a_layout_is_built(tmp_path, monkeypatch):
+    """The reader compares D, K and gamma with the layout's dimension, summed from the profile and the vertex
+    keys, before VertexLayout builds its index tables: a bundle that declares large dims costs nothing."""
+    built = []
+    monkeypatch.setattr(bundle, "VertexLayout", lambda *args: built.append(args) or VertexLayout(*args))
+    t = realize(minimal_diagram(6, 0.5))
+    b = Bundle()
+    b.triples["T"] = t
+    save_bundle(b, tmp_path / "good.json")
+    assert load_bundle(tmp_path / "good.json").triples["T"].dim == t.dim and len(built) == 1
+    b.triples["T"] = RealSpectralTriple(t.profile, t.ko, t.layout, np.zeros((t.dim + 1, t.dim + 1)), t.K, t.gamma)
+    save_bundle(b, tmp_path / "bad.json")
+    built.clear()
+    with pytest.raises(BundleError, match=rf"^triples\.T\.D: shape \({t.dim + 1}, {t.dim + 1}\) does not match"):
+        load_bundle(tmp_path / "bad.json")
+    assert built == []

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import hand_built_lifts, lift_chain, mix_fibers, normalized_setup
+from helpers import fiber_unitary, hand_built_lifts, lift_chain, mix_fibers, normalized_setup
 
 from finspec import action, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
@@ -43,7 +43,9 @@ from finspec.krajewski import (
     _extract_middle_map,
     _factor_residual,
     _monomial_brackets,
+    _normal_form_residual,
     _products_with,
+    _real_structure,
     _splitting_residual,
     _unit_frames,
     _validate,
@@ -697,6 +699,28 @@ def _close_lifts(lift, lift0):
     assert all(abs(lift.kappa[v] - k0) <= 1e-12 * scale for v, k0 in lift0.kappa.items())
     D, D0 = realize(lift.source).D, realize(lift0.source).D
     assert frob(D - D0) <= 1e-12 * max(1.0, frob(D0))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_normal_form_residuals_match_the_dense_oracle(d):
+    """Step 5 of classify: ||K conj(V) - V K0||_F and ||gamma V - V gamma0||_F against the dense
+    ||V* K conj(V) - K0||_F and ||V* gamma V - gamma0||_F, within 1e-12 of ||K||_F (||gamma||_F), for V = W from
+    classify (residuals near 0) and V = W times a random fiber unitary (residuals of order one), on realized and
+    fiber-mixed (dense K) triples."""
+    rng = rng_from_seed(1740 + d)
+    compared = 0
+    for diag, forms in _oracle_triples(d):
+        for t in (forms[0], mix_fibers(rng, forms[0], diag)):
+            found, W = classify(t)
+            K0, gamma0 = _real_structure(t.layout, found.vertices, found.jim, d, t.ko.even)
+            for V in (W, W @ fiber_unitary(rng, t.layout, diag)):
+                res = _normal_form_residual(t._K_products()[1](np.conj(V)), V, K0)
+                assert abs(res - oracles.normal_form_residual(t.K, V, K0, antilinear=True)) <= 1e-12 * frob(t.K)
+                if t.gamma is not None:
+                    res = _normal_form_residual(_products_with(t.gamma)[1](V), V, gamma0)
+                    assert abs(res - oracles.normal_form_residual(t.gamma, V, gamma0)) <= 1e-12 * frob(t.gamma)
+                compared += 1
+    assert compared >= 16
 
 
 def test_lift_matches_vertex_loop_oracle():

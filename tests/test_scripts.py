@@ -38,6 +38,11 @@ def test_example_bundle_validates(tmp_path):
     _run("-m", "finspec.cli", "validate", str(path))
 
 
+def test_benchmark_selftest_passes():
+    """bench/run.py --selftest imports what the benchmark uses of finspec and runs its checks on tiny cases."""
+    _run("bench/run.py", "--selftest")
+
+
 def test_readme_commands_exit_0(tmp_path):
     """Every `finspec` line of README's Command line block exits 0, in process, on the bundle its first line writes;
     every file a line names (the bundle, an --out, a > redirect) lies in tmp_path."""
