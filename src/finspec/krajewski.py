@@ -441,41 +441,44 @@ def _validate(diag, tol):
     # per edge, once: None if an endpoint is missing, else whether its op has their shape and the kind forced
     verdicts = [None if e.src not in vids or e.dst not in vids else
                 (e.op.shape == (length[e.dst], length[e.src]), _edge_kind(e.src, e.dst)) for e in diag.edges]
-    factor, groups = {}, _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
-                                              if v and v[0] and v[1] in ("general", e.kind)])
-    for dim, kind, ks, ops in groups:  # edge -> (norm, factor residual), stacked per group of the factor-line edges
-        factor.update(zip(ks, zip(_norms(ops).tolist(), _factor_residual(ops, kind, dim).tolist())))
-    sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
-    nonzero, seen_pairs = tol * max(sizes, default=0.0), set()
-    for k, (e, size, verdict) in enumerate(zip(diag.edges, sizes, verdicts)):
-        if verdict is None:
-            rep.add_bool(f"edge {e.src}->{e.dst} endpoints exist", False)
-            continue
-        tag, (shaped, forced) = f"edge {names[e.src]}->{names[e.dst]}", verdict
-        if (e.src, e.dst) in seen_pairs:
-            rep.add_bool(f"{tag} supplied once", False)
-        seen_pairs.add((e.src, e.dst))
-        if not shaped:
-            rep.add_bool(f"{tag} op shape", False)
-            continue
-        rep.add_bool(f"{tag} op nonzero", size > nonzero)
-        if forced is None:
-            rep.add_bool(f"{tag} shares a row or column of the lattice", False)
-            continue
-        if forced not in ("general", e.kind):  # where both coordinates match, any kind is measured by its own factors
-            rep.add_bool(f"{tag} must be kind={forced}", False)
-        else:
-            rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", factor[k][1], tol * size)
-        if ko.even:
-            s1, s2 = grading[e.src], grading[e.dst]
-            rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
+    with np.errstate(over="ignore"):  # norms of entries near the float limit overflow to inf, named below
+        factor, groups = {}, _edge_groups(diag, [k for k, (e, v) in enumerate(zip(diag.edges, verdicts))
+                                                  if v and v[0] and v[1] in ("general", e.kind)])
+        for dim, kind, ks, ops in groups:  # edge -> (norm, factor residual), stacked per group of the factor-line edges
+            factor.update(zip(ks, zip(_norms(ops).tolist(), _factor_residual(ops, kind, dim).tolist())))
+        sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
+        if not math.isfinite(largest := max(sizes, default=0.0)):  # a squared entry overflowed, and the bounds below
+            rep.add_bool("edge norms are finite (entries below about 1e154)", False)
+        nonzero, seen_pairs = tol * largest, set()
+        for k, (e, size, verdict) in enumerate(zip(diag.edges, sizes, verdicts)):
+            if verdict is None:
+                rep.add_bool(f"edge {e.src}->{e.dst} endpoints exist", False)
+                continue
+            tag, (shaped, forced) = f"edge {names[e.src]}->{names[e.dst]}", verdict
+            if (e.src, e.dst) in seen_pairs:
+                rep.add_bool(f"{tag} supplied once", False)
+            seen_pairs.add((e.src, e.dst))
+            if not shaped:
+                rep.add_bool(f"{tag} op shape", False)
+                continue
+            rep.add_bool(f"{tag} op nonzero", size > nonzero)
+            if forced is None:
+                rep.add_bool(f"{tag} shares a row or column of the lattice", False)
+                continue
+            if forced not in ("general", e.kind):  # where both coordinates match, any kind is measured by its own factors
+                rep.add_bool(f"{tag} must be kind={forced}", False)
+            else:
+                rep.add(f"{tag} {_FACTOR_LINES[e.kind]}", factor[k][1], tol * size)
+            if ko.even:
+                s1, s2 = grading[e.src], grading[e.dst]
+                rep.add_bool(f"{tag} satisfies s(v2) = -s(v1)", s1 in (-1, 1) and s2 == -s1)
 
-    closed = None
-    if rep.ok:  # then every edge has its factor line, so groups are complete_edges' groups of all edges
-        closed, conflicts = _close(diag, groups, tol)
-        for (src, dst), origin, res, bound in conflicts:
-            rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, bound)
-    return rep, closed
+        closed = None
+        if rep.ok:  # then every edge has its factor line, so groups are complete_edges' groups of all edges
+            closed, conflicts = _close(diag, groups, tol)
+            for (src, dst), origin, res, bound in conflicts:
+                rep.add(f"edge orbit consistency at {src}->{dst} [{origin}]", res, bound)
+        return rep, closed
 
 
 def layout_of(diag: KrajewskiDiagram) -> VertexLayout:
@@ -517,16 +520,18 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
     Commutant and first-order conditions are bilinear in (a, b), so checking
     the generating matrix units of each block is exhaustive.  Both order
     conditions are measured in the frame K^dagger (.) K, which equals
-    J pi(b)* J^-1 exactly when K is unitary.  The brackets of X_a = K^dagger pi(a) K and
-    Y_a = K^dagger [D, pi(a)] K with every unit are read off them as sums of squares, with no U^2 term
-    for U = sum_k n_k^2 units of at most m legs.  Products with K (the triple's _K_products) and gamma
+    J pi(b)* J^-1 exactly when K is unitary.  The squared brackets of X_a = K^dagger pi(a) K and
+    Y_a = K^dagger [D, pi(a)] K with every unit q = pi(b)^T are read off them as sums of squares, one
+    row of U numbers per unit a for U = sum_k n_k^2 units of at most m legs, and each line reads its
+    residual and witness off the (U, U) table (_line).  Products with K (the triple's _K_products) and gamma
     are gathers when monomial (_products_with; every realized K and gamma).  X_a is then a phased
-    partial permutation, and the commutant line reads its m entries for all units of a block at once
+    partial permutation, and the commutant table is read off its m entries for all units of a block at once
     (_monomial_brackets): cost O(U m sum_k n_k^2), no n^2 term.  The first-order line writes Y_a on its
-    m rows and m columns and reads it densely (_worst_bracket): cost O(U n^2 sum_k n_k).  Any other K
-    takes dense products and _worst_bracket for both lines: cost O(U n^2 (m + sum_k n_k)).  Residuals
+    m rows and m columns and reads it densely (_bracket_squares): cost O(U n^2 sum_k n_k).  Any other K
+    takes dense products and _bracket_squares for both lines: cost O(U n^2 (m + sum_k n_k)).  Residuals
     linear in D pass below tol ||D||_F, so a triple and its rescaling get the same verdict, and an exact
-    zero passes at D = 0.  The order-condition lines name the units behind their worst residual.
+    zero passes at D = 0.  The commutant, first-order and gamma lines name the units behind their worst
+    residual, the first in row-major order of the table within a relative 1e-12 of it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -557,14 +562,13 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
         rep.add_bool("no grading in odd KO-dimension", False)
 
     frames = _unit_frames(t.layout)
+    units = [(k, x, y) for k, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))]
     if ko.even:
-        res, q = _worst_bracket(t.gamma, frames)
-        rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
-    units = [(i, x, y) for i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]
-    pairs = [(L[x], L[y]) for _i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]  # pi(a): cols -> rows
+        rep.add("gamma commutes with pi(a)", *_line(_bracket_squares(t.gamma, frames), units, tol, 1.0))
+    pairs = [(L[x], L[y]) for _k, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))]  # pi(a): cols -> rows
     if mono is None:
         Kh = K.conj().T
-        comm = [_worst_bracket(Kh[:, rows] @ K[cols], frames) for rows, cols in pairs]
+        comm = np.array([_bracket_squares(Kh[:, rows] @ K[cols], frames) for rows, cols in pairs])
         frame = lambda rows, cols: KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols]
     else:
         (perm, phase), comm = mono, _monomial_brackets(*mono, frames)
@@ -575,10 +579,11 @@ def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
             Y[perm[rows]] -= np.conj(phase[rows])[:, None] * DK[cols]
             return Y
 
-    # the worst bracket (residual, unit q = pi(b)^T) of X_a = K^dagger pi(a) K (comm) and Y_a = K^dagger [D, pi(a)] K
-    first = [_worst_bracket(frame(rows, cols), frames) for rows, cols in pairs]
-    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
-    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, size_D))
+    # the squared brackets [a, q] (unit q = pi(b)^T) of X_a = K^dagger pi(a) K (comm) and Y_a = K^dagger [D, pi(a)] K
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_line(comm, units, tol, 1.0))
+    del comm  # held across the n x n temporaries below, it left glibc's heap faulting their pages in at every unit
+    first = np.array([_bracket_squares(frame(rows, cols), frames) for rows, cols in pairs])
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_line(first, units, tol, size_D))
     return rep
 
 
@@ -587,84 +592,82 @@ def _unit_name(unit):
     return f"E^{k}_{{{x},{y}}}"
 
 
-def _witness(sq, labels):
-    """The first label whose squared sum sq is within a relative 1e-12 of the largest, None if all are 0: brackets
-    that tie in exact arithmetic differ by rounding alone, and still name one witness, whatever the summation order."""
-    top = max(sq, default=0.0)
-    return next(label for s, label in zip(sq, labels) if s >= (1 - 1e-12) * top) if top > 0 else None
+def _line(sq, units, tol, scale):
+    """(residual, bound, detail) of a bracket line from its squared brackets: sq[q] of gamma with each unit q,
+    or sq[a, q] of an order condition, with the units (k, x, y) of q = pi(E^k_xy) on each axis.
 
-
-def _order_line(brackets, units, tol, scale):
-    """(residual, bound, witness) of an order-condition line from the worst (residual, q = pi(b)^T) of each unit a.
-
-    The witness (a, q) follows _witness, with b = E^k_{y,x} for q = E^k_{x,y}; a residual within 1e-12 scale
-    of 0 is rounding of an exact zero and names none.
+    The residual is the square root of the largest, the bound tol scale.  The witness is the first (a, q) in
+    row-major order within a relative 1e-12 of the largest: brackets that tie in exact arithmetic differ by
+    rounding alone, and still name one witness, whatever the summation order.  The gamma line names a = q
+    unless every bracket is 0; an order line names b = E^k_{y,x} for q = E^k_{x,y}, and none when its
+    residual is within 1e-12 scale of 0, the rounding of an exact zero.
     """
-    res = [r for r, _q in brackets]
-    top = max(res, default=0.0)
-    if top <= 1e-12 * scale:
-        return top, tol * scale, ""
-    (k, x, y), a = _witness(np.square(res), [(q, a) for (_r, q), a in zip(brackets, units)])
-    return top, tol * scale, f"worst at a = {_unit_name(a)}, b = {_unit_name((k, y, x))}"
+    top = sq.max(initial=0.0)
+    res, bound = float(np.sqrt(top)), tol * scale
+    if top == 0 or sq.ndim == 2 and res <= 1e-12 * scale:
+        return res, bound, ""
+    at = np.unravel_index(np.flatnonzero(sq >= (1 - 1e-12) * top)[0], sq.shape)
+    if sq.ndim == 1:
+        return res, bound, f"worst at a = {_unit_name(units[at[0]])}"
+    (k, x, y), a = units[at[1]], units[at[0]]
+    return res, bound, f"worst at a = {_unit_name(a)}, b = {_unit_name((k, y, x))}"
 
 
 def _unit_frames(layout):
-    """(k, L_k, labels_k) for each block k with legs.
+    """(k, L_k, at_k, labels_k) for each block k with legs.
 
-    L_k is the index map unit_maps(k); labels_k (n x (n_k + 1)) labels every
-    index one-hot by its row of L_k, the last column meaning 'outside L_k'.
+    L_k is the index map unit_maps(k); at_k (n) holds the place of every index in L_k.ravel(), L_k.size
+    outside it; labels_k (n x (n_k + 1)) labels every index one-hot by its row of L_k, the last column
+    meaning 'outside L_k'.
     """
     frames = []
     for k in range(1, layout.profile.r + 1):
         L = layout.unit_maps(k)
         if L.size:
-            label = np.full(layout.total_dim, len(L))
-            label[L] = np.arange(len(L))[:, None]
-            frames.append((k, L, np.eye(len(L) + 1)[label]))
+            at = np.full(layout.total_dim, L.size)
+            at[L] = np.arange(L.size).reshape(L.shape)
+            frames.append((k, L, at, np.eye(len(L) + 1)[at // L.shape[1]]))
     return frames
 
 
-def _worst_bracket(X, frames):
-    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and the (k, x, y) _witness names.
+def _bracket_squares(X, frames):
+    """||[X, q]||_F^2 for every unit q = pi(E^k_xy) of the frames, in (k, x, y) order.
 
     With R = L_k[x] and C = L_k[y],
         ||[X, q]||^2 = ||X[not R, R]||^2 + ||X[C, not C]||^2 + ||X[R, R] - X[C, C]||^2.
     One label sum of |X|^2 per frame gives the first two terms for every
     (x, y), the diagonal blocks of X[L_k, L_k] the third.  Only nonnegative
     terms are added, so nothing cancels and an exact zero stays 0.0.
-    (0.0, None) when every bracket vanishes.
     """
     A = X.real ** 2 + X.imag ** 2
-    sq = []
-    for _k, L, labels in frames:
+    sq = [np.zeros(0)]
+    for _k, L, _at, labels in frames:
         S = labels.T @ A @ labels
         np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
         G = np.asarray(X[L[:, :, None], L[:, None, :]], complex).view(float).reshape(len(L), -1)  # X[L_k[x], L_k[x]]
         G = G[:, None] - G  # G[x] - G[y] at [x, y], as many numbers as X since n_k m_k <= n
-        sq.append(S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + np.einsum("xyi,xyi->xy", G, G))
-    return _worst([s[None] for s in sq], frames)[0]
+        sq.append((S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + np.einsum("xyi,xyi->xy", G, G)).ravel())
+    return np.concatenate(sq)
 
 
 def _monomial_brackets(perm, phase, frames):
-    """[_worst_bracket(X_a, frames) for every unit a, in verify_axioms' order], read off the m entries of each
-    X_a = K^dagger pi(a) K for a monomial K (K[i, perm[i]] = phase[i]), all units of a block at once.
+    """The (U, U) squared brackets whose row a is _bracket_squares(X_a, frames), for the units a in
+    verify_axioms' order, read off the m entries of each X_a = K^dagger pi(a) K for a monomial K
+    (K[i, perm[i]] = phase[i]), all units of a block at once.
 
     X_a holds conj(phase[L[x]]) phase[L[y]] at the rows perm[L[x]] and columns perm[L[y]] for a = E_xy.  One
-    bincount over (unit, row label, column label) gives the label sums S of _worst_bracket.  The entries whose
+    bincount over (unit, row label, column label) gives the label sums S of _bracket_squares.  The entries whose
     row and column lie in one row x' of L_k go to P[key, x'], keyed by (unit, row position, column position),
     and ||X[R, R] - X[C, C]||^2 sums |P[key, x'] - P[key, y']|^2 over the keys of a unit.  Temporaries are
     O(U m + keys n_k^2), no dense X_a; only nonnegative terms are added, so an exact zero stays 0.0.
     """
-    places = [np.full(len(perm), Lk.size) for _k, Lk, _labels in frames]  # of each index in L_k.ravel(), else L_k.size
-    for at, (_k, Lk, _labels) in zip(places, frames):
-        at[Lk] = np.arange(Lk.size).reshape(Lk.shape)
     out = []
-    for _i, L, _labels in frames:
+    for _i, L, _at, _labels in frames:
         (nu, m), u = L.shape, np.repeat(np.arange(len(L) ** 2), L.shape[1])  # unit x nu + y of each entry
         rows, cols = (np.broadcast_to(p, (nu, nu, m)).ravel() for p in (perm[L][:, None], perm[L][None]))
         v = (np.conj(phase[L])[:, None] * phase[L][None]).ravel()
         w, sq = v.real ** 2 + v.imag ** 2, []
-        for (_k, Lk, _labels), at in zip(frames, places):
+        for _k, Lk, at, _labels in frames:
             nk, mk = Lk.shape
             (xr, pr), (xc, pc) = divmod(at[rows], mk), divmod(at[cols], mk)
             S = np.bincount((u * (nk + 1) + xr) * (nk + 1) + xc, w, nu * nu * (nk + 1) ** 2).reshape(-1, nk + 1, nk + 1)
@@ -676,25 +679,9 @@ def _monomial_brackets(perm, phase, frames):
                 P[key, xr[on]] = v[on]
                 P, starts = P[:, :, None] - P[:, None], np.flatnonzero(np.diff(keys // mk ** 2, prepend=-1))
                 same[keys[starts] // mk ** 2] = np.add.reduceat(P.real ** 2 + P.imag ** 2, starts)
-            sq.append(S[:, :, :-1].sum(axis=1)[:, :, None] + S[:, :-1].sum(axis=2)[:, None] + same)
-        out += _worst(sq, frames)
-    return out
-
-
-def _worst(sq, frames):
-    """[(sqrt of the largest, the (k, x, y) _witness names)] per unit, from the squared brackets sq[k][unit, x, y]
-    with the units q = pi(E^k_xy) of each frame; (0.0, None) where every bracket vanishes."""
-    sq = np.concatenate([np.zeros((len(sq[0]) if sq else 1, 0))] + [s.reshape(len(s), -1) for s in sq], axis=1)
-    return [(float(np.sqrt(t)), _unit_at(frames, int(np.flatnonzero(s >= (1 - 1e-12) * t)[0])) if t > 0 else None)
-            for s, t in zip(sq, sq.max(axis=1, initial=0.0))]  # the witness by _witness's rule
-
-
-def _unit_at(frames, j):
-    """The unit (k, x, y) behind column j of _worst's squared brackets."""
-    for k, L, _labels in frames:
-        if j < len(L) ** 2:
-            return (k, *divmod(j, len(L)))
-        j -= len(L) ** 2
+            sq.append((S[:, :, :-1].sum(axis=1)[:, :, None] + S[:, :-1].sum(axis=2)[:, None] + same).reshape(nu * nu, -1))
+        out.append(np.concatenate(sq, axis=1))
+    return np.concatenate(out) if out else np.zeros((0, 0))
 
 
 def _sign_residuals(t, DK):

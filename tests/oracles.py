@@ -116,13 +116,11 @@ from finspec.krajewski import (
     _diagonal_orbit,
     _edge_kind,
     _extract_middle_map,
-    _order_line,
+    _line,
     _real_structure,
     _splitting_residual,
     _unit_frames,
-    _unit_name,
     _vdim,
-    _witness,
     epsilon_factor,
     extract_edges,
     layout_of,
@@ -557,7 +555,7 @@ def splitting_residual(t, i, j, fiber):
     return frob(proj - layout.place({(v, v): 1.0 for v in fiber}))
 
 
-# -- verify_axioms on index maps, as before the sums of squares of _worst_bracket --
+# -- verify_axioms on index maps, as before the sums of squares of _bracket_squares --
 
 
 def verify_axioms_pairs(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
@@ -1651,38 +1649,36 @@ def verify_axioms_dense(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Repo
         rep.add_bool("no grading in odd KO-dimension", False)
 
     frames = _unit_frames(t.layout)
+    units = [(i, x, y) for i, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))]
     if ko.even:
-        res, q = worst_bracket_rows(t.gamma, frames)
-        rep.add("gamma commutes with pi(a)", res, tol, f"worst at a = {_unit_name(q)}" if q else "")
+        rep.add("gamma commutes with pi(a)", *_line(worst_bracket_rows(t.gamma, frames), units, tol, 1.0))
     Kh = K.conj().T
     KhD = Kh @ D
-    units, comm, first = [], [], []  # unit a, and the worst bracket (residual, unit q = pi(b)^T) of X_a and of Y_a
-    for i, L, _labels in frames:
+    comm, first = [], []  # the squared brackets with every unit q = pi(b)^T of X_a and of Y_a, one row per unit a
+    for i, L, _at, _labels in frames:
         for x, y in np.ndindex(len(L), len(L)):
             rows, cols = L[x], L[y]
-            units.append((i, x, y))
             comm.append(worst_bracket_rows(Kh[:, rows] @ K[cols], frames))  # K^dagger pi(a) K
             first.append(worst_bracket_rows(KhD[:, rows] @ K[cols] - Kh[:, rows] @ DK[cols], frames))  # K^dagger [D, pi(a)] K
-    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_order_line(comm, units, tol, 1.0))
-    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_order_line(first, units, tol, frob(D)))
+    rep.add("commutant [pi(a), J pi(b)* J^-1] = 0", *_line(np.array(comm), units, tol, 1.0))
+    rep.add("first order [[D, pi(a)], J pi(b)* J^-1] = 0", *_line(np.array(first), units, tol, frob(D)))
     return rep
 
 
 
 
 def worst_bracket_rows(X, frames):
-    """Largest ||[X, q]||_F over the units q = pi(E^k_xy) of the frames, and the (k, x, y) _witness names, with
-    ||X[R, R] - X[C, C]||^2 taken one row x of a frame at a time and the witness from a list of every unit."""
+    """||[X, q]||_F^2 for every unit q = pi(E^k_xy) of the frames, in (k, x, y) order, with
+    ||X[R, R] - X[C, C]||^2 taken one row x of a frame at a time."""
     A = X.real ** 2 + X.imag ** 2
-    sq, units = [], []
-    for k, L, labels in frames:
+    sq = []
+    for _k, L, _at, labels in frames:
         S = labels.T @ A @ labels
         np.fill_diagonal(S, 0.0)  # the blocks of one label lie on the support of q
         G = X[L[:, :, None], L[:, None, :]]  # G[x] = X[L_k[x], L_k[x]]
         same = [(abs(G - g) ** 2).sum(axis=(1, 2)) for g in G]  # ||X[R, R] - X[C, C]||^2, row x
         sq += list((S[:, :-1].sum(axis=0)[:, None] + S[:-1].sum(axis=1) + same).ravel())
-        units += [(k, x, y) for x, y in np.ndindex(len(L), len(L))]
-    return float(np.sqrt(max(sq, default=0.0))), _witness(sq, units)
+    return np.array(sq)
 
 
 def sign_residuals_dense(t, DK):

@@ -21,7 +21,7 @@ from finspec.action import (
 from finspec.catalog import minimal_diagram
 from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_transform, pushforward, represent
 from finspec.krajewski import KrajewskiDiagram, KOSignature, RealSpectralTriple, Vertex, realize
-from finspec.lifting import LiftError, build_phiH
+from finspec.lifting import LiftError, _pullback, build_phiH
 from finspec.sampling import (
     random_compatible_fermions,
     random_diagram,
@@ -418,6 +418,20 @@ def test_fermion_checks_do_not_depend_on_the_scale_of_the_vectors():
     compare_actions(*args, fermions=(psi_A, psi_B + tiny), tol=1e-9)
     with pytest.raises(LiftError, match="fermion pair is not phi-compatible"):
         compare_actions(*args, fermions=(psi_A, psi_B + tiny), tol=1e-12)
+
+
+def test_compare_actions_refuses_operators_that_are_not_phi_compatible():
+    """Target fields from forms and the source configuration pulled back through phi_H are accepted; with Phi_A
+    scaled by 1.5 the pair is refused, naming the field."""
+    norm, tA, tB, phiH = normalized_setup(rng_from_seed(5), 6)
+    rng, M = rng_from_seed(77), phiH.matrix
+    wB = random_hermitian_form(rng, tB.profile)
+    cfg_B = GaugeConfiguration.from_forms(tB, [random_hermitian_form(rng, tB.profile, 1) for _ in range(4)], wB)
+    cfg_A = GaugeConfiguration(tuple(_pullback(M, b) for b in cfg_B.B), _pullback(M, cfg_B.Phi))
+    args = (norm, tA, tB, UniversalOneForm.zero(tA.profile), wB, CutoffFunction.gaussian(), 1.5)
+    compare_actions(*args, cfgs=(cfg_A, cfg_B))
+    with pytest.raises(LiftError, match="operators not phi-compatible: Phi$"):
+        compare_actions(*args, cfgs=(GaugeConfiguration(cfg_A.B, 1.5 * cfg_A.Phi), cfg_B))
 
 
 @pytest.mark.parametrize("seed", range(12))

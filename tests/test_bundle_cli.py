@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import operator
 import os
@@ -390,6 +391,23 @@ def test_cli_validation_failure_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", (["validate"], ["lift-check", "--lift", "L"]))
+def test_cli_overflowing_edge_exits_1_under_warnings_as_errors(full_bundle, tmp_path, command):
+    """An edge entry of 1e300, which the reader accepts, overflows its squared norm: under python -W error -m
+    finspec.cli, validate and lift-check exit 1 with the line naming it, and no RuntimeWarning escapes as a traceback."""
+    with open(full_bundle[1], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["diagrams"]["tgt"]["edges"][0]["op"]["entries"][0][1] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "finspec.cli", command[0], str(path), *command[1:]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+    assert "[FAIL] edge norms are finite (entries below about 1e154)" in done.stdout + done.stderr, done.stdout
+
+
 def test_cli_classification_failure_exits_1(tmp_path, capsys):
     # D couples the fibers (1,1) and (2,2), which share no index: not a Krajewski diagram
     from finspec.krajewski import KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex
@@ -717,14 +735,16 @@ def _mutate(doc, path, kind):
 def mutation_setup(full_bundle, tmp_path_factory):
     with open(full_bundle[1], encoding="utf-8") as fh:
         text = fh.read()
-    return text, [p for p in _paths(json.loads(text)) if p], tmp_path_factory.mktemp("mutated") / "bundle.json"
+    directory = tmp_path_factory.mktemp("mutated")
+    fresh = (directory / f"bundle-{k}.json" for k in itertools.count())  # truncating a just-written file can wait on a flush
+    return text, [p for p in _paths(json.loads(text)) if p], fresh
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_bundles_exit_0_1_or_2_without_traceback(mutation_setup, data):
-    text, paths, path = mutation_setup
-    doc = json.loads(text)
+    text, paths, fresh = mutation_setup
+    doc, path = json.loads(text), next(fresh)
     where = data.draw(st.sampled_from(paths), label="path")
     kind = data.draw(st.sampled_from(("drop", "type", "nan", "inf", "bool", "huge", "index")), label="kind")
     command = data.draw(st.sampled_from(COMMANDS), label="command")
@@ -772,12 +792,12 @@ def test_seeded_mutations_exit_0_1_or_2_with_their_prefix(mutation_setup, tmp_pa
     text, paths, _ = mutation_setup
     value = lambda path, doc=json.loads(text): functools.reduce(operator.getitem, path, doc)
     matrices = [p for p in paths if isinstance(value(p), dict) and {"rows", "cols", "entries"} <= value(p).keys()]
-    rng, path, refused = rng_from_seed(2800), tmp_path / "mutated.json", 0
-    for _ in range(300):
+    rng, refused = rng_from_seed(2800), 0
+    for k in range(300):
         doc = json.loads(text)
         where = _seeded_mutation(rng, doc, paths, matrices)
         command = COMMANDS[rng.integers(len(COMMANDS))]
-        path.unlink(missing_ok=True)  # a new file each time: truncating a just-written file can wait on a flush
+        path = tmp_path / f"mutated-{k}.json"  # a new file each time: truncating a just-written file can wait on a flush
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,17 @@ def test_order_condition_witness_attains_the_residual(d):
         units = _named_units(t, check.detail)
         assert len(units) == (1 if name.startswith("gamma") else 2)
         assert abs(dense(*units) - check.residual) <= 1e-12 * check.residual, (name, check.detail)
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_validate_names_edge_norms_that_overflow(d):
+    """An edge entry near 1e300 overflows the square in its norm: validate adds one failing line that says so,
+    with no numpy warning (warnings are errors here), and at 1e153 the report has the lines of t = 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, large, unit = (validate(minimal_diagram(d, t)) for t in (1e300, 1e153, 1.0))
+    assert not huge.ok and not huge["edge norms are finite (entries below about 1e154)"].passed
+    assert large.ok and [c.name for c in large.checks] == [c.name for c in unit.checks]
 
 
 @pytest.mark.parametrize("d", ALL_D)

@@ -16,6 +16,7 @@ from helpers import (
 
 from finspec.algebra import AlgebraProfile, frob, matrix_units
 from finspec.bratteli import BratteliArrow, apply_phi
+from finspec.catalog import minimal_diagram
 from finspec.krajewski import Edge, KrajewskiDiagram, realize, validate
 from finspec.lifting import (
     DiagramLift,
@@ -286,6 +287,31 @@ def test_a_jim_without_a_vertex_of_u_raises_lift_error(side):
         diagonalize_bases(bad, 1e-10)
     with pytest.raises(LiftError, match=re.escape(f"jim of {v} ")):
         real_grading_check(bad, tA, tB, 1e-10)
+
+
+def _self_lift(d, u=(), target=None):
+    """minimal_diagram(d) lifted to itself (or to target) by the identity arrow, with u(v, v) = 2 and then u."""
+    g = minimal_diagram(d)
+    u = {(v, v): 2 * np.eye(1) for v in g.vertices} | {key: m * np.eye(1) for key, m in u}
+    return DiagramLift(BratteliArrow(g.profile, g.profile, ((1,),), (0,)), g, target or g, u)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_diagonalize_bases_keeps_a_diagonal_sigma_in_d_3_4_5(d):
+    """Where jim pairs diagonal vertices of one grading, an already diagonal sigma is accepted as it is:
+    kappa = |2|^2 at every source vertex."""
+    assert diagonalize_bases(_self_lift(d)).kappa == {v: 4.0 for v in minimal_diagram(d).vertices}
+
+
+def test_diagonalize_bases_refuses_before_rotating():
+    """A u off the conjugation relation, a u across gradings, and KO-dimensions that differ are refused, each
+    with its own message."""
+    with pytest.raises(LiftError, match=re.escape("conjugation relation violated at ((1, 1, 1), (1, 1, 1))")):
+        diagonalize_bases(_self_lift(3, [(((1, 1, 1), (1, 1, 1)), 2), (((1, 2, 1), (1, 2, 1)), 3)]))
+    with pytest.raises(LiftError, match="grading not respected by u"):
+        diagonalize_bases(_self_lift(0, [(((1, 1, 1), (1, 2, 1)), 1)]))
+    with pytest.raises(LiftError, match="source and target KO-dimensions differ"):
+        diagonalize_bases(_self_lift(0, target=minimal_diagram(4)))
 
 
 def test_compat_check_strong_and_weak():

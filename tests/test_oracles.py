@@ -40,6 +40,7 @@ from finspec.krajewski import (
     Edge,
     KrajewskiDiagram,
     RealSpectralTriple,
+    _bracket_squares,
     _extract_middle_map,
     _factor_residual,
     _monomial_brackets,
@@ -49,7 +50,6 @@ from finspec.krajewski import (
     _splitting_residual,
     _unit_frames,
     _validate,
-    _worst_bracket,
     classify,
     detect_ko,
     extract_edges,
@@ -1058,26 +1058,71 @@ def test_axioms_gathers_match_dense_oracles(d):
 
 @pytest.mark.parametrize("d", range(8))
 def test_monomial_brackets_match_the_dense_reader_unit_by_unit(d):
-    """The commutant brackets read off the m entries of each X_a = K^dagger pi(a) K, against _worst_bracket and
-    the oracle's row-by-row reader of the dense X_a, for every unit a: residuals within 1e-12 relative and the same witness, or both rounding of
-    an exact zero.  Realized triples read exactly 0.0 for every unit; K times a phased permutation with
-    complex phases does not."""
+    """The commutant's squared brackets read off the m entries of each X_a = K^dagger pi(a) K, against
+    _bracket_squares and the oracle's row-by-row reader of the dense X_a, for every pair of units (a, q):
+    within 1e-12 relative, or both at most 1e-24, the rounding of an exact zero.  Realized triples read
+    exactly 0.0 for every pair; K times a phased permutation with complex phases does not."""
     phased = 0
     for t, monomial, valid in _gather_forms(d):
         if not monomial:
             continue
         frames, (perm, phase), Kh = _unit_frames(t.layout), _products_with(t.K)[0], t.K.conj().T
-        read = _monomial_brackets(perm, phase, frames)
-        for reader in (_worst_bracket, oracles.worst_bracket_rows):
-            dense = [reader(Kh[:, L[x]] @ t.K[L[y]], frames)
-                     for _i, L, _labels in frames for x, y in np.ndindex(len(L), len(L))]
-            assert len(read) == len(dense) == sum(t.profile.dim(i) ** 2 for i, _L, _labels in frames)
-            for (res, q), (res0, q0) in zip(read, dense):  # X_a has entries of modulus 1: below 1e-12, rounding of 0
-                assert abs(res - res0) <= 1e-12 * res0 and q == q0 if res0 > 1e-12 else res <= 1e-12, (res, q, res0, q0)
+        read, U = _monomial_brackets(perm, phase, frames), sum(t.profile.dim(k) ** 2 for k, *_ in frames)
+        for reader in (_bracket_squares, oracles.worst_bracket_rows):
+            dense = np.array([reader(Kh[:, L[x]] @ t.K[L[y]], frames)
+                              for _k, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))])
+            assert read.shape == dense.shape == (U, U)
+            ok = (np.abs(read - dense) <= 1e-12 * dense) | ((read <= 1e-24) & (dense <= 1e-24))
+            assert ok.all(), (reader, read[~ok], dense[~ok])
         if valid:
-            assert all(res == 0.0 for res, _q in read)
-        phased += max(res for res, _q in read) > 1e-12
+            assert not read.any()
+        phased += read.max() > 1e-24
     assert phased >= 2
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_bracket_lines_name_the_first_pair_within_1e_12_of_the_largest(d):
+    """The witness rule, read off the oracle's table of squared brackets: each of the commutant, first-order
+    and gamma lines of verify_axioms names the first (a, q) in row-major order whose square is within a
+    relative 1e-12 of the largest, with b = E^k_{y,x} for q = E^k_{x,y}, and an order line names none within
+    1e-12 of the size of what it measures.  The triples carry Hermitian noise on D and gamma, and K as
+    realized, times a phased permutation (ties of exact arithmetic among the commutant brackets) or times a
+    random unitary (the dense products)."""
+    rng = rng_from_seed(2990 + d)
+    name = lambda k, x, y: f"E^{k}_{{{x},{y}}}"
+    named = ties = 0
+    for g in [minimal_diagram(d)] + [random_diagram(rng, d, AlgebraProfile(dims), max_fiber=2, edge_prob=0.7,
+                                                    ensure_edge=True) for dims in ((1, 2), (2, 3))]:
+        t0 = realize(g)
+        n = t0.dim
+        noise = lambda X: None if X is None else X + 1e-3 * random_hermitian(rng, n)
+        phased = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+        for K in (t0.K, t0.K @ phased, t0.K @ random_unitary(rng, n)):
+            t = RealSpectralTriple(t0.profile, t0.ko, t0.layout, noise(t0.D), K, noise(t0.gamma))
+            rep, frames, Kh = verify_axioms(t), _unit_frames(t.layout), K.conj().T
+            KhD, DK = Kh @ t.D, t.D @ K
+            units = [(k, x, y) for k, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))]
+            pairs = [(L[x], L[y]) for _k, L, _at, _labels in frames for x, y in np.ndindex(len(L), len(L))]
+            lines = {
+                "commutant [pi(a), J pi(b)* J^-1] = 0": (1.0, [Kh[:, r] @ K[c] for r, c in pairs]),
+                "first order [[D, pi(a)], J pi(b)* J^-1] = 0":
+                    (frob(t.D), [KhD[:, r] @ K[c] - Kh[:, r] @ DK[c] for r, c in pairs]),
+            }
+            for line, (scale, Xs) in lines.items():
+                sq = np.array([oracles.worst_bracket_rows(X, frames) for X in Xs])
+                if np.sqrt(sq.max()) <= 1e-12 * scale:
+                    assert rep[line].detail == "", line
+                    continue
+                window = np.flatnonzero(sq >= (1 - 1e-12) * sq.max())
+                (a, q), ties = divmod(int(window[0]), len(units)), ties + (window.size > 1)
+                k, x, y = units[q]
+                assert rep[line].detail == f"worst at a = {name(*units[a])}, b = {name(k, y, x)}", line
+                named += 1
+            if t.gamma is not None:
+                sq = oracles.worst_bracket_rows(t.gamma, frames)
+                q = int(np.flatnonzero(sq >= (1 - 1e-12) * sq.max())[0])
+                assert rep["gamma commutes with pi(a)"].detail == (f"worst at a = {name(*units[q])}" if sq.any() else "")
+    assert named >= 5 and ties >= 5  # ties: more than one pair in the window, so the order decides
 
 
 def test_J_products_read_a_newly_assigned_K():
