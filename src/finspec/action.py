@@ -106,14 +106,18 @@ class GaugeConfiguration:
                    tol: float = DEFAULT_TOL):
         """B_mu = A_mu - J A_mu J^-1 for A_mu = pi_D(vector form), and Phi = fluctuate(t, higgs_form).
 
-        Each A_mu passes fluctuate's Hermitian check; one is held at a time, and B_mu is written into the buffer
-        of J A_mu J^-1, so each B_mu costs one n x n array beyond pi_D.  The configuration keeps copies (as_matrix).
+        Each A_mu passes fluctuate's Hermitian check.  Where D splits, B_mu is written from A_mu's left factor into
+        one zero buffer (VertexLayout.lift_left); else one A_mu is held at a time and B_mu is written into the buffer
+        of J A_mu J^-1, one n x n array beyond pi_D.  The configuration keeps copies (as_matrix).
         """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
         Bs = []
         for w in vector_forms:
-            X = _hermitian_representation(w, t, tol)
+            X, split = _hermitian_representation(w, t, tol)
+            if split is not None:
+                Bs.append(t.layout.lift_left(X, None, split[1], -1.0))
+                continue
             Y = t.conjugate_by_J(X)
             Bs.append(np.subtract(X, Y, out=Y))  # written into the buffer of J A_mu J^-1
             del X

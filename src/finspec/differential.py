@@ -7,11 +7,16 @@ fluctuated Dirac operator is D_omega = D + pi_D(omega) + eps' J pi_D(omega)
 J^-1, and a non-unital homomorphism phi pushes a^0 dU a^1 forward to
 phi(a^0) dU phi(a^1) - phi(a^0 a^1) dU p_phi with p_phi = phi(1).
 
-No dense pi(a) is built: a one-form is one `VertexLayout.sandwich` of D, one
+No dense pi(a) is built.  When K is monomial and D splits as L (x) 1 + 1 (x) R
+on its vertex blocks, as the first-order condition makes every realized D do,
+pi(a) commutes with each 1 (x) R block, so pi_D(omega) = iota_L(sum pi_L(a0)
+[L, pi_L(a1)]) is summed on a left space of n_a slots per vertex and written
+into a dense buffer once (`VertexLayout.lift_left`), J pi_D(omega) J^-1
+beside it; `fluctuate` writes both into a copy of D.  Any other triple takes
+the sandwich path: one `VertexLayout.sandwich` of D per degree-one sum, one
 GEMM per pair of algebra blocks, O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs
-of block i, with no n^3 term and no dependence on the number of terms.
-`fluctuate` writes D_omega into the buffer of pi_D(omega), so beyond it one
-n x n array (J pi_D(omega) J^-1) is made.
+of block i, and `fluctuate` writes D_omega into the buffer of pi_D(omega) and
+one n x n array J pi_D(omega) J^-1.
 """
 
 from __future__ import annotations
@@ -84,14 +89,23 @@ class UniversalNForm:
 def represent(omega, t: RealSpectralTriple) -> np.ndarray:
     """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)].
 
-    The degree-one part is sum pi(a0) D pi(a1) - pi(a0 a1) D; a term of
-    degree n > 1 is the product of its factors (a0, a1), (1, a2), ..., (1, an).
+    Where D splits (RealSpectralTriple._split) this is iota_L of _left_representation; else
+    _sandwich_representation.
     """
+    if (split := _split_of(omega, t)) is None:
+        return _sandwich_representation(omega, t)
+    return t.layout.lift_left(_left_representation(omega, t, split[0]))
+
+
+def _split_of(omega, t: RealSpectralTriple):
     if omega.profile != t.profile:
         raise ProfileMismatch("form and triple live over different profiles")
-    one = AlgebraElement.identity(t.profile)
-    d = lambda terms: t.layout._sandwich([p for a0, a1 in terms for p in (  # (-a0 a1, 1) as -1.0 * (a0 @ a1) forms it
-        (a0.blocks, a1.blocks), (tuple(-1.0 * (x @ y) for x, y in zip(a0.blocks, a1.blocks)), one.blocks))], t.D)
+    return t._split()
+
+
+def _terms(d, omega, one):
+    """sum over terms of d's degree-one sums: the degree-one part in one call, and a term of degree n > 1 as the
+    product of its factors (a0, a1), (1, a2), ..., (1, an)."""
     out = d([term for term in omega.terms if len(term) == 2])
     for term in omega.terms:
         if len(term) > 2:
@@ -102,20 +116,46 @@ def represent(omega, t: RealSpectralTriple) -> np.ndarray:
     return out
 
 
-def _hermitian_representation(omega, t: RealSpectralTriple, tol: float) -> np.ndarray:
-    """pi_D(omega), refused (never symmetrized) unless Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F."""
-    X, size = represent(omega, t), frob(t.D)
-    herm = frob(X - X.conj().T)
+def _sandwich_representation(omega, t: RealSpectralTriple) -> np.ndarray:
+    """pi_D(omega) for any D: the degree-one part is sum pi(a0) D pi(a1) - pi(a0 a1) D, one VertexLayout.sandwich."""
+    one = AlgebraElement.identity(t.profile)
+    return _terms(lambda terms: t.layout._sandwich([p for a0, a1 in terms for p in (  # -1.0 * (a0 @ a1) forms -a0 a1
+        (a0.blocks, a1.blocks), (tuple(-1.0 * (x @ y) for x, y in zip(a0.blocks, a1.blocks)), one.blocks))], t.D),
+        omega, one)
+
+
+def _left_representation(omega, t: RealSpectralTriple, L) -> np.ndarray:
+    """The left factor of pi_D(omega) for D = iota_L(L) + iota_R(R): pi(a) commutes with every 1 (x) R block, so
+    [D, pi(a)] = iota_L([L, pi_L(a)]), and the sum is taken on the padded left space (_left_commutators)."""
+    one = AlgebraElement.identity(t.profile)
+    return _terms(lambda terms: t.layout._left_commutators([(a0.blocks, a1.blocks) for a0, a1 in terms], L),
+                  omega, one)
+
+
+def _hermitian_representation(omega, t: RealSpectralTriple, tol: float):
+    """(pi_D(omega), None), or (its left factor, t._split()) where D splits, refused (never symmetrized) unless
+    Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F."""
+    if (split := _split_of(omega, t)) is None:
+        X = _sandwich_representation(omega, t)
+        herm = frob(X - X.conj().T)
+    else:
+        X = _left_representation(omega, t, split[0])
+        herm = t.layout._left_hermiticity(X)
+    size = frob(t.D)
     if herm > tol * sum(size ** (len(term) - 1) * math.prod(a.norm() for a in term) for term in omega.terms):
         raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
-    return X
+    return X, split
 
 
 def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1, with pi_D(omega) Hermitian (_hermitian_representation)."""
+    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1, with pi_D(omega) Hermitian (_hermitian_representation).
+
+    Where D splits, both terms are written from the left factor into a copy of D (VertexLayout.lift_left)."""
     if not isinstance(omega, UniversalOneForm):
         raise TypeError("gauge potentials are one-forms")
-    X = _hermitian_representation(omega, t, tol)
+    X, split = _hermitian_representation(omega, t, tol)
+    if split is not None:
+        return t.layout.lift_left(X, t.D, split[1], t.ko.eps_p)
     Y = t.conjugate_by_J(X)
     np.multiply(t.ko.eps_p, Y, out=Y)  # the product eps' * Y, which keeps zeros signed as a skip or negation would not
     return np.add(np.add(t.D, X, out=X), Y, out=X)

@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraProfile,
     VertexLayout,
+    _peel,
     as_matrix,
     frob,
 )
@@ -47,6 +48,9 @@ KO_TABLE = {
 }
 
 EDGE_KINDS = ("left", "right", "general")
+
+# relative residual below which a Dirac operator counts as split into L (x) 1 + 1 (x) R (RealSpectralTriple._split)
+_SPLIT_ROUNDING = 1e-14
 
 
 class DiagramError(ValueError):
@@ -155,6 +159,7 @@ class RealSpectralTriple:
     K: np.ndarray
     gamma: np.ndarray | None = None
     _K_read: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _split_read: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -162,6 +167,18 @@ class RealSpectralTriple:
 
     def pi(self, a: AlgebraElement) -> np.ndarray:
         return self.layout.pi(a)
+
+    def _split(self):
+        """(L, J), or None unless K is monomial and D splits as L (x) 1 + 1 (x) R within rounding
+        (_SPLIT_ROUNDING ||D||_F): D's left factor on the layout's padded left space (VertexLayout.factors) and the
+        layout's tables of J for K (VertexLayout._J_tables).  Read once per D and K object, as _K_products reads K."""
+        if (mono := self._K_products()[0]) is None:
+            return None
+        if self._split_read[0] is not self.D or self._split_read[1] is not self.K:
+            L, _R, residual = self.layout.factors(self.D)
+            split = (L, self.layout._J_tables(mono)) if residual <= _SPLIT_ROUNDING * frob(self.D) else None
+            self._split_read = self.D, self.K, split
+        return self._split_read[2]
 
     def _K_products(self):
         """_products_with(K), read once per K object: assigning a new K drops it (nothing writes into a K in place)."""
@@ -341,12 +358,10 @@ def _factor_residual(op, kind, dims):
     if (n_i1 == 1 and kind != "left") or (n_j1 == 1 and kind != "right"):
         return np.zeros(op.shape[:-2])
     off = op.reshape(op.shape[:-2] + (n_i2, n_j2, n_i1, n_j1)).copy()
-    if kind != "right":
-        rho = np.einsum("...ayby->...ayb", off)  # a view of the entries of off where the rho legs agree
-        rho -= off.trace(axis1=-3, axis2=-1)[..., None, :] / n_j1
+    if kind != "right":  # views of the entries of off where the rho legs, then the lambda legs, agree
+        _peel(np.einsum("...ayby->...ayb", off), n_j1, -2)
     if kind != "left":
-        lam = np.einsum("...xaxb->...xab", off)
-        lam -= off.trace(axis1=-4, axis2=-2)[..., None, :, :] / n_i1
+        _peel(np.einsum("...xaxb->...xab", off), n_i1, -3)
     off = off.reshape(op.shape[:-2] + (-1,)).view(float)
     return np.sqrt(np.einsum("...i,...i->...", off, off))
 
@@ -375,8 +390,9 @@ def validate(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> Report:
 
     Edge-factorization and orbit-consistency residuals pass below
     tol ||op||_F, and an edge counts as nonzero above tol times the
-    largest ||op||_F of the diagram, so a diagram and its rescaling get the
-    same verdict.
+    largest finite ||op||_F of the diagram, so a diagram and its rescaling get
+    the same verdict; an edge whose norm overflows counts as nonzero, beside
+    one failing line that names the overflow.
     """
     return _validate(diag, tol)[0]
 
@@ -447,9 +463,10 @@ def _validate(diag, tol):
         for dim, kind, ks, ops in groups:  # edge -> (norm, factor residual), stacked per group of the factor-line edges
             factor.update(zip(ks, zip(_norms(ops).tolist(), _factor_residual(ops, kind, dim).tolist())))
         sizes = [factor[k][0] if k in factor else frob(e.op) for k, e in enumerate(diag.edges)]
-        if not math.isfinite(largest := max(sizes, default=0.0)):  # a squared entry overflowed, and the bounds below
-            rep.add_bool("edge norms are finite (entries below about 1e154)", False)
-        nonzero, seen_pairs = tol * largest, set()
+        finite = [size for size in sizes if math.isfinite(size)]
+        if len(finite) < len(sizes):  # a squared entry overflowed: that edge counts as nonzero, the others are judged
+            rep.add_bool("edge norms are finite (entries below about 1e154)", False)  # against the largest finite norm
+        nonzero, seen_pairs = tol * max(finite, default=0.0), set()
         for k, (e, size, verdict) in enumerate(zip(diag.edges, sizes, verdicts)):
             if verdict is None:
                 rep.add_bool(f"edge {e.src}->{e.dst} endpoints exist", False)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def _json_number(x):
+    """x, or for a non-finite float its repr ("inf", "-inf" or "nan"), which JSON has no number for."""
+    return x if x is None or math.isfinite(x) else repr(x)
 
 
 @dataclass
@@ -54,7 +60,8 @@ class Report:
             "title": self.title,
             "ok": self.ok,
             "checks": [
-                {"name": c.name, "residual": c.residual, "bound": c.bound, "passed": c.passed, "detail": c.detail}
+                {"name": c.name, "residual": _json_number(c.residual), "bound": _json_number(c.bound),
+                 "passed": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
             "warnings": list(self.warnings),

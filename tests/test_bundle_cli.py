@@ -408,6 +408,27 @@ def test_cli_overflowing_edge_exits_1_under_warnings_as_errors(full_bundle, tmp_
     assert "[FAIL] edge norms are finite (entries below about 1e154)" in done.stdout + done.stderr, done.stdout
 
 
+def test_cli_json_output_of_an_overflowing_edge_parses_without_constants(full_bundle, tmp_path, capsys):
+    """--format json writes a non-finite residual or bound as the string "inf", "-inf" or "nan": the output of
+    validate on an edge entry of 1e300 parses with a parse_constant that refuses Infinity and NaN."""
+    with open(full_bundle[1], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["diagrams"]["tgt"]["edges"][0]["op"]["entries"][0][1] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--format", "json", "validate", str(path)]) == 1
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    rows = [row for rep in out.values() for row in rep["checks"]]
+    assert {"inf"} <= {row["residual"] for row in rows} | {row["bound"] for row in rows}
+    assert all(isinstance(row[k], (int, float, type(None))) or row[k] in ("inf", "-inf", "nan")
+               for row in rows for k in ("residual", "bound"))
+
+
 def test_cli_classification_failure_exits_1(tmp_path, capsys):
     # D couples the fibers (1,1) and (2,2), which share no index: not a Krajewski diagram
     from finspec.krajewski import KOSignature, KrajewskiDiagram, RealSpectralTriple, Vertex

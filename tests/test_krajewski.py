@@ -573,6 +573,15 @@ def test_validate_names_edge_norms_that_overflow(d):
 
 
 @pytest.mark.parametrize("d", ALL_D)
+def test_validate_judges_op_nonzero_against_the_largest_finite_norm(d):
+    """Where every edge norm overflows (t = 1e155 and 1e300), the finiteness line is the only failure: an edge whose
+    norm is inf counts as nonzero, and the others are judged against tol times the largest finite norm."""
+    for t in (1e155, 1e300):
+        rep = validate(minimal_diagram(d, t))
+        assert [c.name for c in rep.failures()] == ["edge norms are finite (entries below about 1e154)"], (t, str(rep))
+
+
+@pytest.mark.parametrize("d", ALL_D)
 def test_report_lines_pass_exactly_below_their_bounds(d):
     """Every residual line of validate and verify_axioms records its bound, and passes exactly when
     residual <= bound: tol ||op||_F on the factor lines, tol ||D||_F on the lines linear in D.

@@ -15,7 +15,9 @@ the off-diagonal block products and +-singular values of gamma-odd fields with
 the dense products and `eigvalsh`, and field assembly (`sandwich`, `represent`,
 `apply_phi`, `fluctuate`, `from_forms` and the Hermitian check of
 `bosonic_lagrangian`) bit for bit with the tensordot, AlgebraElement,
-component-sum and whole-array versions.
+component-sum and whole-array versions, and field assembly from D's
+vertex-block left factors with that sandwich path, which every D that does
+not split takes.
 """
 
 import contextlib
@@ -30,11 +32,19 @@ import pytest
 import oracles
 from helpers import fiber_unitary, hand_built_lifts, lift_chain, mix_fibers, normalized_setup
 
-from finspec import action, krajewski, lifting
+from finspec import action, differential, krajewski, lifting
 from finspec.action import CutoffFunction, GaugeConfiguration, bosonic_lagrangian, compare_actions
 from finspec.algebra import AlgebraElement, AlgebraProfile, VertexLayout, frob, matrix_units, right_action, unit_insert
 from finspec.catalog import minimal_diagram
-from finspec.differential import UniversalNForm, UniversalOneForm, fluctuate, gauge_covariance_check, pushforward, represent
+from finspec.differential import (
+    UniversalNForm,
+    UniversalOneForm,
+    _sandwich_representation,
+    fluctuate,
+    gauge_covariance_check,
+    pushforward,
+    represent,
+)
 from finspec.krajewski import (
     ClassificationError,
     Edge,
@@ -762,9 +772,9 @@ def _forms(rng, profile):
     ]
 
 
-def _same_representation(w, t):
+def _same_representation(w, t, reference=oracles.represent):
     """1e-12 relative, against the size of the terms where pi_D(omega) itself vanishes."""
-    X, X0 = represent(w, t), oracles.represent(w, t)
+    X, X0 = represent(w, t), reference(w, t)
     if not w.terms:
         assert np.array_equal(X, X0)
         return
@@ -1196,11 +1206,18 @@ def test_sandwich_is_the_tensordot_oracle_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", range(8))
 def test_represent_is_the_element_pair_oracle_bit_for_bit(d):
-    """Forms of degree 1, 2 and 3, mixed degrees and empty forms (_forms)."""
+    """The sandwich path, which every triple whose D does not split takes, on forms of degree 1, 2 and 3, mixed
+    degrees and empty forms (_forms)."""
     rng = rng_from_seed(2710 + d)
     for t in _field_triples(rng, d):
         for w in _forms(rng, t.profile):
-            _same_bits(represent(w, t), oracles.represent_elements(w, t))
+            _same_bits(_sandwich_representation(w, t), oracles.represent_elements(w, t))
+
+
+@pytest.fixture
+def sandwich_only(monkeypatch):
+    """Every triple takes the sandwich path, as one whose D does not split or whose K is not monomial does."""
+    monkeypatch.setattr(RealSpectralTriple, "_split", lambda self: None)
 
 
 def _same_fields(t, forms):
@@ -1211,15 +1228,119 @@ def _same_fields(t, forms):
 
 
 @pytest.mark.parametrize("d", range(8))
-def test_fields_are_the_whole_array_oracles_bit_for_bit(d):
-    """fluctuate and from_forms on realized triples, their dense forms (a dense K takes J X J^-1 densely),
-    and, in the KO-dimensions of automatic diagonalization, lift targets with pushed-forward forms."""
+def test_fields_are_the_whole_array_oracles_bit_for_bit(d, sandwich_only):
+    """fluctuate and from_forms on the sandwich path: on realized triples, their dense forms (a dense K takes
+    J X J^-1 densely), and, in the KO-dimensions of automatic diagonalization, lift targets with pushed-forward
+    forms."""
     rng = rng_from_seed(2720 + d)
     for t in _field_triples(rng, d):
         _same_fields(t, [random_hermitian_form(rng, t.profile) for _ in range(5)])
     for _ in range(3 if d in (0, 1, 2, 6, 7) else 0):
         _source, arrow, target, _lift = lift_chain(rng, d)
         _same_fields(realize(target), [pushforward(random_hermitian_form(rng, arrow.source), arrow) for _ in range(5)])
+
+
+# -- gauge fields from D's vertex-block left factors ---------------------------------
+
+
+def _split_triples(rng, d):
+    """Realized triples in d on _field_triples' profiles, and lift targets of lift_chain with their arrows."""
+    for profile in (None, AlgebraProfile((2, 1)), AlgebraProfile((1, 2, 3))):
+        yield realize(random_diagram(rng, d, profile, max_fiber=2, edge_prob=0.7, ensure_edge=True)), None
+    for _ in range(2):
+        _source, arrow, target, _lift = lift_chain(rng, d)
+        yield realize(target), arrow
+
+
+def _sandwich_fields(monkeypatch, t, forms):
+    """fluctuate and from_forms of forms[4], forms[:4] on the sandwich path."""
+    with monkeypatch.context() as m:
+        m.setattr(RealSpectralTriple, "_split", lambda self: None)
+        return fluctuate(t, forms[4]), GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_split_path_matches_the_sandwich_path(d, monkeypatch):
+    """Where D splits, represent (forms of every degree, _forms), fluctuate and from_forms, on realized triples and
+    with pushed-forward forms on lift targets, meet _same_representation's bound against the sandwich path."""
+    rng = rng_from_seed(3000 + d)
+    for t, arrow in _split_triples(rng, d):
+        assert t._split() is not None
+        forms = _forms(rng, t.profile) if arrow is None else [pushforward(w, arrow) for w in
+                                                                 _forms(rng, arrow.source)[:2]]
+        for w in forms:
+            _same_representation(w, t, _sandwich_representation)
+        draw = (lambda: random_hermitian_form(rng, t.profile)) if arrow is None else (
+            lambda: pushforward(random_hermitian_form(rng, arrow.source), arrow))
+        fields = [draw() for _ in range(5)]
+        size = lambda w: sum(frob(t.D) * a0.norm() * a1.norm() for a0, a1 in w.terms)
+        F0, cfg0 = _sandwich_fields(monkeypatch, t, fields)
+        F, cfg = fluctuate(t, fields[4]), GaugeConfiguration.from_forms(t, fields[:4], fields[4])
+        for X, X0, w in zip((F,) + cfg.B + (cfg.Phi,), (F0,) + cfg0.B + (cfg0.Phi,), fields[4:] + fields):
+            assert frob(X - X0) <= 1e-12 * max(frob(X0), 1e-4 * size(w)), (t.dim, frob(X - X0), frob(X0))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_split_path_refuses_non_hermitian_forms_as_the_sandwich_path_does(d, monkeypatch):
+    """A form without its adjoint is refused on both paths, and its Hermitian part is accepted on both; the split
+    path's residual ||iota_L(M) - iota_L(M)^dagger||_F is the sandwich's ||X - X^dagger||_F within 1e-12 relative."""
+    rng, refused = rng_from_seed(3100 + d), 0
+    for t, _arrow in _split_triples(rng, d):
+        w = random_one_form(rng, t.profile, 2)
+        X0 = _sandwich_representation(w, t)
+        herm0 = frob(X0 - X0.conj().T)
+        assert abs(t.layout._left_hermiticity(differential._left_representation(w, t, t._split()[0])) - herm0) \
+            <= 1e-12 * herm0
+        for route in (RealSpectralTriple._split, lambda self: None):
+            with monkeypatch.context() as m:
+                m.setattr(RealSpectralTriple, "_split", route)
+                if herm0:  # a D = 0 represents every form by 0
+                    with pytest.raises(ValueError, match="is not Hermitian"):
+                        fluctuate(t, w)
+                    refused += 1
+                fluctuate(t, w + w.adjoint())
+    assert refused >= 6
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_a_d_that_does_not_split_takes_the_sandwich_path_bit_for_bit(d):
+    """D plus a Hermitian term of relative size 1e-6, which breaks the first-order split, is not read as split:
+    represent, fluctuate and from_forms are the element-pair and whole-array oracles bit for bit.  (On a layout of
+    one vertex with n_j = 1 every operator splits; such triples are skipped.)"""
+    rng, count = rng_from_seed(3200 + d), 0
+    for t, arrow in _split_triples(rng, d):
+        H = random_hermitian(rng, t.dim)
+        bent = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + (1e-6 * frob(t.D) / frob(H)) * H, t.K, t.gamma)
+        assert t._split() is not None
+        if bent._split() is not None:  # every operator splits on this layout
+            continue
+        count += 1
+        draw = (lambda: random_hermitian_form(rng, t.profile)) if arrow is None else (
+            lambda: pushforward(random_hermitian_form(rng, arrow.source), arrow))
+        fields = [draw() for _ in range(5)]
+        _same_bits(represent(fields[0], bent), oracles.represent_elements(fields[0], bent))
+        _same_fields(bent, fields)
+    assert count >= 3
+
+
+def test_split_path_makes_no_sandwich(monkeypatch):
+    """from_forms and fluctuate on a realized triple, and on a lift target, call VertexLayout._sandwich 0 times;
+    the same D with a 1e-6 first-order defect calls it once per form."""
+    calls, real = [], VertexLayout._sandwich
+    monkeypatch.setattr(VertexLayout, "_sandwich", lambda self, pairs, X: calls.append(1) or real(self, pairs, X))
+    rng = rng_from_seed(3300)
+    for t, arrow in _split_triples(rng, 6):
+        forms = [random_hermitian_form(rng, t.profile if arrow is None else arrow.source) for _ in range(5)]
+        forms = forms if arrow is None else [pushforward(w, arrow) for w in forms]
+        GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        fluctuate(t, forms[4])
+        assert calls == []
+        H = random_hermitian(rng, t.dim)
+        bent = RealSpectralTriple(t.profile, t.ko, t.layout, t.D + (1e-6 * frob(t.D) / frob(H)) * H, t.K, t.gamma)
+        GaugeConfiguration.from_forms(bent, forms[:4], forms[4])
+        fluctuate(bent, forms[4])
+        assert len(calls) == 6
+        calls.clear()
 
 
 def test_apply_phi_is_the_component_sum_oracle_bit_for_bit():
