@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, ShapeMismatch, as_matrix, frob
-from .differential import UniversalOneForm, _hermitian_representation, fluctuate
+from .differential import UniversalOneForm, _gauge_field, fluctuate
 from .krajewski import RealSpectralTriple
 from .lifting import DiagramLift, LiftError, _pullback, build_phiH, compat_check
 
@@ -106,22 +106,13 @@ class GaugeConfiguration:
                    tol: float = DEFAULT_TOL):
         """B_mu = A_mu - J A_mu J^-1 for A_mu = pi_D(vector form), and Phi = fluctuate(t, higgs_form).
 
-        Each A_mu passes fluctuate's Hermitian check.  Where D splits, B_mu is written from A_mu's left factor into
-        one zero buffer (VertexLayout.lift_left); else one A_mu is held at a time and B_mu is written into the buffer
-        of J A_mu J^-1, one n x n array beyond pi_D.  The configuration keeps copies (as_matrix).
+        Every form is a gauge potential, a one-form with Hermitian pi_D, as fluctuate refuses.  Each B_mu is one n x n
+        array beyond A_mu (differential._gauge_field), one A_mu held at a time.  The configuration keeps copies
+        (as_matrix).
         """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
-        Bs = []
-        for w in vector_forms:
-            X, split = _hermitian_representation(w, t, tol)
-            if split is not None:
-                Bs.append(t.layout.lift_left(X, None, split[1], -1.0))
-                continue
-            Y = t.conjugate_by_J(X)
-            Bs.append(np.subtract(X, Y, out=Y))  # written into the buffer of J A_mu J^-1
-            del X
-        return cls(tuple(Bs), fluctuate(t, higgs_form, tol))
+        return cls(tuple(_gauge_field(t, w, tol) for w in vector_forms), fluctuate(t, higgs_form, tol))
 
 
 @dataclass

@@ -246,11 +246,8 @@ class VertexLayout:
         return self._units[i]
 
     def sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
-        """sum over (a, b) in pairs of pi(a) X pi(b), with no n x n pi built (_sandwich on the blocks of each pair)."""
-        return self._sandwich([(a.blocks, b.blocks) for a, b in pairs], X)
-
-    def _sandwich(self, pairs, X: np.ndarray) -> np.ndarray:
-        """sandwich for pairs of block tuples: one gather, one GEMM and one scatter per pair of algebra blocks.
+        """sum over (a, b) in pairs of AlgebraElements of pi(a) X pi(b), with no n x n pi built: one gather, one GEMM
+        and one scatter per pair of algebra blocks.
 
         On the legs L_i, L_k of blocks i and k (unit_maps) the sum is T_ik = sum a_i (x) b_k, laid out as an
         (n_i n_k) x (n_i n_k) matrix, times the gather X[L_i[x, z], L_k[y, w]] as an (n_i n_k) x (m_i m_k) one:
@@ -261,9 +258,9 @@ class VertexLayout:
             return out
         legs = [(i, L) for i, L in self._units.items() if L.size]
         for i, Li in legs:
-            A = np.stack([a[i - 1] for a, _b in pairs])
+            A = np.stack([a.blocks[i - 1] for a, _b in pairs])
             for k, Lk in legs:
-                B = np.stack([b[k - 1] for _a, b in pairs])
+                B = np.stack([b.blocks[k - 1] for _a, b in pairs])
                 (n_i, m_i), (n_k, m_k) = Li.shape, Lk.shape
                 at = Li[:, None, :, None], Lk[None, :, None, :]
                 T = np.einsum("txX,tYy->xyXY", A, B).reshape(n_i * n_k, n_i * n_k)
@@ -323,17 +320,17 @@ class VertexLayout:
                 for at in (inv[idx.T] for _slots, idx, _flat in self._split_tables[0])]
 
     def _left_pi(self, elements) -> np.ndarray:
-        """pi_L of T elements, given as block tuples, as a (T, V, n_a, n_a) stack of vertex blocks: a_{i(w)} on the
-        first n_i slots of w, zero on the padding."""
+        """pi_L of T AlgebraElements as a (T, V, n_a, n_a) stack of vertex blocks: a_{i(w)} on the first n_i slots of
+        w, zero on the padding."""
         na = self._pads[0]
         out = np.zeros((len(elements), len(self.blocks), na, na), dtype=complex)
         for i, ks in self._split_tables[2].items():
             n = self.profile.dim(i)
-            out[:, ks, :n, :n] = np.stack([a[i - 1] for a in elements])[:, None]
+            out[:, ks, :n, :n] = np.stack([a.blocks[i - 1] for a in elements])[:, None]
         return out
 
     def _left_commutators(self, pairs, L: np.ndarray) -> np.ndarray:
-        """sum over (a, b) in pairs of pi_L(a) (L pi_L(b) - pi_L(b) L), for block tuples and L on the padded left space.
+        """sum over (a, b) in pairs of pi_L(a) (L pi_L(b) - pi_L(b) L), for elements and L on the padded left space.
 
         Each commutator is formed before its left factor, so where it vanishes no a L b - a b L cancellation is left.
         Three batched products of n_a x n_a vertex blocks with n_a x N strips of L, N = V n_a: O(T N^2 n_a) for T pairs.

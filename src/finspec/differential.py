@@ -7,16 +7,19 @@ fluctuated Dirac operator is D_omega = D + pi_D(omega) + eps' J pi_D(omega)
 J^-1, and a non-unital homomorphism phi pushes a^0 dU a^1 forward to
 phi(a^0) dU phi(a^1) - phi(a^0 a^1) dU p_phi with p_phi = phi(1).
 
-No dense pi(a) is built.  When K is monomial and D splits as L (x) 1 + 1 (x) R
-on its vertex blocks, as the first-order condition makes every realized D do,
-pi(a) commutes with each 1 (x) R block, so pi_D(omega) = iota_L(sum pi_L(a0)
-[L, pi_L(a1)]) is summed on a left space of n_a slots per vertex and written
-into a dense buffer once (`VertexLayout.lift_left`), J pi_D(omega) J^-1
-beside it; `fluctuate` writes both into a copy of D.  Any other triple takes
-the sandwich path: one `VertexLayout.sandwich` of D per degree-one sum, one
-GEMM per pair of algebra blocks, O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs
-of block i, and `fluctuate` writes D_omega into the buffer of pi_D(omega) and
-one n x n array J pi_D(omega) J^-1.
+No dense pi(a) is built.  `_pi_D` is the one reader of a form: it reads D's
+split (`RealSpectralTriple._split`) and returns pi_D(omega), or its left
+factor where D splits, with the Hermitian check of a gauge potential.  When K
+is monomial and D splits as L (x) 1 + 1 (x) R on its vertex blocks, as the
+first-order condition makes every realized D do, pi(a) commutes with each
+1 (x) R block, so pi_D(omega) = iota_L(sum pi_L(a0) [L, pi_L(a1)]) is summed
+on a left space of n_a slots per vertex.  `represent` writes it into one dense
+buffer, and `fluctuate` and the B_mu writer `_gauge_field` write it with
+J pi_D(omega) J^-1 beside it (`VertexLayout.lift_left`).  Any other triple takes the
+sandwich route: one `VertexLayout.sandwich` of D per degree-one sum, one GEMM
+per pair of algebra blocks, O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of
+block i; `fluctuate` writes D_omega into the buffer of pi_D(omega), and
+`_gauge_field` writes B_mu into that of J pi_D(omega) J^-1.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ class UniversalOneForm:
     terms: tuple = ()
 
     def __post_init__(self):
-        terms = tuple((t[0], t[1]) for t in self.terms)
-        for a0, a1 in terms:
-            if a0.profile != self.profile or a1.profile != self.profile:
+        terms = tuple(tuple(t) for t in self.terms)
+        for k, term in enumerate(terms):
+            if len(term) != 2:
+                raise ValueError(f"one-form term {k} has {len(term)} elements, not a pair (a0, a1)")
+            if term[0].profile != self.profile or term[1].profile != self.profile:
                 raise ProfileMismatch("form term over the wrong profile")
         object.__setattr__(self, "terms", terms)
 
@@ -87,78 +92,65 @@ class UniversalNForm:
 
 
 def represent(omega, t: RealSpectralTriple) -> np.ndarray:
-    """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)].
+    """pi_D(omega) = sum pi(a0) [D, pi(a1)] ... [D, pi(an)] as an n x n array (_pi_D)."""
+    X, split = _pi_D(omega, t)
+    return X if split is None else t.layout.lift_left(X)
 
-    Where D splits (RealSpectralTriple._split) this is iota_L of _left_representation; else
-    _sandwich_representation.
+
+def _pi_D(omega, t: RealSpectralTriple, tol=None):
+    """(X, split) for split = t._split(): X is pi_D(omega) where split is None, else its left factor M, with
+    pi_D(omega) = iota_L(M).  With tol, omega is a gauge potential: a one-form, refused (never symmetrized) unless
+    pi_D(omega) is Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F.
+
+    A degree-one sum is sum pi(a0) D pi(a1) - pi(a0 a1) D, one VertexLayout.sandwich of D; where D = iota_L(L) +
+    iota_R(R), pi(a) commutes with every 1 (x) R block, so [D, pi(a)] = iota_L([L, pi_L(a)]), and the sum is taken on
+    the padded left space (VertexLayout._left_commutators).  A term of degree n > 1 is the product of the sums of its
+    factors (a0, a1), (1, a2), ..., (1, an).
     """
-    if (split := _split_of(omega, t)) is None:
-        return _sandwich_representation(omega, t)
-    return t.layout.lift_left(_left_representation(omega, t, split[0]))
-
-
-def _split_of(omega, t: RealSpectralTriple):
+    if tol is not None and not isinstance(omega, UniversalOneForm):
+        raise TypeError("gauge potentials are one-forms")
     if omega.profile != t.profile:
         raise ProfileMismatch("form and triple live over different profiles")
-    return t._split()
-
-
-def _terms(d, omega, one):
-    """sum over terms of d's degree-one sums: the degree-one part in one call, and a term of degree n > 1 as the
-    product of its factors (a0, a1), (1, a2), ..., (1, an)."""
-    out = d([term for term in omega.terms if len(term) == 2])
+    one, split = AlgebraElement.identity(t.profile), t._split()
+    if split is None:
+        d = lambda terms: t.layout.sandwich([p for a0, a1 in terms for p in ((a0, a1), (-1.0 * (a0 @ a1), one))], t.D)
+    else:
+        d = lambda terms: t.layout._left_commutators(terms, split[0])
+    X = d([term for term in omega.terms if len(term) == 2])
     for term in omega.terms:
         if len(term) > 2:
             acc = d([term[:2]])
             for a in term[2:]:
                 acc = acc @ d([(one, a)])
-            out += acc
-    return out
-
-
-def _sandwich_representation(omega, t: RealSpectralTriple) -> np.ndarray:
-    """pi_D(omega) for any D: the degree-one part is sum pi(a0) D pi(a1) - pi(a0 a1) D, one VertexLayout.sandwich."""
-    one = AlgebraElement.identity(t.profile)
-    return _terms(lambda terms: t.layout._sandwich([p for a0, a1 in terms for p in (  # -1.0 * (a0 @ a1) forms -a0 a1
-        (a0.blocks, a1.blocks), (tuple(-1.0 * (x @ y) for x, y in zip(a0.blocks, a1.blocks)), one.blocks))], t.D),
-        omega, one)
-
-
-def _left_representation(omega, t: RealSpectralTriple, L) -> np.ndarray:
-    """The left factor of pi_D(omega) for D = iota_L(L) + iota_R(R): pi(a) commutes with every 1 (x) R block, so
-    [D, pi(a)] = iota_L([L, pi_L(a)]), and the sum is taken on the padded left space (_left_commutators)."""
-    one = AlgebraElement.identity(t.profile)
-    return _terms(lambda terms: t.layout._left_commutators([(a0.blocks, a1.blocks) for a0, a1 in terms], L),
-                  omega, one)
-
-
-def _hermitian_representation(omega, t: RealSpectralTriple, tol: float):
-    """(pi_D(omega), None), or (its left factor, t._split()) where D splits, refused (never symmetrized) unless
-    Hermitian within tol sum ||D||_F^n ||a0||_F ... ||an||_F."""
-    if (split := _split_of(omega, t)) is None:
-        X = _sandwich_representation(omega, t)
-        herm = frob(X - X.conj().T)
-    else:
-        X = _left_representation(omega, t, split[0])
-        herm = t.layout._left_hermiticity(X)
-    size = frob(t.D)
-    if herm > tol * sum(size ** (len(term) - 1) * math.prod(a.norm() for a in term) for term in omega.terms):
-        raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
+            X += acc
+    if tol is not None:
+        herm = frob(X - X.conj().T) if split is None else t.layout._left_hermiticity(X)
+        size = frob(t.D)
+        if herm > tol * sum(size ** (len(term) - 1) * math.prod(a.norm() for a in term) for term in omega.terms):
+            raise ValueError(f"pi_D(omega) is not Hermitian (residual {herm:.3e})")
     return X, split
 
 
 def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1, with pi_D(omega) Hermitian (_hermitian_representation).
+    """D_omega = D + pi_D(omega) + eps' J pi_D(omega) J^-1 for a gauge potential omega (_pi_D).
 
     Where D splits, both terms are written from the left factor into a copy of D (VertexLayout.lift_left)."""
-    if not isinstance(omega, UniversalOneForm):
-        raise TypeError("gauge potentials are one-forms")
-    X, split = _hermitian_representation(omega, t, tol)
+    X, split = _pi_D(omega, t, tol)
     if split is not None:
         return t.layout.lift_left(X, t.D, split[1], t.ko.eps_p)
     Y = t.conjugate_by_J(X)
     np.multiply(t.ko.eps_p, Y, out=Y)  # the product eps' * Y, which keeps zeros signed as a skip or negation would not
     return np.add(np.add(t.D, X, out=X), Y, out=X)
+
+
+def _gauge_field(t: RealSpectralTriple, omega: UniversalOneForm, tol: float) -> np.ndarray:
+    """B = A - J A J^-1 for A = pi_D(omega) of a gauge potential omega (_pi_D): from the left factor into one zero
+    buffer where D splits, else a subtraction into the buffer of J A J^-1, not fluctuate's product by eps'."""
+    X, split = _pi_D(omega, t, tol)
+    if split is not None:
+        return t.layout.lift_left(X, None, split[1], -1.0)
+    Y = t.conjugate_by_J(X)
+    return np.subtract(X, Y, out=Y)
 
 
 def gauge_transform(omega: UniversalOneForm, u: AlgebraElement, tol: float = DEFAULT_TOL) -> UniversalOneForm:

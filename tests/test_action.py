@@ -6,7 +6,7 @@ import pytest
 
 from helpers import normalized_setup
 
-from finspec.algebra import AlgebraProfile, ShapeMismatch, frob
+from finspec.algebra import AlgebraElement, AlgebraProfile, ShapeMismatch, frob
 from finspec.action import (
     ActionReport,
     _bipartition,
@@ -357,6 +357,25 @@ def test_from_forms_higgs_field_is_the_fluctuated_dirac(d):
     assert frob(t.K @ np.conj(Phi) - t.ko.eps_p * Phi @ t.K) <= 1e-12 * frob(Phi)
     with pytest.raises(TypeError):
         GaugeConfiguration.from_forms(t, vec, UniversalNForm(t.profile, w.terms))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_an_n_form_vector_potential_is_refused_as_fluctuate_refuses_it(d, monkeypatch):
+    """An n-form in any of the four vector slots of from_forms raises fluctuate's TypeError, where D splits and on
+    the sandwich path (D read as not split); represent still takes it."""
+    _rng, t, w, vec = _form_setup(d)
+    one = AlgebraElement.identity(t.profile)
+    n = UniversalNForm(t.profile, ((one, one, one),))
+    assert t._split() is not None
+    for route in (RealSpectralTriple._split, lambda self: None):
+        with monkeypatch.context() as m:
+            m.setattr(RealSpectralTriple, "_split", route)
+            represent(n, t)
+            with pytest.raises(TypeError, match="^gauge potentials are one-forms$"):
+                fluctuate(t, n)
+            for slot in range(4):
+                with pytest.raises(TypeError, match="^gauge potentials are one-forms$"):
+                    GaugeConfiguration.from_forms(t, vec[:slot] + [n] + vec[slot + 1:], w)
 
 
 @pytest.mark.parametrize("d", range(8))

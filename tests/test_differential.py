@@ -130,6 +130,20 @@ def test_represent_matches_path_sum_oracle(d):
     assert frob(represent(w2, t) - path_sum_oracle([a0, a1, a2], t)) <= 1e-10
 
 
+def test_one_form_terms_are_pairs():
+    """A term of three elements, or of one, is refused with its index, not cut to a pair or left to IndexError; the
+    terms of a valid one-form are kept as given."""
+    p = AlgebraProfile((1, 2))
+    one, a = AlgebraElement.identity(p), random_element(rng_from_seed(5), p)
+    with pytest.raises(ValueError, match="one-form term 1 has 3 elements"):
+        UniversalOneForm(p, ((one, a), (one, one, one)))
+    with pytest.raises(ValueError, match="one-form term 0 has 1 elements"):
+        UniversalOneForm(p, ((one,),))
+    w = UniversalOneForm(p, [(one, a), [a, one]])
+    assert len(w.terms) == 2 and all(x is y for term, ref in zip(w.terms, ((one, a), (a, one)))
+                                     for x, y in zip(term, ref, strict=True))
+
+
 def test_adjoint_matches_operator_adjoint():
     rng = rng_from_seed(20)
     diag = random_diagram(rng, 2, max_fiber=2, edge_prob=0.8, ensure_edge=True)

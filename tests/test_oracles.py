@@ -39,7 +39,6 @@ from finspec.catalog import minimal_diagram
 from finspec.differential import (
     UniversalNForm,
     UniversalOneForm,
-    _sandwich_representation,
     fluctuate,
     gauge_covariance_check,
     pushforward,
@@ -68,7 +67,7 @@ from finspec.krajewski import (
     validate,
     verify_axioms,
 )
-from finspec.bratteli import apply_phi
+from finspec.bratteli import BratteliArrow, apply_phi
 from finspec.bundle import Bundle, save_bundle
 from finspec.cli import main
 from finspec.lifting import (
@@ -1204,6 +1203,13 @@ def test_sandwich_is_the_tensordot_oracle_bit_for_bit(d):
         _same_bits(t.layout.sandwich(pairs, t.K), oracles.sandwich(t.layout, pairs, t.K))
 
 
+def _sandwich_representation(w, t):
+    """represent on the sandwich route, which every triple whose D does not split or whose K is not monomial takes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(RealSpectralTriple, "_split", lambda self: None)
+        return represent(w, t)
+
+
 @pytest.mark.parametrize("d", range(8))
 def test_represent_is_the_element_pair_oracle_bit_for_bit(d):
     """The sandwich path, which every triple whose D does not split takes, on forms of degree 1, 2 and 3, mixed
@@ -1272,12 +1278,31 @@ def test_split_path_matches_the_sandwich_path(d, monkeypatch):
             _same_representation(w, t, _sandwich_representation)
         draw = (lambda: random_hermitian_form(rng, t.profile)) if arrow is None else (
             lambda: pushforward(random_hermitian_form(rng, arrow.source), arrow))
-        fields = [draw() for _ in range(5)]
-        size = lambda w: sum(frob(t.D) * a0.norm() * a1.norm() for a0, a1 in w.terms)
-        F0, cfg0 = _sandwich_fields(monkeypatch, t, fields)
-        F, cfg = fluctuate(t, fields[4]), GaugeConfiguration.from_forms(t, fields[:4], fields[4])
-        for X, X0, w in zip((F,) + cfg.B + (cfg.Phi,), (F0,) + cfg0.B + (cfg0.Phi,), fields[4:] + fields):
-            assert frob(X - X0) <= 1e-12 * max(frob(X0), 1e-4 * size(w)), (t.dim, frob(X - X0), frob(X0))
+        _fields_match_the_sandwich_path(monkeypatch, t, [draw() for _ in range(5)])
+
+
+def _fields_match_the_sandwich_path(monkeypatch, t, fields):
+    """fluctuate and from_forms of fields[4], fields[:4] meet _same_representation's bound against the sandwich path."""
+    size = lambda w: sum(frob(t.D) * a0.norm() * a1.norm() for a0, a1 in w.terms)
+    F0, cfg0 = _sandwich_fields(monkeypatch, t, fields)
+    F, cfg = fluctuate(t, fields[4]), GaugeConfiguration.from_forms(t, fields[:4], fields[4])
+    for X, X0, w in zip((F,) + cfg.B + (cfg.Phi,), (F0,) + cfg0.B + (cfg0.Phi,), fields[4:] + fields):
+        assert frob(X - X0) <= 1e-12 * max(frob(X0), 1e-4 * size(w)), (t.dim, frob(X - X0), frob(X0))
+
+
+def test_split_path_matches_the_sandwich_path_at_the_stated_scale(monkeypatch):
+    """On a d = 6 lift target of nB = 648 (source profile (1, 2) with one vertex on each diagonal fiber and two on
+    (1, 2), alpha = ((3, 3), (2, 1)), n0 = 0: eight vertices over (9, 9)), represent, fluctuate and from_forms of
+    pushed-forward Hermitian forms meet _same_representation's bound against the sandwich path."""
+    rng = rng_from_seed(3400)
+    source = random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.6, ensure_edge=True,
+                            requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)])
+    arrow = BratteliArrow(source.profile, AlgebraProfile((9, 4)), ((3, 3), (2, 1)), (0, 0))
+    t = realize(random_compatible_target(rng, source, arrow, max_fiber=0, edge_prob=0.5, ensure_edge=True))
+    assert t.dim == 648 and t._split() is not None
+    fields = [pushforward(random_hermitian_form(rng, source.profile), arrow) for _ in range(5)]
+    _same_representation(fields[0], t, _sandwich_representation)
+    _fields_match_the_sandwich_path(monkeypatch, t, fields)
 
 
 @pytest.mark.parametrize("d", range(8))
@@ -1289,7 +1314,7 @@ def test_split_path_refuses_non_hermitian_forms_as_the_sandwich_path_does(d, mon
         w = random_one_form(rng, t.profile, 2)
         X0 = _sandwich_representation(w, t)
         herm0 = frob(X0 - X0.conj().T)
-        assert abs(t.layout._left_hermiticity(differential._left_representation(w, t, t._split()[0])) - herm0) \
+        assert abs(t.layout._left_hermiticity(differential._pi_D(w, t)[0]) - herm0) \
             <= 1e-12 * herm0
         for route in (RealSpectralTriple._split, lambda self: None):
             with monkeypatch.context() as m:
@@ -1324,10 +1349,10 @@ def test_a_d_that_does_not_split_takes_the_sandwich_path_bit_for_bit(d):
 
 
 def test_split_path_makes_no_sandwich(monkeypatch):
-    """from_forms and fluctuate on a realized triple, and on a lift target, call VertexLayout._sandwich 0 times;
+    """from_forms and fluctuate on a realized triple, and on a lift target, call VertexLayout.sandwich 0 times;
     the same D with a 1e-6 first-order defect calls it once per form."""
-    calls, real = [], VertexLayout._sandwich
-    monkeypatch.setattr(VertexLayout, "_sandwich", lambda self, pairs, X: calls.append(1) or real(self, pairs, X))
+    calls, real = [], VertexLayout.sandwich
+    monkeypatch.setattr(VertexLayout, "sandwich", lambda self, pairs, X: calls.append(1) or real(self, pairs, X))
     rng = rng_from_seed(3300)
     for t, arrow in _split_triples(rng, 6):
         forms = [random_hermitian_form(rng, t.profile if arrow is None else arrow.source) for _ in range(5)]

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import shlex
@@ -84,3 +85,46 @@ def test_readme_names_resolve():
             obj = getattr(obj, part)
     kinds = {"finspec" if p[0] == "finspec" else "module" if p[0] in modules else "class or function" for p in refs}
     assert kinds == {"finspec", "module", "class or function"}, kinds
+
+
+@pytest.fixture
+def digest():
+    """scripts/digest.py as a module; the bench modules it imports (cases, checks, workloads) are dropped after."""
+    import importlib.util
+
+    path, modules = sys.path[:], set(sys.modules)
+    spec = importlib.util.spec_from_file_location("finspec_digest", ROOT / "scripts" / "digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    sys.path[:] = path
+    for name in {"cases", "checks", "workloads"} - modules:
+        sys.modules.pop(name, None)
+
+
+def test_digest_is_stable_and_a_perturbed_array_changes_its_own_stage(digest):
+    """Two collections at the tiny size give equal hashes for every stage; one bit flipped in one array of a stage
+    changes that stage's hash and no other."""
+    import numpy as np
+
+    items = digest.collect("tiny")
+    base = digest.digest(items)
+    assert list(base) == list(digest.STAGES) and digest.digest(digest.collect("tiny")) == base
+    for stage in ("realize", "lift", "from_forms"):
+        X = next(x for x in items[stage] if isinstance(x, np.ndarray) and x.size).copy()
+        X.view(np.uint8).flat[0] ^= 1  # one ulp of the first entry
+        assert digest.differing(base, digest.digest({**items, stage: [X] + items[stage][1:]})) == [stage]
+
+
+def test_digest_against_names_the_stages_that_differ(tmp_path):
+    """--against a digest of this tree exits 0; against one whose cli hash is changed it exits 1 and names cli."""
+    old = tmp_path / "old.json"
+    old.write_text(_run("scripts/digest.py", "--size", "tiny"), encoding="utf-8")
+    _run("scripts/digest.py", "--size", "tiny", "--against", str(old))
+    doc = json.loads(old.read_text(encoding="utf-8"))
+    doc["stages"]["cli"] = "0" * 64
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-W", "error", "scripts/digest.py", "--size", "tiny", "--against", str(old)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1 and done.stderr.strip() == f"stages that differ from {old}: cli", done.stderr
