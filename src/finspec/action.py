@@ -14,6 +14,10 @@ fields B_mu and one Phi, with
 per unit volume.  Across a normalized lift each trace of phi-compatible
 factors splits into an inherited part, equal to the corresponding source
 trace, plus terms with non-inherited components (TNIC).
+
+`GaugeConfiguration.from_forms` keeps each B_mu as the left factor it is
+written from where D splits, a V n_a x V n_a array against n x n, until B is
+first read; `compare_actions` writes such fields for the length of its call.
 """
 
 from __future__ import annotations
@@ -81,22 +85,47 @@ class CutoffFunction:
         return float(self.f2_explicit)
 
 
-@dataclass
 class GaugeConfiguration:
-    """Four constant Hermitian fields B_mu and a Hermitian Phi on H."""
+    """Four constant Hermitian fields B_mu and a Hermitian Phi on H, copied from what the caller hands over.
 
-    B: tuple
-    Phi: np.ndarray
+    A configuration of from_forms may hold its B_mu as left factors instead: then the first read of B writes them
+    (VertexLayout.lift_left) and keeps them, and assigning B drops the factors.
+    """
 
-    def __post_init__(self):
-        B = tuple(as_matrix(b) for b in self.B)
+    def __init__(self, B, Phi):
+        B = tuple(as_matrix(b) for b in B)
         if len(B) != 4:
             raise ValueError("expected four B_mu fields")
-        self.B = B
-        self.Phi = as_matrix(self.Phi)
-        shapes = [X.shape for X in B + (self.Phi,)]
+        Phi = as_matrix(Phi)
+        shapes = [X.shape for X in B + (Phi,)]
         if len(set(shapes)) != 1 or shapes[0][0] != shapes[0][1]:
             raise ShapeMismatch(f"B_mu and Phi must be square and of one size, got shapes {shapes}")
+        self._B, self._left, self.Phi = B, None, Phi
+
+    @classmethod
+    def _own(cls, B, Phi, left=None):
+        """A configuration of arrays it owns, taken as they are: B, or B = None and left = (layout, J, factors), the
+        four B_mu as layout.lift_left(M, None, J, -1.0) for M in factors (differential._gauge_field)."""
+        cfg = cls.__new__(cls)
+        cfg._B, cfg._left, cfg.Phi = B, left, Phi
+        return cfg
+
+    @property
+    def B(self) -> tuple:
+        if self._B is None:
+            self._B, self._left = self._dense()._B, None
+        return self._B
+
+    @B.setter
+    def B(self, B):
+        self._B, self._left = B, None
+
+    def _dense(self) -> GaugeConfiguration:
+        """self once B is written, else the same fields with B written for the caller alone: self keeps its factors."""
+        if self._B is not None:
+            return self
+        layout, J, factors = self._left
+        return GaugeConfiguration._own(tuple(layout.lift_left(M, None, J, -1.0) for M in factors), self.Phi)
 
     def hermiticity_residual(self) -> float:
         return max(frob(X - X.conj().T) for X in self.B + (self.Phi,))
@@ -106,13 +135,18 @@ class GaugeConfiguration:
                    tol: float = DEFAULT_TOL):
         """B_mu = A_mu - J A_mu J^-1 for A_mu = pi_D(vector form), and Phi = fluctuate(t, higgs_form).
 
-        Every form is a gauge potential, a one-form with Hermitian pi_D, as fluctuate refuses.  Each B_mu is one n x n
-        array beyond A_mu (differential._gauge_field), one A_mu held at a time.  The configuration keeps copies
-        (as_matrix).
+        Every form is a gauge potential, a one-form with Hermitian pi_D, as fluctuate refuses.  Where D splits, the
+        configuration keeps each B_mu as A_mu's left factor, on V n_a slots, and writes the n x n arrays on the first
+        read of B (differential._gauge_field); else each B_mu is one n x n array beyond A_mu, one A_mu held at a time.
+        No field is copied.  Non-finite entries are refused here: |B_mu| <= 2 max |M_mu| for a left factor M_mu.
         """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
-        return cls(tuple(_gauge_field(t, w, tol) for w in vector_forms), fluctuate(t, higgs_form, tol))
+        fields, Phi = [_gauge_field(t, w, tol) for w in vector_forms], fluctuate(t, higgs_form, tol)
+        if not all(np.isfinite(X).all() for X, _J in fields) or not np.isfinite(Phi).all():
+            raise ValueError("matrix entries must be finite")
+        Xs, J = tuple(X for X, _J in fields), fields[0][1]
+        return cls._own(Xs, Phi) if J is None else cls._own(None, Phi, (t.layout, J, Xs))
 
 
 @dataclass
@@ -294,7 +328,8 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     traced monomial is computed with every factor replaced by its pullback phi_H* X phi_H and must equal the
     source-side value within tol; TNIC = full - inherited by definition.  Operator pairs must be weakly
     phi-compatible, and fermions phi-compatible (psi_B - phi_H psi_A orthogonal to the range, within
-    tol max(||psi_A||, ||psi_B||)).  Each side's D_omega is built once.
+    tol max(||psi_A||, ||psi_B||)).  Each side's D_omega is built once.  B_mu still held as left factors
+    (GaugeConfiguration.from_forms) are written for this call alone: the configurations keep their factors.
     """
     if not lift.normalized:
         raise LiftError("compare_actions needs a normalized lift")
@@ -308,7 +343,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         diracs = fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol)
         cfgs = [GaugeConfiguration(tuple(np.zeros_like(t.D) for _ in range(4)), D)
                 for t, D in zip((tA, tB), diracs)]
-    cfg_A, cfg_B = cfgs
+    cfg_A, cfg_B = (c._dense() for c in cfgs)
 
     rep = ActionReport()
     names = [f"B_{mu}" for mu in range(4)] + ["Phi"]

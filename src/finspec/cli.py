@@ -22,7 +22,8 @@ from .bundle import Bundle, BundleError, load_bundle, save_bundle
 from .differential import UniversalOneForm, pushforward, represent
 from .dot import render_dot
 from .krajewski import ClassificationError, classify, detect_ko, realize, validate, verify_axioms
-from .lifting import build_phiH, compat_check, diagonalize_bases, normalize, real_grading_check, sigma
+from .lifting import (build_phiH, compat_check, diagonalize_bases, inherit_source_dirac, normalize, real_grading_check,
+                      sigma)
 from .sampling import random_compatible_fermions, rng_from_seed
 
 
@@ -187,8 +188,8 @@ def cmd_compare(bundle, args, tol):
     if bool(args.config_a) != bool(args.config_b):
         raise BundleError("--config-a needs --config-b" if args.config_a else "--config-b needs --config-a")
     lift, tA, tB = _lift_triples(bundle, args, tol)
-    if not lift.normalized:
-        lift = normalize(diagonalize_bases(lift, tol), tol)
+    if not lift.normalized:  # and the source inherits phi_H* D_B phi_H, which compare_actions needs of D_A
+        lift = inherit_source_dirac(normalize(diagonalize_bases(lift, tol), tol), tol)
         tA = realize(lift.source, tol)
     wA = _form(bundle, args.form_a, "--form-a", tA)
     wB = _form(bundle, args.form_b, "--form-b", tB) if args.form_b else pushforward(wA, lift.arrow)

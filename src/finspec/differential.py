@@ -14,8 +14,9 @@ is monomial and D splits as L (x) 1 + 1 (x) R on its vertex blocks, as the
 first-order condition makes every realized D do, pi(a) commutes with each
 1 (x) R block, so pi_D(omega) = iota_L(sum pi_L(a0) [L, pi_L(a1)]) is summed
 on a left space of n_a slots per vertex.  `represent` writes it into one dense
-buffer, and `fluctuate` and the B_mu writer `_gauge_field` write it with
-J pi_D(omega) J^-1 beside it (`VertexLayout.lift_left`).  Any other triple takes the
+buffer, and `fluctuate` writes it with J pi_D(omega) J^-1 beside it
+(`VertexLayout.lift_left`); the B_mu writer `_gauge_field` returns the left
+factor and J's tables, for `lift_left` to write B_mu when it is read.  Any other triple takes the
 sandwich route: one `VertexLayout.sandwich` of D per degree-one sum, one GEMM
 per pair of algebra blocks, O(sum_{i,k} n_i^2 n_k^2 m_i m_k) for m_i legs of
 block i; `fluctuate` writes D_omega into the buffer of pi_D(omega), and
@@ -143,14 +144,15 @@ def fluctuate(t: RealSpectralTriple, omega: UniversalOneForm, tol: float = DEFAU
     return np.add(np.add(t.D, X, out=X), Y, out=X)
 
 
-def _gauge_field(t: RealSpectralTriple, omega: UniversalOneForm, tol: float) -> np.ndarray:
-    """B = A - J A J^-1 for A = pi_D(omega) of a gauge potential omega (_pi_D): from the left factor into one zero
-    buffer where D splits, else a subtraction into the buffer of J A J^-1, not fluctuate's product by eps'."""
+def _gauge_field(t: RealSpectralTriple, omega: UniversalOneForm, tol: float):
+    """B = A - J A J^-1 for A = pi_D(omega) of a gauge potential omega (_pi_D), as (M, J) where D splits: A's left
+    factor M and the split's tables J, with B = t.layout.lift_left(M, None, J, -1.0); else as (B, None), B written
+    by a subtraction into the buffer of J A J^-1, not fluctuate's product by eps'."""
     X, split = _pi_D(omega, t, tol)
     if split is not None:
-        return t.layout.lift_left(X, None, split[1], -1.0)
+        return X, split[1]
     Y = t.conjugate_by_J(X)
-    return np.subtract(X, Y, out=Y)
+    return np.subtract(X, Y, out=Y), None
 
 
 def gauge_transform(omega: UniversalOneForm, u: AlgebraElement, tol: float = DEFAULT_TOL) -> UniversalOneForm:

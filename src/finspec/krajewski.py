@@ -181,7 +181,8 @@ class RealSpectralTriple:
         return self._split_read[2]
 
     def _K_products(self):
-        """_products_with(K), read once per K object: assigning a new K drops it (nothing writes into a K in place)."""
+        """_products_with(K), read once per K object, or seeded by realize: assigning a new K drops it (nothing writes
+        into a K in place)."""
         if self._K_read[0] is not self.K:
             self._K_read = self.K, _products_with(self.K)
         return self._K_read[1]
@@ -210,7 +211,12 @@ def _products_with(A):
     rows, perm = np.nonzero(A)
     if not (np.array_equal(rows, np.arange(len(A))) and np.array_equal(np.sort(perm), rows)):
         return None, (lambda Y: A @ Y), (lambda Y: Y @ A), (lambda Y: A.conj().T @ Y)
-    phase, inv = A[rows, perm], np.argsort(perm)
+    return _monomial_products(perm, A[rows, perm])
+
+
+def _monomial_products(perm, phase):
+    """_products_with(A) for the phased permutation A[i, perm[i]] = phase[i], read without A."""
+    inv = np.argsort(perm)
     return ((perm, phase), (lambda Y: (phase * Y[perm].T).T), (lambda Y: Y[:, inv] * phase[inv]),
             (lambda Y: (np.conj(phase[inv]) * Y[inv].T).T))
 
@@ -509,6 +515,16 @@ def _real_structure(layout, vertices, jim, d, even):
     return K, gamma
 
 
+def _placed_permutation(layout, vertices, jim, d):
+    """(perm, phase) with K[r, perm[r]] = phase[r] for the K _real_structure places, read off the legs, not off K: a
+    valid diagram's jim is an involution, so each row is placed once."""
+    perm, phase = np.empty(layout.total_dim, dtype=np.intp), np.empty(layout.total_dim, dtype=complex)
+    for v in layout.vids:
+        rows = layout.legs(jim[v]).T
+        perm[rows], phase[rows] = layout.legs(v), epsilon_factor(vertices[v], d)
+    return perm, phase
+
+
 def _basis_change(layout, rows):
     """Unitary whose (v_old, v_new) block is c 1, for rows {v_new: (old vids, coefficients c)}."""
     return layout.place({(v_old, v_new): c for v_new, (vids, row) in rows.items() for v_old, c in zip(vids, row)})
@@ -528,7 +544,9 @@ def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTri
         D[layout.block(dst).sl, layout.block(src).sl] = op
 
     K, gamma = _real_structure(layout, diag.vertices, diag.jim, diag.d, diag.ko.even)
-    return RealSpectralTriple(diag.profile, diag.ko, layout, D, K, gamma)
+    t = RealSpectralTriple(diag.profile, diag.ko, layout, D, K, gamma)
+    t._K_read = K, _monomial_products(*_placed_permutation(layout, diag.vertices, diag.jim, diag.d))
+    return t
 
 
 def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:

@@ -833,3 +833,26 @@ def test_seeded_mutations_exit_0_1_or_2_with_their_prefix(mutation_setup, tmp_pa
             assert rc == 2 and err.startswith(f"error: {where}"), (where, command, rc, err)
             refused += 1
     assert refused >= 50
+
+
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
+def test_cli_compare_inherits_the_source_dirac_of_a_raw_lift(d, tmp_path, capsys):
+    """compare on a lift that is not normalized diagonalizes, normalizes and inherits phi_H* D_B phi_H, so the pair of
+    Dirac operators is phi-compatible: exit 0, and every inherited term equals its source value."""
+    for seed in range(3):
+        rng = rng_from_seed(3500 + 10 * d + seed)
+        src = random_diagram(rng, d, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        arrow = random_arrow(rng, src.profile)
+        tgt = random_compatible_target(rng, src, arrow, ensure_edge=True)
+        b = Bundle()
+        b.diagrams["src"], b.diagrams["tgt"], b.arrows["phi"] = src, tgt, arrow
+        b.lifts["raw"] = random_lift(rng, src, arrow, tgt)
+        b.forms["w"] = random_hermitian_form(rng, src.profile)
+        path = str(tmp_path / f"raw{seed}.json")
+        save_bundle(b, path)
+        rc = main(["--format", "json", "compare", path, "--lift", "raw", "--form-a", "w"])
+        assert rc == 0, (seed, capsys.readouterr().err)
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert len(terms) == 4
+        for term in terms:
+            assert term["inherited"] == pytest.approx(term["a_value"], rel=1e-9, abs=1e-9), (seed, term)

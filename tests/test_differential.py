@@ -311,8 +311,8 @@ def _peak(fn):
 def test_field_assembly_peak_memory_on_the_lift_target():
     """On an n = 288 target of the d = 6 inclusion (1, 2) -> (6, 3), alpha = ((2, 2), (1, 1)), with pushed-forward
     forms: represent and fluctuate each hold at most 3.5 complex n x n arrays at their peak (the sandwich's gather
-    and product beside its output, no transposed copies), and from_forms at most 10.1 (four B_mu and Phi, and the
-    configuration's copies of them)."""
+    and product beside its output, no transposed copies), and from_forms at most 10.1 (four dense B_mu and Phi, and
+    copies of them; where D splits it now keeps left factors, as test_oracles checks at n = 648)."""
     rng = rng_from_seed(27)
     src = random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.6, ensure_edge=True,
                          requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)])

@@ -617,3 +617,27 @@ def test_report_lines_pass_exactly_below_their_bounds(d):
     for tc, rep in zip((t, noisy), reps[2:]):
         for name in linear:
             assert rep[name].bound == pytest.approx(tol * frob(tc.D), rel=1e-12), name
+
+
+@pytest.mark.parametrize("d", ALL_D)
+def test_realize_hands_over_the_permutation_it_placed_k_from(d, monkeypatch):
+    """The realized triple's reading of K is the (perm, phase) and the products _products_with(K) gives, bit for bit,
+    and no scan of K follows (_split, apply_J, conjugate_by_J); a K assigned afterwards is scanned."""
+    real, scans = krajewski._products_with, []
+    monkeypatch.setattr(krajewski, "_products_with", lambda A: scans.append(A) or real(A))
+    rng = rng_from_seed(3700 + d)
+    same = lambda x, y: x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    for profile in (None, AlgebraProfile((2, 1)), AlgebraProfile((1, 2, 3))):
+        t = realize(random_diagram(rng, d, profile, max_fiber=2, edge_prob=0.7, ensure_edge=True))
+        (perm, phase), *products = t._K_products()
+        (perm0, phase0), *products0 = real(t.K)
+        assert same(perm, perm0) and same(phase, phase0)
+        Y = random_complex(rng, (t.dim, t.dim))
+        assert all(same(f(Y), f0(Y)) for f, f0 in zip(products, products0))
+        t._split()
+        t.apply_J(Y[0])
+        t.conjugate_by_J(Y)
+        assert not any(A is t.K for A in scans)
+        t.K = t.K.copy()
+        t.conjugate_by_J(Y)
+        assert scans[-1] is t.K

@@ -25,6 +25,8 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1152,12 +1154,13 @@ def test_J_products_read_a_newly_assigned_K():
 @pytest.mark.parametrize("d", (3, 6))
 def test_K_is_scanned_once_per_triple(d, monkeypatch):
     """verify_axioms and detect_ko (twice each), classify, conjugate_by_J and apply_J scan a triple's K
-    (np.nonzero of K) once between them, on realized, phased and fiber-mixed (dense K) triples; gamma is
-    scanned once per verify_axioms call and at most once per classify call."""
+    (np.nonzero of K) once between them on phased and fiber-mixed (dense K) triples, and never on a realized
+    one, whose reading of K realize hands over; gamma is scanned once per verify_axioms call and at most once
+    per classify call."""
     rng, scans, nonzero = rng_from_seed(2880 + d), [], np.nonzero
     monkeypatch.setattr(np, "nonzero", lambda a: scans.append(a) or nonzero(a))
     count = 0
-    for t, *_ in _gather_forms(d):
+    for t, monomial, of_d in _gather_forms(d):
         scans.clear()
         for tol in (1e-10, 1e-14):
             verify_axioms(t, tol)
@@ -1166,7 +1169,7 @@ def test_K_is_scanned_once_per_triple(d, monkeypatch):
             classify(t)
         t.conjugate_by_J(random_complex(rng, (t.dim, t.dim)))
         t.apply_J(random_vector(rng, t.dim))
-        assert sum(a is t.K for a in scans) == 1
+        assert sum(a is t.K for a in scans) == (0 if monomial and of_d else 1)  # realized, or K made otherwise
         assert t.gamma is None or sum(a is t.gamma for a in scans) in (2, 3)
         count += 1
     assert count >= 12
@@ -1290,17 +1293,23 @@ def _fields_match_the_sandwich_path(monkeypatch, t, fields):
         assert frob(X - X0) <= 1e-12 * max(frob(X0), 1e-4 * size(w)), (t.dim, frob(X - X0), frob(X0))
 
 
-def test_split_path_matches_the_sandwich_path_at_the_stated_scale(monkeypatch):
-    """On a d = 6 lift target of nB = 648 (source profile (1, 2) with one vertex on each diagonal fiber and two on
-    (1, 2), alpha = ((3, 3), (2, 1)), n0 = 0: eight vertices over (9, 9)), represent, fluctuate and from_forms of
-    pushed-forward Hermitian forms meet _same_representation's bound against the sandwich path."""
+def _stated_scale_target():
+    """(rng, arrow, t): a d = 6 lift target of nB = 648 (source profile (1, 2) with one vertex on each diagonal fiber
+    and two on (1, 2), alpha = ((3, 3), (2, 1)), n0 = 0: eight vertices over (9, 9)), whose D splits."""
     rng = rng_from_seed(3400)
     source = random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.6, ensure_edge=True,
                             requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)])
     arrow = BratteliArrow(source.profile, AlgebraProfile((9, 4)), ((3, 3), (2, 1)), (0, 0))
     t = realize(random_compatible_target(rng, source, arrow, max_fiber=0, edge_prob=0.5, ensure_edge=True))
     assert t.dim == 648 and t._split() is not None
-    fields = [pushforward(random_hermitian_form(rng, source.profile), arrow) for _ in range(5)]
+    return rng, arrow, t
+
+
+def test_split_path_matches_the_sandwich_path_at_the_stated_scale(monkeypatch):
+    """On _stated_scale_target, represent, fluctuate and from_forms of pushed-forward Hermitian forms meet
+    _same_representation's bound against the sandwich path."""
+    rng, arrow, t = _stated_scale_target()
+    fields = [pushforward(random_hermitian_form(rng, arrow.source), arrow) for _ in range(5)]
     _same_representation(fields[0], t, _sandwich_representation)
     _fields_match_the_sandwich_path(monkeypatch, t, fields)
 
@@ -1366,6 +1375,107 @@ def test_split_path_makes_no_sandwich(monkeypatch):
         fluctuate(bent, forms[4])
         assert len(calls) == 6
         calls.clear()
+
+
+# -- configurations that keep their B_mu as left factors ---------------------------
+
+
+def _gauge_arrays(t, forms):
+    """The B_mu of each form as _gauge_field writes it: lift_left of its left factor, or its dense array."""
+    fields = (differential._gauge_field(t, w, 1e-10) for w in forms)
+    return [X if J is None else t.layout.lift_left(X, None, J, -1.0) for X, J in fields]
+
+
+@pytest.mark.parametrize("split", (True, False))
+@pytest.mark.parametrize("d", range(8))
+def test_from_forms_writes_its_factors_on_the_first_read_bit_for_bit(d, split, monkeypatch):
+    """Where D splits, from_forms keeps left factors until B is read, and the read writes _gauge_field's arrays bit
+    for bit and keeps them; on the sandwich path (_split patched to None) B is dense from the start.  Phi is
+    fluctuate's, and assigning B drops the factors."""
+    if not split:
+        monkeypatch.setattr(RealSpectralTriple, "_split", lambda self: None)
+    rng = rng_from_seed(3600 + d)
+    for t, arrow in _split_triples(rng, d):
+        draw = (lambda: random_hermitian_form(rng, t.profile)) if arrow is None else (
+            lambda: pushforward(random_hermitian_form(rng, arrow.source), arrow))
+        forms = [draw() for _ in range(5)]
+        cfg = GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        assert (cfg._B is None, cfg._left is not None) == (split, split)
+        B = cfg.B
+        for X, X0 in zip(B, _gauge_arrays(t, forms[:4])):
+            _same_bits(X, X0)
+        assert cfg.B is B and cfg._left is None
+        _same_bits(cfg.Phi, fluctuate(t, forms[4]))
+        cfg = GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        cfg.B = zeros = tuple(np.zeros((t.dim, t.dim), dtype=complex) for _ in range(4))
+        assert cfg.B is zeros and cfg._left is None
+
+
+@pytest.mark.parametrize("split", (True, False))
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
+def test_compare_actions_writes_factored_fields_for_the_call_alone(d, split, monkeypatch):
+    """compare_actions on from_forms configurations gives the terms it gives on dense copies of them and leaves the
+    factored ones factored; once B has been read, a write into its arrays reaches compare_actions."""
+    if not split:
+        monkeypatch.setattr(RealSpectralTriple, "_split", lambda self: None)
+    args, cfgs, fermions = _comparison(d)
+    values = lambda rep: ([t.as_dict() for t in rep.terms], rep.spectral)
+    dense = [GaugeConfiguration(c.B, c.Phi) for c in _comparison(d)[1]]
+    rep = compare_actions(*args, cfgs=cfgs, fermions=fermions)
+    assert all((c._B is None) == split for c in cfgs)
+    assert values(rep) == values(compare_actions(*args, cfgs=dense, fermions=fermions))
+    for c in cfgs:
+        np.multiply(c.B[0], 2.0, out=c.B[0])
+    doubled = [GaugeConfiguration((2.0 * c.B[0],) + c.B[1:], c.Phi) for c in dense]
+    twice = compare_actions(*args, cfgs=cfgs, fermions=fermions)
+    assert values(twice) == values(compare_actions(*args, cfgs=doubled, fermions=fermions))
+    assert twice.term("trF2").full != rep.term("trF2").full or not cfgs[1].B[0].any()  # B = 0 in the d = 0 case
+
+
+@pytest.mark.parametrize("split", (True, False))
+def test_from_forms_refuses_a_non_finite_field_when_called(split, monkeypatch):
+    """A NaN in a left factor (or a dense B_mu on the sandwich path) is refused by from_forms itself, before B is
+    read."""
+    if not split:
+        monkeypatch.setattr(RealSpectralTriple, "_split", lambda self: None)
+    real = action._gauge_field
+
+    def nan_in_third(t, w, tol):
+        X, J = real(t, w, tol)
+        if len(calls) == 2:
+            X = X.copy()
+            X[0, 0] = np.nan
+        calls.append(J)
+        return X, J
+
+    monkeypatch.setattr(action, "_gauge_field", nan_in_third)
+    rng = rng_from_seed(3650)
+    for t, _arrow in itertools.islice(_split_triples(rng, 6), 3):
+        forms, calls = [random_hermitian_form(rng, t.profile) for _ in range(5)], []
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        assert len(calls) == 4 and all((J is not None) == split for J in calls)
+
+
+def test_from_forms_holds_left_factors_at_the_stated_scale():
+    """On _stated_scale_target (n = 648, 72 left slots), with D's split read before, one from_forms call retains at
+    most 1.25 complex n x n arrays (Phi and the four left factors) and peaks at most 2.25 (fluctuate's copy of D
+    and its scatter's temporaries), against five retained fields when every B_mu is written densely.  The
+    configuration holds no reference to the triple."""
+    rng, arrow, t = _stated_scale_target()
+    forms = [pushforward(random_hermitian_form(rng, arrow.source), arrow) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cfg = GaugeConfiguration.from_forms(t, forms[:4], forms[4])
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    dense, triple = t.dim ** 2 * 16, weakref.ref(t)
+    assert cfg._B is None
+    assert retained <= 1.25 * dense and peak <= 2.25 * dense, (retained / dense, peak / dense)
+    del t
+    assert triple() is None and cfg.B[0].shape == (648, 648)
 
 
 def test_apply_phi_is_the_component_sum_oracle_bit_for_bit():
