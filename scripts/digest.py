@@ -4,6 +4,7 @@
     python3 scripts/digest.py > before.json                    # in one checkout
     python3 scripts/digest.py --against before.json            # in the other: names the stages that differ
     python3 scripts/digest.py --size tiny                      # the small cases of bench/run.py --selftest
+    python3 scripts/digest.py --scale                          # one lift step at the stated scale, nB = 648
 
 Run it from the root of a checkout; finspec is imported from ./src and the cases from bench/cases.py (read, not
 changed), for seeds 1-3.  The stages, each over the axioms, lift and cli cases of every seed:
@@ -18,6 +19,11 @@ changed), for seeds 1-3.  The stages, each over the axioms, lift and cli cases o
   action         compare_actions' terms and spectral values;
   cli            exit code, stdout and stderr of the benchmark's cycle of twelve commands, the bundle and the
                  normalized bundle it writes, with the scratch directory's path replaced by a fixed name.
+
+With --scale the stages realize, lift, from_forms and action are taken over one lift step instead: the d = 6
+target of nB = 648 that tests/test_oracles.py `_stated_scale_target` builds (seed 3400, source profile (1, 2),
+alpha = ((3, 3), (2, 1)), n0 = 0), a random lift onto it, and the lift workload's op on that step (realize,
+diagonalize_bases, normalize, inherit_source_dirac, from_forms and compare_actions with fermions).
 
 Arrays are hashed with their shape, dtype and raw bytes (signed zeros count), floats by repr.  Hashes depend on
 the BLAS build and the machine, so compare two trees on one machine.  The script runs itself again with one
@@ -52,9 +58,13 @@ from finspec import cli  # noqa: E402
 from finspec import differential as df  # noqa: E402
 from finspec import krajewski as kj  # noqa: E402
 from finspec import lifting as lf  # noqa: E402
+from finspec import sampling  # noqa: E402
+from finspec.algebra import AlgebraProfile  # noqa: E402
+from finspec.bratteli import BratteliArrow  # noqa: E402
 
 SEEDS = (1, 2, 3)
 STAGES = ("realize", "validate", "verify_axioms", "detect_ko", "classify", "lift", "from_forms", "action", "cli")
+SCALE_SEED, SCALE_STAGES = 3400, ("realize", "lift", "from_forms", "action")
 
 
 def _triple(t):
@@ -137,6 +147,29 @@ def collect(size="full", seeds=SEEDS) -> dict:
     return out
 
 
+def scale_case(seed=SCALE_SEED):
+    """The lift step of --scale as a bench/cases.py LiftCase: the stated-scale target, a random lift onto it, and
+    forms and vectors drawn as lift_cases draws them."""
+    rng = sampling.rng_from_seed(seed)
+    source = sampling.random_diagram(rng, 6, AlgebraProfile((1, 2)), max_fiber=0, edge_prob=0.6, ensure_edge=True,
+                                     requirements=[(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)])
+    arrow = BratteliArrow(source.profile, AlgebraProfile((9, 4)), ((3, 3), (2, 1)), (0, 0))
+    target = sampling.random_compatible_target(rng, source, arrow, max_fiber=0, edge_prob=0.5, ensure_edge=True)
+    lift = sampling.random_lift(rng, source, arrow, target)
+    omega = sampling.random_hermitian_form(rng, source.profile, scale=cases.FORM_SCALE)
+    vecs = [sampling.random_hermitian_form(rng, source.profile, 1, scale=cases.FORM_SCALE) for _ in range(4)]
+    nA, nB = cases._hilbert_dim(source), cases._hilbert_dim(target)
+    return cases.LiftCase("scale-d6", 6, (1, 2), {}, lift, omega, vecs,
+                          sampling.random_vector(rng, nA), sampling.random_vector(rng, nB))
+
+
+def collect_scale() -> dict:
+    """{stage: [item, ...]} of the --scale stages, over scale_case()."""
+    out = {stage: [] for stage in STAGES}
+    _lift(out, scale_case(), ac.CutoffFunction.gaussian())
+    return {stage: out[stage] for stage in SCALE_STAGES}
+
+
 def _bytes(item) -> bytes:
     if isinstance(item, np.ndarray):
         return repr((item.shape, item.dtype.str)).encode() + np.ascontiguousarray(item).tobytes()
@@ -163,9 +196,13 @@ def differing(a: dict, b: dict) -> list:
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--size", choices=("tiny", "full"), default="full", help="case sizes of bench/cases.py")
+    ap.add_argument("--scale", action="store_true", help="the stages of one lift step at nB = 648 instead")
     ap.add_argument("--against", metavar="FILE", help="a digest printed before; name the stages that differ")
     args = ap.parse_args(argv)
-    digests = {"size": args.size, "seeds": list(SEEDS), "stages": digest(collect(args.size))}
+    if args.scale:
+        digests = {"size": "scale", "seeds": [SCALE_SEED], "stages": digest(collect_scale())}
+    else:
+        digests = {"size": args.size, "seeds": list(SEEDS), "stages": digest(collect(args.size))}
     print(json.dumps(digests, indent=2))
     if args.against is None:
         return 0

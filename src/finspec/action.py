@@ -18,11 +18,25 @@ trace, plus terms with non-inherited components (TNIC).
 `GaugeConfiguration.from_forms` keeps each B_mu as the left factor it is
 written from where D splits, a V n_a x V n_a array against n x n, until B is
 first read; `compare_actions` writes such fields for the length of its call.
+from_forms also records what its Phi = fluctuate(t, higgs_form, tol) was read
+from (weak references to the triple, its D, its reading of K and Phi, which
+it marks read-only, with the form and tol), and `compare_actions` takes that
+Phi as D_omega on an exact match instead of fluctuating again.
+
+Where J swaps the two gamma eigenspaces (eps'' = -1, KO-dimensions 2 and 6)
+and K is a phased permutation, J X J^-1 = sigma X (sigma = -1 for B_mu, eps'
+for Phi) makes the Q-block product X[Q, P] Y[P, Q] of each field pair equal
+sigma_X sigma_Y k2 conj(X[P, Q] Y[Q, P]) k2^dagger, k2 = K[Q, P], with the same
+squared commutator and the same real traces.  `compare_actions` forms only the
+P-block product on the target side there, once each field is checked
+J-symmetric within rounding and the blocks are large enough for that to be
+faster (`_paired`); otherwise it forms both, as `bosonic_lagrangian` does.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +45,12 @@ from .algebra import DEFAULT_TOL, ShapeMismatch, as_matrix, frob
 from .differential import UniversalOneForm, _gauge_field, fluctuate
 from .krajewski import RealSpectralTriple
 from .lifting import DiagramLift, LiftError, _pullback, build_phiH, compat_check
+
+# relative residual of J X J^-1 = sigma X below which a field counts as J-symmetric on its gamma blocks (_paired)
+_PAIRING_ROUNDING = 1e-14
+# the fewest indices of a gamma block at which one block product per field pair measures faster than two (_paired):
+# slower at 25, faster from 45 on (one BLAS thread, 2-CPU Xeon, numpy 2.4.6)
+_PAIRING_MIN_BLOCK = 40
 
 
 @dataclass(frozen=True)
@@ -89,7 +109,8 @@ class GaugeConfiguration:
     """Four constant Hermitian fields B_mu and a Hermitian Phi on H, copied from what the caller hands over.
 
     A configuration of from_forms may hold its B_mu as left factors instead: then the first read of B writes them
-    (VertexLayout.lift_left) and keeps them, and assigning B drops the factors.
+    (VertexLayout.lift_left) and keeps them, and assigning B drops the factors.  Its Phi is read-only, and _made
+    records what it was fluctuated from (_fluctuated).
     """
 
     def __init__(self, B, Phi):
@@ -100,14 +121,14 @@ class GaugeConfiguration:
         shapes = [X.shape for X in B + (Phi,)]
         if len(set(shapes)) != 1 or shapes[0][0] != shapes[0][1]:
             raise ShapeMismatch(f"B_mu and Phi must be square and of one size, got shapes {shapes}")
-        self._B, self._left, self.Phi = B, None, Phi
+        self._B, self._left, self.Phi, self._made = B, None, Phi, None
 
     @classmethod
     def _own(cls, B, Phi, left=None):
         """A configuration of arrays it owns, taken as they are: B, or B = None and left = (layout, J, factors), the
         four B_mu as layout.lift_left(M, None, J, -1.0) for M in factors (differential._gauge_field)."""
         cfg = cls.__new__(cls)
-        cfg._B, cfg._left, cfg.Phi = B, left, Phi
+        cfg._B, cfg._left, cfg.Phi, cfg._made = B, left, Phi, None
         return cfg
 
     @property
@@ -139,6 +160,8 @@ class GaugeConfiguration:
         configuration keeps each B_mu as A_mu's left factor, on V n_a slots, and writes the n x n arrays on the first
         read of B (differential._gauge_field); else each B_mu is one n x n array beyond A_mu, one A_mu held at a time.
         No field is copied.  Non-finite entries are refused here: |B_mu| <= 2 max |M_mu| for a left factor M_mu.
+        Phi is marked read-only, and the configuration records weak references to t, t.D, t's reading of K and Phi,
+        with higgs_form and tol, for compare_actions to take Phi as D_omega (_fluctuated).
         """
         if len(vector_forms) != 4:
             raise ValueError("expected four vector one-forms")
@@ -146,7 +169,19 @@ class GaugeConfiguration:
         if not all(np.isfinite(X).all() for X, _J in fields) or not np.isfinite(Phi).all():
             raise ValueError("matrix entries must be finite")
         Xs, J = tuple(X for X, _J in fields), fields[0][1]
-        return cls._own(Xs, Phi) if J is None else cls._own(None, Phi, (t.layout, J, Xs))
+        cfg = cls._own(Xs, Phi) if J is None else cls._own(None, Phi, (t.layout, J, Xs))
+        Phi.flags.writeable = False
+        cfg._made = (*(weakref.ref(x) for x in (t, t.D, t._K_key(), Phi)), higgs_form, tol)
+        return cfg
+
+
+def _fluctuated(cfg: GaugeConfiguration, t: RealSpectralTriple, omega: UniversalOneForm, tol: float) -> np.ndarray:
+    """fluctuate(t, omega, tol): cfg.Phi itself when from_forms made it so, from this triple, its present D and
+    reading of K, the same form object and tol (GaugeConfiguration._made), else fluctuated again."""
+    if (made := cfg._made) is not None and made[4] is omega and made[5] == tol \
+            and all(ref() is x for ref, x in zip(made[:4], (t, t.D, t._K_key(), cfg.Phi))):
+        return cfg.Phi
+    return fluctuate(t, omega, tol)
 
 
 @dataclass
@@ -240,9 +275,10 @@ def _pairing(t: RealSpectralTriple, D, psi, psi_p) -> complex:
 
 
 def _even(t: RealSpectralTriple, v, name, tol) -> np.ndarray:
-    """v as a complex vector; in the even case it must lie in ker(gamma - 1), within tol ||v||."""
+    """v as a complex vector; in the even case it must lie in ker(gamma - 1), within tol ||v||, with gamma v read
+    through the triple (_gamma_products: the signs of a realized gamma)."""
     v = np.asarray(v, dtype=complex)
-    if t.gamma is not None and np.linalg.norm(t.gamma @ v - v) > tol * np.linalg.norm(v):
+    if (g := t._gamma_products()) is not None and np.linalg.norm(g[0](v) - v) > tol * np.linalg.norm(v):
         raise ValueError(f"{name} is not in the even subspace ker(gamma - 1)")
     return v
 
@@ -254,15 +290,17 @@ def spectral_action(t: RealSpectralTriple, omega: UniversalOneForm, f: CutoffFun
     return _spectral_sum(fluctuate(t, omega, tol), f, Lambda)
 
 
-def _products(x, y):
-    """The nonzero blocks of X Y: (X Y,) from (X,), or (X[P, Q] Y[Q, P], X[Q, P] Y[P, Q]) from (X[P, Q], X[Q, P])."""
-    return [a @ b for a, b in zip(x, y[::-1])]
+def _products(x, y, paired=False):
+    """The nonzero blocks of X Y: (X Y,) from (X,), or (X[P, Q] Y[Q, P], X[Q, P] Y[P, Q]) from (X[P, Q], X[Q, P]);
+    paired, X[P, Q] Y[Q, P] alone."""
+    return [a @ b for a, b in zip(x[:1] if paired else x, y[::-1])]
 
 
-def _squared_commutator(x, y) -> float:
-    """tr((i [X, Y])^2) = ||P - P^dagger||_F^2 with P = X Y, for Hermitian X and Y in blocks: real by construction."""
-    Cs = [P - P.conj().T for P in _products(x, y)]
-    return sum(float(np.vdot(C, C).real) for C in Cs)
+def _squared_commutator(x, y, paired=False) -> float:
+    """tr((i [X, Y])^2) = ||P - P^dagger||_F^2 with P = X Y, for Hermitian X and Y in blocks: real by construction.
+    Paired, the one block counts twice (_paired)."""
+    Cs = [P - P.conj().T for P in _products(x, y, paired)]
+    return (1 + paired) * sum(float(np.vdot(C, C).real) for C in Cs)
 
 
 def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
@@ -278,6 +316,12 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
     Only products of zero blocks are skipped: values and bounds are the dense ones, up to summation order.
     h and s are read off those blocks too, as sqrt(2) ||X[P, Q] - X[Q, P]^dagger||_F and their hypot.
     """
+    return _lagrangian(cfg, f, Lambda, tol)
+
+
+def _lagrangian(cfg, f, Lambda, tol, t=None) -> ActionReport:
+    """bosonic_lagrangian, and with t the triple the fields live on, where _paired holds, one product per field pair:
+    the P block, counted twice."""
     B, Phi = cfg.B, cfg.Phi
     if (split := _bipartition(B + (Phi,))) is None:
         *b, phi = [(X,) for X in B + (Phi,)]
@@ -285,19 +329,20 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
     else:  # X - X^dagger is X[P, Q] - X[Q, P]^dagger on P x Q, and minus its adjoint on Q x P
         *b, phi = fields = [(X[np.ix_(*split)], X[np.ix_(*split[::-1])]) for X in B + (Phi,)]
         res = max(math.sqrt(2) * frob(pq - qp.conj().T) for pq, qp in fields)
-        size = max(math.hypot(frob(pq), frob(qp)) for pq, qp in fields)
+        size = max(sizes := [math.hypot(frob(pq), frob(qp)) for pq, qp in fields])
     if res > tol * max(1.0, size):
         raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
     f0, f2 = f.f0, f.f2
+    paired = t is not None and split is not None and _paired(t, split, fields, sizes)
 
-    Phi2 = _products(phi, phi)
-    trPhi2 = sum(float(np.trace(M).real) for M in Phi2)
-    trPhi4 = sum(float(np.sum(M * M.T).real) for M in Phi2)
+    Phi2 = _products(phi, phi, paired)
+    trPhi2 = (1 + paired) * sum(float(np.trace(M).real) for M in Phi2)
+    trPhi4 = (1 + paired) * sum(float(np.sum(M * M.T).real) for M in Phi2)
 
     trF2 = trDPhi2 = 0.0  # no products for B = 0, the configuration compare_actions builds without cfgs
     if any(x.any() for bx in b for x in bx):  # F_{mu mu} = 0, F_{nu mu} = -F_{mu nu}: each mu < nu counts twice
-        trF2 = 2 * sum(_squared_commutator(b[mu], b[nu]) for nu in range(4) for mu in range(nu))
-        trDPhi2 = sum(_squared_commutator(x, phi) for x in b)
+        trF2 = 2 * sum(_squared_commutator(b[mu], b[nu], paired) for nu in range(4) for mu in range(nu))
+        trDPhi2 = sum(_squared_commutator(x, phi, paired) for x in b)
 
     return ActionReport([
         ActionTerm("trF2", f0 / (24 * math.pi**2) * trF2),
@@ -305,6 +350,33 @@ def bosonic_lagrangian(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float
         ActionTerm("trPhi4", f0 / (8 * math.pi**2) * trPhi4),
         ActionTerm("trDPhi2", f0 / (8 * math.pi**2) * trDPhi2),
     ])
+
+
+def _paired(t: RealSpectralTriple, split, fields, sizes) -> bool:
+    """Whether one block product per field pair gives the Lagrangian of the fields (X[P, Q], X[Q, P]) of split on t.
+
+    It holds when J swaps the gamma eigenspaces (eps'' = -1), K is read as a phased permutation (perm, phase) that
+    maps P onto Q, P has at least _PAIRING_MIN_BLOCK indices, and each field satisfies J X J^-1 = sigma X on its
+    blocks, X[Q, P] = sigma k2 conj(X[P, Q]) k1^dagger with k1 = K[P, Q] and k2 = K[Q, P], within _PAIRING_ROUNDING
+    of its size (sizes, the hypot of the blocks' norms); sigma is -1 for the B_mu and eps' for Phi.  Then
+    X[Q, P] Y[P, Q] = sigma_X sigma_Y k2 conj(X[P, Q] Y[Q, P]) k2^dagger: the same ||C - C^dagger||_F and the
+    conjugate trace.  Every image is gathered, conjugated and phased in one buffer.
+    """
+    (P, Q), mono = split, t._K_products()[0] if t.ko.eps_pp == -1 else None
+    if mono is None or len(P) < _PAIRING_MIN_BLOCK or not np.array_equal(np.sort(mono[0][P]), Q):
+        return False
+    (perm, phase), eps_p = mono, t.ko.eps_p
+    at = np.empty(len(perm), dtype=np.intp)
+    at[P], at[Q] = np.arange(len(P)), np.arange(len(Q))  # the place of each index in P or in Q
+    flat = at[perm[Q]][:, None] * len(Q) + at[perm[P]]  # X[P, Q][perm[b], perm[a]] at [b, a], in flat indices
+    phases, image = phase[Q][:, None] * np.conj(phase[P]), np.empty(flat.shape, dtype=complex)
+    for (pq, qp), sigma, size in zip(fields, (-1, -1, -1, -1, eps_p), sizes):
+        np.take(pq, flat, out=image)
+        np.multiply(np.conj(image, out=image), phases, out=image)  # k2 conj(X[P, Q]) k1^dagger
+        diff = np.subtract(qp, image, out=image) if sigma == 1 else np.add(qp, image, out=image)
+        if np.vdot(diff, diff).real > (_PAIRING_ROUNDING * size) ** 2:
+            return False
+    return True
 
 
 def fermionic_pairing(t: RealSpectralTriple, omega: UniversalOneForm, psi, psi_p,
@@ -328,8 +400,10 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
     traced monomial is computed with every factor replaced by its pullback phi_H* X phi_H and must equal the
     source-side value within tol; TNIC = full - inherited by definition.  Operator pairs must be weakly
     phi-compatible, and fermions phi-compatible (psi_B - phi_H psi_A orthogonal to the range, within
-    tol max(||psi_A||, ||psi_B||)).  Each side's D_omega is built once.  B_mu still held as left factors
-    (GaugeConfiguration.from_forms) are written for this call alone: the configurations keep their factors.
+    tol max(||psi_A||, ||psi_B||)).  Each side's D_omega is built at most once: it is the Phi of a from_forms
+    configuration made from the same triple, form and tol (_fluctuated).  B_mu still held as left factors
+    (GaugeConfiguration.from_forms) are written for this call alone: the configurations keep their factors.  The
+    target Lagrangian forms one block product per field pair where J pairs the gamma blocks (_paired).
     """
     if not lift.normalized:
         raise LiftError("compare_actions needs a normalized lift")
@@ -343,7 +417,8 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
         diracs = fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol)
         cfgs = [GaugeConfiguration(tuple(np.zeros_like(t.D) for _ in range(4)), D)
                 for t, D in zip((tA, tB), diracs)]
-    cfg_A, cfg_B = (c._dense() for c in cfgs)
+    given_A, given_B = cfgs
+    cfg_A, cfg_B = given_A._dense(), given_B._dense()
 
     rep = ActionReport()
     names = [f"B_{mu}" for mu in range(4)] + ["Phi"]
@@ -355,7 +430,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
 
     cfg_inh = GaugeConfiguration(tuple(_pullback(M, b) for b in cfg_B.B), _pullback(M, cfg_B.Phi))
 
-    lagrangians = [bosonic_lagrangian(c, f, Lambda, tol).terms for c in (cfg_B, cfg_inh, cfg_A)]
+    lagrangians = [_lagrangian(c, f, Lambda, tol, t).terms for c, t in ((cfg_B, tB), (cfg_inh, None), (cfg_A, None))]
     for tf, ti, ta in zip(*lagrangians):
         rep.terms.append(ActionTerm(tf.name, tf.full, ti.full, tf.full - ti.full, ta.full))
         if abs(ti.full - ta.full) > max(tol, tol * abs(ta.full)):
@@ -363,7 +438,7 @@ def compare_actions(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralT
                 f"inherited trace mismatch on {tf.name}: {ti.full} vs source {ta.full}"
             )
 
-    DA, DB = diracs or (fluctuate(tA, omega_A, tol), fluctuate(tB, omega_B, tol))
+    DA, DB = diracs or (_fluctuated(given_A, tA, omega_A, tol), _fluctuated(given_B, tB, omega_B, tol))
     rep.spectral["A"] = _spectral_sum(DA, f, Lambda)
     rep.spectral["B"] = _spectral_sum(DB, f, Lambda)
 

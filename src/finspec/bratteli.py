@@ -8,6 +8,7 @@ diagonal copies of a_i in block k and leaves an n_{0,k} corner of zeros.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +53,26 @@ class BratteliArrow:
         """Row offset of the i-band inside target block k."""
         return sum(self.mult(k, ii) * self.source.dim(ii) for ii in range(1, i))
 
+    def _band_offsets(self) -> list:
+        """Every band offset at once: [k - 1][i - 1] is band_offset(k, i), for i = 1, ..., r + 1."""
+        return [list(itertools.accumulate((a * n for a, n in zip(row, self.source.dims)), initial=0))
+                for row in self.alpha]
+
 
 def apply_phi(arrow: BratteliArrow, a: AlgebraElement) -> AlgebraElement:
     """The normal-form homomorphism phi(a): one zero block per target block, with a_i written at its slots."""
     if a.profile != arrow.source:
         raise ProfileMismatch("element does not live over the arrow's source")
+    return _apply_phi(arrow, a, arrow._band_offsets())
+
+
+def _apply_phi(arrow, a, offsets):
+    """apply_phi(arrow, a) with the arrow's band offsets read beforehand (BratteliArrow._band_offsets)."""
     blocks = [np.zeros((m_k, m_k), dtype=complex) for m_k in arrow.target.dims]
-    for k, out in enumerate(blocks, start=1):
-        for i, a_i in enumerate(a.blocks, start=1):
+    for out, bands in zip(blocks, offsets):
+        for a_i, start, stop in zip(a.blocks, bands, bands[1:]):
             n = len(a_i)
-            for off in range(arrow.band_offset(k, i), arrow.band_offset(k, i + 1), n):  # the alpha_ki slots
+            for off in range(start, stop, n):  # the alpha_ki slots
                 out[off:off + n, off:off + n] = a_i
         out += 0.0  # -0.0 entries come out as 0.0, as in a sum of the components
     return AlgebraElement(arrow.target, blocks)

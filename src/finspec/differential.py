@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraElement, AlgebraProfile, ProfileMismatch, frob
-from .bratteli import BratteliArrow, apply_phi
+from .bratteli import BratteliArrow, _apply_phi
 from .krajewski import RealSpectralTriple
 from .reports import Report
 
@@ -201,11 +201,11 @@ def pushforward(omega: UniversalOneForm, arrow: BratteliArrow) -> UniversalOneFo
     """
     if omega.profile != arrow.source:
         raise ProfileMismatch("form does not live over the arrow's source")
-    unital = all(x == 0 for x in arrow.n0)
-    p_phi = apply_phi(arrow, AlgebraElement.identity(arrow.source))
+    unital, offsets = all(x == 0 for x in arrow.n0), arrow._band_offsets()
+    p_phi = None if unital else _apply_phi(arrow, AlgebraElement.identity(arrow.source), offsets)
     out = []
     for a0, a1 in omega.terms:
-        out.append((apply_phi(arrow, a0), apply_phi(arrow, a1)))
+        out.append((_apply_phi(arrow, a0, offsets), _apply_phi(arrow, a1, offsets)))
         if not unital:
-            out.append((-1.0 * apply_phi(arrow, a0 @ a1), p_phi))
+            out.append((-1.0 * _apply_phi(arrow, a0 @ a1, offsets), p_phi))
     return UniversalOneForm(arrow.target, tuple(out))

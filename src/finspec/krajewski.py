@@ -148,18 +148,45 @@ class KrajewskiDiagram:
         return len(self.fiber(i, j))
 
 
-@dataclass
 class RealSpectralTriple:
-    """Concrete finite triple: D Hermitian, J = K o (entrywise conjugation)."""
+    """Concrete finite triple: D Hermitian, J = K o (entrywise conjugation), gamma the grading in even d.
 
-    profile: AlgebraProfile
-    ko: KOSignature
-    layout: VertexLayout
-    D: np.ndarray
-    K: np.ndarray
-    gamma: np.ndarray | None = None
-    _K_read: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _split_read: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    A triple of realize holds K and gamma as the placements it reads them from: K[r, perm[r]] = phase[r] and
+    gamma = diag(signs).  The dense K and gamma are built on their first read and kept; assigning K or gamma
+    replaces the placement by the array.  Nothing writes into a K or gamma in place.
+    """
+
+    def __init__(self, profile: AlgebraProfile, ko: KOSignature, layout: VertexLayout, D: np.ndarray,
+                 K: np.ndarray, gamma: np.ndarray | None = None):
+        self.profile, self.ko, self.layout, self.D, self.K, self.gamma = profile, ko, layout, D, K, gamma
+        self._K_read, self._split_read = (None, None), (None, None, None)
+
+    @classmethod
+    def _placed(cls, profile, ko, layout, D, mono, signs):
+        """The triple whose K is the phased permutation mono = (perm, phase) and whose gamma is diag(signs)."""
+        t = cls(profile, ko, layout, D, None)
+        t._K_mono, t._gamma_signs = mono, signs
+        return t
+
+    @property
+    def K(self) -> np.ndarray:
+        if self._K is None and self._K_mono is not None:
+            self._K = _placed_array(*self._K_mono)
+        return self._K
+
+    @K.setter
+    def K(self, K):
+        self._K, self._K_mono = K, None
+
+    @property
+    def gamma(self) -> np.ndarray | None:
+        if self._gamma is None and self._gamma_signs is not None:
+            self._gamma = _placed_array(np.arange(len(self._gamma_signs)), self._gamma_signs)
+        return self._gamma
+
+    @gamma.setter
+    def gamma(self, gamma):
+        self._gamma, self._gamma_signs = gamma, None
 
     @property
     def dim(self) -> int:
@@ -168,24 +195,37 @@ class RealSpectralTriple:
     def pi(self, a: AlgebraElement) -> np.ndarray:
         return self.layout.pi(a)
 
+    def _K_key(self) -> np.ndarray:
+        """The array K is read from: perm of a placed K, else K."""
+        return self.K if self._K_mono is None else self._K_mono[0]
+
     def _split(self):
         """(L, J), or None unless K is monomial and D splits as L (x) 1 + 1 (x) R within rounding
         (_SPLIT_ROUNDING ||D||_F): D's left factor on the layout's padded left space (VertexLayout.factors) and the
-        layout's tables of J for K (VertexLayout._J_tables).  Read once per D and K object, as _K_products reads K."""
+        layout's tables of J for K (VertexLayout._J_tables).  Read once per D and reading of K, as _K_products."""
         if (mono := self._K_products()[0]) is None:
             return None
-        if self._split_read[0] is not self.D or self._split_read[1] is not self.K:
+        if self._split_read[0] is not self.D or self._split_read[1] is not self._K_key():
             L, _R, residual = self.layout.factors(self.D)
             split = (L, self.layout._J_tables(mono)) if residual <= _SPLIT_ROUNDING * frob(self.D) else None
-            self._split_read = self.D, self.K, split
+            self._split_read = self.D, self._K_key(), split
         return self._split_read[2]
 
     def _K_products(self):
-        """_products_with(K), read once per K object, or seeded by realize: assigning a new K drops it (nothing writes
-        into a K in place)."""
-        if self._K_read[0] is not self.K:
-            self._K_read = self.K, _products_with(self.K)
+        """_products_with(K), read once per K: off the placement of a realized K without forming K, else off the
+        K object, so assigning a new K drops it."""
+        if self._K_read[0] is not (key := self._K_key()):
+            self._K_read = key, (_products_with(key) if self._K_mono is None else _monomial_products(*self._K_mono))
         return self._K_read[1]
+
+    def _gamma_products(self):
+        """(Y -> gamma Y, Y -> Y gamma), or None without a grading: scalings by the signs of a realized gamma,
+        else dense products.  Y may be a vector on the left."""
+        if (s := self._gamma_signs) is not None:
+            return (lambda Y: (s * Y.T).T), (lambda Y: Y * s)
+        if (g := self.gamma) is None:
+            return None
+        return (lambda Y: g @ Y), (lambda Y: Y @ g)
 
     def apply_J(self, psi: np.ndarray) -> np.ndarray:
         return self._K_products()[1](np.conj(psi))
@@ -202,6 +242,13 @@ class RealSpectralTriple:
     def right(self, b: AlgebraElement) -> np.ndarray:
         """J pi(b)^* J^{-1}, the right action of b through the real structure."""
         return self.K @ self.pi(b).T @ self.K.conj().T
+
+
+def _placed_array(perm, phase) -> np.ndarray:
+    """The n x n array A with A[r, perm[r]] = phase[r]: the bits VertexLayout.place gives a K or gamma."""
+    A = np.zeros((len(perm), len(perm)), dtype=complex)
+    A[np.arange(len(perm)), perm] = phase
+    return A
 
 
 def _products_with(A):
@@ -508,21 +555,17 @@ def layout_of(diag: KrajewskiDiagram) -> VertexLayout:
     return VertexLayout(diag.profile, diag.sorted_vids())
 
 
-def _real_structure(layout, vertices, jim, d, even):
-    """K = sum_v eps(v, d) Jhat from v to jim(v), and gamma = s(v) on each block (even d)."""
-    K = layout.place({(jim[v], v): epsilon_factor(vertices[v], d) for v in layout.vids}, swap=True)
-    gamma = layout.place({(v, v): vertices[v].s for v in layout.vids}) if even else None
-    return K, gamma
-
-
-def _placed_permutation(layout, vertices, jim, d):
-    """(perm, phase) with K[r, perm[r]] = phase[r] for the K _real_structure places, read off the legs, not off K: a
-    valid diagram's jim is an involution, so each row is placed once."""
+def _placements(layout, vertices, jim, d, even):
+    """(mono, signs): K = sum_v eps(v, d) Jhat from v to jim(v) as mono = (perm, phase) with K[r, perm[r]] = phase[r],
+    and gamma = s(v) on each block as the signs of its diagonal (even d, else None), read off the legs: a valid
+    diagram's jim is an involution, so each row of K is placed once."""
     perm, phase = np.empty(layout.total_dim, dtype=np.intp), np.empty(layout.total_dim, dtype=complex)
     for v in layout.vids:
         rows = layout.legs(jim[v]).T
         perm[rows], phase[rows] = layout.legs(v), epsilon_factor(vertices[v], d)
-    return perm, phase
+    lengths = [b.length for b in layout.blocks]
+    signs = np.repeat(np.array([vertices[v].s for v in layout.vids], dtype=complex), lengths) if even else None
+    return (perm, phase), signs
 
 
 def _basis_change(layout, rows):
@@ -543,10 +586,8 @@ def realize(diag: KrajewskiDiagram, tol: float = DEFAULT_TOL) -> RealSpectralTri
     for (src, dst), op in closed.items():
         D[layout.block(dst).sl, layout.block(src).sl] = op
 
-    K, gamma = _real_structure(layout, diag.vertices, diag.jim, diag.d, diag.ko.even)
-    t = RealSpectralTriple(diag.profile, diag.ko, layout, D, K, gamma)
-    t._K_read = K, _monomial_products(*_placed_permutation(layout, diag.vertices, diag.jim, diag.d))
-    return t
+    return RealSpectralTriple._placed(diag.profile, diag.ko, layout, D,
+                                      *_placements(layout, diag.vertices, diag.jim, diag.d, diag.ko.even))
 
 
 def verify_axioms(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> Report:
@@ -723,18 +764,14 @@ def _sign_residuals(t, DK):
     """{sign: residual} for J^2 = eps, JD = eps' DJ and, with a grading, J gamma = eps'' gamma J, at both signs.
 
     The products with K are the triple's (_K_products), DK = D K comes from the caller.
-    K conj(K), K conj(D), and K conj(gamma) and gamma K, are formed once, one relation at a time.
+    K conj(K), K conj(D), and K conj(gamma) and gamma K, are formed once, one relation at a time, each pair freed
+    before the next is formed; X - (-Y) is X + Y, so one difference is held at a time.
     """
     K, D, g = t.K, t.D, t.gamma
     _, left, right, _ = t._K_products()
-
-    def products():
-        yield left(np.conj(K)), np.eye(t.dim)
-        yield left(np.conj(D)), DK
-        if g is not None:
-            yield left(np.conj(g)), right(g)
-
-    return [{sign: frob(X - sign * Y) for sign in (1, -1)} for X, Y in products()]
+    residuals = lambda X, Y: {1: frob(X - Y), -1: frob(X + Y)}
+    out = [residuals(left(np.conj(K)), np.eye(t.dim)), residuals(left(np.conj(D)), DK)]
+    return out + ([residuals(left(np.conj(g)), right(g))] if g is not None else [])
 
 
 def detect_ko(t: RealSpectralTriple, tol: float = DEFAULT_TOL) -> set:
@@ -900,9 +937,10 @@ def _splitting_residual(t, i, j, fiber):
     return frob(proj)
 
 
-def _normal_form_residual(AV, W, A0):
-    """||W* A V - A0||_F for AV = A V, as ||A V - W A0||_F (W unitary; W A0 a gather, A0 the canonical K or gamma)."""
-    return frob(AV - _products_with(A0)[2](W))
+def _normal_form_residual(AV, W, mono):
+    """||W* A V - A0||_F for AV = A V, as ||A V - W A0||_F (W unitary; W A0 a gather, A0 the canonical K or gamma
+    given as its mono = (perm, phase), A0[r, perm[r]] = phase[r])."""
+    return frob(AV - _monomial_products(*mono)[2](W))
 
 
 def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
@@ -989,12 +1027,12 @@ def classify(t: RealSpectralTriple, tol: float = DEFAULT_TOL):
                                for p, m in enumerate(bases[key])})
 
     # step 5: read the diagram off the transformed operators
-    Kexp, gexp = _real_structure(layout, vertices, jim_new, d, ko.even)
+    Kexp, gexp = _placements(layout, vertices, jim_new, d, ko.even)
     res = _normal_form_residual(t._K_products()[1](np.conj(W)), W, Kexp)
     if res > tol:
         raise ClassificationError("real structure normal form", "transformed K is not in canonical form", res)
     if ko.even:
-        res = _normal_form_residual(_products_with(t.gamma)[1](W), W, gexp)
+        res = _normal_form_residual(_products_with(t.gamma)[1](W), W, (np.arange(len(gexp)), gexp))
         if res > tol:
             raise ClassificationError("grading normal form", "transformed gamma is not diagonal +-1", res)
 

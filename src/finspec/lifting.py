@@ -160,17 +160,22 @@ class CompatReport:
 
 
 def build_phiH(lift: DiagramLift) -> PhiHMap:
-    """Assemble the dense H_A -> H_B matrix of the lift."""
+    """Assemble the dense H_A -> H_B matrix of the lift, with one scatter per group of (v, w) pairs that share the
+    shape of u and of the legs of v and w."""
     src_layout = layout_of(lift.source)
     tgt_layout = layout_of(lift.target)
-    arrow = lift.arrow
+    offsets = lift.arrow._band_offsets()
     M = np.zeros((tgt_layout.total_dim, src_layout.total_dim), dtype=complex)
+    groups = {}
     for (v, w), u in lift.u.items():
         src, tgt = src_layout.legs(v), tgt_layout.legs(w)
-        koff, loff = arrow.band_offset(w[0], v[0]), arrow.band_offset(w[2], v[2])
+        groups.setdefault((u.shape, src.shape, tgt.shape), []).append(
+            (u, src, tgt, offsets[w[0] - 1][v[0] - 1], offsets[w[2] - 1][v[2] - 1]))
+    for (_u, (n_i, n_j), _t), pairs in groups.items():
+        U, S, T, koff, loff = (np.array(x) for x in zip(*pairs))
         # e_x (x) e_y o of block v picks up u[a, b] at the legs (koff + a n_i + x, loff + b n_j + y) of block w
-        a, b, x, y = np.indices(u.shape + src.shape, sparse=True)
-        M[tgt[koff + a * src.shape[0] + x, loff + b * src.shape[1] + y], src[x, y]] += u[a, b]
+        g, a, b, x, y = np.indices((len(pairs),) + U.shape[1:] + S.shape[1:], sparse=True)
+        M[T[g, koff[g] + a * n_i + x, loff[g] + b * n_j + y], S[g, x, y]] += U[g, a, b]
     return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
 
 
@@ -255,16 +260,17 @@ def compat_check(A, B, phiH: PhiHMap, tol: float = DEFAULT_TOL, antilinear: bool
     M = phiH.matrix
     if A.shape != (M.shape[1], M.shape[1]) or B.shape != (M.shape[0], M.shape[0]):
         raise ShapeMismatch("operator shapes do not match phi_H")
-    lhs = M @ A  # for antilinear A = K_A o conj, the conjugation is factored out
-    rhs = B @ np.conj(M) if antilinear else B @ M
+    # for antilinear A = K_A o conj, the conjugation is factored out
+    weak_res, strong = _compat_lines(M @ A, B @ np.conj(M) if antilinear else B @ M, phiH)
+    return CompatReport(weak_residual=weak_res, b_perp_phi=strong,
+                        b_phi_perp=frob(phiH.off_range(B.conj().T @ phiH.range_basis)), tol=tol)
+
+
+def _compat_lines(lhs, rhs, phiH: PhiHMap):
+    """(weak residual, strong block) of compat_check from lhs = phi_H A and rhs = B phi_H: the largest column norm
+    of P rhs - lhs, and ||(1-P) rhs||_F."""
     perp = phiH.off_range(rhs)
-    weak_res = float(np.max(np.linalg.norm(rhs - perp - lhs, axis=0))) if lhs.size else 0.0
-    return CompatReport(
-        weak_residual=weak_res,
-        b_perp_phi=frob(perp),
-        b_phi_perp=frob(phiH.off_range(B.conj().T @ phiH.range_basis)),
-        tol=tol,
-    )
+    return (float(np.max(np.linalg.norm(rhs - perp - lhs, axis=0))) if lhs.size else 0.0), frob(perp)
 
 
 def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectralTriple,
@@ -274,9 +280,10 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     Checks the conjugation relation on every (v, w) pair and the vanishing
     of u(v,w) across grading mismatches, both below tol times the largest
     ||u(v, w)||_F, equality of the KO sign data of the two triples, and
-    cross-validates with direct compat checks on the J (and gamma)
+    cross-validates with compat_check's weak and strong lines on the J (and gamma)
     operators, whose residuals pass below tol ||phi_H||_F, so a lift and
-    its rescaling get the same verdict.
+    its rescaling get the same verdict.  Their products with phi_H are the triples' own readings of K and
+    gamma (_K_products, _gamma_products): gathers for a realized triple, with no dense K or gamma.
     """
     rep = Report("real structure and grading")
     res, witness = _conjugation_residual(lift)
@@ -290,14 +297,18 @@ def real_grading_check(lift: DiagramLift, tA: RealSpectralTriple, tB: RealSpectr
     rep.add_bool("KO signatures equal", sigA == sigB, detail=f"A={sigA} B={sigB}")
 
     phiH = build_phiH(lift)
-    pairs = [("J", tA.K, tB.K, True)]  # K stands for the antilinear J = K o conj
+    M = phiH.matrix
+    if (tB.dim, tA.dim) != M.shape:
+        raise ShapeMismatch("operator shapes do not match phi_H")
+    # K stands for the antilinear J = K o conj: M K_A against K_B conj(M)
+    pairs = [("J", tA._K_products()[2](M), tB._K_products()[1](np.conj(M)))]
     if tA.ko.even and tB.ko.even:
-        pairs.append(("gamma", tA.gamma, tB.gamma, False))
-    bound = tol * frob(phiH.matrix)
-    for name, A, B, antilinear in pairs:
-        c = compat_check(A, B, phiH, tol, antilinear=antilinear)
-        rep.add(f"{name} data weak residual", c.weak_residual, bound)
-        rep.add(f"{name} data strong block", c.b_perp_phi, bound)
+        pairs.append(("gamma", tA._gamma_products()[1](M), tB._gamma_products()[0](M)))
+    bound = tol * frob(M)
+    for name, lhs, rhs in pairs:
+        weak_res, strong = _compat_lines(lhs, rhs, phiH)
+        rep.add(f"{name} data weak residual", weak_res, bound)
+        rep.add(f"{name} data strong block", strong, bound)
     return rep
 
 

@@ -90,6 +90,18 @@ The fourteenth group is step 5 of `classify` with two dense products by W*:
 for K.  The tests ask for the library's ||A V - W A0||_F within 1e-12
 relative to ||A||_F, for W from `classify` and for W times a random fiber
 unitary.
+
+The fifteenth group is the lift path as it was before it read a realized K
+and gamma as their permutation and signs: `_real_structure`, the dense
+placement of K and gamma by `VertexLayout.place`; `real_grading_check_dense`,
+whose J and gamma lines are `compat_check`s of the dense K and gamma;
+`bosonic_lagrangian_blocks`, the two-product Lagrangian on the blocks of
+gamma-odd fields; `build_phiH_per_pair`, one scatter per (v, w) pair; and
+`pushforward_per_call`, which reads the band offsets inside every
+`apply_phi` call and forms p_phi for a unital arrow too.  The tests ask for
+K and gamma, phi_H and the pushed-forward forms bit for bit, for the report
+lines within 1e-12 relative, and for the Lagrangian within its Hermitian
+bound.
 """
 
 import json
@@ -98,9 +110,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, fermionic_pairing
+from finspec.action import ActionReport, ActionTerm, CutoffFunction, GaugeConfiguration, _bipartition, fermionic_pairing
 from finspec.algebra import DEFAULT_TOL, AlgebraElement, AlgebraProfile, ProfileMismatch, ShapeMismatch, as_matrix, frob, matrix_units, unit_insert
-from finspec.bratteli import BratteliArrow, phi_component
+from finspec.bratteli import BratteliArrow, apply_phi, phi_component
 from finspec.bundle import _REAL, BundleError, _array, _int, bundle_to_json
 from finspec.differential import UniversalOneForm, fluctuate
 from finspec.krajewski import (
@@ -117,7 +129,6 @@ from finspec.krajewski import (
     _edge_kind,
     _extract_middle_map,
     _line,
-    _real_structure,
     _splitting_residual,
     _unit_frames,
     _vdim,
@@ -138,7 +149,9 @@ from finspec.lifting import (
     _kappa_pairing_residual,
     _pullback,
     _source_with_dirac,
+    _u_size,
     build_phiH,
+    compat_check as compat_check_range,
 )
 from finspec.reports import Report
 from finspec.sampling import random_complex, random_profile
@@ -151,6 +164,14 @@ def swap_matrix(n_i: int, n_j: int) -> np.ndarray:
         for y in range(n_j):
             s[y * n_i + x, x * n_j + y] = 1.0
     return s
+
+
+def _real_structure(layout, vertices, jim, d, even):
+    """K = sum_v eps(v, d) Jhat from v to jim(v), and gamma = s(v) on each block (even d): the dense placement
+    realize and classify made before they kept K and gamma as their permutation and signs."""
+    K = layout.place({(jim[v], v): epsilon_factor(vertices[v], d) for v in layout.vids}, swap=True)
+    gamma = layout.place({(v, v): vertices[v].s for v in layout.vids}) if even else None
+    return K, gamma
 
 
 def real_structure(diag, layout):
@@ -1842,3 +1863,83 @@ def hermiticity_dense(cfg: GaugeConfiguration):
 def normal_form_residual(A, W, A0, antilinear=False):
     """||W* A W - A0||_F, or ||W* A conj(W) - A0||_F when antilinear (K, which J composes with conjugation)."""
     return frob(W.conj().T @ A @ (np.conj(W) if antilinear else W) - A0)
+
+
+# -- the lift path with dense K and gamma, one scatter per pair, two block products --------------
+
+
+def real_grading_check_dense(lift, tA, tB, tol=DEFAULT_TOL) -> Report:
+    """real_grading_check with its J and gamma lines from compat_check on the dense K and gamma."""
+    rep = Report("real structure and grading")
+    res, witness = _conjugation_residual(lift)
+    ubound = tol * _u_size(lift)
+    rep.add("u(jim v, jim w) = (eps_A/eps_B) u(v,w)*", res, ubound, detail=f"worst at {witness}" if witness else "")
+    rep.add("u(v,w) = 0 when s(v) != s(w)", _grading_residual(lift), ubound)
+    sigA = (tA.ko.eps, tA.ko.eps_p, tA.ko.eps_pp)
+    sigB = (tB.ko.eps, tB.ko.eps_p, tB.ko.eps_pp)
+    rep.add_bool("KO signatures equal", sigA == sigB, detail=f"A={sigA} B={sigB}")
+    phiH = build_phiH_per_pair(lift)
+    pairs = [("J", tA.K, tB.K, True)]
+    if tA.ko.even and tB.ko.even:
+        pairs.append(("gamma", tA.gamma, tB.gamma, False))
+    bound = tol * frob(phiH.matrix)
+    for name, A, B, antilinear in pairs:
+        c = compat_check_range(A, B, phiH, tol, antilinear=antilinear)
+        rep.add(f"{name} data weak residual", c.weak_residual, bound)
+        rep.add(f"{name} data strong block", c.b_perp_phi, bound)
+    return rep
+
+
+def bosonic_lagrangian_blocks(cfg: GaugeConfiguration, f: CutoffFunction, Lambda: float,
+                              tol: float = DEFAULT_TOL) -> ActionReport:
+    """bosonic_lagrangian with both diagonal blocks X[P, Q] Y[Q, P] and X[Q, P] Y[P, Q] of every product."""
+    B, Phi = cfg.B, cfg.Phi
+    if (split := _bipartition(B + (Phi,))) is None:
+        *b, phi = [(X,) for X in B + (Phi,)]
+        res, size = cfg.hermiticity_residual(), max(frob(X) for X in B + (Phi,))
+    else:
+        *b, phi = fields = [(X[np.ix_(*split)], X[np.ix_(*split[::-1])]) for X in B + (Phi,)]
+        res = max(math.sqrt(2) * frob(pq - qp.conj().T) for pq, qp in fields)
+        size = max(math.hypot(frob(pq), frob(qp)) for pq, qp in fields)
+    if res > tol * max(1.0, size):
+        raise ValueError(f"configuration is not Hermitian (residual {res:.3e})")
+    products = lambda x, y: [a @ c for a, c in zip(x, y[::-1])]
+    squared = lambda x, y: sum(float(np.vdot(C, C).real) for C in (P - P.conj().T for P in products(x, y)))
+    Phi2 = products(phi, phi)
+    trPhi2 = sum(float(np.trace(M).real) for M in Phi2)
+    trPhi4 = sum(float(np.sum(M * M.T).real) for M in Phi2)
+    trF2 = trDPhi2 = 0.0
+    if any(x.any() for bx in b for x in bx):
+        trF2 = 2 * sum(squared(b[mu], b[nu]) for nu in range(4) for mu in range(nu))
+        trDPhi2 = sum(squared(x, phi) for x in b)
+    f0, f2 = f.f0, f.f2
+    return ActionReport([
+        ActionTerm("trF2", f0 / (24 * math.pi**2) * trF2),
+        ActionTerm("trPhi2", -2 * f2 * Lambda**2 / (4 * math.pi**2) * trPhi2),
+        ActionTerm("trPhi4", f0 / (8 * math.pi**2) * trPhi4),
+        ActionTerm("trDPhi2", f0 / (8 * math.pi**2) * trDPhi2),
+    ])
+
+
+def build_phiH_per_pair(lift) -> PhiHMap:
+    """build_phiH with one scatter per (v, w) pair."""
+    src_layout, tgt_layout, arrow = layout_of(lift.source), layout_of(lift.target), lift.arrow
+    M = np.zeros((tgt_layout.total_dim, src_layout.total_dim), dtype=complex)
+    for (v, w), u in lift.u.items():
+        src, tgt = src_layout.legs(v), tgt_layout.legs(w)
+        koff, loff = arrow.band_offset(w[0], v[0]), arrow.band_offset(w[2], v[2])
+        a, b, x, y = np.indices(u.shape + src.shape, sparse=True)
+        M[tgt[koff + a * src.shape[0] + x, loff + b * src.shape[1] + y], src[x, y]] += u[a, b]
+    return PhiHMap(M, src_layout, tgt_layout, normalized=lift.normalized)
+
+
+def pushforward_per_call(omega: UniversalOneForm, arrow: BratteliArrow) -> UniversalOneForm:
+    """pushforward with apply_phi reading the band offsets on every call, and p_phi formed for every arrow."""
+    unital = all(x == 0 for x in arrow.n0)
+    p_phi = apply_phi(arrow, AlgebraElement.identity(arrow.source))
+    out = []
+    for a0, a1 in omega.terms:
+        out.append((apply_phi(arrow, a0), apply_phi(arrow, a1)))
+        if not unital:
+            out.append((-1.0 * apply_phi(arrow, a0 @ a1), p_phi))
+    return UniversalOneForm(arrow.target, tuple(out))

@@ -57,7 +57,6 @@ from finspec.krajewski import (
     _monomial_brackets,
     _normal_form_residual,
     _products_with,
-    _real_structure,
     _splitting_residual,
     _unit_frames,
     _validate,
@@ -73,6 +72,7 @@ from finspec.bratteli import BratteliArrow, apply_phi
 from finspec.bundle import Bundle, save_bundle
 from finspec.cli import main
 from finspec.lifting import (
+    DiagramLift,
     LiftError,
     PhiHMap,
     build_phiH,
@@ -723,12 +723,12 @@ def test_normal_form_residuals_match_the_dense_oracle(d):
     for diag, forms in _oracle_triples(d):
         for t in (forms[0], mix_fibers(rng, forms[0], diag)):
             found, W = classify(t)
-            K0, gamma0 = _real_structure(t.layout, found.vertices, found.jim, d, t.ko.even)
+            K0, gamma0 = oracles._real_structure(t.layout, found.vertices, found.jim, d, t.ko.even)
             for V in (W, W @ fiber_unitary(rng, t.layout, diag)):
-                res = _normal_form_residual(t._K_products()[1](np.conj(V)), V, K0)
+                res = _normal_form_residual(t._K_products()[1](np.conj(V)), V, _products_with(K0)[0])
                 assert abs(res - oracles.normal_form_residual(t.K, V, K0, antilinear=True)) <= 1e-12 * frob(t.K)
                 if t.gamma is not None:
-                    res = _normal_form_residual(_products_with(t.gamma)[1](V), V, gamma0)
+                    res = _normal_form_residual(_products_with(t.gamma)[1](V), V, _products_with(gamma0)[0])
                     assert abs(res - oracles.normal_form_residual(t.gamma, V, gamma0)) <= 1e-12 * frob(t.gamma)
                 compared += 1
     assert compared >= 16
@@ -1517,3 +1517,246 @@ def test_non_hermitian_configuration_is_refused_at_the_dense_residual(split):
     with pytest.raises(ValueError, match=f"not Hermitian \\(residual {h:.3e}\\)"):
         bosonic_lagrangian(cfg, f, 1.3, h / max(1.0, s) * (1 - 1e-12))
     bosonic_lagrangian(cfg, f, 1.3, h / max(1.0, s) * (1 + 1e-12))
+
+
+# -- realized K and gamma as their permutation and signs, one gamma block per field pair --------
+
+
+def _lift_target_steps(rng):
+    """Normalized lifts with inherited source Dirac, made up as the benchmark's lift-d2 (nB = 150) and lift-d6
+    (nB = 288) cases: (lift, tA, tB, forms of the source, forms of the target), forms as (four vector forms, Higgs)."""
+    steps = [(2, (1, 2), [(1, 1, 1), (1, 2, 1), (2, 2, 1)], ((2, 1), (1, 1)), (1, 0)),
+             (6, (1, 2), [(1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1)], ((2, 2), (1, 1)), (0, 0))]
+    for d, dims, requirements, alpha, n0 in steps:
+        source = random_diagram(rng, d, AlgebraProfile(dims), max_fiber=0, edge_prob=0.6, ensure_edge=True,
+                                requirements=requirements)
+        target_dims = tuple(n0[k] + sum(a * n for a, n in zip(alpha[k], dims)) for k in range(len(alpha)))
+        arrow = BratteliArrow(source.profile, AlgebraProfile(target_dims), alpha, n0)
+        target = random_compatible_target(rng, source, arrow, max_fiber=0, edge_prob=0.5, ensure_edge=True)
+        lift = inherit_source_dirac(normalize(diagonalize_bases(random_lift(rng, source, arrow, target))))
+        forms = [random_hermitian_form(rng, source.profile, 1, scale=0.7) for _ in range(4)]
+        forms.append(random_hermitian_form(rng, source.profile, scale=0.7))
+        yield lift, realize(lift.source), realize(target), forms, [pushforward(w, arrow) for w in forms]
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_realized_K_and_gamma_read_as_the_dense_placement_bit_for_bit(d):
+    """The dense K and gamma read from a realized triple are VertexLayout.place's K and gamma (the dense placement
+    kept in tests/oracles.py) byte for byte, and the swap-matrix loop's entry for entry; each is built on its first
+    read and kept."""
+    rng = rng_from_seed(3800 + d)
+    for profile in (None, AlgebraProfile((2, 1)), AlgebraProfile((1, 2, 3))):
+        diag = random_diagram(rng, d, profile, max_fiber=2, edge_prob=0.7, ensure_edge=True)
+        t = realize(diag)
+        assert t._K is None and t._gamma is None
+        K0, gamma0 = oracles._real_structure(t.layout, diag.vertices, diag.jim, d, d % 2 == 0)
+        _same_bits(t.K, K0)
+        assert t.K is t.K and np.array_equal(t.K, oracles.real_structure(diag, t.layout)[0])
+        if d % 2:
+            assert t.gamma is None and gamma0 is None
+        else:
+            _same_bits(t.gamma, gamma0)
+            assert t.gamma is t.gamma and np.array_equal(t.gamma, oracles.real_structure(diag, t.layout)[1])
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_real_grading_check_gathers_match_dense_compat_checks(d):
+    """real_grading_check's lines against compat_check on the dense K and gamma, within 1e-12 relative or
+    1e-12 ||phi_H||_F: on lifts as built, with one u(v, w) scaled (the J lines fail), and with a target in mixed
+    fiber bases (a dense K and gamma, read by dense products)."""
+    rng = rng_from_seed(3810 + d)
+    compared = 0
+    for _ in range(3):
+        _source, _arrow, target, lift = lift_chain(rng, d)
+        tA, tB = realize(lift.source), realize(target)
+        key = sorted(lift.u)[0]
+        broken = DiagramLift(lift.arrow, lift.source, lift.target, {**lift.u, key: 1.5 * lift.u[key]})
+        for lf, tb in ((lift, tB), (broken, tB), (lift, mix_fibers(rng, tB, target))):
+            rep, ref = real_grading_check(lf, tA, tb), oracles.real_grading_check_dense(lf, tA, tb)
+            assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+            floor = 1e-12 * frob(build_phiH(lf).matrix)
+            for c, c0 in zip(rep.checks, ref.checks):
+                assert c.passed == c0.passed and c.bound == c0.bound, c.name
+                if c0.residual is not None:
+                    _close(c.residual, c0.residual, floor)
+            compared += 1
+    assert compared == 9
+
+
+def test_a_realized_target_holds_no_dense_K_or_gamma_until_read():
+    """realize of a d = 6 target of nB = 288 retains D and O(n) placement data, not the three n x n arrays it
+    placed before (D, K and gamma); reading K, then gamma, adds one n x n array each."""
+    diag = random_diagram(rng_from_seed(24), 6, AlgebraProfile((6, 3)), max_fiber=0, edge_prob=0.5,
+                          requirements=[(1, 1, 1)] * 4, ensure_edge=True)
+    dense = 288 ** 2 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t = realize(diag)
+        realized = tracemalloc.get_traced_memory()[0] - base
+        K = t.K
+        with_K = tracemalloc.get_traced_memory()[0] - base
+        gamma = t.gamma
+        with_gamma = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert t.dim == 288 and K.shape == gamma.shape == (288, 288)
+    assert realized <= 1.25 * dense, realized / dense
+    assert 0.99 * dense <= with_K - realized <= 1.01 * dense and 0.99 * dense <= with_gamma - with_K <= 1.01 * dense
+
+
+def test_the_lift_path_builds_no_dense_K_or_gamma(monkeypatch):
+    """real_grading_check, diagonalize_bases, normalize, inherit_source_dirac, from_forms and compare_actions with
+    configurations and fermions (even ones drawn from the signs) never build a dense K or gamma, on any triple.
+    (The generators of finspec.sampling read K; they run before the spy is set.)"""
+    built, real = [], krajewski._placed_array
+    rng, f = rng_from_seed(3820), CutoffFunction.gaussian()
+    for d in (0, 1, 2, 6, 7):
+        _source, arrow, target, lift = lift_chain(rng, d)
+        monkeypatch.setattr(krajewski, "_placed_array", lambda perm, phase: built.append(len(perm)) or real(perm, phase))
+        tA0, tB = realize(lift.source), realize(target)
+        assert real_grading_check(lift, tA0, tB).ok
+        norm = inherit_source_dirac(normalize(diagonalize_bases(lift)))
+        tA = realize(norm.source)
+        forms = [random_hermitian_form(rng, tA.profile, 1) for _ in range(4)] + [random_hermitian_form(rng, tA.profile)]
+        cfgs = (GaugeConfiguration.from_forms(tA, forms[:4], forms[4]),
+                GaugeConfiguration.from_forms(tB, [pushforward(w, arrow) for w in forms[:4]], pushforward(forms[4], arrow)))
+        M = build_phiH(norm).matrix
+        even = lambda t, v: v if t._gamma_products() is None else (v + t._gamma_products()[0](v)) / 2
+        psi_A = even(tA, random_vector(rng, tA.dim))
+        perp = random_vector(rng, tB.dim)
+        perp = even(tB, perp - M @ (M.conj().T @ perp))
+        compare_actions(norm, tA, tB, forms[4], pushforward(forms[4], arrow), f, 1.5, cfgs=cfgs,
+                        fermions=(psi_A, M @ psi_A + perp))
+        assert all(t._K is None and t._gamma is None for t in (tA0, tB, tA)), d
+        monkeypatch.undo()
+    assert built == []
+
+
+def _values(rep):
+    return [t.as_dict() for t in rep.terms], rep.spectral
+
+
+@pytest.mark.parametrize("d", (0, 1, 2, 6, 7))
+def test_compare_actions_takes_phi_as_D_omega_bit_for_bit(d, monkeypatch):
+    """With from_forms configurations of the same forms and tol, compare_actions fluctuates neither side and gives
+    the terms and spectral values of configurations without a record (dense copies), bit for bit; it fluctuates
+    the side whose Phi was reassigned, whose form is another object, whose triple or D is another, or whose tol
+    differs, with the same values."""
+    calls, real = [], action.fluctuate
+    monkeypatch.setattr(action, "fluctuate", lambda t, omega, tol: calls.append(t) or real(t, omega, tol))
+    args, cfgs, fermions = _comparison(d)
+    (norm, tA, tB, wA, wB, f, lam), dense = args, [GaugeConfiguration(c.B, c.Phi) for c in cfgs]
+    assert not cfgs[0].Phi.flags.writeable and dense[0].Phi.flags.writeable
+    calls.clear()
+    rep = compare_actions(*args, cfgs=cfgs, fermions=fermions)
+    assert calls == []
+    assert _values(rep) == _values(compare_actions(*args, cfgs=dense, fermions=fermions))
+    assert len(calls) == 2
+
+    wA2 = UniversalOneForm(wA.profile, wA.terms)
+    tA2 = RealSpectralTriple(tA.profile, tA.ko, tA.layout, tA.D, tA.K, tA.gamma)
+    variants = [((norm, tA, tB, wA2, wB, f, lam), cfgs, {}, [tA]),
+                ((norm, tA2, tB, wA, wB, f, lam), cfgs, {}, [tA2]),
+                (args, cfgs, {"tol": 1e-9}, [tA, tB])]
+    for args2, cfgs2, kw, fluctuated in variants:
+        calls.clear()
+        assert _values(compare_actions(*args2, cfgs=cfgs2, fermions=fermions, **kw)) == _values(rep)
+        assert calls == fluctuated
+    for change in (lambda args, cfgs: setattr(cfgs[1], "Phi", cfgs[1].Phi.copy()),
+                   lambda args, cfgs: setattr(args[2], "D", args[2].D.copy()),
+                   lambda args, cfgs: setattr(args[2], "K", args[2].K.copy())):
+        args, cfgs, fermions = _comparison(d)
+        change(args, cfgs)
+        calls.clear()
+        assert _values(compare_actions(*args, cfgs=cfgs, fermions=fermions)) == _values(rep)
+        assert calls == [args[2]]
+
+
+def test_paired_lagrangian_matches_the_two_product_oracle_on_lift_targets(monkeypatch):
+    """On lift-d2 and lift-d6 shaped steps the target Lagrangian of compare_actions takes one block product per field
+    pair, and its terms match the two-product oracle within bosonic_lagrangian's Hermitian bound (or 1e-12
+    relative); the whole comparison matches oracles.compare_actions as test_compare_actions_matches_oracle asks."""
+    taken, real = [], action._paired
+    monkeypatch.setattr(action, "_paired", lambda *a: taken.append(real(*a)) or taken[-1])
+    rng, f, lam = rng_from_seed(3830), CutoffFunction.gaussian(), 1.5
+    for lift, tA, tB, forms_A, forms_B in _lift_target_steps(rng):
+        cfg_B = GaugeConfiguration.from_forms(tB, forms_B[:4], forms_B[4])
+        fields = cfg_B.B + (cfg_B.Phi,)
+        bound = _commutator_bound(f, fields)
+        paired = action._lagrangian(cfg_B, f, lam, 1e-10, tB)
+        assert taken[-1] is True and len(action._bipartition(fields)[0]) >= action._PAIRING_MIN_BLOCK
+        for term, term0 in zip(paired.terms, oracles.bosonic_lagrangian_blocks(cfg_B, f, lam).terms):
+            _close(term.full, term0.full, bound)
+        cfg_A = GaugeConfiguration.from_forms(tA, forms_A[:4], forms_A[4])
+        taken.clear()
+        rep = compare_actions(lift, tA, tB, forms_A[4], forms_B[4], f, lam, cfgs=(cfg_A, cfg_B))
+        ref = oracles.compare_actions(lift, tA, tB, forms_A[4], forms_B[4], f, lam, cfgs=(cfg_A, cfg_B))
+        assert taken == [True]
+        for t, t0 in zip(rep.terms, ref.terms):
+            for name in ("full", "inherited", "tnic", "a_value"):
+                _close(getattr(t, name), getattr(t0, name), 2 * bound if t.name in ("trF2", "trDPhi2") else 0.0)
+
+
+def test_paired_lagrangian_matches_the_two_product_oracle_at_the_stated_scale():
+    """On _stated_scale_target (nB = 648) from_forms fields of pushed-forward forms take one block product per
+    pair, within the Hermitian bound of the two-product oracle's terms (or 1e-12 relative)."""
+    rng, arrow, t = _stated_scale_target()
+    f, lam = CutoffFunction.gaussian(), 1.5
+    forms = [pushforward(random_hermitian_form(rng, arrow.source, 1), arrow) for _ in range(4)]
+    forms.append(pushforward(random_hermitian_form(rng, arrow.source), arrow))
+    cfg = GaugeConfiguration.from_forms(t, forms[:4], forms[4])._dense()
+    fields = cfg.B + (cfg.Phi,)
+    split = action._bipartition(fields)
+    blocks = [(X[np.ix_(*split)], X[np.ix_(*split[::-1])]) for X in fields]
+    assert action._paired(t, split, blocks, [np.hypot(frob(pq), frob(qp)) for pq, qp in blocks])
+    bound = _commutator_bound(f, fields)
+    paired = action._lagrangian(cfg, f, lam, 1e-10, t)
+    for term, term0 in zip(paired.terms, oracles.bosonic_lagrangian_blocks(cfg, f, lam).terms):
+        _close(term.full, term0.full, bound)
+
+
+def test_a_field_off_J_symmetry_takes_the_two_product_path():
+    """Phi plus a Hermitian gamma-odd term of relative size 1e-6 that J does not map to eps' times itself is
+    refused by _paired, and the target Lagrangian is the two-product oracle's, bit for bit; so is a configuration
+    on a triple whose K is not read as a permutation."""
+    rng, f, lam = rng_from_seed(3840), CutoffFunction.gaussian(), 1.5
+    _lift, _tA, tB, _forms_A, forms_B = list(_lift_target_steps(rng))[1]
+    cfg = GaugeConfiguration.from_forms(tB, forms_B[:4], forms_B[4])._dense()
+    P, Q = action._bipartition(cfg.B + (cfg.Phi,))
+    E = np.zeros((tB.dim, tB.dim), dtype=complex)
+    E[np.ix_(P, Q)] = random_complex(rng, (len(P), len(Q)))
+    E += E.conj().T
+    assert frob(tB.conjugate_by_J(E) - tB.ko.eps_p * E) > 0.1 * frob(E)
+    bent = GaugeConfiguration(cfg.B, cfg.Phi + 1e-6 * frob(cfg.Phi) / frob(E) * E)
+    fields = bent.B + (bent.Phi,)
+    blocks = [(X[np.ix_(P, Q)], X[np.ix_(Q, P)]) for X in fields]
+    assert not action._paired(tB, (P, Q), blocks, [np.hypot(frob(pq), frob(qp)) for pq, qp in blocks])
+    ref = oracles.bosonic_lagrangian_blocks(bent, f, lam)
+    assert _values(action._lagrangian(bent, f, lam, 1e-10, tB)) == _values(ref)
+    dense_K = RealSpectralTriple(tB.profile, tB.ko, tB.layout, tB.D, tB.K @ random_unitary(rng, tB.dim), tB.gamma)
+    blocks = [(X[np.ix_(P, Q)], X[np.ix_(Q, P)]) for X in cfg.B + (cfg.Phi,)]
+    sizes = [np.hypot(frob(pq), frob(qp)) for pq, qp in blocks]
+    assert action._paired(tB, (P, Q), blocks, sizes) and not action._paired(dense_K, (P, Q), blocks, sizes)
+    assert _values(action._lagrangian(cfg, f, lam, 1e-10, dense_K)) == _values(oracles.bosonic_lagrangian_blocks(cfg, f, lam))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_build_phiH_and_pushforward_are_the_per_pair_oracles_bit_for_bit(d):
+    """phi_H with one scatter per group of pairs, raw and normalized, and pushforward with the band offsets read
+    once (and no p_phi for a unital arrow), against one scatter per pair and per-call offsets, byte for byte."""
+    rng = rng_from_seed(3850 + d)
+    for _ in range(3):
+        _source, arrow, _target, lift = lift_chain(rng, d)
+        lifts = [lift]
+        if d in (0, 1, 2, 6, 7):
+            lifts.append(normalize(diagonalize_bases(lift)))
+        for lf in lifts:
+            _same_bits(build_phiH(lf).matrix, oracles.build_phiH_per_pair(lf).matrix)
+        w = random_one_form(rng, arrow.source, 3)
+        new, old = pushforward(w, arrow), oracles.pushforward_per_call(w, arrow)
+        assert len(new.terms) == len(old.terms)
+        for term, term0 in zip(new.terms, old.terms):
+            for a, a0 in zip(term, term0):
+                for b, b0 in zip(a.blocks, a0.blocks):
+                    _same_bits(b, b0)

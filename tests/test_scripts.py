@@ -128,3 +128,15 @@ def test_digest_against_names_the_stages_that_differ(tmp_path):
     done = subprocess.run([sys.executable, "-W", "error", "scripts/digest.py", "--size", "tiny", "--against", str(old)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 1 and done.stderr.strip() == f"stages that differ from {old}: cli", done.stderr
+
+
+def test_digest_scale_collects_the_stated_scale_step(digest):
+    """--scale collects the realize, lift, from_forms and action stages of one lift step whose target has
+    nB = 648, and hashes them as the default stages are hashed."""
+    import numpy as np
+
+    items = digest.collect_scale()
+    assert list(items) == list(digest.SCALE_STAGES) and all(items.values())
+    assert items["realize"][3].shape == (648, 648)  # tB.D, after tA0's D, K and gamma
+    assert all(isinstance(x, str) for x in items["action"]) and isinstance(items["from_forms"][-1], np.ndarray)
+    assert list(digest.digest(items)) == list(digest.SCALE_STAGES)
